@@ -18,7 +18,10 @@ to stderr), ``--max-steps N``, ``--oracle-size K`` (1..4), ``--verify``
 (cross-check the verdict with the independent oracles).
 
 Exit codes: 0 valid / falsified, 1 invalid / satisfied, 2 parse error or
-malformed input, 3 fragment violation, 4 resource exhausted.
+malformed input (including nesting deeper than ``terms.MAX_NESTING``),
+3 fragment violation, 4 resource exhausted, 5 internal error (an engine
+invariant fired, or any other unexpected failure; reported on one line,
+never as a traceback).
 
 Verdict JSON::
 
@@ -58,6 +61,7 @@ EXIT_INVALID = 1
 EXIT_PARSE = 2
 EXIT_FRAGMENT = 3
 EXIT_RESOURCES = 4
+EXIT_INTERNAL = 5
 
 
 def _build_parser():
@@ -294,6 +298,9 @@ def main(argv=None):
     except ResourceExhausted as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCES
+    except Exception as exc:  # EngineInvariantError, or any other bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entry():

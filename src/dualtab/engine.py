@@ -25,10 +25,10 @@ from functools import lru_cache
 
 from .errors import (BranchNotSaturated, EngineInvariantError, NotApplicable,
                      ResourceExhausted)
-from .formulas import (FormulaSet, RelFormula, has_nbool_construction,
-                       is_literal, v_set)
+from .formulas import (FormulaSet, History, RelFormula, has_nbool_construction,
+                       is_literal)
 from .semantics import Model
-from .terms import (Cmpl, Comp, Conv, Inter, One, Union, Var, components,
+from .terms import (Cmpl, Comp, Inter, One, Union, Var, components,
                     is_boolean, render_term, require_fragment, simplify_ones,
                     term_variables)
 
@@ -45,81 +45,98 @@ RULE_COMP_UNIV = "comp-univ"  # x(1;S)y with any branch variable
 
 _BOOLEAN_RULES = (RULE_UNION, RULE_CMPL_UNION, RULE_INTER, RULE_CMPL_INTER,
                   RULE_DOUBLE_CMPL)
+_NEGCOMP_RULES = (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE, RULE_CMPL_COMP_UNIV)
 _COMP_RULES = (RULE_COMP_BOOL, RULE_COMP_UNIV)
+_PHASE = {**dict.fromkeys(_BOOLEAN_RULES, 0), **dict.fromkeys(_NEGCOMP_RULES, 1),
+          RULE_COMP_BOOL: 2, RULE_COMP_UNIV: 3}  # the order of applications()
 
 GenRecord = namedtuple("GenRecord", "premise parent rule")
 
 
-@lru_cache(maxsize=None)
-def weight(t):
-    """Recursive weight of a term; literals and constants weigh nothing."""
+def weight(t, table=None):
+    """Recursive weight of a fragment term; literals and constants weigh
+    nothing.  ``table``, when given, memoises the weights of subterms."""
+    if table is not None and t in table:
+        return table[t]
     match t:
         case One() | Var() | Cmpl(One()) | Cmpl(Var()):
-            return 0
+            w = 0
         case Union(l, r) | Inter(l, r) | Comp(l, r):
-            return weight(l) + weight(r) + 1
+            w = weight(l, table) + weight(r, table) + 1
         case Cmpl(Union(l, r)) | Cmpl(Inter(l, r)) | Cmpl(Comp(l, r)):
-            return weight(Cmpl(l)) + weight(Cmpl(r)) + 1
+            w = weight(Cmpl(l), table) + weight(Cmpl(r), table) + 1
         case Cmpl(Cmpl(a)):
-            return weight(a) + 1
-        case Conv(a) | Cmpl(Conv(a)):
-            return weight(a) + 1
+            w = weight(a, table) + 1
+        case _:
+            raise EngineInvariantError(
+                f"weight of a non-fragment term: {render_term(t)}")
+    if table is not None:
+        table[t] = w
+    return w
 
 
-def boolean_rule(t):
-    """Which Boolean decomposition applies to a term, or None."""
+@lru_cache(maxsize=65536)
+def rule_of(t):
+    """The rule that decomposes a term: one of the rule tags, ``"inert"``
+    for ``-(1;1)`` (never decomposed), or None for literals."""
     match t:
-        case Union(_, _):
+        case Union():
             return RULE_UNION
-        case Inter(_, _):
+        case Inter():
             return RULE_INTER
-        case Cmpl(Cmpl(_)):
+        case Cmpl(Cmpl()):
             return RULE_DOUBLE_CMPL
-        case Cmpl(Union(_, _)):
+        case Cmpl(Union()):
             return RULE_CMPL_UNION
-        case Cmpl(Inter(_, _)):
+        case Cmpl(Inter()):
             return RULE_CMPL_INTER
-        case _:
-            return None
-
-
-def comp_rule(t):
-    """RULE_COMP_UNIV for (1;S) terms, RULE_COMP_BOOL for (B;S), else None."""
-    match t:
-        case Comp(One(), _):
-            return RULE_COMP_UNIV
-        case Comp(_, _):
-            return RULE_COMP_BOOL
-        case _:
-            return None
-
-
-def negcomp_rule(t):
-    """Which complemented-composition rule fits a term.
-
-    Returns one of the three rule tags, the string ``"inert"`` for
-    ``-(1;1)`` (never decomposed), or None.
-    """
-    match t:
         case Cmpl(Comp(One(), One())):
             return "inert"
         case Cmpl(Comp(One(), _)):
             return RULE_CMPL_COMP_UNIV
         case Cmpl(Comp(_, One())):
             return RULE_CMPL_COMP_ONE
-        case Cmpl(Comp(_, _)):
+        case Cmpl(Comp()):
             return RULE_CMPL_COMP
-        case _:
-            return None
+        case Comp(One(), _):
+            return RULE_COMP_UNIV
+        case Comp():
+            return RULE_COMP_BOOL
+    return None
 
 
-def is_axiomatic(node):
-    """Whether a formula set contains ``x' 1 y'`` or a complementary pair."""
+def boolean_rule(t):
+    """Which Boolean decomposition applies to a term, or None."""
+    rule = rule_of(t)
+    return rule if rule in _BOOLEAN_RULES else None
+
+
+def comp_rule(t):
+    """RULE_COMP_UNIV for (1;S) terms, RULE_COMP_BOOL for (B;S), else None."""
+    rule = rule_of(t)
+    return rule if rule in _COMP_RULES else None
+
+
+def negcomp_rule(t):
+    """Which complemented-composition rule fits a term: one of the three
+    rule tags, ``"inert"`` for ``-(1;1)``, or None."""
+    rule = rule_of(t)
+    return rule if rule in _NEGCOMP_RULES or rule == "inert" else None
+
+
+def is_axiomatic(node, added=None):
+    """Whether a formula set contains ``x' 1 y'`` or a complementary pair.
+
+    With ``added``, the set is known to be open without those formulas,
+    so only pairs that involve one of them are looked for.
+    """
     formulas = getattr(node, "formulas", node)
-    for f in formulas:
+    for f in formulas if added is None else added:
         if isinstance(f.term, One):
             return True
         if isinstance(f.term, Cmpl) and RelFormula(f.left, f.term.arg, f.right) in formulas:
+            return True
+        if RelFormula(f.left, Cmpl(f.term), f.right) in formulas:
             return True
     return False
 
@@ -127,47 +144,40 @@ def is_axiomatic(node):
 class Branch:
     """State of one branch: current leaf set plus everything the rules consult.
 
-    ``history`` is the union of all formula sets ever on the branch;
-    ``vars`` lists object variables in introduction order; ``genealogy``
-    records, for each generated variable, the premise that introduced it;
-    ``lit_negcomp`` collects the renamed literals of blocked formulas;
-    ``applied`` enforces the at-most-once-per-premise discipline.
+    ``history`` is the union of all formula sets ever on the branch, an
+    indexed :class:`History`; ``vars`` lists object variables in
+    introduction order; ``genealogy`` records, for each generated variable,
+    the premise that introduced it; ``lit_negcomp`` collects the renamed
+    literals of blocked formulas; ``applied`` enforces the
+    at-most-once-per-premise discipline.
     """
 
-    __slots__ = ("node", "history", "vars", "genealogy", "lit_negcomp",
-                 "applied", "decomposed_with", "dec_total", "_fresh",
-                 "_forced_cache", "_blocked_cache", "node_axiomatic")
+    __slots__ = ("node", "history", "vars", "root_left", "root_right",
+                 "genealogy", "lit_negcomp", "applied", "decomposed_with",
+                 "dec_total", "_fresh", "_before", "_after", "node_axiomatic")
 
     def __init__(self, node, history, vars, genealogy, lit_negcomp, applied,
                  decomposed_with, dec_total, fresh):
         self.node = node
         self.history = history
         self.vars = vars
+        self.root_left, self.root_right = vars[:2]
         self.genealogy = genealogy
         self.lit_negcomp = lit_negcomp
         self.applied = applied
         self.decomposed_with = decomposed_with
         self.dec_total = dec_total
         self._fresh = fresh
-        self._forced_cache = {}
-        self._blocked_cache = {}
+        self._before, self._after = [], []  # see var_order
         self.node_axiomatic = False
 
     @classmethod
     def initial(cls, formula):
         node = FormulaSet([formula])
-        branch = cls(node, node.copy(), [formula.left, formula.right], {},
+        branch = cls(node, History(node), [formula.left, formula.right], {},
                      FormulaSet(), set(), {}, 0, [0])
         branch.node_axiomatic = is_axiomatic(node)
         return branch
-
-    @property
-    def root_left(self):
-        return self.vars[0]
-
-    @property
-    def root_right(self):
-        return self.vars[1]
 
     def alloc_var(self):
         self._fresh[0] += 1
@@ -178,10 +188,7 @@ class Branch:
                       dict(self.genealogy), self.lit_negcomp.copy(),
                       set(self.applied), dict(self.decomposed_with),
                       self.dec_total, self._fresh)
-        # cache entries are tagged with the history length they were
-        # computed at, so sharing them across the fork point is sound
-        twin._forced_cache = dict(self._forced_cache)
-        twin._blocked_cache = dict(self._blocked_cache)
+        twin._before, twin._after = list(self._before), list(self._after)
         return twin
 
     def is_descendant_of_right_root(self, z):
@@ -202,17 +209,20 @@ def var_order(branch):
 
     The left root endpoint comes first, then generated variables that are
     not descendants of the right endpoint in introduction order, then the
-    right endpoint, then its descendants in introduction order.
+    right endpoint, then its descendants in introduction order.  A
+    variable's genealogy never changes, so each is classified once, on the
+    first call after its introduction.
     """
-    x, y = branch.root_left, branch.root_right
-    before, after = [], []
-    for w in branch.vars[2:]:
+    before, after = branch._before, branch._after
+    for w in branch.vars[2 + len(before) + len(after):]:
         (after if branch.is_descendant_of_right_root(w) else before).append(w)
-    return [x, *before, y, *after]
+    return [branch.root_left, *before, branch.root_right, *after]
 
 
 def _removed(node, f):
-    return FormulaSet(g for g in node if g != f)
+    succ = FormulaSet(node)
+    del succ[f]
+    return succ
 
 
 def apply_boolean(node, f):
@@ -250,9 +260,8 @@ def blocker_literals(branch, blocker, w):
     """Literals produced on the branch by the Boolean decomposition of the
     blocker's left part with witness ``w``."""
     return [
-        h for h in branch.history
-        if h.left == blocker.left and h.right == w
-        and isinstance(h.term, Cmpl) and isinstance(h.term.arg, Var)
+        h for h in branch.history.by_left_right.get((blocker.left, w), ())
+        if isinstance(h.term, Cmpl) and isinstance(h.term.arg, Var)
     ]
 
 
@@ -264,26 +273,19 @@ def is_blocked(f, branch):
     obligation of ``f``'s left variable that the renamed witness literals
     would trigger is mirrored on the twin's side.
     """
-    y = f.right
-    for g in branch.history:
-        if g == f or g.term != f.term or g.right != y:
+    y, history = f.right, branch.history
+    for g in history.by_term_right.get((f.term, y), ()):
+        w = branch.decomposed_with.get(g)
+        if g == f or w is None:
             continue
-        if g not in branch.decomposed_with:
-            continue
-        w = branch.decomposed_with[g]
         renamed = FormulaSet(
             RelFormula(f.left, h.term, w) for h in blocker_literals(branch, g, w)
         )
-        mirrored = True
-        for h in branch.history:
-            if h.left != f.left or h.right != y or comp_rule(h.term) != RULE_COMP_BOOL:
-                continue
-            b1 = h.term.left
-            if has_nbool_construction(RelFormula(f.left, Cmpl(b1), w), renamed):
-                if RelFormula(g.left, h.term, y) not in branch.history:
-                    mirrored = False
-                    break
-        if mirrored:
+        if all(RelFormula(g.left, h.term, y) in history
+               for h in history.by_left_right.get((f.left, y), ())
+               if comp_rule(h.term) == RULE_COMP_BOOL
+               and has_nbool_construction(RelFormula(f.left, Cmpl(h.term.left), w),
+                                          renamed)):
             return g
     return None
 
@@ -294,16 +296,11 @@ def record_blocked_literals(branch, f, blocker):
         branch.lit_negcomp.add(RelFormula(f.left, h.term, w))
 
 
-def _extends_to_axiomatic(node, added):
-    """Whether adding the given formulas closed an otherwise open node."""
-    for f in added:
-        if isinstance(f.term, One):
-            return True
-        if isinstance(f.term, Cmpl) and RelFormula(f.left, f.term.arg, f.right) in node:
-            return True
-        if RelFormula(f.left, Cmpl(f.term), f.right) in node:
-            return True
-    return False
+def is_suppressed(branch, f):
+    """Side condition of the ``x -(1;S) y`` rule: it is not applied once some
+    generated variable ``z'`` carries ``z' -S y``."""
+    twins = branch.history.by_term_right.get((Cmpl(f.term.arg.right), f.right), ())
+    return any(g.left in branch.genealogy for g in twins)
 
 
 def apply_negcomp(branch, f):
@@ -321,28 +318,23 @@ def apply_negcomp(branch, f):
     if rule == "inert":
         return None
     b, s = f.term.arg.left, f.term.arg.right
-    if rule in (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE):
+    if rule == RULE_CMPL_COMP_UNIV:
+        if is_suppressed(branch, f):
+            return None
+    else:
         blocker = is_blocked(f, branch)
         if blocker is not None:
             record_blocked_literals(branch, f, blocker)
             return None
-    else:  # RULE_CMPL_COMP_UNIV: suppressed once some generated z' has z'(-S)y
-        for g in branch.history:
-            if (g.term == Cmpl(s) and g.right == f.right
-                    and g.left in branch.genealogy):
-                return None
     z = branch.alloc_var()
     branch.vars.append(z)
     branch.genealogy[z] = GenRecord(f, f.left, rule)
     branch.decomposed_with[f] = z
     branch.applied.add((rule, f, None))
     succ = _removed(branch.node, f)
-    if rule == RULE_CMPL_COMP:
+    if rule != RULE_CMPL_COMP_UNIV:
         succ.add(RelFormula(f.left, Cmpl(b), z))
-        succ.add(RelFormula(z, Cmpl(s), f.right))
-    elif rule == RULE_CMPL_COMP_ONE:
-        succ.add(RelFormula(f.left, Cmpl(b), z))
-    else:
+    if rule != RULE_CMPL_COMP_ONE:
         succ.add(RelFormula(z, Cmpl(s), f.right))
     return rule, succ, z
 
@@ -357,7 +349,7 @@ def apply_comp_a(branch, f, z):
     key = (RULE_COMP_BOOL, f, z)
     if key in branch.applied:
         raise NotApplicable(f"{f!r} was already decomposed with {z}")
-    if z not in v_set(Cmpl(f.term.left), f.left, branch.history):
+    if z not in branch.history.forced(Cmpl(f.term.left), f.left):
         raise NotApplicable(f"{z} is not forced for {f!r}")
     branch.applied.add(key)
     branch.dec_total += 1
@@ -389,91 +381,68 @@ def apply_comp_b(branch, f, z):
 
 
 # ---------------------------------------------------------------------------
-# Enabled-application scan (shared by the engine loop, saturation detection
-# and model extraction).  The forced-variable sets and blocking verdicts are
-# memoized per branch, keyed by the history length they were computed at;
-# the history only ever grows, so a stale entry is simply recomputed.
+# Applicability: the one answer to "what applies here?", shared by the
+# engine loop, saturation detection, the node weight and model extraction.
 
 
-def _forced_vars(branch, f):
-    key = (f.term.left, f.left)
-    version = len(branch.history)
-    cached = branch._forced_cache.get(key)
-    if cached is not None and cached[0] == version:
-        return cached[1]
-    forced = v_set(Cmpl(f.term.left), f.left, branch.history)
-    branch._forced_cache[key] = (version, forced)
-    return forced
+def applications(branch, z):
+    """Every rule application open at variable ``z``, as ``(kind, premise,
+    variable)`` in the order the engine tries them.
+
+    First the Boolean rules, then the complemented-composition rules, for
+    the formulas of the node whose left endpoint is ``z``, in node order;
+    then the literal-gated composition rule, once per forced variable in
+    branch order; then the universal composition rule instantiated with
+    ``z``.  A complemented composition that a twin blocks comes in its
+    place as ``("blocked", f, blocker)``, which is not an application.
+    """
+    applied, history = branch.applied, branch.history
+    boolean, negcomp, comp_bool, comp_univ = phases = ([], [], [], [])
+    for f in branch.node:
+        rule = rule_of(f.term)
+        phase = _PHASE.get(rule)
+        if phase is not None and (f.left == z or phase == 3):
+            phases[phase].append((f, rule))
+    for f, rule in boolean:
+        if (rule, f, None) not in applied:
+            yield "boolean", f, None
+    for f, rule in negcomp:
+        if (rule, f, None) in applied:
+            continue
+        if rule == RULE_CMPL_COMP_UNIV:
+            if not is_suppressed(branch, f):
+                yield "negcomp", f, None
+        else:
+            blocker = is_blocked(f, branch)
+            yield ("negcomp", f, None) if blocker is None else ("blocked", f, blocker)
+    for f, _ in comp_bool:
+        forced = history.forced(Cmpl(f.term.left), z)
+        for w in var_order(branch) if forced else ():
+            if w in forced and (RULE_COMP_BOOL, f, w) not in applied:
+                yield "comp_a", f, w
+    for f, _ in comp_univ:
+        if ((RULE_COMP_UNIV, f, z) not in applied
+                and RelFormula(z, f.term.right, f.right) not in history):
+            yield "comp_b", f, z
 
 
-def _blocked_by(branch, f):
-    version = len(branch.history)
-    cached = branch._blocked_cache.get(f)
-    if cached is not None and cached[0] == version:
-        return cached[1]
-    blocker = is_blocked(f, branch)
-    branch._blocked_cache[f] = (version, blocker)
-    return blocker
-
-
-def _boolean_enabled(branch, f):
-    rule = boolean_rule(f.term)
-    return rule is not None and (rule, f, None) not in branch.applied
-
-
-def _negcomp_enabled(branch, f):
-    rule = negcomp_rule(f.term)
-    if rule in (None, "inert") or (rule, f, None) in branch.applied:
-        return False
-    if rule == RULE_CMPL_COMP_UNIV:
-        s = f.term.arg.right
-        return not any(
-            g.term == Cmpl(s) and g.right == f.right and g.left in branch.genealogy
-            for g in branch.history
-        )
-    return _blocked_by(branch, f) is None
-
-
-def _comp_bool_candidates(branch, f):
-    forced = _forced_vars(branch, f)
-    for w in var_order(branch):
-        if w in forced and (RULE_COMP_BOOL, f, w) not in branch.applied:
-            yield w
-
-
-def _comp_univ_applicable(branch, f, z):
-    return ((RULE_COMP_UNIV, f, z) not in branch.applied
-            and RelFormula(z, f.term.right, f.right) not in branch.history)
-
-
-def _formula_enabled(branch, f):
-    if is_literal(f):
-        return False
-    if _boolean_enabled(branch, f):
-        return True
-    if _negcomp_enabled(branch, f):
-        return True
-    rule = comp_rule(f.term)
-    if rule == RULE_COMP_BOOL:
-        return next(_comp_bool_candidates(branch, f), None) is not None
-    if rule == RULE_COMP_UNIV:
-        return any(_comp_univ_applicable(branch, f, z) for z in branch.vars)
-    return False
+def enabled_formulas(branch):
+    """The formulas of the node with an application open at some variable:
+    a branch variable, or the left endpoint of a node formula."""
+    zs = dict.fromkeys([*branch.vars, *(f.left for f in branch.node)])
+    return {f for z in zs for kind, f, _ in applications(branch, z)
+            if kind != "blocked"}
 
 
 def node_weight(branch):
     """Weight of the branch's current node: the summed term weights of its
     formulas, counting formulas that cannot currently be decomposed as 0."""
-    return sum(
-        weight(f.term) for f in branch.node if _formula_enabled(branch, f)
-    )
+    return sum(weight(f.term) for f in enabled_formulas(branch))
 
 
 def branch_saturated(branch):
     """True iff the branch is open and no rule application remains."""
-    return not is_axiomatic(branch.node) and not any(
-        _formula_enabled(branch, f) for f in branch.node
-    )
+    return not is_axiomatic(branch.node) and not enabled_formulas(branch)
 
 
 def extract_model(branch):
@@ -600,6 +569,9 @@ class ProofSearch:
         self.max_vars = max_vars
         self.trace = trace
         self.cp = components(prepared)
+        self.weights = {}
+        for t in self.cp:
+            weight(t, self.weights)
         self.var_bound = var_bound_factor * len(self.cp) ** 2
         self.tree = DeductionTree()
         self.root_formula = RelFormula("x", prepared, "y")
@@ -622,64 +594,32 @@ class ProofSearch:
         return Proof(self.tree)
 
     def _expand(self, branch, leaf):
-        while True:
-            if branch.node_axiomatic:
-                leaf.closed = True
-                return leaf, "closed"
+        """Expand the branch in turns: the smallest variable with work
+        takes rule applications until it has none left."""
+        while not branch.node_axiomatic:
             z = self._smallest_pending_var(branch)
             if z is None:
                 self._finalize_open(branch)
                 return leaf, "open"
-            leaf = self._turn(branch, leaf, z)
+            while not branch.node_axiomatic:
+                app = self._next_application(branch, z)
+                if app is None:
+                    break
+                leaf = self._apply(branch, leaf, app)
+        leaf.closed = True
+        return leaf, "closed"
 
     def _smallest_pending_var(self, branch):
-        order = var_order(branch)
-        for z in order:
-            for f in branch.node:
-                if f.left == z and (_boolean_enabled(branch, f)
-                                    or _negcomp_enabled(branch, f)):
-                    return z
-                if (f.left == z and comp_rule(f.term) == RULE_COMP_BOOL
-                        and next(_comp_bool_candidates(branch, f), None) is not None):
-                    return z
-            for f in branch.node:
-                if (comp_rule(f.term) == RULE_COMP_UNIV
-                        and _comp_univ_applicable(branch, f, z)):
-                    return z
+        for z in var_order(branch):
+            if any(kind != "blocked" for kind, _, _ in applications(branch, z)):
+                return z
         return None
 
-    def _turn(self, branch, leaf, z):
-        while not branch.node_axiomatic:
-            app = self._next_application(branch, z)
-            if app is None:
-                return leaf
-            leaf = self._apply(branch, leaf, app)
-        return leaf
-
     def _next_application(self, branch, z):
-        for f in branch.node:
-            if f.left == z and _boolean_enabled(branch, f):
-                return ("boolean", f, None)
-        for f in branch.node:
-            if f.left == z and negcomp_rule(f.term) not in (None, "inert"):
-                rule = negcomp_rule(f.term)
-                if (rule, f, None) in branch.applied:
-                    continue
-                if _negcomp_enabled(branch, f):
-                    return ("negcomp", f, None)
-                if rule in (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE):
-                    blocker = _blocked_by(branch, f)
-                    if blocker is not None:
-                        record_blocked_literals(branch, f, blocker)
-        for f in branch.node:
-            if f.left == z and comp_rule(f.term) == RULE_COMP_BOOL:
-                w = next(_comp_bool_candidates(branch, f), None)
-                if w is not None:
-                    return ("comp_a", f, w)
-        for f in branch.node:
-            if (comp_rule(f.term) == RULE_COMP_UNIV
-                    and _comp_univ_applicable(branch, f, z)):
-                return ("comp_b", f, z)
+        for app in applications(branch, z):
+            if app[0] != "blocked":
+                return app
+            record_blocked_literals(branch, app[1], app[2])
         return None
 
     def _apply(self, branch, leaf, app):
@@ -687,74 +627,50 @@ class ProofSearch:
         self.tree.steps += 1
         if self.tree.steps > self.max_steps:
             raise ResourceExhausted(f"step cap of {self.max_steps} exceeded")
-        before_weight = (sum(weight(g.term) for g in branch.node)
-                         if kind != "comp_a" and kind != "comp_b" else 0)
-        before_dec = branch.dec_total
-
-        parent_node = branch.node
+        parent, before_dec = branch.node, branch.dec_total
         if kind == "boolean":
-            rule, successors = apply_boolean(branch.node, f)
+            rule, successors = apply_boolean(parent, f)
             branch.applied.add((rule, f, None))
-            children = [
-                self.tree.new_node(leaf, succ, rule, f, None) for succ in successors
-            ]
-            added = [
-                [g for g in succ if g not in parent_node] for succ in successors
-            ]
-            self._emit(rule, f, None)
-            if len(children) == 2:
-                self.tree.branch_count += 1
-                fork = branch.fork(children[1].formulas)
-                fork.node_axiomatic = _extends_to_axiomatic(fork.node, added[1])
-                self._admit(fork, children[1].formulas)
-                self._check_progress(rule, branch, fork.node, before_weight, before_dec)
-                self._stack.append((fork, children[1]))
-            branch.node = children[0].formulas
-            branch.node_axiomatic = _extends_to_axiomatic(branch.node, added[0])
-            self._admit(branch, branch.node)
-            self._check_progress(rule, branch, branch.node, before_weight, before_dec)
-            return children[0]
-
-        if kind == "negcomp":
+        elif kind == "negcomp":
             result = apply_negcomp(branch, f)
             if result is None:
                 raise EngineInvariantError("scheduled a blocked or inert formula")
-            rule, succ, fresh = result
-            if len(branch.vars) > self.max_vars:
-                raise ResourceExhausted(f"variable cap of {self.max_vars} exceeded")
-            if len(branch.vars) > self.var_bound + 2:
-                raise EngineInvariantError(
-                    f"branch variables exceeded the bound {self.var_bound + 2}"
-                )
-            self.tree.max_vars = max(self.tree.max_vars, len(branch.vars))
-            child = self.tree.new_node(leaf, succ, rule, f, fresh)
-            added = [g for g in succ if g not in parent_node]
-            branch.node = succ
-            branch.node_axiomatic = _extends_to_axiomatic(succ, added)
-            self._admit(branch, succ)
-            self._check_progress(rule, branch, succ, before_weight, before_dec)
-            self._emit(rule, f, fresh)
-            return child
-
-        if kind == "comp_a":
-            succ = apply_comp_a(branch, f, inst)
-            rule = RULE_COMP_BOOL
+            rule, succ, inst = result
+            successors = [succ]
+        elif kind == "comp_a":
+            rule, successors = RULE_COMP_BOOL, [apply_comp_a(branch, f, inst)]
         else:
-            succ = apply_comp_b(branch, f, inst)
-            rule = RULE_COMP_UNIV
-        child = self.tree.new_node(leaf, succ, rule, f, inst)
-        added = [g for g in succ if g not in parent_node]
-        branch.node = succ
-        branch.node_axiomatic = _extends_to_axiomatic(succ, added)
-        self._admit(branch, succ)
-        self._check_progress(rule, branch, succ, before_weight, before_dec)
+            rule, successors = RULE_COMP_UNIV, [apply_comp_b(branch, f, inst)]
+        if len(branch.vars) > self.max_vars:
+            raise ResourceExhausted(f"variable cap of {self.max_vars} exceeded")
+        if len(branch.vars) > self.var_bound + 2:
+            raise EngineInvariantError(
+                f"branch variables exceeded the bound {self.var_bound + 2}"
+            )
+        self.tree.max_vars = max(self.tree.max_vars, len(branch.vars))
+        children = [self.tree.new_node(leaf, succ, rule, f, inst)
+                    for succ in successors]
         self._emit(rule, f, inst)
-        return child
+        if len(children) == 2:
+            self.tree.branch_count += 1
+            fork = branch.fork(children[1].formulas)
+            self._enter(fork, children[1].formulas, parent, rule, before_dec)
+            self._stack.append((fork, children[1]))
+        self._enter(branch, children[0].formulas, parent, rule, before_dec)
+        return children[0]
 
-    def _admit(self, branch, node):
-        """Record a node's formulas in the branch history, checking the
-        component and endpoint discipline every formula must respect."""
-        for f in node:
+    def _enter(self, branch, node, parent, rule, before_dec):
+        """Make ``node``, a successor of ``parent``, the branch's leaf."""
+        added = [g for g in node if g not in parent]
+        branch.node = node
+        branch.node_axiomatic = is_axiomatic(node, added)
+        self._admit(branch, added)
+        self._check_progress(rule, branch, parent, node, added, before_dec)
+
+    def _admit(self, branch, formulas):
+        """Record formulas in the branch history, checking the component
+        and endpoint discipline every formula must respect."""
+        for f in formulas:
             if f in branch.history:
                 continue
             if f.term not in self.cp:
@@ -767,13 +683,17 @@ class ProofSearch:
                 )
             branch.history.add(f)
 
-    def _check_progress(self, rule, branch, node, before_weight, before_dec):
+    def _check_progress(self, rule, branch, parent, node, added, before_dec):
+        """A composition step must add an instantiation; any other step must
+        lower the node weight, taken from what entered and left the node."""
         if rule in _COMP_RULES:
             if branch.dec_total <= before_dec:
                 raise EngineInvariantError("composition step without progress")
         else:
-            after = sum(weight(g.term) for g in node)
-            if after >= before_weight:
+            w = self.weights
+            delta = (sum(w[g.term] for g in added)
+                     - sum(w[g.term] for g in parent if g not in node))
+            if delta >= 0:
                 raise EngineInvariantError(
                     f"rule {rule} did not decrease the node weight"
                 )
@@ -828,16 +748,10 @@ def verdict_to_json(verdict):
     """Stable JSON form of a verdict: proof tree or countermodel plus stats."""
     from .semantics import model_to_json
 
-    if isinstance(verdict, Proof):
-        return {
-            "verdict": "valid",
-            "proof": verdict.tree.to_json(),
-            "countermodel": None,
-            "stats": stats_of(verdict),
-        }
+    valid = isinstance(verdict, Proof)
     return {
-        "verdict": "invalid",
-        "proof": None,
-        "countermodel": model_to_json(verdict.model, verdict.valuation),
+        "verdict": "valid" if valid else "invalid",
+        "proof": verdict.tree.to_json() if valid else None,
+        "countermodel": None if valid else model_to_json(verdict.model, verdict.valuation),
         "stats": stats_of(verdict),
     }

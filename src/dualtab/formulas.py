@@ -5,10 +5,14 @@ A formula is *forced* by a set ``N`` of literals when it can be assembled
 from literals of ``N`` using only unions (both sides forced) and
 intersections (one side forced, the other in complement normal form).
 ``v_set`` collects the object variables a term can reach that way; the
-engine consults it before instantiating a composition.
+engine consults it before instantiating a composition.  A branch history
+is a :class:`History`, which keeps the indices the engine queries up to
+date as formulas enter it.
 """
 
 from __future__ import annotations
+
+from collections import namedtuple
 
 from .errors import NotBoolean
 from .terms import (Cmpl, Inter, One, Union, Var, is_boolean, is_cnf,
@@ -17,64 +21,42 @@ from .terms import (Cmpl, Inter, One, Union, Var, is_boolean, is_cnf,
 ObjVar = str
 
 
-class RelFormula:
-    __slots__ = ("left", "term", "right", "_hash")
-    __match_args__ = ("left", "term", "right")
+class RelFormula(namedtuple("RelFormula", "left term right")):
+    """The formula ``left term right``.  A tuple, so that hashing and
+    equality, which the engine runs constantly, stay in C."""
 
-    def __init__(self, left, term, right):
-        self.left = left
-        self.term = term
-        self.right = right
-        self._hash = hash((left, term, right))
-
-    def __eq__(self, other):
-        return (self is other
-                or (type(other) is RelFormula and self._hash == other._hash
-                    and self.left == other.left and self.right == other.right
-                    and self.term == other.term))
-
-    def __hash__(self):
-        return self._hash
+    __slots__ = ()
 
     def __repr__(self):
         return f"{self.left} {render_term(self.term)} {self.right}"
 
 
-class FormulaSet:
-    """Set of formulas with insertion-order iteration and O(1) membership."""
+class FormulaSet(dict):
+    """Set of formulas with insertion-order iteration and O(1) membership:
+    a dict from formula to None, so that membership and copying run at
+    dict speed."""
 
-    __slots__ = ("_items",)
+    __slots__ = ()
 
     def __init__(self, items=()):
-        self._items = dict.fromkeys(items)
+        super().__init__(dict.fromkeys(items))
 
     def add(self, f):
         """Insert ``f``; returns True iff it was not already present."""
-        if f in self._items:
+        if f in self:
             return False
-        self._items[f] = None
+        self[f] = None
         return True
 
     def update(self, items):
         for f in items:
             self.add(f)
 
-    def __contains__(self, f):
-        return f in self._items
-
-    def __iter__(self):
-        return iter(self._items)
-
-    def __len__(self):
-        return len(self._items)
-
     def copy(self):
-        fs = FormulaSet()
-        fs._items = dict(self._items)
-        return fs
+        return FormulaSet(self)
 
     def __repr__(self):
-        return "{" + ", ".join(map(repr, self._items)) + "}"
+        return "{" + ", ".join(map(repr, self)) + "}"
 
 
 def is_literal(f):
@@ -135,6 +117,61 @@ def v_set(term, x, n):
     """
     nf = nf_cmpl(term)
     return {z for z in variables_of(n) if _is_nbool(x, nf, z, n)}
+
+
+class History(FormulaSet):
+    """A branch history: a formula set that only grows, indexed as each
+    formula enters it.
+
+    ``by_left``, ``by_left_right`` and ``by_term_right`` list the formulas
+    with a given left endpoint, pair of endpoints, or term and right
+    endpoint, each list in admission order.
+    """
+
+    __slots__ = ("by_left", "by_left_right", "by_term_right", "_forced")
+
+    def __init__(self, items=()):
+        super().__init__()
+        self.by_left = {}
+        self.by_left_right = {}
+        self.by_term_right = {}
+        self._forced = {}
+        self.update(items)
+
+    def add(self, f):
+        if not super().add(f):
+            return False
+        self.by_left.setdefault(f.left, []).append(f)
+        self.by_left_right.setdefault((f.left, f.right), []).append(f)
+        self.by_term_right.setdefault((f.term, f.right), []).append(f)
+        return True
+
+    def copy(self):
+        h = History()
+        dict.update(h, self)
+        h._forced = dict(self._forced)
+        for name in ("by_left", "by_left_right", "by_term_right"):
+            setattr(h, name, {k: list(v) for k, v in getattr(self, name).items()})
+        return h
+
+    def forced(self, term, x):
+        """``v_set(term, x, self)``, kept up to date incrementally.
+
+        Whether ``x term z`` is forced depends only on the formulas with
+        endpoints ``x`` and ``z``, and once forced it stays forced as the
+        history grows.  So each set is extended only by the right
+        endpoints of the formulas with left endpoint ``x`` admitted since
+        it was last asked for.
+        """
+        key = (term, x)
+        seen, found = self._forced.get(key, (0, frozenset()))
+        fresh = self.by_left.get(x, ())[seen:]
+        if fresh:
+            nf = nf_cmpl(term)
+            found = found.union(z for z in {f.right for f in fresh}
+                                if z not in found and _is_nbool(x, nf, z, self))
+            self._forced[key] = (seen + len(fresh), found)
+        return found
 
 
 def parse_formula(text, default_left="x", default_right="y"):

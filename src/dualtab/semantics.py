@@ -48,16 +48,20 @@ class Model:
 Valuation = dict
 
 
-def eval_term(model, t):
+def eval_term(model, t, memo=None):
     """The set of pairs denoted by ``t`` in ``model``.
 
     Uninterpreted variables denote the empty relation; a warning is
     emitted so oracle cross-checks over mismatched vocabularies stay
-    visible.
+    visible.  ``memo``, when given, maps the terms already evaluated in
+    ``model`` to their pair sets, which are then shared: callers must not
+    mutate the result.
     """
+    if memo is not None and t in memo:
+        return memo[t]
     match t:
         case One():
-            return model.all_pairs()
+            out = model.all_pairs()
         case Var(name):
             if name not in model.interp:
                 warnings.warn(
@@ -65,41 +69,47 @@ def eval_term(model, t):
                     UnknownVariableWarning,
                     stacklevel=2,
                 )
-                return set()
-            return set(model.interp[name])
+                out = set()
+            else:
+                out = set(model.interp[name])
         case Cmpl(a):
-            return model.all_pairs() - eval_term(model, a)
+            out = model.all_pairs() - eval_term(model, a, memo)
         case Union(l, r):
-            return eval_term(model, l) | eval_term(model, r)
+            out = eval_term(model, l, memo) | eval_term(model, r, memo)
         case Inter(l, r):
-            return eval_term(model, l) & eval_term(model, r)
+            out = eval_term(model, l, memo) & eval_term(model, r, memo)
         case Comp(l, r):
-            lv, rv = eval_term(model, l), eval_term(model, r)
+            lv, rv = eval_term(model, l, memo), eval_term(model, r, memo)
             by_mid = {}
             for c, b in rv:
                 by_mid.setdefault(c, set()).add(b)
-            return {(a, b) for a, c in lv for b in by_mid.get(c, ())}
+            out = {(a, b) for a, c in lv for b in by_mid.get(c, ())}
         case Conv(a):
-            return {(b, a2) for a2, b in eval_term(model, a)}
+            out = {(b, a2) for a2, b in eval_term(model, a, memo)}
+    if memo is not None:
+        memo[t] = out
+    return out
 
 
-def satisfies(model, valuation, f):
-    """Whether ``model`` under ``valuation`` satisfies the formula ``f``."""
+def satisfies(model, valuation, f, memo=None):
+    """Whether ``model`` under ``valuation`` satisfies the formula ``f``.
+    ``memo`` is passed on to :func:`eval_term`."""
     try:
         pair = (valuation[f.left], valuation[f.right])
     except KeyError as exc:
         raise UnboundVariable(f"valuation does not bind {exc.args[0]!r}") from None
-    return pair in eval_term(model, f.term)
+    return pair in eval_term(model, f.term, memo)
 
 
 def falsifies_branch(model, valuation, branch):
     """Whether ``model``/``valuation`` falsify every formula ever on the branch.
 
     ``branch`` may be an engine branch (its full history is used) or any
-    iterable of formulas.
+    iterable of formulas.  Each distinct subterm is evaluated once per call.
     """
     formulas = getattr(branch, "history", branch)
-    return all(not satisfies(model, valuation, f) for f in formulas)
+    memo = {}
+    return all(not satisfies(model, valuation, f, memo) for f in formulas)
 
 
 # ---------------------------------------------------------------------------

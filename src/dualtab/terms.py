@@ -2,8 +2,10 @@
 
 Terms are immutable trees over relational variables and the universal
 constant ``1``, built with complement ``-``, union ``|``, intersection
-``&``, composition ``;`` and converse ``^``.  Structural equality is the
-only term equality used anywhere in the package.
+``&``, composition ``;`` and converse ``^``.  Terms are interned (hash-
+consed): each constructor returns the one shared instance of its
+structure, so two terms are equal exactly when they are the same object,
+and ``==`` on terms is identity.
 
 Grammar accepted by :func:`parse_term` (ASCII, with unicode aliases
 ``∪`` ``∩`` ``−`` ``⌣`` for ``|`` ``&`` ``-`` ``^``)::
@@ -17,95 +19,81 @@ Grammar accepted by :func:`parse_term` (ASCII, with unicode aliases
 
 ``-`` binds tighter than ``;``, which binds tighter than ``&``, which
 binds tighter than ``|``; same-operator chains associate to the left.
-Identifiers match ``[a-z][a-z0-9_]*``.
+Identifiers match ``[a-z][a-z0-9_]*``.  Parentheses, complements and
+converses may nest at most :data:`MAX_NESTING` deep; deeper input is a
+:class:`ParseError`, so that no recursive walker over a parsed term can
+exhaust the interpreter stack on nesting alone.
 """
 
 from __future__ import annotations
 
 import re
+import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import FragmentViolation, NotBoolean, ParseError
 
-# Terms are compared and hashed constantly (branch histories, component
-# sets, rule-application records), so every node caches its structural
-# hash at construction and equality short-circuits on it.
+# Every constructor interns: it returns the one live instance with the
+# given structure, so terms keep object identity as their equality and
+# hash.  The table holds its terms weakly, so it shrinks with them.  Its
+# keys hold the children themselves, not their ids, so a key can never
+# match a reused address.
+_INTERNED = weakref.WeakValueDictionary()
+
+
+def _interned(cls, *fields):
+    key = (cls, *fields)
+    t = _INTERNED.get(key)
+    if t is None:
+        t = object.__new__(cls)
+        for name, value in zip(cls.__match_args__, fields):
+            setattr(t, name, value)
+        _INTERNED[key] = t
+    return t
 
 
 class One:
     """The universal relation constant."""
 
-    __slots__ = ("_hash",)
+    __slots__ = ("__weakref__",)
     __match_args__ = ()
 
-    def __init__(self):
-        self._hash = hash("One")
-
-    def __eq__(self, other):
-        return type(other) is One
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls):
+        return _interned(cls)
 
     def __repr__(self):
         return "1"
 
 
 class Var:
-    __slots__ = ("name", "_hash")
+    __slots__ = ("name", "__weakref__")
     __match_args__ = ("name",)
 
-    def __init__(self, name):
-        self.name = name
-        self._hash = hash(("Var", name))
-
-    def __eq__(self, other):
-        return type(other) is Var and self.name == other.name
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, name):
+        return _interned(cls, name)
 
     def __repr__(self):
         return self.name
 
 
 class _Unary:
-    __slots__ = ("arg", "_hash")
+    __slots__ = ("arg", "__weakref__")
     __match_args__ = ("arg",)
 
-    def __init__(self, arg):
-        self.arg = arg
-        self._hash = hash((type(self).__name__, arg._hash))
-
-    def __eq__(self, other):
-        return (self is other
-                or (type(other) is type(self) and self._hash == other._hash
-                    and self.arg == other.arg))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, arg):
+        return _interned(cls, arg)
 
     def __repr__(self):
         return render_term(self)
 
 
 class _Binary:
-    __slots__ = ("left", "right", "_hash")
+    __slots__ = ("left", "right", "__weakref__")
     __match_args__ = ("left", "right")
 
-    def __init__(self, left, right):
-        self.left = left
-        self.right = right
-        self._hash = hash((type(self).__name__, left._hash, right._hash))
-
-    def __eq__(self, other):
-        return (self is other
-                or (type(other) is type(self) and self._hash == other._hash
-                    and self.left == other.left and self.right == other.right))
-
-    def __hash__(self):
-        return self._hash
+    def __new__(cls, left, right):
+        return _interned(cls, left, right)
 
     def __repr__(self):
         return render_term(self)
@@ -135,6 +123,8 @@ RelTerm = One | Var | Cmpl | Union | Inter | Comp | Conv
 
 ONE = One()
 CMPL_ONE = Cmpl(ONE)
+
+MAX_NESTING = 100
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -199,6 +189,13 @@ class _Tokenizer:
 class _Parser:
     def __init__(self, tz):
         self.tz = tz
+        self.depth = 0
+
+    def nest(self, tok):
+        """Enter one more level of nesting at ``tok``."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
 
     def parse(self):
         t = self.disj()
@@ -233,12 +230,17 @@ class _Parser:
     def unary(self):
         tok = self.tz.peek()
         if tok[0] == "-":
-            self.tz.next()
-            return Cmpl(self.unary())
+            self.nest(self.tz.next())
+            t = Cmpl(self.unary())
+            self.depth -= 1
+            return t
         t = self.atom()
+        levels = 0
         while self.tz.peek()[0] == "^":
-            self.tz.next()
+            levels += 1
+            self.nest(self.tz.next())
             t = Conv(t)
+        self.depth -= levels
         return t
 
     def atom(self):
@@ -250,9 +252,10 @@ class _Parser:
             self.tz.next()
             return Var(tok[1])
         if tok[0] == "(":
-            self.tz.next()
+            self.nest(self.tz.next())
             t = self.disj()
             self.tz.expect(")", expected=(")",))
+            self.depth -= 1
             return t
         raise ParseError(
             f"expected a term, found {tok[1]!r}" if tok[0] != "eof" else "expected a term, found end of input",
@@ -387,6 +390,7 @@ def simplify_ones(t):
             return Conv(simplify_ones(a))
 
 
+@lru_cache(maxsize=65536)
 def is_boolean(t):
     """True iff ``t`` uses only complement, union and intersection."""
     match t:

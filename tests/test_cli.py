@@ -1,8 +1,24 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import dualtab
 from dualtab.cli import main
+from dualtab.errors import EngineInvariantError
+
+SRC = str(Path(dualtab.__file__).resolve().parent.parent)
+
+
+def run_process(*args):
+    """Run ``python`` with ``args`` and this checkout's sources first on
+    the import path."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
 
 
 def run(capsys, *argv):
@@ -203,3 +219,35 @@ class TestFragmentAndSimplify:
         code, out, _ = run(capsys, "simplify", "(1 | p) ; q", "--json")
         assert code == 0
         assert json.loads(out) == {"term": "(1 ; q)"}
+
+
+class TestRobustness:
+    @pytest.mark.parametrize("term", ["(" * 300 + "r" + ")" * 300,
+                                      "-" * 3000 + "r"])
+    def test_deep_nesting_is_a_parse_error(self, term):
+        proc = run_process("-m", "dualtab", "prove", "--json", "--", term)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines() == [
+            "error: nesting deeper than 100 levels at offset 100"]
+
+    def test_engine_invariant_error_exits_5(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise EngineInvariantError("saturated leaf has nonzero weight")
+
+        monkeypatch.setattr("dualtab.cli.run_procedure", broken)
+        code, out, err = run(capsys, "prove", "r")
+        assert code == 5
+        assert out == ""
+        assert err == ("internal error: EngineInvariantError: "
+                       "saturated leaf has nonzero weight\n")
+
+    def test_unexpected_failure_exits_5(self, capsys, monkeypatch):
+        def broken(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr("dualtab.cli.run_procedure", broken)
+        code, _, err = run(capsys, "prove", "r")
+        assert code == 5
+        assert err.startswith("internal error: RecursionError:")
+        assert len(err.splitlines()) == 1

@@ -13,8 +13,9 @@ from dualtab.engine import (Branch, Countermodel, GenRecord, Proof,
                             extract_model, is_axiomatic, is_blocked,
                             negcomp_rule, node_weight, run_procedure,
                             var_order, verdict_to_json, weight)
-from dualtab.errors import (BranchNotSaturated, FragmentViolation,
-                            NotApplicable, ResourceExhausted)
+from dualtab.errors import (BranchNotSaturated, EngineInvariantError,
+                            FragmentViolation, NotApplicable,
+                            ResourceExhausted)
 from dualtab.formulas import FormulaSet, RelFormula, v_set
 from dualtab.semantics import (brute_force_countermodel, falsifies_branch,
                                satisfies)
@@ -43,6 +44,10 @@ class TestWeight:
 
     def test_complement_distributes(self):
         assert weight(parse_term("-((r | s) ; 1)")) == 2
+
+    def test_non_fragment_term_is_an_invariant_error(self):
+        with pytest.raises(EngineInvariantError, match="non-fragment"):
+            weight(parse_term("r^"))
 
 
 class TestIsAxiomatic:

@@ -1,0 +1,142 @@
+"""The engine's incremental search state against its from-scratch meaning.
+
+A search is driven to its verdict; after every rule application, on the
+branch that took it (and on a fork it made), each index the history and
+the branch keep up to date is compared with a plain recomputation over
+the whole history: the branch's variables, the per-key formula lists,
+every forced set the node's compositions ask for, the variable order,
+and the blocking verdict of every complemented composition on the node.
+"""
+
+import pytest
+
+from dualtab.engine import (RULE_COMP_BOOL, ProofSearch, Proof, comp_rule,
+                            is_blocked, negcomp_rule, var_order)
+from dualtab.formulas import (FormulaSet, History, RelFormula,
+                              has_nbool_construction, v_set, variables_of)
+from dualtab.frontends import parse_modal, translate_modal
+from dualtab.terms import ONE, Cmpl, Comp, Inter, Var
+
+
+def scratch_order(branch):
+    x, y = branch.root_left, branch.root_right
+    rest = branch.vars[2:]
+    after = [w for w in rest if branch.is_descendant_of_right_root(w)]
+    before = [w for w in rest if w not in after]
+    return [x, *before, y, *after]
+
+
+def scratch_blocked(f, branch):
+    """The blocking test as a scan over the whole history."""
+    history = list(branch.history)
+    for g in history:
+        if g == f or g.term != f.term or g.right != f.right:
+            continue
+        if g not in branch.decomposed_with:
+            continue
+        w = branch.decomposed_with[g]
+        renamed = FormulaSet(
+            RelFormula(f.left, h.term, w) for h in history
+            if h.left == g.left and h.right == w
+            and isinstance(h.term, Cmpl) and isinstance(h.term.arg, Var)
+        )
+        if all(RelFormula(g.left, h.term, f.right) in branch.history
+               for h in history
+               if h.left == f.left and h.right == f.right
+               and comp_rule(h.term) == RULE_COMP_BOOL
+               and has_nbool_construction(RelFormula(f.left, Cmpl(h.term.left), w),
+                                          renamed)):
+            return g
+    return None
+
+
+def check_branch(branch):
+    # the indices are read on a fork, whose caches start as copies of the
+    # branch's: reading them on the branch itself would bring its lazily
+    # extended caches up to date after every step and hide a stale one
+    twin = branch.fork(branch.node)
+    history = twin.history
+    plain = FormulaSet(branch.history)
+    assert twin.vars == variables_of(plain)
+    for name, key in (("by_left", lambda f: f.left),
+                      ("by_left_right", lambda f: (f.left, f.right)),
+                      ("by_term_right", lambda f: (f.term, f.right))):
+        expected = {}
+        for f in plain:
+            expected.setdefault(key(f), []).append(f)
+        assert getattr(history, name) == expected, name
+    for f in branch.node:
+        if comp_rule(f.term) == RULE_COMP_BOOL:
+            term = Cmpl(f.term.left)
+            assert history.forced(term, f.left) == v_set(term, f.left, plain)
+        if negcomp_rule(f.term) is not None:
+            blocker = scratch_blocked(f, branch)
+            assert is_blocked(f, twin) == blocker
+            CheckedSearch.blocked += blocker is not None
+    assert var_order(twin) == scratch_order(branch)
+
+
+class CheckedSearch(ProofSearch):
+    """A proof search that checks every index after each step."""
+
+    checked_steps = 0
+    blocked = 0  # blocking verdicts that found a blocker, over all searches
+
+    def _enter(self, branch, node, *args):
+        super()._enter(branch, node, *args)
+        check_branch(branch)
+        self.checked_steps += 1
+
+
+def family_text(name, n):
+    p = [f"p{i}" for i in range(n)]
+    q = [f"q{i}" for i in range(n)]
+    conj = lambda parts: " & ".join(f"({s})" for s in parts)  # noqa: E731
+    disj = lambda parts: " | ".join(f"({s})" for s in parts)  # noqa: E731
+    if name == "modal_dist":
+        return (f"({conj(f'<r>({p[i]} | {q[i]})' for i in range(n))}) -> "
+                f"({disj(f'<r>{p[i]} | <r>{q[i]}' for i in range(n))})")
+    if name == "kdist":
+        box = "[r]" * n
+        return f"{box}(p0 -> q0) -> ({box}p0 -> {box}q0)"
+    if name == "branching":
+        return (f"({conj(f'<r>{p[i]} | <r>{q[i]}' for i in range(n))}) -> "
+                f"<r>({disj(f'{p[i]} | {q[i]}' for i in range(n))})")
+    return (f"~(({conj(f'<r>{p[i]}' for i in range(n))}) & "
+            f"({conj(f'[r]({p[i]} -> <r>{p[(i + 1) % n]})' for i in range(n))}))")
+
+
+@pytest.mark.parametrize("family, valid", [
+    ("modal_dist", True), ("kdist", True), ("branching", True), ("cycle", False),
+])
+def test_family_indices_match_recomputation(family, valid):
+    blocked_before = CheckedSearch.blocked
+    search = CheckedSearch(translate_modal(parse_modal(family_text(family, 4))))
+    verdict = search.run()
+    assert isinstance(verdict, Proof) == valid
+    assert search.checked_steps >= search.tree.steps > 0
+    if family == "cycle":  # the family that needs blocking to terminate
+        assert CheckedSearch.blocked > blocked_before
+
+
+def test_corpus_indices_match_recomputation(fragment_corpus):
+    checked = 0
+    for term in fragment_corpus:
+        search = CheckedSearch(term)
+        search.run()
+        checked += search.checked_steps
+    assert checked > len(fragment_corpus)
+
+
+def test_forced_set_grows_when_the_last_literal_arrives():
+    # x -(r & s) z is forced by x -r z together with x -s z
+    r, s = Var("r"), Var("s")
+    term = Cmpl(Inter(r, s))
+    history = History([RelFormula("x", Comp(r, ONE), "y")])
+    assert history.forced(term, "x") == frozenset()
+    history.add(RelFormula("x", Cmpl(r), "z1"))
+    history.add(RelFormula("z1", Cmpl(s), "y"))
+    assert history.forced(term, "x") == frozenset()
+    history.add(RelFormula("x", Cmpl(s), "z1"))
+    assert history.forced(term, "x") == {"z1"}
+    assert history.forced(term, "x") == v_set(term, "x", FormulaSet(history))

@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from conftest import all_models, boolean_term_strategy, term_strategy
 from dualtab.errors import NotBoolean, ParseError
 from dualtab.semantics import eval_term
-from dualtab.terms import (CMPL_ONE, Cmpl, Comp, Conv, Inter, ONE, Union, Var,
+from dualtab.terms import (CMPL_ONE, MAX_NESTING, Cmpl, Comp, Conv, Inter, ONE,
+                           One, Union, Var,
                            classify, components, fragment_check, is_boolean,
                            is_cnf, nf_cmpl, parse_term, render_term,
                            simplify_ones, term_size, term_variables)
@@ -52,6 +53,51 @@ class TestParse:
         assert parse_term("r ∩ s") == Inter(Var("r"), Var("s"))
         assert parse_term("−r") == Cmpl(Var("r"))
         assert parse_term("r⌣") == Conv(Var("r"))
+
+
+class TestNestingLimit:
+    @pytest.mark.parametrize("make", [
+        lambda k: "(" * k + "r" + ")" * k,
+        lambda k: "-" * k + "r",
+        lambda k: "r" + "^" * k,
+        lambda k: "-(" * (k // 2) + "r" + ")" * (k // 2),
+    ])
+    def test_limit_is_exact(self, make):
+        assert parse_term(make(MAX_NESTING)) is not None
+        with pytest.raises(ParseError) as exc:
+            parse_term(make(MAX_NESTING + 2))
+        assert "nesting" in str(exc.value)
+
+    def test_siblings_do_not_add_up(self):
+        wide = " | ".join(["(" * MAX_NESTING + "r" + ")" * MAX_NESTING] * 3)
+        r = Var("r")
+        assert parse_term(wide) == Union(Union(r, r), r)
+
+
+class TestInterning:
+    def test_equal_structure_is_the_same_object(self):
+        assert Cmpl(Var("r")) is Cmpl(Var("r"))
+        assert Comp(Var("r"), ONE) is Comp(Var("r"), One())
+        assert Union(Var("r"), Var("s")) is not Union(Var("s"), Var("r"))
+
+    def test_identity_survives_parsing(self):
+        assert parse_term("-(r ; 1)") is Cmpl(Comp(Var("r"), ONE))
+        assert parse_term("(r | s) & t") is parse_term("((r)|(s))&t")
+
+    def test_identity_survives_normal_forms(self):
+        assert nf_cmpl(parse_term("-(r & -s)")) is Union(Cmpl(Var("r")), Var("s"))
+        assert simplify_ones(parse_term("1 & (p | -1)")) is Var("p")
+        assert simplify_ones(parse_term("-(-1)")) is ONE
+
+    def test_table_does_not_keep_dead_terms(self):
+        import gc
+        import weakref
+
+        ref = weakref.ref(Comp(Var("unused_a"), Var("unused_b")))
+        gc.collect()
+        assert ref() is None
+        fresh = Comp(Var("unused_a"), Var("unused_b"))
+        assert (fresh.left.name, fresh.right.name) == ("unused_a", "unused_b")
 
 
 class TestRender:
