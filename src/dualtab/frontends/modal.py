@@ -19,7 +19,10 @@ Text grammar::
     atom    := IDENT | '(' formula ')'
 
 ``->`` and ``<->`` are desugared at parse time (``a -> b`` as ``~a | b``,
-``a <-> b`` as ``(a -> b) & (b -> a)``).
+``a <-> b`` as ``(a -> b) & (b -> a)``).  Negations, modalities,
+parentheses and right-nested implications together may nest at most
+:data:`~dualtab.terms.MAX_NESTING` deep; deeper input is a
+:class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -28,8 +31,8 @@ import re
 from dataclasses import dataclass
 
 from ..errors import ParseError
-from ..terms import (Cmpl, Comp, ONE, RelTerm, Union as TUnion, Inter as TInter,
-                     Var, is_plain_boolean, parse_term, render_term,
+from ..terms import (Cmpl, Comp, ONE, NestingParser, RelTerm, Union as TUnion,
+                     Inter as TInter, Var, is_plain_boolean, parse_term, render_term,
                      require_fragment, simplify_ones, term_variables)
 
 
@@ -225,10 +228,7 @@ class _ModalTokenizer:
         return tok
 
 
-class _ModalParser:
-    def __init__(self, tz):
-        self.tz = tz
-
+class _ModalParser(NestingParser):
     def parse(self):
         f = self.iff()
         tok = self.tz.peek()
@@ -248,8 +248,10 @@ class _ModalParser:
     def imp(self):
         f = self.disj()
         if self.tz.peek()[0] == "->":
-            self.tz.next()
-            return Or(Not(f), self.imp())
+            self.nest(self.tz.next())
+            g = self.imp()
+            self.depth -= 1
+            return Or(Not(f), g)
         return f
 
     def disj(self):
@@ -268,16 +270,14 @@ class _ModalParser:
 
     def unary(self):
         tok = self.tz.peek()
+        if tok[0] not in ("~", "box", "dia"):
+            return self.atom()
+        self.nest(self.tz.next())
+        f = self.unary()
+        self.depth -= 1
         if tok[0] == "~":
-            self.tz.next()
-            return Not(self.unary())
-        if tok[0] == "box":
-            self.tz.next()
-            return Box(tok[1], self.unary())
-        if tok[0] == "dia":
-            self.tz.next()
-            return Dia(tok[1], self.unary())
-        return self.atom()
+            return Not(f)
+        return (Box if tok[0] == "box" else Dia)(tok[1], f)
 
     def atom(self):
         tok = self.tz.peek()
@@ -285,7 +285,7 @@ class _ModalParser:
             self.tz.next()
             return Prop(tok[1])
         if tok[0] == "(":
-            self.tz.next()
+            self.nest(self.tz.next())
             f = self.iff()
             closing = self.tz.peek()
             if closing[0] != ")":
@@ -295,6 +295,7 @@ class _ModalParser:
                     closing[2], expected=(")",),
                 )
             self.tz.next()
+            self.depth -= 1
             return f
         raise ParseError(
             f"expected a formula, found {tok[1]!r}" if tok[0] != "eof"

@@ -5,9 +5,16 @@ A model is a finite universe plus an interpretation of relational
 variables as sets of ordered pairs; the constant ``1`` always denotes the
 full pair set and is never stored.  The oracle enumerates every
 interpretation over universes of increasing size in a fixed order, so its
-output is reproducible; internally it packs the interpretation space into
-bit vectors so that exhausting three-element universes over three
-variables stays cheap.
+output is reproducible.  Internally it packs the last variables' joint
+interpretations into bit vectors (the packed axis) and loops over those of
+the first ones (the outer assignments).  A term's table holds one row per
+pair and one bit per packed interpretation.  Subterms over packed
+variables only are evaluated once per universe size; every other subterm
+once per outer assignment, in a memo keyed by the interned term.  Outer
+variables and ``1`` are one-word columns that broadcast along the packed
+axis, and composition ORs ``n`` broadcast ANDs of ``(n, n, words)`` views.
+None of this changes the enumeration order: the first witness is always
+the first falsifier in the order :func:`brute_force_countermodel` states.
 """
 
 from __future__ import annotations
@@ -19,8 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BudgetExceeded, UnboundVariable, UnknownVariableWarning
-from .terms import (Cmpl, Comp, Conv, Inter, One, RelTerm, Union, Var,
-                    render_term, term_variables)
+from .formulas import RelFormula
+from .terms import Cmpl, Comp, Conv, Inter, One, Union, Var, term_variables
 
 _ELEMENT_NAMES = "abcdefgh"
 
@@ -43,9 +50,6 @@ class Model:
             and self.universe == other.universe
             and self.interp == other.interp
         )
-
-
-Valuation = dict
 
 
 def eval_term(model, t, memo=None):
@@ -180,16 +184,10 @@ def brute_force_countermodel(term, max_universe, *, budget_bits=28):
         hit = _search_universe(term, names, n)
         if hit is not None:
             model, valuation = hit
-            if satisfies(model, valuation, _query(term)):
+            if satisfies(model, valuation, RelFormula("x", term, "y")):
                 raise AssertionError("oracle witness failed its own re-check")
             return model, valuation
     return None
-
-
-def _query(term):
-    from .formulas import RelFormula
-
-    return RelFormula("x", term, "y")
 
 
 def _search_universe(term, names, n):
@@ -207,19 +205,22 @@ def _search_universe(term, names, n):
     nwords = max(1, combos // _WORD_BITS)
     tail_mask = _ALL_ONES if combos >= _WORD_BITS else np.uint64((1 << combos) - 1)
 
-    inner_rows = {
-        name: np.stack([_bit_pattern(q * (n_inner - 1 - i) + p, nwords) for p in range(q)])
-        for i, name in enumerate(inner_names)
-    }
-    ones = np.full((q, nwords), _ALL_ONES, dtype=np.uint64)
-    zeros = np.zeros((q, nwords), dtype=np.uint64)
+    fixed = {One(): np.full((q, 1), _ALL_ONES, dtype=np.uint64)}
+    for i, name in enumerate(inner_names):
+        fixed[Var(name)] = np.stack(
+            [_bit_pattern(q * (n_inner - 1 - i) + p, nwords) for p in range(q)])
+    _hoist(term, fixed, set(outer_names), n)
+    shifts = np.arange(q)
 
     for outer_masks in itertools.product(range(1 << q), repeat=len(outer_names)):
         outer = dict(zip(outer_names, outer_masks))
-        rows = _eval_rows(term, inner_rows, outer, q, ones, zeros)
-        falsity = np.bitwise_not(rows)
-        falsity[:, -1] &= tail_mask
-        merged = np.bitwise_or.reduce(falsity, axis=0)
+        memo = dict(fixed)
+        for name, mask in outer.items():
+            memo[Var(name)] = np.where((mask >> shifts) & 1, _ALL_ONES, np.uint64(0))[:, None]
+        # The root mentions every variable, so its rows are nwords wide.
+        rows = _eval_rows(term, memo, n)
+        merged = np.bitwise_not(np.bitwise_and.reduce(rows, axis=0))
+        merged[-1] &= tail_mask
         nz = np.nonzero(merged)[0]
         if nz.size == 0:
             continue
@@ -227,25 +228,15 @@ def _search_universe(term, names, n):
         word = int(merged[w])
         bit = (word & -word).bit_length() - 1
         combo = w * _WORD_BITS + bit
-        pair_idx = min(
-            p for p in range(q) if (int(falsity[p, w]) >> bit) & 1
-        )
+        pair_idx = min(p for p in range(q) if not (int(rows[p, w]) >> bit) & 1)
         interp = dict(outer)
         for i, name in enumerate(inner_names):
             interp[name] = (combo >> (q * (n_inner - 1 - i))) & ((1 << q) - 1)
-        model = Model(
-            universe,
-            {
-                name: {
-                    (universe[p // n], universe[p % n])
-                    for p in range(q)
-                    if (mask >> p) & 1
-                }
-                for name, mask in interp.items()
-            },
-        )
-        valuation = {"x": universe[pair_idx // n], "y": universe[pair_idx % n]}
-        return model, valuation
+        cells = [(a, b) for a in universe for b in universe]
+        model = Model(universe, {name: {cells[p] for p in range(q) if (mask >> p) & 1}
+                                 for name, mask in interp.items()})
+        x, y = cells[pair_idx]
+        return model, {"x": x, "y": y}
     return None
 
 
@@ -258,40 +249,47 @@ def _bit_pattern(j, nwords):
     return np.where(block.astype(bool), _ALL_ONES, np.uint64(0))
 
 
-def _eval_rows(t, inner_rows, outer, q, ones, zeros):
+def _hoist(t, memo, outer, n):
+    """Evaluate into ``memo`` the largest subterms of ``t`` that mention no
+    variable in ``outer``."""
+    if outer.isdisjoint(term_variables(t)):
+        _eval_rows(t, memo, n)
+        return
     match t:
-        case One():
-            return ones
-        case Var(name):
-            if name in inner_rows:
-                return inner_rows[name]
-            mask = outer[name]
-            return np.stack([ones[0] if (mask >> p) & 1 else zeros[0] for p in range(q)])
+        case Cmpl(a) | Conv(a):
+            _hoist(a, memo, outer, n)
+        case Union(l, r) | Inter(l, r) | Comp(l, r):
+            _hoist(l, memo, outer, n)
+            _hoist(r, memo, outer, n)
+
+
+def _eval_rows(t, memo, n):
+    """Packed table of ``t`` over an ``n``-element universe: row ``p`` holds
+    one bit per packed interpretation, set when pair ``p`` is in ``t``.  A
+    row of one word holds the same bit for every interpretation and
+    broadcasts.  ``memo`` holds the variables, ``1`` and every subterm
+    evaluated so far; results are shared and must not be mutated."""
+    out = memo.get(t)
+    if out is not None:
+        return out
+    match t:
         case Cmpl(a):
-            return np.bitwise_not(_eval_rows(a, inner_rows, outer, q, ones, zeros))
+            out = np.bitwise_not(_eval_rows(a, memo, n))
         case Union(l, r):
-            return _eval_rows(l, inner_rows, outer, q, ones, zeros) | _eval_rows(
-                r, inner_rows, outer, q, ones, zeros
-            )
+            out = _eval_rows(l, memo, n) | _eval_rows(r, memo, n)
         case Inter(l, r):
-            return _eval_rows(l, inner_rows, outer, q, ones, zeros) & _eval_rows(
-                r, inner_rows, outer, q, ones, zeros
-            )
+            out = _eval_rows(l, memo, n) & _eval_rows(r, memo, n)
         case Comp(l, r):
-            lv = _eval_rows(l, inner_rows, outer, q, ones, zeros)
-            rv = _eval_rows(r, inner_rows, outer, q, ones, zeros)
-            n = int(round(q ** 0.5))
-            out = zeros.copy()
-            for i in range(n):
-                for j in range(n):
-                    acc = out[i * n + j]
-                    for c in range(n):
-                        acc = acc | (lv[i * n + c] & rv[c * n + j])
-                    out[i * n + j] = acc
-            return out
+            lv = _eval_rows(l, memo, n).reshape(n, n, -1)
+            rv = _eval_rows(r, memo, n).reshape(n, n, -1)
+            comp = lv[:, 0, None] & rv[0]
+            for c in range(1, n):
+                comp |= lv[:, c, None] & rv[c]
+            out = comp.reshape(n * n, -1)
         case Conv(a):
-            av = _eval_rows(a, inner_rows, outer, q, ones, zeros)
-            n = int(round(q ** 0.5))
-            idx = [j * n + i for i in range(n) for j in range(n)]
-            return av[idx]
-    raise TypeError(f"not a relational term: {t!r}")
+            av = _eval_rows(a, memo, n).reshape(n, n, -1)
+            out = av.transpose(1, 0, 2).reshape(n * n, -1)
+        case _:
+            raise TypeError(f"not a relational term: {t!r}")
+    memo[t] = out
+    return out

@@ -186,17 +186,23 @@ class _Tokenizer:
         return self.next()
 
 
-class _Parser:
+class NestingParser:
+    """A recursive-descent parser over a token stream ``tz`` that refuses
+    nesting deeper than :data:`MAX_NESTING`."""
+
     def __init__(self, tz):
         self.tz = tz
         self.depth = 0
 
     def nest(self, tok):
-        """Enter one more level of nesting at ``tok``."""
+        """Enter one more level of nesting at ``tok``; the caller lowers
+        ``depth`` again on leaving it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
 
+
+class _Parser(NestingParser):
     def parse(self):
         t = self.disj()
         tok = self.tz.peek()

@@ -231,6 +231,27 @@ class TestRobustness:
         assert proc.stderr.strip().splitlines() == [
             "error: nesting deeper than 100 levels at offset 100"]
 
+    @pytest.mark.parametrize("formula, offset", [
+        ("~" * 3000 + "p", 100),
+        ("(" * 400 + "p" + ")" * 400, 100),
+        ("[r]" * 3000 + "p", 300),
+        (" -> ".join(["p"] * 3000), 502),
+    ], ids=["negations", "parentheses", "boxes", "implications"])
+    def test_deep_modal_nesting_is_a_parse_error(self, formula, offset):
+        proc = run_process("-m", "dualtab", "modal", "--json", "--", formula)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.strip().splitlines() == [
+            f"error: nesting deeper than 100 levels at offset {offset}"]
+
+    def test_modal_nesting_at_the_limit_is_decided(self, capsys):
+        # Each operand of the three implications nests exactly 100 deep.
+        deepest = "~" * 49 + "<r>" * 49 + "p"
+        formula = " & ".join([f"({deepest} -> {deepest})"] * 3)
+        code, _, err = run(capsys, "modal", "--", formula)
+        assert code == 0
+        assert err == ""
+
     def test_engine_invariant_error_exits_5(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
             raise EngineInvariantError("saturated leaf has nonzero weight")

@@ -103,6 +103,29 @@ class TestBruteForce:
         with pytest.raises(BudgetExceeded):
             brute_force_countermodel(t, 3)
 
+    # Valid on at most two elements; over three, the first variable ``r`` is
+    # enumerated on the outer axis and the first witness has it nonempty.
+    @pytest.mark.parametrize("text, relations, valuation", [
+        ("(-(-t ; (t & r)) | (-(t ; s) | ((t ; s) & (r | s))))",
+         {"r": [["a", "a"]], "s": [["b", "a"]], "t": [["a", "a"], ["c", "b"]]},
+         {"x": "c", "y": "a"}),
+        ("((-(r ; t) | ((r ; s) ; -r)) | (((r ; t) ; -r) | ((t | r) | (s ; s))))",
+         {"r": [["a", "c"], ["b", "b"]], "s": [], "t": [["c", "b"]]},
+         {"x": "a", "y": "b"}),
+        ("(((-t | (t ; t)) | ((s ; r) ; (s | t))) | -((s ; t) & (r ; t)))",
+         {"r": [["a", "a"]], "s": [["a", "b"]], "t": [["a", "c"], ["b", "c"]]},
+         {"x": "a", "y": "c"}),
+        ("((-(r ; s) | (-t | (r | s))) | -((-t)^))",
+         {"r": [["a", "b"]], "s": [["b", "c"]], "t": [["a", "c"]]},
+         {"x": "a", "y": "c"}),
+    ])
+    def test_first_witness_on_the_outer_axis(self, text, relations, valuation):
+        t = parse_term(text)
+        assert brute_force_countermodel(t, 2) is None
+        assert model_to_json(*brute_force_countermodel(t, 3)) == {
+            "universe": ["a", "b", "c"], "relations": relations,
+            "valuation": valuation}
+
     @given(term_strategy(variables=("r", "s"), with_conv=True, max_leaves=5))
     @settings(max_examples=60, deadline=None)
     def test_agrees_with_direct_enumeration(self, t):
