@@ -65,6 +65,24 @@ def build_corpus(seed=CORPUS_SEED, size=CORPUS_SIZE, depth=CORPUS_DEPTH):
     return list(seen)
 
 
+def family_text(name, n):
+    p = [f"p{i}" for i in range(n)]
+    q = [f"q{i}" for i in range(n)]
+    conj = lambda parts: " & ".join(f"({s})" for s in parts)  # noqa: E731
+    disj = lambda parts: " | ".join(f"({s})" for s in parts)  # noqa: E731
+    if name == "modal_dist":
+        return (f"({conj(f'<r>({p[i]} | {q[i]})' for i in range(n))}) -> "
+                f"({disj(f'<r>{p[i]} | <r>{q[i]}' for i in range(n))})")
+    if name == "kdist":
+        box = "[r]" * n
+        return f"{box}(p0 -> q0) -> ({box}p0 -> {box}q0)"
+    if name == "branching":
+        return (f"({conj(f'<r>{p[i]} | <r>{q[i]}' for i in range(n))}) -> "
+                f"<r>({disj(f'{p[i]} | {q[i]}' for i in range(n))})")
+    return (f"~(({conj(f'<r>{p[i]}' for i in range(n))}) & "
+            f"({conj(f'[r]({p[i]} -> <r>{p[(i + 1) % n]})' for i in range(n))}))")
+
+
 @pytest.fixture(scope="session")
 def fragment_corpus():
     return build_corpus()

@@ -1,9 +1,10 @@
+import hashlib
 import json
 
 import pytest
 from hypothesis import given, settings
 
-from conftest import fragment_term_strategy
+from conftest import build_corpus, family_text, fragment_term_strategy
 from dualtab.engine import (Branch, Countermodel, GenRecord, Proof,
                             RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
                             RULE_CMPL_COMP_UNIV, RULE_COMP_BOOL,
@@ -17,6 +18,7 @@ from dualtab.errors import (BranchNotSaturated, EngineInvariantError,
                             FragmentViolation, NotApplicable,
                             ResourceExhausted)
 from dualtab.formulas import FormulaSet, RelFormula, v_set
+from dualtab.frontends import parse_modal, translate_modal
 from dualtab.semantics import (brute_force_countermodel, falsifies_branch,
                                satisfies)
 from dualtab.terms import (Cmpl, components, is_boolean, parse_term,
@@ -471,3 +473,18 @@ class TestVerdictJson:
         assert data["proof"] is None
         assert data["countermodel"]["universe"] == ["x", "y"]
         assert data["countermodel"]["valuation"] == {"x": "x", "y": "y"}
+
+    def test_verdict_bytes_are_pinned(self):
+        # the verdict JSON of the corpus and of four modal families, byte
+        # for byte: a change to the engine must leave every proof tree,
+        # countermodel and stats line as it is
+        terms = build_corpus() + [
+            translate_modal(parse_modal(family_text(name, 4)))
+            for name in ("modal_dist", "kdist", "branching", "cycle")
+        ]
+        digest = hashlib.sha256()
+        for term in terms:
+            data = verdict_to_json(run_procedure(term))
+            digest.update(json.dumps(data, sort_keys=True).encode() + b"\n")
+        assert digest.hexdigest() == (
+            "13128eb18178c0a502e28d5740978c2732c5acf78ae5bfb1ed0137443d69c3ea")

@@ -10,6 +10,7 @@ and the blocking verdict of every complemented composition on the node.
 
 import pytest
 
+from conftest import family_text
 from dualtab.engine import (RULE_COMP_BOOL, ProofSearch, Proof, comp_rule,
                             is_blocked, negcomp_rule, var_order)
 from dualtab.formulas import (FormulaSet, History, RelFormula,
@@ -86,24 +87,6 @@ class CheckedSearch(ProofSearch):
         super()._enter(branch, node, *args)
         check_branch(branch)
         self.checked_steps += 1
-
-
-def family_text(name, n):
-    p = [f"p{i}" for i in range(n)]
-    q = [f"q{i}" for i in range(n)]
-    conj = lambda parts: " & ".join(f"({s})" for s in parts)  # noqa: E731
-    disj = lambda parts: " | ".join(f"({s})" for s in parts)  # noqa: E731
-    if name == "modal_dist":
-        return (f"({conj(f'<r>({p[i]} | {q[i]})' for i in range(n))}) -> "
-                f"({disj(f'<r>{p[i]} | <r>{q[i]}' for i in range(n))})")
-    if name == "kdist":
-        box = "[r]" * n
-        return f"{box}(p0 -> q0) -> ({box}p0 -> {box}q0)"
-    if name == "branching":
-        return (f"({conj(f'<r>{p[i]} | <r>{q[i]}' for i in range(n))}) -> "
-                f"<r>({disj(f'{p[i]} | {q[i]}' for i in range(n))})")
-    return (f"~(({conj(f'<r>{p[i]}' for i in range(n))}) & "
-            f"({conj(f'[r]({p[i]} -> <r>{p[(i + 1) % n]})' for i in range(n))}))")
 
 
 @pytest.mark.parametrize("family, valid", [
