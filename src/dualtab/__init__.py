@@ -6,8 +6,7 @@ from .engine import (Countermodel, Proof, Verdict, extract_model,
                      run_procedure, verdict_to_json)
 from .errors import (BranchNotSaturated, BudgetExceeded, DualTabError,
                      EmptyPremises, EngineInvariantError, FragmentViolation,
-                     NotApplicable, NotBoolean, ParseError, ResourceExhausted,
-                     UnboundVariable)
+                     NotBoolean, ParseError, ResourceExhausted, UnboundVariable)
 from .formulas import FormulaSet, RelFormula
 from .semantics import (Model, brute_force_countermodel, eval_term,
                         falsifies_branch, model_from_json, model_to_json,
@@ -27,8 +26,7 @@ __all__ = [
     "RelFormula", "FormulaSet",
     "Model", "eval_term", "satisfies", "falsifies_branch",
     "brute_force_countermodel", "model_to_json", "model_from_json",
-    "DualTabError", "ParseError", "NotBoolean", "NotApplicable",
-    "FragmentViolation", "EmptyPremises", "ResourceExhausted",
-    "BranchNotSaturated", "UnboundVariable", "BudgetExceeded",
-    "EngineInvariantError",
+    "DualTabError", "ParseError", "NotBoolean", "FragmentViolation",
+    "EmptyPremises", "ResourceExhausted", "BranchNotSaturated",
+    "UnboundVariable", "BudgetExceeded", "EngineInvariantError",
 ]

@@ -8,9 +8,11 @@ branch the engine repeatedly picks the smallest variable (in the branch
 order) that still has work and applies, in order: the Boolean rules, the
 complemented-composition rules, the composition rule gated by forced
 literals, and the universal-composition rule instantiated with that
-variable.  Complemented compositions are suppressed when an already
-decomposed twin *blocks* them; the literals their decomposition would
-have produced are recorded instead and feed the countermodel.
+variable.  :func:`applications` alone decides what applies at a variable,
+and :func:`apply_rule` carries out each application it yields.
+Complemented compositions are suppressed when an already decomposed twin
+*blocks* them; the literals their decomposition would have produced are
+recorded instead and feed the countermodel.
 
 If every branch closes the tree is a proof.  Otherwise the first
 saturated open branch yields a finite model and identity valuation that
@@ -23,8 +25,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .errors import (BranchNotSaturated, EngineInvariantError, NotApplicable,
-                     ResourceExhausted)
+from .errors import BranchNotSaturated, EngineInvariantError, ResourceExhausted
 from .formulas import (FormulaSet, History, RelFormula, has_nbool_construction,
                        is_literal)
 from .semantics import Model
@@ -51,6 +52,8 @@ _PHASE = {**dict.fromkeys(_BOOLEAN_RULES, 0), **dict.fromkeys(_NEGCOMP_RULES, 1)
           RULE_COMP_BOOL: 2, RULE_COMP_UNIV: 3}  # the order of applications()
 
 GenRecord = namedtuple("GenRecord", "premise parent rule")
+
+VAR_BOUND_FACTOR = 8  # generated variables per branch <= 8 * |components|**2
 
 
 def weight(t, table=None):
@@ -105,32 +108,12 @@ def rule_of(t):
     return None
 
 
-def boolean_rule(t):
-    """Which Boolean decomposition applies to a term, or None."""
-    rule = rule_of(t)
-    return rule if rule in _BOOLEAN_RULES else None
-
-
-def comp_rule(t):
-    """RULE_COMP_UNIV for (1;S) terms, RULE_COMP_BOOL for (B;S), else None."""
-    rule = rule_of(t)
-    return rule if rule in _COMP_RULES else None
-
-
-def negcomp_rule(t):
-    """Which complemented-composition rule fits a term: one of the three
-    rule tags, ``"inert"`` for ``-(1;1)``, or None."""
-    rule = rule_of(t)
-    return rule if rule in _NEGCOMP_RULES or rule == "inert" else None
-
-
-def is_axiomatic(node, added=None):
+def is_axiomatic(formulas, added=None):
     """Whether a formula set contains ``x' 1 y'`` or a complementary pair.
 
     With ``added``, the set is known to be open without those formulas,
     so only pairs that involve one of them are looked for.
     """
-    formulas = getattr(node, "formulas", node)
     for f in formulas if added is None else added:
         if isinstance(f.term, One):
             return True
@@ -154,10 +137,10 @@ class Branch:
 
     __slots__ = ("node", "history", "vars", "root_left", "root_right",
                  "genealogy", "lit_negcomp", "applied", "decomposed_with",
-                 "dec_total", "_fresh", "_before", "_after", "node_axiomatic")
+                 "_fresh", "_before", "_after", "node_axiomatic")
 
     def __init__(self, node, history, vars, genealogy, lit_negcomp, applied,
-                 decomposed_with, dec_total, fresh):
+                 decomposed_with, fresh):
         self.node = node
         self.history = history
         self.vars = vars
@@ -166,7 +149,6 @@ class Branch:
         self.lit_negcomp = lit_negcomp
         self.applied = applied
         self.decomposed_with = decomposed_with
-        self.dec_total = dec_total
         self._fresh = fresh
         self._before, self._after = [], []  # see var_order
         self.node_axiomatic = False
@@ -175,7 +157,7 @@ class Branch:
     def initial(cls, formula):
         node = FormulaSet([formula])
         branch = cls(node, History(node), [formula.left, formula.right], {},
-                     FormulaSet(), set(), {}, 0, [0])
+                     FormulaSet(), set(), {}, [0])
         branch.node_axiomatic = is_axiomatic(node)
         return branch
 
@@ -187,7 +169,7 @@ class Branch:
         twin = Branch(node, self.history.copy(), list(self.vars),
                       dict(self.genealogy), self.lit_negcomp.copy(),
                       set(self.applied), dict(self.decomposed_with),
-                      self.dec_total, self._fresh)
+                      self._fresh)
         twin._before, twin._after = list(self._before), list(self._after)
         return twin
 
@@ -219,43 +201,6 @@ def var_order(branch):
     return [branch.root_left, *before, branch.root_right, *after]
 
 
-def _removed(node, f):
-    succ = FormulaSet(node)
-    del succ[f]
-    return succ
-
-
-def apply_boolean(node, f):
-    """Decompose a Boolean formula of ``node``.
-
-    Returns the rule tag and one or two successor formula sets (two for
-    the branching rules).  The premise is removed; conclusions keep the
-    premise's endpoints.
-    """
-    formulas = getattr(node, "formulas", node)
-    rule = boolean_rule(f.term)
-    if rule is None or f not in formulas:
-        raise NotApplicable(f"no Boolean rule applies to {f!r}")
-    x, y = f.left, f.right
-    match f.term:
-        case Union(l, r):
-            groups = [[RelFormula(x, l, y), RelFormula(x, r, y)]]
-        case Inter(l, r):
-            groups = [[RelFormula(x, l, y)], [RelFormula(x, r, y)]]
-        case Cmpl(Cmpl(a)):
-            groups = [[RelFormula(x, a, y)]]
-        case Cmpl(Union(l, r)):
-            groups = [[RelFormula(x, Cmpl(l), y)], [RelFormula(x, Cmpl(r), y)]]
-        case Cmpl(Inter(l, r)):
-            groups = [[RelFormula(x, Cmpl(l), y), RelFormula(x, Cmpl(r), y)]]
-    successors = []
-    for group in groups:
-        succ = _removed(formulas, f)
-        succ.update(group)
-        successors.append(succ)
-    return rule, successors
-
-
 def blocker_literals(branch, blocker, w):
     """Literals produced on the branch by the Boolean decomposition of the
     blocker's left part with witness ``w``."""
@@ -283,7 +228,7 @@ def is_blocked(f, branch):
         )
         if all(RelFormula(g.left, h.term, y) in history
                for h in history.by_left_right.get((f.left, y), ())
-               if comp_rule(h.term) == RULE_COMP_BOOL
+               if rule_of(h.term) == RULE_COMP_BOOL
                and has_nbool_construction(RelFormula(f.left, Cmpl(h.term.left), w),
                                           renamed)):
             return g
@@ -303,90 +248,13 @@ def is_suppressed(branch, f):
     return any(g.left in branch.genealogy for g in twins)
 
 
-def apply_negcomp(branch, f):
-    """Decompose a complemented composition on the branch's current node.
-
-    Returns ``(rule, successor set, fresh variable)``, or None when the
-    formula is inert, blocked (the blocker's literals are recorded,
-    renamed to ``f``'s left variable), or suppressed by the side condition
-    of the ``-(1;S)`` rule.  The premise leaves the node; it stays in the
-    branch history.
-    """
-    rule = negcomp_rule(f.term)
-    if rule is None or f not in branch.node:
-        raise NotApplicable(f"no complemented-composition rule applies to {f!r}")
-    if rule == "inert":
-        return None
-    b, s = f.term.arg.left, f.term.arg.right
-    if rule == RULE_CMPL_COMP_UNIV:
-        if is_suppressed(branch, f):
-            return None
-    else:
-        blocker = is_blocked(f, branch)
-        if blocker is not None:
-            record_blocked_literals(branch, f, blocker)
-            return None
-    z = branch.alloc_var()
-    branch.vars.append(z)
-    branch.genealogy[z] = GenRecord(f, f.left, rule)
-    branch.decomposed_with[f] = z
-    branch.applied.add((rule, f, None))
-    succ = _removed(branch.node, f)
-    if rule != RULE_CMPL_COMP_UNIV:
-        succ.add(RelFormula(f.left, Cmpl(b), z))
-    if rule != RULE_CMPL_COMP_ONE:
-        succ.add(RelFormula(z, Cmpl(s), f.right))
-    return rule, succ, z
-
-
-def apply_comp_a(branch, f, z):
-    """Instantiate ``x'(B;S)y`` with a variable from the forced-literal set.
-
-    The node gains ``z S y`` and keeps the premise.
-    """
-    if comp_rule(f.term) != RULE_COMP_BOOL or f not in branch.node:
-        raise NotApplicable(f"the literal-gated composition rule does not fit {f!r}")
-    key = (RULE_COMP_BOOL, f, z)
-    if key in branch.applied:
-        raise NotApplicable(f"{f!r} was already decomposed with {z}")
-    if z not in branch.history.forced(Cmpl(f.term.left), f.left):
-        raise NotApplicable(f"{z} is not forced for {f!r}")
-    branch.applied.add(key)
-    branch.dec_total += 1
-    succ = branch.node.copy()
-    succ.add(RelFormula(z, f.term.right, f.right))
-    return succ
-
-
-def apply_comp_b(branch, f, z):
-    """Instantiate ``x(1;S)y`` with any branch variable ``z``.
-
-    Not applicable when ``z S y`` already occurred on the branch.
-    """
-    if comp_rule(f.term) != RULE_COMP_UNIV or f not in branch.node:
-        raise NotApplicable(f"the universal composition rule does not fit {f!r}")
-    key = (RULE_COMP_UNIV, f, z)
-    if key in branch.applied:
-        raise NotApplicable(f"{f!r} was already decomposed with {z}")
-    if z not in branch.vars:
-        raise NotApplicable(f"{z} does not occur on the branch")
-    conclusion = RelFormula(z, f.term.right, f.right)
-    if conclusion in branch.history:
-        raise NotApplicable(f"{conclusion!r} already occurred on the branch")
-    branch.applied.add(key)
-    branch.dec_total += 1
-    succ = branch.node.copy()
-    succ.add(conclusion)
-    return succ
-
-
 # ---------------------------------------------------------------------------
-# Applicability: the one answer to "what applies here?", shared by the
-# engine loop, saturation detection, the node weight and model extraction.
+# Applicability and state update: ``applications`` alone decides what
+# applies, ``apply_rule`` carries out what it yields.
 
 
 def applications(branch, z):
-    """Every rule application open at variable ``z``, as ``(kind, premise,
+    """Every rule application open at variable ``z``, as ``(rule, premise,
     variable)`` in the order the engine tries them.
 
     First the Boolean rules, then the complemented-composition rules, for
@@ -405,44 +273,79 @@ def applications(branch, z):
             phases[phase].append((f, rule))
     for f, rule in boolean:
         if (rule, f, None) not in applied:
-            yield "boolean", f, None
+            yield rule, f, None
     for f, rule in negcomp:
         if (rule, f, None) in applied:
             continue
         if rule == RULE_CMPL_COMP_UNIV:
             if not is_suppressed(branch, f):
-                yield "negcomp", f, None
+                yield rule, f, None
         else:
             blocker = is_blocked(f, branch)
-            yield ("negcomp", f, None) if blocker is None else ("blocked", f, blocker)
+            yield (rule, f, None) if blocker is None else ("blocked", f, blocker)
     for f, _ in comp_bool:
         forced = history.forced(Cmpl(f.term.left), z)
         for w in var_order(branch) if forced else ():
             if w in forced and (RULE_COMP_BOOL, f, w) not in applied:
-                yield "comp_a", f, w
+                yield RULE_COMP_BOOL, f, w
     for f, _ in comp_univ:
         if ((RULE_COMP_UNIV, f, z) not in applied
                 and RelFormula(z, f.term.right, f.right) not in history):
-            yield "comp_b", f, z
-
-
-def enabled_formulas(branch):
-    """The formulas of the node with an application open at some variable:
-    a branch variable, or the left endpoint of a node formula."""
-    zs = dict.fromkeys([*branch.vars, *(f.left for f in branch.node)])
-    return {f for z in zs for kind, f, _ in applications(branch, z)
-            if kind != "blocked"}
-
-
-def node_weight(branch):
-    """Weight of the branch's current node: the summed term weights of its
-    formulas, counting formulas that cannot currently be decomposed as 0."""
-    return sum(weight(f.term) for f in enabled_formulas(branch))
+            yield RULE_COMP_UNIV, f, z
 
 
 def branch_saturated(branch):
     """True iff the branch is open and no rule application remains."""
-    return not is_axiomatic(branch.node) and not enabled_formulas(branch)
+    return not is_axiomatic(branch.node) and all(
+        rule == "blocked" for z in branch.vars
+        for rule, _, _ in applications(branch, z))
+
+
+def apply_rule(branch, rule, f, z=None):
+    """Carry out one application that :func:`applications` yielded.
+
+    Returns the successor formula sets (two for the branching rules) and
+    the variable of the step: the instance ``z`` of a composition, the
+    fresh witness of a complemented composition, None otherwise.  A
+    composition keeps its premise and gains ``z S y``; any other premise
+    leaves the node and stays in the branch history.  Nothing is checked
+    here: the scan has already decided that the rule applies.
+    """
+    branch.applied.add((rule, f, z))
+    if rule in _COMP_RULES:
+        succ = branch.node.copy()
+        succ.add(RelFormula(z, f.term.right, f.right))
+        return [succ], z
+    x, y = f.left, f.right
+    match f.term:
+        case Union(l, r):
+            groups = [[RelFormula(x, l, y), RelFormula(x, r, y)]]
+        case Inter(l, r):
+            groups = [[RelFormula(x, l, y)], [RelFormula(x, r, y)]]
+        case Cmpl(Cmpl(a)):
+            groups = [[RelFormula(x, a, y)]]
+        case Cmpl(Union(l, r)):
+            groups = [[RelFormula(x, Cmpl(l), y)], [RelFormula(x, Cmpl(r), y)]]
+        case Cmpl(Inter(l, r)):
+            groups = [[RelFormula(x, Cmpl(l), y), RelFormula(x, Cmpl(r), y)]]
+        case Cmpl(Comp(b, s)):
+            z = branch.alloc_var()
+            branch.vars.append(z)
+            branch.genealogy[z] = GenRecord(f, x, rule)
+            branch.decomposed_with[f] = z
+            group = []
+            if rule != RULE_CMPL_COMP_UNIV:
+                group.append(RelFormula(x, Cmpl(b), z))
+            if rule != RULE_CMPL_COMP_ONE:
+                group.append(RelFormula(z, Cmpl(s), y))
+            groups = [group]
+    successors = []
+    for group in groups:
+        succ = FormulaSet(branch.node)
+        del succ[f]
+        succ.update(group)
+        successors.append(succ)
+    return successors, z
 
 
 def extract_model(branch):
@@ -561,7 +464,7 @@ class ProofSearch:
     """One run of the decision procedure on a single input term."""
 
     def __init__(self, term, *, max_steps=1_000_000, max_vars=10_000,
-                 var_bound_factor=8, trace=None):
+                 trace=None):
         prepared = simplify_ones(term)
         require_fragment(prepared)
         self.term = prepared
@@ -572,7 +475,7 @@ class ProofSearch:
         self.weights = {}
         for t in self.cp:
             weight(t, self.weights)
-        self.var_bound = var_bound_factor * len(self.cp) ** 2
+        self.var_bound = VAR_BOUND_FACTOR * len(self.cp) ** 2
         self.tree = DeductionTree()
         self.root_formula = RelFormula("x", prepared, "y")
         self._stack = []
@@ -599,7 +502,6 @@ class ProofSearch:
         while not branch.node_axiomatic:
             z = self._smallest_pending_var(branch)
             if z is None:
-                self._finalize_open(branch)
                 return leaf, "open"
             while not branch.node_axiomatic:
                 app = self._next_application(branch, z)
@@ -610,9 +512,19 @@ class ProofSearch:
         return leaf, "closed"
 
     def _smallest_pending_var(self, branch):
+        """The first variable in branch order with an application open.
+
+        None means the branch is saturated; the literals of the blocked
+        formulas the scan passed are then recorded for the countermodel.
+        """
+        blocked = []
         for z in var_order(branch):
-            if any(kind != "blocked" for kind, _, _ in applications(branch, z)):
-                return z
+            for app in applications(branch, z):
+                if app[0] != "blocked":
+                    return z
+                blocked.append(app)
+        for _, f, blocker in blocked:
+            record_blocked_literals(branch, f, blocker)
         return None
 
     def _next_application(self, branch, z):
@@ -623,24 +535,12 @@ class ProofSearch:
         return None
 
     def _apply(self, branch, leaf, app):
-        kind, f, inst = app
+        rule, f, inst = app
         self.tree.steps += 1
         if self.tree.steps > self.max_steps:
             raise ResourceExhausted(f"step cap of {self.max_steps} exceeded")
-        parent, before_dec = branch.node, branch.dec_total
-        if kind == "boolean":
-            rule, successors = apply_boolean(parent, f)
-            branch.applied.add((rule, f, None))
-        elif kind == "negcomp":
-            result = apply_negcomp(branch, f)
-            if result is None:
-                raise EngineInvariantError("scheduled a blocked or inert formula")
-            rule, succ, inst = result
-            successors = [succ]
-        elif kind == "comp_a":
-            rule, successors = RULE_COMP_BOOL, [apply_comp_a(branch, f, inst)]
-        else:
-            rule, successors = RULE_COMP_UNIV, [apply_comp_b(branch, f, inst)]
+        parent, before = branch.node, len(branch.applied)
+        successors, inst = apply_rule(branch, rule, f, inst)
         if len(branch.vars) > self.max_vars:
             raise ResourceExhausted(f"variable cap of {self.max_vars} exceeded")
         if len(branch.vars) > self.var_bound + 2:
@@ -654,18 +554,18 @@ class ProofSearch:
         if len(children) == 2:
             self.tree.branch_count += 1
             fork = branch.fork(children[1].formulas)
-            self._enter(fork, children[1].formulas, parent, rule, before_dec)
+            self._enter(fork, children[1].formulas, parent, rule, before)
             self._stack.append((fork, children[1]))
-        self._enter(branch, children[0].formulas, parent, rule, before_dec)
+        self._enter(branch, children[0].formulas, parent, rule, before)
         return children[0]
 
-    def _enter(self, branch, node, parent, rule, before_dec):
+    def _enter(self, branch, node, parent, rule, before):
         """Make ``node``, a successor of ``parent``, the branch's leaf."""
         added = [g for g in node if g not in parent]
         branch.node = node
         branch.node_axiomatic = is_axiomatic(node, added)
         self._admit(branch, added)
-        self._check_progress(rule, branch, parent, node, added, before_dec)
+        self._check_progress(rule, branch, parent, node, added, before)
 
     def _admit(self, branch, formulas):
         """Record formulas in the branch history, checking the component
@@ -683,11 +583,12 @@ class ProofSearch:
                 )
             branch.history.add(f)
 
-    def _check_progress(self, rule, branch, parent, node, added, before_dec):
-        """A composition step must add an instantiation; any other step must
-        lower the node weight, taken from what entered and left the node."""
+    def _check_progress(self, rule, branch, parent, node, added, before):
+        """A composition step must record a new instance; any other step
+        must lower the node weight, taken from what entered and left the
+        node."""
         if rule in _COMP_RULES:
-            if branch.dec_total <= before_dec:
+            if len(branch.applied) <= before:
                 raise EngineInvariantError("composition step without progress")
         else:
             w = self.weights
@@ -697,24 +598,6 @@ class ProofSearch:
                 raise EngineInvariantError(
                     f"rule {rule} did not decrease the node weight"
                 )
-
-    def _finalize_open(self, branch):
-        for f in branch.node:
-            rule = negcomp_rule(f.term)
-            if rule in (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE) and f not in branch.decomposed_with:
-                blocker = is_blocked(f, branch)
-                if blocker is None:
-                    raise EngineInvariantError(
-                        f"undecomposed, unblocked formula on a saturated branch: {f!r}"
-                    )
-                record_blocked_literals(branch, f, blocker)
-            if (not is_literal(f) and boolean_rule(f.term) is not None
-                    and (boolean_rule(f.term), f, None) not in branch.applied):
-                raise EngineInvariantError(
-                    f"undecomposed Boolean formula on a saturated branch: {f!r}"
-                )
-        if node_weight(branch) != 0:
-            raise EngineInvariantError("saturated leaf has nonzero weight")
 
     def _emit(self, rule, premise, variable):
         if self.trace is not None:

@@ -22,10 +22,6 @@ class NotBoolean(DualTabError):
     """Operation requires a Boolean term (no composition, no converse)."""
 
 
-class NotApplicable(DualTabError):
-    """A decomposition rule was invoked on a formula it does not fit."""
-
-
 class FragmentViolation(DualTabError):
     """Term lies outside the decidable fragment accepted by the prover."""
 

@@ -27,12 +27,12 @@ parentheses and right-nested implications together may nest at most
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 
 from ..errors import ParseError
-from ..terms import (Cmpl, Comp, ONE, NestingParser, RelTerm, Union as TUnion,
-                     Inter as TInter, Var, is_plain_boolean, parse_term, render_term,
+from ..terms import (_IDENT_RE, Cmpl, Comp, ONE, NestingParser, RelTerm,
+                     TokenStream, Union as TUnion, Inter as TInter, Var,
+                     _byte_offset, is_plain_boolean, parse_term, render_term,
                      require_fragment, simplify_ones, term_variables)
 
 
@@ -89,8 +89,6 @@ class Dia:
 
 
 ModalFormula = Prop | Not | And | Or | Box | Dia
-
-_IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 
 
 def render_modal(f):
@@ -158,13 +156,9 @@ def accessibility_of(f):
     return sorted(out)
 
 
-def _byte_offset(text, pos):
-    return len(text[:pos].encode("utf-8"))
-
-
-class _ModalTokenizer:
+class _ModalTokenizer(TokenStream):
     def __init__(self, text):
-        self.tokens = []
+        super().__init__()
         i, n = 0, len(text)
         while i < n:
             c = text[i]
@@ -195,7 +189,6 @@ class _ModalTokenizer:
                 self.tokens.append(("ident", m.group(), off))
                 i = m.end()
         self.tokens.append(("eof", "", _byte_offset(text, n)))
-        self.pos = 0
 
     def _program(self, text, i, closer, kind, off):
         end = text.find(closer, i + 1)
@@ -218,14 +211,6 @@ class _ModalTokenizer:
             )
         self.tokens.append((kind, program, off))
         return end + 1
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
 
 
 class _ModalParser(NestingParser):
@@ -287,14 +272,7 @@ class _ModalParser(NestingParser):
         if tok[0] == "(":
             self.nest(self.tz.next())
             f = self.iff()
-            closing = self.tz.peek()
-            if closing[0] != ")":
-                raise ParseError(
-                    f"expected ')', found {closing[1]!r}" if closing[0] != "eof"
-                    else "expected ')', found end of input",
-                    closing[2], expected=(")",),
-                )
-            self.tz.next()
+            self.tz.expect(")", expected=(")",))
             self.depth -= 1
             return f
         raise ParseError(

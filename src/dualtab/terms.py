@@ -135,12 +135,42 @@ def _byte_offset(text, pos):
     return len(text[:pos].encode("utf-8"))
 
 
-class _Tokenizer:
-    """Token stream over the raw input; positions reported as byte offsets."""
+class TokenStream:
+    """A token list read front to back by a recursive-descent parser.
+
+    Tokens are ``(kind, value, byte_offset)`` triples and the last one is
+    ``("eof", "", offset)``; subclasses fill ``tokens`` from the text.
+    """
+
+    def __init__(self):
+        self.tokens = []
+        self.pos = 0
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def expect(self, kind, expected):
+        tok = self.peek()
+        if tok[0] != kind:
+            raise ParseError(
+                f"expected {kind!r}, found {tok[1]!r}" if tok[0] != "eof" else f"expected {kind!r}, found end of input",
+                tok[2],
+                expected=expected,
+            )
+        return self.next()
+
+
+class _Tokenizer(TokenStream):
+    """Tokens of a relational term; positions reported as byte offsets."""
 
     def __init__(self, text):
+        super().__init__()
         self.text = text
-        self.tokens = []  # (kind, value, byte_offset)
         i, n = 0, len(text)
         while i < n:
             c = text[i]
@@ -165,25 +195,6 @@ class _Tokenizer:
                 self.tokens.append(("ident", m.group(), _byte_offset(text, i)))
                 i = m.end()
         self.tokens.append(("eof", "", _byte_offset(text, n)))
-        self.pos = 0
-
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, kind, expected):
-        tok = self.peek()
-        if tok[0] != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok[1]!r}" if tok[0] != "eof" else f"expected {kind!r}, found end of input",
-                tok[2],
-                expected=expected,
-            )
-        return self.next()
 
 
 class NestingParser:
@@ -487,55 +498,15 @@ def components(t):
     return out
 
 
-@dataclass(frozen=True, slots=True)
-class TermClass:
-    """Structural flags computed in one traversal."""
-
-    is_plain_boolean: bool  # union/intersection of variables only
-    is_cnf: bool
-    is_fragment_s: bool  # usable as the right operand of a composition
-    contains_one: bool
-    contains_conv: bool
-
-
 @lru_cache(maxsize=65536)
-def classify(t):
-    match t:
-        case One():
-            return TermClass(False, True, True, True, False)
-        case Var():
-            return TermClass(True, True, True, False, False)
-        case Cmpl(a):
-            ca = classify(a)
-            cnf = isinstance(a, (One, Var))
-            return TermClass(False, cnf and ca.is_cnf, ca.is_fragment_s and not isinstance(a, One),
-                             ca.contains_one, ca.contains_conv)
-        case Union(l, r) | Inter(l, r):
-            cl, cr = classify(l), classify(r)
-            return TermClass(
-                cl.is_plain_boolean and cr.is_plain_boolean,
-                cl.is_cnf and cr.is_cnf,
-                cl.is_fragment_s and cr.is_fragment_s
-                and not isinstance(l, One) and not isinstance(r, One),
-                cl.contains_one or cr.contains_one,
-                cl.contains_conv or cr.contains_conv,
-            )
-        case Comp(l, r):
-            cl, cr = classify(l), classify(r)
-            s_ok = cl.is_plain_boolean and (
-                isinstance(r, One) or (cr.is_fragment_s and not isinstance(r, One))
-            )
-            return TermClass(False, cl.is_cnf and cr.is_cnf, s_ok,
-                             cl.contains_one or cr.contains_one,
-                             cl.contains_conv or cr.contains_conv)
-        case Conv(a):
-            ca = classify(a)
-            return TermClass(False, ca.is_cnf, False, ca.contains_one, True)
-
-
 def is_plain_boolean(t):
     """True iff ``t`` is built from variables with union/intersection only."""
-    return classify(t).is_plain_boolean
+    match t:
+        case Var():
+            return True
+        case Union(l, r) | Inter(l, r):
+            return is_plain_boolean(l) and is_plain_boolean(r)
+    return False
 
 
 @dataclass(frozen=True, slots=True)

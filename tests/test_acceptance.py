@@ -12,8 +12,8 @@ import pytest
 
 from conftest import CORPUS_DEPTH, build_corpus
 from dualtab.cli import main
-from dualtab.engine import (Countermodel, Proof, run_procedure,
-                            stats_of)
+from dualtab.engine import (VAR_BOUND_FACTOR, Countermodel, Proof,
+                            run_procedure, stats_of)
 from dualtab.formulas import FormulaSet, RelFormula, has_nbool_construction, is_nbool
 from dualtab.frontends import (EntailmentProblem, encode_entailment,
                                kripke_countermodel, translate_modal)
@@ -137,8 +137,8 @@ def test_criterion_4_oracle_to_prover():
 
 
 def test_criterion_5_termination_instrumentation(corpus_verdicts):
-    # the per-step progress check (weight decreases or the decomposition
-    # count grows) and the component/endpoint discipline are asserted
+    # the per-step progress check (the node weight decreases or a
+    # composition records a new instance) and the component/endpoint discipline are asserted
     # inside the engine on every step; any violation raises
     # EngineInvariantError, so a completed corpus run is itself the
     # evidence that none fired
@@ -146,7 +146,7 @@ def test_criterion_5_termination_instrumentation(corpus_verdicts):
     cap_hits = sum(1 for _, v in results if v.tree.steps >= 1_000_000)
     bound_violations = 0
     for term, verdict in results:
-        limit = 8 * len(components(term)) ** 2 + 2
+        limit = VAR_BOUND_FACTOR * len(components(term)) ** 2 + 2
         if verdict.tree.max_vars > limit:
             bound_violations += 1
     ok = cap_hits == 0 and bound_violations == 0

@@ -254,14 +254,14 @@ class TestRobustness:
 
     def test_engine_invariant_error_exits_5(self, capsys, monkeypatch):
         def broken(*args, **kwargs):
-            raise EngineInvariantError("saturated leaf has nonzero weight")
+            raise EngineInvariantError("composition step without progress")
 
         monkeypatch.setattr("dualtab.cli.run_procedure", broken)
         code, out, err = run(capsys, "prove", "r")
         assert code == 5
         assert out == ""
         assert err == ("internal error: EngineInvariantError: "
-                       "saturated leaf has nonzero weight\n")
+                       "composition step without progress\n")
 
     def test_unexpected_failure_exits_5(self, capsys, monkeypatch):
         def broken(*args, **kwargs):

@@ -5,18 +5,17 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import build_corpus, family_text, fragment_term_strategy
+from dualtab import engine
 from dualtab.engine import (Branch, Countermodel, GenRecord, Proof,
                             RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
                             RULE_CMPL_COMP_UNIV, RULE_COMP_BOOL,
-                            RULE_COMP_UNIV, RULE_INTER, RULE_UNION,
-                            apply_boolean, apply_comp_a, apply_comp_b,
-                            apply_negcomp, branch_saturated, comp_rule,
-                            extract_model, is_axiomatic, is_blocked,
-                            negcomp_rule, node_weight, run_procedure,
-                            var_order, verdict_to_json, weight)
+                            RULE_COMP_UNIV, RULE_DOUBLE_CMPL, RULE_INTER,
+                            RULE_UNION, applications, apply_rule,
+                            branch_saturated, extract_model, is_axiomatic,
+                            is_blocked, record_blocked_literals, rule_of,
+                            run_procedure, var_order, verdict_to_json, weight)
 from dualtab.errors import (BranchNotSaturated, EngineInvariantError,
-                            FragmentViolation, NotApplicable,
-                            ResourceExhausted)
+                            FragmentViolation, ResourceExhausted)
 from dualtab.formulas import FormulaSet, RelFormula, v_set
 from dualtab.frontends import parse_modal, translate_modal
 from dualtab.semantics import (brute_force_countermodel, falsifies_branch,
@@ -31,6 +30,10 @@ def F(left, text, right):
 
 def prove(text, **kw):
     return run_procedure(simplify_ones(parse_term(text)), **kw)
+
+
+def offered(branch, z):
+    return list(applications(branch, z))
 
 
 class TestWeight:
@@ -98,66 +101,73 @@ class TestVarOrder:
 
 class TestApplyBoolean:
     def test_union_yields_both_disjuncts(self):
-        node = FormulaSet([F("x", "r | s", "y")])
-        rule, succs = apply_boolean(node, F("x", "r | s", "y"))
-        assert rule == RULE_UNION
+        f = F("x", "r | s", "y")
+        b = Branch.initial(f)
+        assert offered(b, "x") == [(RULE_UNION, f, None)]
+        succs, var = apply_rule(b, RULE_UNION, f)
+        assert var is None
         assert len(succs) == 1
         assert list(succs[0]) == [F("x", "r", "y"), F("x", "s", "y")]
 
     def test_intersection_branches(self):
-        node = FormulaSet([F("x", "r & s", "y")])
-        rule, succs = apply_boolean(node, F("x", "r & s", "y"))
-        assert rule == RULE_INTER
+        f = F("x", "r & s", "y")
+        b = Branch.initial(f)
+        assert offered(b, "x") == [(RULE_INTER, f, None)]
+        succs, _ = apply_rule(b, RULE_INTER, f)
         assert [list(s) for s in succs] == [[F("x", "r", "y")], [F("x", "s", "y")]]
 
     def test_double_complement(self):
-        node = FormulaSet([F("x", "--r", "y")])
-        _, succs = apply_boolean(node, F("x", "--r", "y"))
+        f = F("x", "--r", "y")
+        b = Branch.initial(f)
+        assert offered(b, "x") == [(RULE_DOUBLE_CMPL, f, None)]
+        succs, _ = apply_rule(b, RULE_DOUBLE_CMPL, f)
         assert list(succs[0]) == [F("x", "r", "y")]
 
     def test_keeps_other_formulas(self):
-        other = F("x", "p", "y")
-        node = FormulaSet([other, F("x", "r | s", "y")])
-        _, succs = apply_boolean(node, F("x", "r | s", "y"))
+        other, f = F("x", "p", "y"), F("x", "r | s", "y")
+        b = Branch.initial(other)
+        b.node.add(f)
+        succs, _ = apply_rule(b, RULE_UNION, f)
         assert other in succs[0]
-        assert F("x", "r | s", "y") not in succs[0]
+        assert f not in succs[0]
 
     def test_not_applicable_on_literal(self):
-        node = FormulaSet([F("x", "r", "y")])
-        with pytest.raises(NotApplicable):
-            apply_boolean(node, F("x", "r", "y"))
+        b = Branch.initial(F("x", "r", "y"))
+        assert offered(b, "x") == [] and offered(b, "y") == []
 
 
 class TestApplyNegcomp:
     def test_general_shape_adds_both_parts(self):
         f = F("x", "-(r ; (s ; 1))", "y")
         b = Branch.initial(f)
-        rule, succ, fresh = apply_negcomp(b, f)
-        assert rule == RULE_CMPL_COMP
+        assert offered(b, "x") == [(RULE_CMPL_COMP, f, None)]
+        succs, fresh = apply_rule(b, RULE_CMPL_COMP, f)
         assert fresh == "z1"
-        assert list(succ) == [F("x", "-r", "z1"), F("z1", "-(s ; 1)", "y")]
+        assert [list(s) for s in succs] == [[F("x", "-r", "z1"),
+                                             F("z1", "-(s ; 1)", "y")]]
         assert b.decomposed_with[f] == "z1"
         assert b.genealogy["z1"].parent == "x"
+        assert offered(b, "x") == []
 
     def test_right_constant_adds_left_part_only(self):
         f = F("x", "-(r ; 1)", "y")
         b = Branch.initial(f)
-        rule, succ, fresh = apply_negcomp(b, f)
-        assert rule == RULE_CMPL_COMP_ONE
-        assert list(succ) == [F("x", "-r", fresh)]
+        assert offered(b, "x") == [(RULE_CMPL_COMP_ONE, f, None)]
+        succs, fresh = apply_rule(b, RULE_CMPL_COMP_ONE, f)
+        assert [list(s) for s in succs] == [[F("x", "-r", fresh)]]
 
     def test_left_constant_adds_right_part_only(self):
         f = F("x", "-(1 ; (s ; 1))", "y")
         b = Branch.initial(f)
-        rule, succ, fresh = apply_negcomp(b, f)
-        assert rule == RULE_CMPL_COMP_UNIV
-        assert list(succ) == [F(fresh, "-(s ; 1)", "y")]
+        assert offered(b, "x") == [(RULE_CMPL_COMP_UNIV, f, None)]
+        succs, fresh = apply_rule(b, RULE_CMPL_COMP_UNIV, f)
+        assert [list(s) for s in succs] == [[F(fresh, "-(s ; 1)", "y")]]
         assert not b.is_descendant_of_right_root(fresh)
 
     def test_fully_constant_shape_is_inert(self):
         f = F("x", "-(1 ; 1)", "y")
         b = Branch.initial(f)
-        assert apply_negcomp(b, f) is None
+        assert offered(b, "x") == [] and offered(b, "y") == []
 
     def test_left_constant_suppressed_by_existing_instance(self):
         f = F("x", "-(1 ; (s ; 1))", "y")
@@ -165,8 +175,9 @@ class TestApplyNegcomp:
         b.vars.append("z9")
         b.genealogy["z9"] = GenRecord(F("x", "-(r ; (s ; 1))", "y"), "x",
                                       RULE_CMPL_COMP)
+        assert offered(b, "x") == [(RULE_CMPL_COMP_UNIV, f, None)]
         b.history.add(F("z9", "-(s ; 1)", "y"))
-        assert apply_negcomp(b, f) is None
+        assert offered(b, "x") == []
 
     def test_blocked_formula_records_renamed_literals(self):
         term_text = "-(r ; (s ; 1))"
@@ -178,7 +189,8 @@ class TestApplyNegcomp:
             b.history.add(g)
         b.vars += ["z1", "w", "z2"]
         b.decomposed_with[blocker] = "w"
-        assert apply_negcomp(b, blocked) is None
+        assert offered(b, "z2") == [("blocked", blocked, blocker)]
+        record_blocked_literals(b, blocked, blocker)
         assert F("z2", "-r", "w") in b.lit_negcomp
 
 
@@ -227,61 +239,65 @@ class TestIsBlocked:
 
 
 class TestApplyCompA:
-    def test_adds_instantiated_right_part(self):
-        f = F("x", "r ; (s ; 1)", "y")
+    def forced_branch(self, text):
+        f = F("x", text, "y")
         b = Branch.initial(f)
         b.vars.append("z1")
         b.history.add(F("x", "-r", "z1"))
-        succ = apply_comp_a(b, f, "z1")
-        assert F("z1", "s ; 1", "y") in succ
-        assert f in succ
+        return b, f
+
+    def test_adds_instantiated_right_part(self):
+        b, f = self.forced_branch("r ; (s ; 1)")
+        succs, var = apply_rule(b, RULE_COMP_BOOL, f, "z1")
+        assert var == "z1"
+        assert F("z1", "s ; 1", "y") in succs[0]
+        assert f in succs[0]
 
     def test_right_constant_closes_the_node(self):
-        f = F("x", "r ; 1", "y")
-        b = Branch.initial(f)
-        b.vars.append("z1")
-        b.history.add(F("x", "-r", "z1"))
-        succ = apply_comp_a(b, f, "z1")
-        assert is_axiomatic(succ)
+        b, f = self.forced_branch("r ; 1")
+        succs, _ = apply_rule(b, RULE_COMP_BOOL, f, "z1")
+        assert is_axiomatic(succs[0])
 
     def test_same_variable_only_once(self):
-        f = F("x", "r ; (s ; 1)", "y")
-        b = Branch.initial(f)
-        b.vars.append("z1")
-        b.history.add(F("x", "-r", "z1"))
-        apply_comp_a(b, f, "z1")
-        with pytest.raises(NotApplicable):
-            apply_comp_a(b, f, "z1")
+        b, f = self.forced_branch("r ; (s ; 1)")
+        assert offered(b, "x") == [(RULE_COMP_BOOL, f, "z1")]
+        apply_rule(b, RULE_COMP_BOOL, f, "z1")
+        assert offered(b, "x") == []
 
     def test_unforced_variable_rejected(self):
         f = F("x", "r ; (s ; 1)", "y")
         b = Branch.initial(f)
-        with pytest.raises(NotApplicable):
-            apply_comp_a(b, f, "y")
+        assert offered(b, "x") == []
+        b, f = self.forced_branch("r ; (s ; 1)")
+        b.vars.append("z2")  # z2 is on the branch, but x -r z2 is not
+        assert [w for _, _, w in offered(b, "x")] == ["z1"]
 
 
 class TestApplyCompB:
     def test_instantiates_with_left_endpoint(self):
         f = F("x", "1 ; (r ; 1)", "y")
         b = Branch.initial(f)
-        succ = apply_comp_b(b, f, "x")
-        assert F("x", "r ; 1", "y") in succ
-        assert f in succ
+        assert offered(b, "x") == [(RULE_COMP_UNIV, f, "x")]
+        succs, var = apply_rule(b, RULE_COMP_UNIV, f, "x")
+        assert var == "x"
+        assert F("x", "r ; 1", "y") in succs[0]
+        assert f in succs[0]
 
     def test_then_with_right_endpoint(self):
         f = F("x", "1 ; (r ; 1)", "y")
         b = Branch.initial(f)
-        b.node = apply_comp_b(b, f, "x")
+        (b.node,), _ = apply_rule(b, RULE_COMP_UNIV, f, "x")
         b.history.add(F("x", "r ; 1", "y"))
-        succ = apply_comp_b(b, f, "y")
-        assert F("y", "r ; 1", "y") in succ
+        assert offered(b, "y") == [(RULE_COMP_UNIV, f, "y")]
+        succs, _ = apply_rule(b, RULE_COMP_UNIV, f, "y")
+        assert F("y", "r ; 1", "y") in succs[0]
 
     def test_existing_instance_not_repeated(self):
         f = F("x", "1 ; (r ; 1)", "y")
         b = Branch.initial(f)
+        assert offered(b, "y") == [(RULE_COMP_UNIV, f, "y")]
         b.history.add(F("y", "r ; 1", "y"))
-        with pytest.raises(NotApplicable):
-            apply_comp_b(b, f, "y")
+        assert offered(b, "y") == []
 
 
 class TestRunProcedure:
@@ -385,18 +401,17 @@ class TestRunProcedure:
         branch = verdict.branch
         history = branch.history
         for f in history:
-            rule = comp_rule(f.term)
+            rule = rule_of(f.term)
             if rule == RULE_COMP_UNIV:
                 for w in branch.vars:
                     assert RelFormula(w, f.term.right, f.right) in history
             elif rule == RULE_COMP_BOOL:
                 for w in v_set(Cmpl(f.term.left), f.left, history):
                     assert RelFormula(w, f.term.right, f.right) in history
-            shape = negcomp_rule(f.term)
-            if (shape in (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE)
+            if (rule in (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE)
                     and f not in branch.decomposed_with and f in branch.node):
                 assert is_blocked(f, branch) is not None
-            if shape == RULE_CMPL_COMP_UNIV and f not in branch.decomposed_with:
+            if rule == RULE_CMPL_COMP_UNIV and f not in branch.decomposed_with:
                 s = f.term.arg.right
                 assert any(
                     g.term == Cmpl(s) and g.right == f.right
@@ -422,9 +437,18 @@ class TestRunProcedure:
             if not is_boolean(f.term):
                 assert f.right == "y"
 
-    def test_saturated_leaf_has_weight_zero(self):
-        verdict = prove("1 ; (r ; 1)")
-        assert node_weight(verdict.branch) == 0
+    def test_composition_without_a_new_instance_is_an_invariant_error(
+            self, monkeypatch):
+        apply = engine.apply_rule
+
+        def forgetful(branch, rule, f, z=None):
+            result = apply(branch, rule, f, z)
+            branch.applied.discard((rule, f, z))
+            return result
+
+        monkeypatch.setattr(engine, "apply_rule", forgetful)
+        with pytest.raises(EngineInvariantError, match="without progress"):
+            prove("1 ; (r ; 1)")
 
 
 class TestExtractModel:

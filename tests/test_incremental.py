@@ -11,8 +11,8 @@ and the blocking verdict of every complemented composition on the node.
 import pytest
 
 from conftest import family_text
-from dualtab.engine import (RULE_COMP_BOOL, ProofSearch, Proof, comp_rule,
-                            is_blocked, negcomp_rule, var_order)
+from dualtab.engine import (RULE_COMP_BOOL, ProofSearch, Proof, is_blocked,
+                            rule_of, var_order)
 from dualtab.formulas import (FormulaSet, History, RelFormula,
                               has_nbool_construction, v_set, variables_of)
 from dualtab.frontends import parse_modal, translate_modal
@@ -44,7 +44,7 @@ def scratch_blocked(f, branch):
         if all(RelFormula(g.left, h.term, f.right) in branch.history
                for h in history
                if h.left == f.left and h.right == f.right
-               and comp_rule(h.term) == RULE_COMP_BOOL
+               and rule_of(h.term) == RULE_COMP_BOOL
                and has_nbool_construction(RelFormula(f.left, Cmpl(h.term.left), w),
                                           renamed)):
             return g
@@ -67,10 +67,10 @@ def check_branch(branch):
             expected.setdefault(key(f), []).append(f)
         assert getattr(history, name) == expected, name
     for f in branch.node:
-        if comp_rule(f.term) == RULE_COMP_BOOL:
+        if rule_of(f.term) == RULE_COMP_BOOL:
             term = Cmpl(f.term.left)
             assert history.forced(term, f.left) == v_set(term, f.left, plain)
-        if negcomp_rule(f.term) is not None:
+        if isinstance(f.term, Cmpl) and isinstance(f.term.arg, Comp):
             blocker = scratch_blocked(f, branch)
             assert is_blocked(f, twin) == blocker
             CheckedSearch.blocked += blocker is not None

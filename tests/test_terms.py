@@ -6,8 +6,8 @@ from dualtab.errors import NotBoolean, ParseError
 from dualtab.semantics import eval_term
 from dualtab.terms import (CMPL_ONE, MAX_NESTING, Cmpl, Comp, Conv, Inter, ONE,
                            One, Union, Var,
-                           classify, components, fragment_check, is_boolean,
-                           is_cnf, nf_cmpl, parse_term, render_term,
+                           components, fragment_check, is_boolean, is_cnf,
+                           is_plain_boolean, nf_cmpl, parse_term, render_term,
                            simplify_ones, term_size, term_variables)
 
 
@@ -153,7 +153,7 @@ class TestSimplifyOnes:
         simplified = simplify_ones(t)
         for sub in subterms(simplified):
             if is_boolean(sub) and sub not in (ONE, CMPL_ONE):
-                assert not classify(sub).contains_one
+                assert ONE not in subterms(sub)
 
 
 class TestNfCmpl:
@@ -206,26 +206,25 @@ class TestComponents:
         assert len(components(t)) <= 2 * term_size(t)
 
 
-class TestClassify:
+class TestPlainBoolean:
     def test_plain_boolean(self):
-        assert classify(parse_term("(r1 | s) & r2")).is_plain_boolean
+        assert is_plain_boolean(parse_term("(r1 | s) & r2"))
 
     def test_complement_is_not_plain(self):
-        c = classify(parse_term("-r"))
-        assert not c.is_plain_boolean
-        assert c.is_cnf
+        t = parse_term("-r")
+        assert not is_plain_boolean(t)
+        assert is_cnf(t)
 
     def test_composition_with_one(self):
-        c = classify(parse_term("p ; 1"))
-        assert not c.is_plain_boolean
-        assert c.contains_one
+        t = parse_term("p ; 1")
+        assert not is_plain_boolean(t)
+        assert ONE in components(t)
 
     @given(term_strategy())
     def test_plain_implies_cnf_and_one_free(self, t):
-        c = classify(t)
-        if c.is_plain_boolean:
-            assert c.is_cnf
-            assert not c.contains_one
+        if is_plain_boolean(t):
+            assert is_cnf(t)
+            assert ONE not in components(t)
 
 
 class TestFragmentCheck:
@@ -278,4 +277,4 @@ class TestFragmentCheck:
             t = simplify_ones(parse_term(text))
             assert fragment_check(t)
             for comp in comps(t):
-                assert comp.left == ONE or classify(comp.left).is_plain_boolean
+                assert comp.left == ONE or is_plain_boolean(comp.left)
