@@ -272,3 +272,92 @@ class TestRobustness:
         assert code == 5
         assert err.startswith("internal error: RecursionError:")
         assert len(err.splitlines()) == 1
+
+
+# The bound on syntax-tree depth that every route from text to a term
+# enforces; terms.MAX_DEPTH once it exists.
+MAX_DEPTH = 500
+
+# Without the bound these cases end in a RecursionError (exit 5).
+WITHOUT_BOUND = pytest.mark.xfail(strict=True, reason="no depth bound yet")
+
+
+def chain(op, n, atom="r{}"):
+    """``n`` atoms joined by ``op``: a left-associated chain ``n`` deep."""
+    return f" {op} ".join(atom.format(i) for i in range(n))
+
+
+def deep_argv(command, op, n, tmp_path, flags=()):
+    text = chain(op, n)
+    if command == "entail":
+        return ["entail", *flags, "--conclusion", "r0", f"--premise={chain(op, n, '-r{}')}"]
+    if command == "modal":
+        return ["modal", *flags, "--", chain(op, n, "p{}")]
+    if command == "modal-program":
+        return ["modal", "--", f"<{text}>p"]
+    if command == "check-model":
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({
+            "universe": ["a"],
+            "relations": {f"r{i}": [["a", "a"]] for i in range(n)},
+            "valuation": {"x": "a", "y": "a"},
+        }))
+        return ["check-model", f"x {text} y", str(model)]
+    return [command, *flags, "--", text]
+
+
+def deep_cases():
+    commands = ["prove", "prove --verify", "entail", "modal", "modal --verify",
+                "modal-program", "fragment", "simplify", "check-model"]
+    for spec in commands:
+        ops = ("|", "&", "->") if spec.split()[0] == "modal" else ("|", "&", ";")
+        for op in ops:
+            for n in (100, 1000, 10000):
+                fails = n >= 1000 and op != "->" and (spec, op) != ("modal-program", ";")
+                yield pytest.param(spec, op, n, id=f"{spec}-{op}-{n}",
+                                   marks=[WITHOUT_BOUND] if fails else [])
+
+
+class TestDeepInput:
+    """Long flat chains end in a documented exit code with one line of
+    diagnostics, never an internal error."""
+
+    @pytest.mark.parametrize("spec, op, n", deep_cases())
+    def test_chain_ends_in_a_documented_exit(self, capsys, tmp_path, spec, op, n):
+        command, *flags = spec.split()
+        code, _, err = run(capsys, *deep_argv(command, op, n, tmp_path, flags))
+        assert code in (0, 1, 2, 3)
+        assert "Traceback" not in err and len(err.splitlines()) <= 1
+        if code == 2:
+            assert err.startswith("error: ")
+
+    @WITHOUT_BOUND
+    def test_many_premises(self, capsys):
+        argv = ["entail", "--conclusion", "r0"] + [f"--premise=-r{i}" for i in range(1000)]
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    # A chain of n atoms is n deep as a term; the entailment encoding adds
+    # one level over the conclusion, and the modal translation one over
+    # the formula.
+    @WITHOUT_BOUND
+    @pytest.mark.parametrize("op", ["|", "&"])
+    @pytest.mark.parametrize("command, extra", [("prove", 0), ("entail", 1), ("modal", 1)])
+    def test_depth_bound_is_exact(self, capsys, tmp_path, command, extra, op):
+        def argv(depth):
+            n = depth - extra
+            if command == "entail":
+                return ["entail", "--premise=-r", "--conclusion", chain(op, n)]
+            return deep_argv(command, op, n, tmp_path)
+
+        code, _, err = run(capsys, *argv(MAX_DEPTH))
+        assert code in (0, 1) and err == ""
+        code, _, err = run(capsys, *argv(MAX_DEPTH + 1))
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    def test_long_union_in_a_fresh_process(self):
+        proc = run_process("-m", "dualtab", "prove", "--", chain("|", 480))
+        assert proc.returncode == 1
+        assert proc.stderr == ""
