@@ -18,10 +18,10 @@ to stderr), ``--max-steps N``, ``--oracle-size K`` (1..4), ``--verify``
 (cross-check the verdict with the independent oracles).
 
 Exit codes: 0 valid / falsified, 1 invalid / satisfied, 2 parse error or
-malformed input (including nesting deeper than ``terms.MAX_NESTING``),
-3 fragment violation, 4 resource exhausted, 5 internal error (an engine
-invariant fired, or any other unexpected failure; reported on one line,
-never as a traceback).
+malformed input (including nesting deeper than ``terms.MAX_NESTING`` and
+terms, formulas or encodings deeper than ``terms.MAX_DEPTH``), 3 fragment
+violation, 4 resource exhausted, 5 internal error (an engine invariant
+fired, or any other unexpected failure; one line, never a traceback).
 
 Verdict JSON::
 

@@ -30,8 +30,7 @@ from .formulas import (FormulaSet, History, RelFormula, has_nbool_construction,
                        is_literal)
 from .semantics import Model
 from .terms import (Cmpl, Comp, Inter, One, Union, Var, components,
-                    is_boolean, render_term, require_fragment, simplify_ones,
-                    term_variables)
+                    render_term, require_fragment, simplify_ones, term_variables)
 
 RULE_UNION = "union"
 RULE_CMPL_UNION = "cmpl-union"
@@ -577,7 +576,7 @@ class ProofSearch:
                 raise EngineInvariantError(
                     f"formula term escaped the component set: {f!r}"
                 )
-            if not is_boolean(f.term) and f.right != branch.root_right:
+            if not f.term.boolean and f.right != branch.root_right:
                 raise EngineInvariantError(
                     f"compositional formula with a generated right endpoint: {f!r}"
                 )

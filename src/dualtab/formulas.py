@@ -15,8 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import NotBoolean
-from .terms import (Cmpl, Inter, One, Union, Var, is_boolean, is_cnf,
-                    nf_cmpl, render_term)
+from .terms import Cmpl, Inter, One, Union, Var, nf_cmpl, render_term
 
 ObjVar = str
 
@@ -76,7 +75,7 @@ def is_nbool(f, n):
     form; or when its term is a union with both sides forced.  All
     subformulas keep the endpoints of ``f``.  Requires a Boolean term.
     """
-    if not is_boolean(f.term):
+    if not f.term.boolean:
         raise NotBoolean(f"not a Boolean term: {render_term(f.term)}")
     return _is_nbool(f.left, f.term, f.right, n)
 
@@ -86,9 +85,7 @@ def _is_nbool(x, t, y, n):
         case One() | Var() | Cmpl(One()) | Cmpl(Var()):
             return RelFormula(x, t, y) in n
         case Inter(l, r):
-            return (_is_nbool(x, l, y, n) and is_cnf(r)) or (
-                _is_nbool(x, r, y, n) and is_cnf(l)
-            )
+            return (_is_nbool(x, l, y, n) and r.cnf) or (_is_nbool(x, r, y, n) and l.cnf)
         case Union(l, r):
             return _is_nbool(x, l, y, n) and _is_nbool(x, r, y, n)
         case _:

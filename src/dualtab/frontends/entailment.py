@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..errors import EmptyPremises, FragmentViolation, NotBoolean
-from ..terms import (Cmpl, Comp, Inter, ONE, RelTerm, Union, is_plain_boolean,
+from ..terms import (Cmpl, Comp, Inter, ONE, RelTerm, Union, _bound_depth,
                      nf_cmpl, render_term, require_fragment, simplify_ones)
 
 
@@ -33,14 +33,16 @@ class EntailmentProblem:
 def encode_entailment(problem):
     """The fragment term whose validity decides the entailment.
 
-    Raises :class:`EmptyPremises` without premises and
+    Raises :class:`EmptyPremises` without premises,
     :class:`FragmentViolation` when the encoding leaves the fragment
-    (offending subterm attached).
+    (offending subterm attached), and :class:`ParseError` when a term
+    deeper than :data:`~dualtab.terms.MAX_DEPTH` would be built.
     """
     if not problem.premises:
         raise EmptyPremises("entailment needs at least one premise")
     meet = problem.premises[-1]
     for p in reversed(problem.premises[:-1]):
+        _bound_depth(1 + max(p.depth, meet.depth), "premise intersection")
         meet = Inter(p, meet)
     try:
         negated = nf_cmpl(Cmpl(meet))
@@ -48,11 +50,12 @@ def encode_entailment(problem):
         raise FragmentViolation(
             "premises must be Boolean terms: " + render_term(meet), meet
         ) from None
-    if not is_plain_boolean(negated):
+    if not negated.plain:
         raise FragmentViolation(
             "the negated premise intersection must normalize to a complement- "
             "and 1-free Boolean term, got " + render_term(negated),
             negated,
         )
-    encoded = simplify_ones(Union(Comp(ONE, Comp(negated, ONE)), problem.conclusion))
-    return require_fragment(encoded)
+    encoded = Union(Comp(ONE, Comp(negated, ONE)), problem.conclusion)
+    _bound_depth(encoded.depth, "encoded term")
+    return require_fragment(simplify_ones(encoded))

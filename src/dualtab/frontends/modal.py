@@ -21,8 +21,9 @@ Text grammar::
 ``->`` and ``<->`` are desugared at parse time (``a -> b`` as ``~a | b``,
 ``a <-> b`` as ``(a -> b) & (b -> a)``).  Negations, modalities,
 parentheses and right-nested implications together may nest at most
-:data:`~dualtab.terms.MAX_NESTING` deep; deeper input is a
-:class:`ParseError`.
+:data:`~dualtab.terms.MAX_NESTING` deep.  A formula (programs included)
+and its translation may be at most :data:`~dualtab.terms.MAX_DEPTH`
+levels deep, flat chains included.  Deeper input is a :class:`ParseError`.
 """
 
 from __future__ import annotations
@@ -32,12 +33,23 @@ from dataclasses import dataclass
 from ..errors import ParseError
 from ..terms import (_IDENT_RE, Cmpl, Comp, ONE, NestingParser, RelTerm,
                      TokenStream, Union as TUnion, Inter as TInter, Var,
-                     _byte_offset, is_plain_boolean, parse_term, render_term,
+                     _bound_depth, _byte_offset, parse_term, render_term,
                      require_fragment, simplify_ones, term_variables)
 
 
+class _Formula:
+    """Base of the modal syntax classes: ``depth``, the levels of the
+    syntax tree, is set from the parts as each node is built."""
+
+    __slots__ = ("depth",)
+
+    def __post_init__(self):
+        parts = (getattr(self, name) for name in self.__match_args__)
+        object.__setattr__(self, "depth", 1 + max(getattr(p, "depth", 0) for p in parts))
+
+
 @dataclass(frozen=True, slots=True)
-class Prop:
+class Prop(_Formula):
     name: str
 
     def __repr__(self):
@@ -45,7 +57,7 @@ class Prop:
 
 
 @dataclass(frozen=True, slots=True)
-class Not:
+class Not(_Formula):
     arg: "ModalFormula"
 
     def __repr__(self):
@@ -53,7 +65,7 @@ class Not:
 
 
 @dataclass(frozen=True, slots=True)
-class And:
+class And(_Formula):
     left: "ModalFormula"
     right: "ModalFormula"
 
@@ -62,7 +74,7 @@ class And:
 
 
 @dataclass(frozen=True, slots=True)
-class Or:
+class Or(_Formula):
     left: "ModalFormula"
     right: "ModalFormula"
 
@@ -71,7 +83,7 @@ class Or:
 
 
 @dataclass(frozen=True, slots=True)
-class Box:
+class Box(_Formula):
     program: RelTerm
     arg: "ModalFormula"
 
@@ -80,7 +92,7 @@ class Box:
 
 
 @dataclass(frozen=True, slots=True)
-class Dia:
+class Dia(_Formula):
     program: RelTerm
     arg: "ModalFormula"
 
@@ -105,16 +117,6 @@ def render_modal(f):
             return f"[{render_term(prog)}]{render_modal(a)}"
         case Dia(prog, a):
             return f"<{render_term(prog)}>{render_modal(a)}"
-
-
-def modal_depth(f):
-    match f:
-        case Prop():
-            return 1
-        case Not(a) | Box(_, a) | Dia(_, a):
-            return 1 + modal_depth(a)
-        case And(l, r) | Or(l, r):
-            return 1 + max(modal_depth(l), modal_depth(r))
 
 
 def propositions_of(f):
@@ -203,7 +205,7 @@ class _ModalTokenizer(TokenStream):
                 _byte_offset(text, i + 1) + exc.offset,
                 expected=exc.expected,
             ) from None
-        if not is_plain_boolean(program):
+        if not program.plain:
             raise ParseError(
                 "modality programs must be complement- and 1-free Boolean terms",
                 off,
@@ -224,33 +226,31 @@ class _ModalParser(NestingParser):
 
     def iff(self):
         f = self.imp()
-        while self.tz.peek()[0] == "<->":
+        while (tok := self.tz.peek())[0] == "<->":
             self.tz.next()
             g = self.imp()
-            f = And(Or(Not(f), g), Or(Not(g), f))
+            f = self.node(And, tok, Or(Not(f), g), Or(Not(g), f))
         return f
 
     def imp(self):
         f = self.disj()
-        if self.tz.peek()[0] == "->":
+        if (tok := self.tz.peek())[0] == "->":
             self.nest(self.tz.next())
             g = self.imp()
             self.depth -= 1
-            return Or(Not(f), g)
+            return self.node(Or, tok, Not(f), g)
         return f
 
     def disj(self):
         f = self.conj()
         while self.tz.peek()[0] == "|":
-            self.tz.next()
-            f = Or(f, self.conj())
+            f = self.node(Or, self.tz.next(), f, self.conj())
         return f
 
     def conj(self):
         f = self.unary()
         while self.tz.peek()[0] == "&":
-            self.tz.next()
-            f = And(f, self.unary())
+            f = self.node(And, self.tz.next(), f, self.unary())
         return f
 
     def unary(self):
@@ -261,8 +261,8 @@ class _ModalParser(NestingParser):
         f = self.unary()
         self.depth -= 1
         if tok[0] == "~":
-            return Not(f)
-        return (Box if tok[0] == "box" else Dia)(tok[1], f)
+            return self.node(Not, tok, f)
+        return self.node(Box if tok[0] == "box" else Dia, tok, tok[1], f)
 
     def atom(self):
         tok = self.tz.peek()
@@ -292,9 +292,12 @@ def translate_modal(f):
     diamonds as compositions, boxes as their complemented duals.
 
     The result always lies in the prover's fragment; this is asserted.
+    ``f`` or an image deeper than ``MAX_DEPTH`` is a :class:`ParseError`.
     """
-    term = simplify_ones(_translate(f))
-    return require_fragment(term)
+    _bound_depth(f.depth, "modal formula")
+    term = _translate(f)
+    _bound_depth(term.depth, "translated term")
+    return require_fragment(simplify_ones(term))
 
 
 def _translate(f):

@@ -20,9 +20,15 @@ Grammar accepted by :func:`parse_term` (ASCII, with unicode aliases
 ``-`` binds tighter than ``;``, which binds tighter than ``&``, which
 binds tighter than ``|``; same-operator chains associate to the left.
 Identifiers match ``[a-z][a-z0-9_]*``.  Parentheses, complements and
-converses may nest at most :data:`MAX_NESTING` deep; deeper input is a
-:class:`ParseError`, so that no recursive walker over a parsed term can
-exhaust the interpreter stack on nesting alone.
+converses may nest at most :data:`MAX_NESTING` deep, which bounds the
+parser's own recursion.  A term may be at most :data:`MAX_DEPTH` levels
+deep, flat chains included; the parser raises :class:`ParseError` before
+it builds a deeper node.  Every recursive walker over terms takes one
+interpreter frame per level, so no walker can exhaust the stack.
+
+Each term carries ``depth``, ``size``, and ``boolean``, ``cnf`` and
+``plain``, the readings of :func:`is_boolean`, :func:`is_cnf` and
+:func:`is_plain_boolean`, set once at interning from its children's.
 """
 
 from __future__ import annotations
@@ -30,7 +36,6 @@ from __future__ import annotations
 import re
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .errors import FragmentViolation, NotBoolean, ParseError
 
@@ -49,14 +54,24 @@ def _interned(cls, *fields):
         t = object.__new__(cls)
         for name, value in zip(cls.__match_args__, fields):
             setattr(t, name, value)
+        children = () if cls is Var else fields
+        t.depth = 1 + max((c.depth for c in children), default=0)
+        t.size = 1 + sum(c.size for c in children)
+        t.boolean, t.cnf, t.plain = _CLASSES[cls](*fields)
+        t.nf = None
         _INTERNED[key] = t
     return t
 
 
-class One:
+class _Term:
+    # ``nf`` memoises nf_cmpl(t) for a Boolean ``t`` not in normal form.
+    __slots__ = ("depth", "size", "boolean", "cnf", "plain", "nf", "__weakref__")
+
+
+class One(_Term):
     """The universal relation constant."""
 
-    __slots__ = ("__weakref__",)
+    __slots__ = ()
     __match_args__ = ()
 
     def __new__(cls):
@@ -66,8 +81,8 @@ class One:
         return "1"
 
 
-class Var:
-    __slots__ = ("name", "__weakref__")
+class Var(_Term):
+    __slots__ = ("name",)
     __match_args__ = ("name",)
 
     def __new__(cls, name):
@@ -77,8 +92,8 @@ class Var:
         return self.name
 
 
-class _Unary:
-    __slots__ = ("arg", "__weakref__")
+class _Unary(_Term):
+    __slots__ = ("arg",)
     __match_args__ = ("arg",)
 
     def __new__(cls, arg):
@@ -88,8 +103,8 @@ class _Unary:
         return render_term(self)
 
 
-class _Binary:
-    __slots__ = ("left", "right", "__weakref__")
+class _Binary(_Term):
+    __slots__ = ("left", "right")
     __match_args__ = ("left", "right")
 
     def __new__(cls, left, right):
@@ -121,10 +136,26 @@ class Comp(_Binary):
 
 RelTerm = One | Var | Cmpl | Union | Inter | Comp | Conv
 
+# (boolean, cnf, plain) of a new term from its fields, per constructor.
+_CLASSES = {
+    One: lambda: (True, True, False),
+    Var: lambda name: (True, True, True),
+    Cmpl: lambda a: (a.boolean, isinstance(a, (One, Var)), False),
+    Conv: lambda a: (False, a.cnf, False),
+    Union: lambda l, r: (l.boolean and r.boolean, l.cnf and r.cnf, l.plain and r.plain),
+    Comp: lambda l, r: (False, l.cnf and r.cnf, False),
+}
+_CLASSES[Inter] = _CLASSES[Union]
+
 ONE = One()
 CMPL_ONE = Cmpl(ONE)
 
 MAX_NESTING = 100
+
+# Syntax-tree levels a term from outside input may have.  A flat chain
+# adds no nesting but one level per operator, and each level costs a
+# recursive walker one interpreter frame.
+MAX_DEPTH = 500
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 
@@ -199,7 +230,8 @@ class _Tokenizer(TokenStream):
 
 class NestingParser:
     """A recursive-descent parser over a token stream ``tz`` that refuses
-    nesting deeper than :data:`MAX_NESTING`."""
+    nesting deeper than :data:`MAX_NESTING` and syntax trees deeper than
+    :data:`MAX_DEPTH`."""
 
     def __init__(self, tz):
         self.tz = tz
@@ -211,6 +243,18 @@ class NestingParser:
         self.depth += 1
         if self.depth > MAX_NESTING:
             raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
+
+    def node(self, cls, tok, *parts):
+        """``cls(*parts)`` for the operator at ``tok``, unless deeper than
+        :data:`MAX_DEPTH`."""
+        _bound_depth(1 + max(p.depth for p in parts), "syntax tree", tok[2])
+        return cls(*parts)
+
+
+def _bound_depth(depth, what, offset=None):
+    """Raise :class:`ParseError` when ``depth`` exceeds :data:`MAX_DEPTH`."""
+    if depth > MAX_DEPTH:
+        raise ParseError(f"{what} deeper than {MAX_DEPTH} levels", offset)
 
 
 class _Parser(NestingParser):
@@ -226,37 +270,34 @@ class _Parser(NestingParser):
     def disj(self):
         t = self.conj()
         while self.tz.peek()[0] == "|":
-            self.tz.next()
-            t = Union(t, self.conj())
+            t = self.node(Union, self.tz.next(), t, self.conj())
         return t
 
     def conj(self):
         t = self.comp()
         while self.tz.peek()[0] == "&":
-            self.tz.next()
-            t = Inter(t, self.comp())
+            t = self.node(Inter, self.tz.next(), t, self.comp())
         return t
 
     def comp(self):
         t = self.unary()
         while self.tz.peek()[0] == ";":
-            self.tz.next()
-            t = Comp(t, self.unary())
+            t = self.node(Comp, self.tz.next(), t, self.unary())
         return t
 
     def unary(self):
         tok = self.tz.peek()
         if tok[0] == "-":
             self.nest(self.tz.next())
-            t = Cmpl(self.unary())
+            t = self.node(Cmpl, tok, self.unary())
             self.depth -= 1
             return t
         t = self.atom()
         levels = 0
-        while self.tz.peek()[0] == "^":
+        while (tok := self.tz.peek())[0] == "^":
             levels += 1
             self.nest(self.tz.next())
-            t = Conv(t)
+            t = self.node(Conv, tok, t)
         self.depth -= levels
         return t
 
@@ -325,24 +366,12 @@ def _render_conv_arg(t):
 
 def term_size(t):
     """Number of nodes in the syntax tree."""
-    match t:
-        case One() | Var():
-            return 1
-        case Cmpl(a) | Conv(a):
-            return 1 + term_size(a)
-        case Union(l, r) | Inter(l, r) | Comp(l, r):
-            return 1 + term_size(l) + term_size(r)
+    return t.size
 
 
 def term_depth(t):
     """Number of nodes on the longest root-to-leaf path (atoms have depth 1)."""
-    match t:
-        case One() | Var():
-            return 1
-        case Cmpl(a) | Conv(a):
-            return 1 + term_depth(a)
-        case Union(l, r) | Inter(l, r) | Comp(l, r):
-            return 1 + max(term_depth(l), term_depth(r))
+    return t.depth
 
 
 def term_variables(t):
@@ -407,21 +436,11 @@ def simplify_ones(t):
             return Conv(simplify_ones(a))
 
 
-@lru_cache(maxsize=65536)
 def is_boolean(t):
     """True iff ``t`` uses only complement, union and intersection."""
-    match t:
-        case One() | Var():
-            return True
-        case Cmpl(a):
-            return is_boolean(a)
-        case Union(l, r) | Inter(l, r):
-            return is_boolean(l) and is_boolean(r)
-        case _:
-            return False
+    return t.boolean
 
 
-@lru_cache(maxsize=65536)
 def nf_cmpl(t):
     """Complement normal form of a Boolean term.
 
@@ -430,43 +449,28 @@ def nf_cmpl(t):
     variable or the constant.  Semantically equivalent to ``t``.
     Raises :class:`NotBoolean` if ``t`` contains composition or converse.
     """
-    match t:
-        case One() | Var():
-            return t
-        case Union(l, r):
-            return Union(nf_cmpl(l), nf_cmpl(r))
-        case Inter(l, r):
-            return Inter(nf_cmpl(l), nf_cmpl(r))
-        case Cmpl(a):
-            match a:
-                case One() | Var():
-                    return t
-                case Cmpl(b):
-                    return nf_cmpl(b)
-                case Inter(l, r):
-                    return Union(nf_cmpl(Cmpl(l)), nf_cmpl(Cmpl(r)))
-                case Union(l, r):
-                    return Inter(nf_cmpl(Cmpl(l)), nf_cmpl(Cmpl(r)))
-                case _:
-                    raise NotBoolean(f"term contains a non-Boolean operator: {render_term(a)}")
-        case _:
-            raise NotBoolean(f"term contains a non-Boolean operator: {render_term(t)}")
+    if t.boolean and t.cnf:
+        return t
+    if t.nf is None:
+        match t:
+            case Union(l, r):
+                t.nf = Union(nf_cmpl(l), nf_cmpl(r))
+            case Inter(l, r):
+                t.nf = Inter(nf_cmpl(l), nf_cmpl(r))
+            case Cmpl(Cmpl(b)):
+                t.nf = nf_cmpl(b)
+            case Cmpl(Inter(l, r)):
+                t.nf = Union(nf_cmpl(Cmpl(l)), nf_cmpl(Cmpl(r)))
+            case Cmpl(Union(l, r)):
+                t.nf = Inter(nf_cmpl(Cmpl(l)), nf_cmpl(Cmpl(r)))
+            case Cmpl(a) | a:
+                raise NotBoolean(f"term contains a non-Boolean operator: {render_term(a)}")
+    return t.nf
 
 
-@lru_cache(maxsize=65536)
 def is_cnf(t):
     """True iff every complement in ``t`` acts on a variable or constant."""
-    match t:
-        case One() | Var():
-            return True
-        case Cmpl(One()) | Cmpl(Var()):
-            return True
-        case Cmpl(_):
-            return False
-        case Union(l, r) | Inter(l, r) | Comp(l, r):
-            return is_cnf(l) and is_cnf(r)
-        case Conv(a):
-            return is_cnf(a)
+    return t.cnf
 
 
 def components(t):
@@ -498,15 +502,9 @@ def components(t):
     return out
 
 
-@lru_cache(maxsize=65536)
 def is_plain_boolean(t):
     """True iff ``t`` is built from variables with union/intersection only."""
-    match t:
-        case Var():
-            return True
-        case Union(l, r) | Inter(l, r):
-            return is_plain_boolean(l) and is_plain_boolean(r)
-    return False
+    return t.plain
 
 
 @dataclass(frozen=True, slots=True)
@@ -546,7 +544,7 @@ def fragment_check(t):
             v = fragment_check(l)
             return v if not v else fragment_check(r)
         case Comp(l, r):
-            if not (isinstance(l, One) or is_plain_boolean(l)):
+            if not (isinstance(l, One) or l.plain):
                 return FragmentVerdict(
                     False, l,
                     "left operand of ';' must be 1 or a complement- and 1-free Boolean term",
@@ -577,7 +575,7 @@ def _check_comp_right(t):
             v = _check_comp_right(l)
             return v if not v else _check_comp_right(r)
         case Comp(l, r):
-            if not is_plain_boolean(l):
+            if not l.plain:
                 return FragmentVerdict(
                     False, l,
                     "inside a composition's right operand, every composition "

@@ -4,8 +4,9 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop
 from dualtab.terms import (Cmpl, Comp, Conv, Inter, ONE, Union, Var,
-                           fragment_check, simplify_ones, term_depth)
+                           fragment_check, parse_term, simplify_ones, term_depth)
 from dualtab.semantics import Model
 
 CORPUS_SEED = 20240809
@@ -81,6 +82,23 @@ def family_text(name, n):
                 f"<r>({disj(f'{p[i]} | {q[i]}' for i in range(n))})")
     return (f"~(({conj(f'<r>{p[i]}' for i in range(n))}) & "
             f"({conj(f'[r]({p[i]} -> <r>{p[(i + 1) % n]})' for i in range(n))}))")
+
+
+MODAL_PROGRAMS = [parse_term(s) for s in ("r", "s", "r | s", "r & s")]
+
+
+def all_modal(depth):
+    """Every modal formula over p and q and the programs r, s, r|s, r&s,
+    up to ``depth`` (1 848 formulas at depth 3)."""
+    if depth == 1:
+        return [Prop("p"), Prop("q")]
+    smaller = all_modal(depth - 1)
+    out = list(smaller)
+    out += [Not(f) for f in smaller]
+    out += [ctor(prog, f) for ctor in (Box, Dia) for prog in MODAL_PROGRAMS
+            for f in smaller]
+    out += [op(a, b) for op in (And, Or) for a in smaller for b in smaller]
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -10,14 +10,13 @@ import time
 
 import pytest
 
-from conftest import CORPUS_DEPTH, build_corpus
+from conftest import CORPUS_DEPTH, all_modal, build_corpus
 from dualtab.cli import main
 from dualtab.engine import (VAR_BOUND_FACTOR, Countermodel, Proof,
                             run_procedure, stats_of)
 from dualtab.formulas import FormulaSet, RelFormula, has_nbool_construction, is_nbool
 from dualtab.frontends import (EntailmentProblem, encode_entailment,
                                kripke_countermodel, translate_modal)
-from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop
 from dualtab.semantics import brute_force_countermodel, falsifies_branch, satisfies
 from dualtab.terms import (Cmpl, Comp, Inter, ONE, Union, Var, components,
                            fragment_check, parse_term, simplify_ones)
@@ -180,24 +179,9 @@ def test_criterion_6_entailment():
            f"{first:.3f}s/{second:.3f}s")
 
 
-_PROGRAMS = [parse_term(s) for s in ("r", "s", "r | s", "r & s")]
-
-
-def _all_modal(depth):
-    if depth == 1:
-        return [Prop("p"), Prop("q")]
-    smaller = _all_modal(depth - 1)
-    out = list(smaller)
-    out += [Not(f) for f in smaller]
-    out += [ctor(prog, f) for ctor in (Box, Dia) for prog in _PROGRAMS
-            for f in smaller]
-    out += [op(a, b) for op in (And, Or) for a in smaller for b in smaller]
-    return out
-
-
 def test_criterion_7_modal_agreement():
     started = time.monotonic()
-    formulas = _all_modal(3)
+    formulas = all_modal(3)
     memo = {}
     failures = 0
     refuted = proofs = 0

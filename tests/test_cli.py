@@ -9,6 +9,7 @@ import pytest
 import dualtab
 from dualtab.cli import main
 from dualtab.errors import EngineInvariantError
+from dualtab.terms import MAX_DEPTH
 
 SRC = str(Path(dualtab.__file__).resolve().parent.parent)
 
@@ -274,14 +275,6 @@ class TestRobustness:
         assert len(err.splitlines()) == 1
 
 
-# The bound on syntax-tree depth that every route from text to a term
-# enforces; terms.MAX_DEPTH once it exists.
-MAX_DEPTH = 500
-
-# Without the bound these cases end in a RecursionError (exit 5).
-WITHOUT_BOUND = pytest.mark.xfail(strict=True, reason="no depth bound yet")
-
-
 def chain(op, n, atom="r{}"):
     """``n`` atoms joined by ``op``: a left-associated chain ``n`` deep."""
     return f" {op} ".join(atom.format(i) for i in range(n))
@@ -313,9 +306,7 @@ def deep_cases():
         ops = ("|", "&", "->") if spec.split()[0] == "modal" else ("|", "&", ";")
         for op in ops:
             for n in (100, 1000, 10000):
-                fails = n >= 1000 and op != "->" and (spec, op) != ("modal-program", ";")
-                yield pytest.param(spec, op, n, id=f"{spec}-{op}-{n}",
-                                   marks=[WITHOUT_BOUND] if fails else [])
+                yield pytest.param(spec, op, n, id=f"{spec}-{op}-{n}")
 
 
 class TestDeepInput:
@@ -331,7 +322,6 @@ class TestDeepInput:
         if code == 2:
             assert err.startswith("error: ")
 
-    @WITHOUT_BOUND
     def test_many_premises(self, capsys):
         argv = ["entail", "--conclusion", "r0"] + [f"--premise=-r{i}" for i in range(1000)]
         code, _, err = run(capsys, *argv)
@@ -341,7 +331,6 @@ class TestDeepInput:
     # A chain of n atoms is n deep as a term; the entailment encoding adds
     # one level over the conclusion, and the modal translation one over
     # the formula.
-    @WITHOUT_BOUND
     @pytest.mark.parametrize("op", ["|", "&"])
     @pytest.mark.parametrize("command, extra", [("prove", 0), ("entail", 1), ("modal", 1)])
     def test_depth_bound_is_exact(self, capsys, tmp_path, command, extra, op):

@@ -8,8 +8,7 @@ from dualtab.formulas import RelFormula
 from dualtab.frontends import (EntailmentProblem, encode_entailment,
                                eval_modal, kripke_countermodel, parse_modal,
                                translate_modal)
-from dualtab.frontends.modal import (And, Box, Dia, Not, Or, Prop,
-                                     modal_depth, render_modal)
+from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop, render_modal
 from dualtab.semantics import falsifies_branch, satisfies
 from dualtab.terms import fragment_check, parse_term, render_term
 
@@ -184,6 +183,7 @@ class TestModalParser:
             assert parse_modal(render_modal(f)) == f
 
     def test_depth(self):
-        assert modal_depth(parse_modal("p")) == 1
-        assert modal_depth(parse_modal("[r]p")) == 2
-        assert modal_depth(parse_modal("[r]p & q")) == 3
+        assert parse_modal("p").depth == 1
+        assert parse_modal("[r]p").depth == 2
+        assert parse_modal("[r]p & q").depth == 3
+        assert parse_modal("<r | s>p").depth == 3

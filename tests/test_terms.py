@@ -1,14 +1,30 @@
 import pytest
 from hypothesis import given, settings
 
-from conftest import all_models, boolean_term_strategy, term_strategy
+from conftest import (all_modal, all_models, boolean_term_strategy, build_corpus,
+                      family_text, term_strategy)
+from dualtab import terms
 from dualtab.errors import NotBoolean, ParseError
+from dualtab.formulas import parse_formula
+from dualtab.frontends import (EntailmentProblem, encode_entailment, parse_modal,
+                               translate_modal)
+from dualtab.frontends.modal import Or, Prop
 from dualtab.semantics import eval_term
-from dualtab.terms import (CMPL_ONE, MAX_NESTING, Cmpl, Comp, Conv, Inter, ONE,
-                           One, Union, Var,
+from dualtab.terms import (CMPL_ONE, MAX_DEPTH, MAX_NESTING, Cmpl, Comp, Conv,
+                           Inter, ONE, One, Union, Var,
                            components, fragment_check, is_boolean, is_cnf,
                            is_plain_boolean, nf_cmpl, parse_term, render_term,
-                           simplify_ones, term_size, term_variables)
+                           simplify_ones, term_depth, term_size, term_variables)
+
+
+def subterms(u):
+    yield u
+    match u:
+        case Cmpl(a) | Conv(a):
+            yield from subterms(a)
+        case Union(l, r) | Inter(l, r) | Comp(l, r):
+            yield from subterms(l)
+            yield from subterms(r)
 
 
 class TestParse:
@@ -139,17 +155,6 @@ class TestSimplifyOnes:
     @given(term_strategy(with_conv=False))
     def test_boolean_subterms_normalized(self, t):
         # after simplification a Boolean subterm is 1, -1, or 1-free
-        def subterms(u):
-            yield u
-            match u:
-                case Cmpl(a) | Conv(a):
-                    yield from subterms(a)
-                case Union(l, r) | Inter(l, r) | Comp(l, r):
-                    yield from subterms(l)
-                    yield from subterms(r)
-                case _:
-                    pass
-
         simplified = simplify_ones(t)
         for sub in subterms(simplified):
             if is_boolean(sub) and sub not in (ONE, CMPL_ONE):
@@ -278,3 +283,189 @@ class TestFragmentCheck:
             assert fragment_check(t)
             for comp in comps(t):
                 assert comp.left == ONE or is_plain_boolean(comp.left)
+
+
+# Reference definitions: the recursive walks that the attributes set at
+# interning replace.
+
+def ref_boolean(t):
+    match t:
+        case One() | Var():
+            return True
+        case Cmpl(a):
+            return ref_boolean(a)
+        case Union(l, r) | Inter(l, r):
+            return ref_boolean(l) and ref_boolean(r)
+    return False
+
+
+def ref_cnf(t):
+    match t:
+        case One() | Var() | Cmpl(One()) | Cmpl(Var()):
+            return True
+        case Cmpl(_):
+            return False
+        case Union(l, r) | Inter(l, r) | Comp(l, r):
+            return ref_cnf(l) and ref_cnf(r)
+        case Conv(a):
+            return ref_cnf(a)
+
+
+def ref_plain(t):
+    match t:
+        case Var():
+            return True
+        case Union(l, r) | Inter(l, r):
+            return ref_plain(l) and ref_plain(r)
+    return False
+
+
+def ref_depth(t):
+    match t:
+        case One() | Var():
+            return 1
+        case Cmpl(a) | Conv(a):
+            return 1 + ref_depth(a)
+        case Union(l, r) | Inter(l, r) | Comp(l, r):
+            return 1 + max(ref_depth(l), ref_depth(r))
+
+
+def ref_size(t):
+    match t:
+        case One() | Var():
+            return 1
+        case Cmpl(a) | Conv(a):
+            return 1 + ref_size(a)
+        case Union(l, r) | Inter(l, r) | Comp(l, r):
+            return 1 + ref_size(l) + ref_size(r)
+
+
+def ref_nf_cmpl(t):
+    match t:
+        case One() | Var():
+            return t
+        case Union(l, r):
+            return Union(ref_nf_cmpl(l), ref_nf_cmpl(r))
+        case Inter(l, r):
+            return Inter(ref_nf_cmpl(l), ref_nf_cmpl(r))
+        case Cmpl(a):
+            match a:
+                case One() | Var():
+                    return t
+                case Cmpl(b):
+                    return ref_nf_cmpl(b)
+                case Inter(l, r):
+                    return Union(ref_nf_cmpl(Cmpl(l)), ref_nf_cmpl(Cmpl(r)))
+                case Union(l, r):
+                    return Inter(ref_nf_cmpl(Cmpl(l)), ref_nf_cmpl(Cmpl(r)))
+                case _:
+                    raise NotBoolean(f"term contains a non-Boolean operator: {render_term(a)}")
+        case _:
+            raise NotBoolean(f"term contains a non-Boolean operator: {render_term(t)}")
+
+
+def assert_attributes_match_reference(roots):
+    seen = set()
+    for root in roots:
+        seen.update(subterms(root))
+    for u in seen:
+        assert (u.boolean, u.cnf, u.plain, u.depth, u.size) == (
+            ref_boolean(u), ref_cnf(u), ref_plain(u), ref_depth(u), ref_size(u)), u
+        assert (is_boolean(u), is_cnf(u), is_plain_boolean(u), term_depth(u),
+                term_size(u)) == (u.boolean, u.cnf, u.plain, u.depth, u.size)
+        try:
+            expected = ref_nf_cmpl(u)
+        except NotBoolean as exc:
+            with pytest.raises(NotBoolean) as got:
+                nf_cmpl(u)
+            assert str(got.value) == str(exc)
+        else:
+            assert nf_cmpl(u) is expected
+            assert nf_cmpl(u) is expected  # the memoised answer
+    return len(seen)
+
+
+class TestAttributes:
+    def test_corpus(self):
+        assert assert_attributes_match_reference(build_corpus()) > 500
+
+    def test_families(self):
+        roots = [translate_modal(parse_modal(family_text(name, 4)))
+                 for name in ("modal_dist", "kdist", "branching", "cycle")]
+        assert assert_attributes_match_reference(roots) > 100
+
+    def test_modal_sweep(self):
+        assert assert_attributes_match_reference(map(translate_modal, all_modal(3))) > 1848
+
+    @given(term_strategy(max_leaves=12))
+    def test_random_terms(self, t):
+        assert_attributes_match_reference([t])
+
+
+def chain(op, n):
+    return f" {op} ".join(f"r{i}" for i in range(n))
+
+
+class TestDepthLimit:
+    @pytest.mark.parametrize("make", [
+        lambda n: chain("|", n),
+        lambda n: chain("&", n),
+        lambda n: chain(";", n),
+        lambda n: f"-({chain('|', n - 1)})",
+        lambda n: f"({chain('&', n - 1)})^",
+        lambda n: f"s & ({chain('|', n - 1)})",
+    ], ids=["union", "inter", "comp", "complement", "converse", "right-operand"])
+    def test_limit_is_exact(self, make):
+        assert parse_term(make(MAX_DEPTH)).depth == MAX_DEPTH
+        with pytest.raises(ParseError) as exc:
+            parse_term(make(MAX_DEPTH + 1))
+        assert f"deeper than {MAX_DEPTH} levels" in str(exc.value)
+
+    def test_error_points_at_the_operator_past_the_bound(self):
+        text = chain("|", MAX_DEPTH + 5)
+        with pytest.raises(ParseError) as exc:
+            parse_term(text)
+        assert exc.value.offset == text.index(f"| r{MAX_DEPTH}")
+
+    def test_explicit_endpoints_route(self):
+        assert parse_formula(f"x {chain('|', MAX_DEPTH)} y").term.depth == MAX_DEPTH
+        with pytest.raises(ParseError, match="deeper than"):
+            parse_formula(f"x {chain('|', MAX_DEPTH + 1)} y")
+
+    @pytest.mark.parametrize("build", [
+        lambda: parse_term(chain("|", 10_000)),
+        lambda: parse_formula(f"x {chain('&', 10_000)} y"),
+        lambda: encode_entailment(EntailmentProblem(
+            [parse_term(f"-r{i}") for i in range(10_000)], parse_term("r0"))),
+    ], ids=["parse_term", "parse_formula", "encode_entailment"])
+    def test_no_deeper_term_is_built(self, monkeypatch, build):
+        deepest = []
+        interned = terms._interned
+
+        def recording(cls, *fields):
+            t = interned(cls, *fields)
+            deepest.append(t.depth)
+            return t
+
+        monkeypatch.setattr(terms, "_interned", recording)
+        with pytest.raises(ParseError, match="deeper than"):
+            build()
+        assert max(deepest) == MAX_DEPTH
+
+    def test_modal_formula_and_translation(self):
+        # A chain of n propositions is n deep; its image is one deeper.
+        text = " | ".join(f"p{i}" for i in range(MAX_DEPTH + 1))
+        with pytest.raises(ParseError, match="syntax tree deeper"):
+            parse_modal(text)
+        f = parse_modal(" | ".join(f"p{i}" for i in range(MAX_DEPTH)))
+        assert f.depth == MAX_DEPTH
+        with pytest.raises(ParseError, match="translated term deeper"):
+            translate_modal(f)
+        assert translate_modal(f.left).depth == MAX_DEPTH
+
+    def test_modal_formula_built_in_code(self):
+        f = Prop("p0")
+        for i in range(1, 10_000):
+            f = Or(f, Prop(f"p{i}"))
+        with pytest.raises(ParseError, match="modal formula deeper"):
+            translate_modal(f)
