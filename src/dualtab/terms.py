@@ -54,10 +54,7 @@ def _interned(cls, *fields):
         t = object.__new__(cls)
         for name, value in zip(cls.__match_args__, fields):
             setattr(t, name, value)
-        children = () if cls is Var else fields
-        t.depth = 1 + max((c.depth for c in children), default=0)
-        t.size = 1 + sum(c.size for c in children)
-        t.boolean, t.cnf, t.plain = _CLASSES[cls](*fields)
+        t.depth, t.size, t.boolean, t.cnf, t.plain = _ATTRIBUTES[cls](*fields)
         t.nf = None
         _INTERNED[key] = t
     return t
@@ -136,16 +133,18 @@ class Comp(_Binary):
 
 RelTerm = One | Var | Cmpl | Union | Inter | Comp | Conv
 
-# (boolean, cnf, plain) of a new term from its fields, per constructor.
-_CLASSES = {
-    One: lambda: (True, True, False),
-    Var: lambda name: (True, True, True),
-    Cmpl: lambda a: (a.boolean, isinstance(a, (One, Var)), False),
-    Conv: lambda a: (False, a.cnf, False),
-    Union: lambda l, r: (l.boolean and r.boolean, l.cnf and r.cnf, l.plain and r.plain),
-    Comp: lambda l, r: (False, l.cnf and r.cnf, False),
+# (depth, size, boolean, cnf, plain) of a new term from its fields.
+_ATTRIBUTES = {
+    One: lambda: (1, 1, True, True, False),
+    Var: lambda name: (1, 1, True, True, True),
+    Cmpl: lambda a: (a.depth + 1, a.size + 1, a.boolean, isinstance(a, (One, Var)), False),
+    Conv: lambda a: (a.depth + 1, a.size + 1, False, a.cnf, False),
+    Union: lambda l, r: (max(l.depth, r.depth) + 1, l.size + r.size + 1,
+                         l.boolean and r.boolean, l.cnf and r.cnf, l.plain and r.plain),
+    Comp: lambda l, r: (max(l.depth, r.depth) + 1, l.size + r.size + 1,
+                        False, l.cnf and r.cnf, False),
 }
-_CLASSES[Inter] = _CLASSES[Union]
+_ATTRIBUTES[Inter] = _ATTRIBUTES[Union]
 
 ONE = One()
 CMPL_ONE = Cmpl(ONE)
