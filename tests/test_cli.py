@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -7,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import dualtab
+from conftest import build_corpus, family_text
 from dualtab.cli import main
 from dualtab.errors import EngineInvariantError
-from dualtab.terms import MAX_DEPTH
+from dualtab.terms import MAX_DEPTH, render_term
 
 SRC = str(Path(dualtab.__file__).resolve().parent.parent)
 
@@ -220,6 +222,28 @@ class TestFragmentAndSimplify:
         code, out, _ = run(capsys, "simplify", "(1 | p) ; q", "--json")
         assert code == 0
         assert json.loads(out) == {"term": "(1 ; q)"}
+
+
+class TestOutputBytes:
+    def test_stdout_bytes_are_pinned(self, capsys):
+        # the exit code and exact stdout of every command that prints a
+        # verdict, a tree or a term, in both output modes: a change to how
+        # the CLI builds its output must leave every byte as it is
+        runs = [["modal", "--", family_text(name, 4)]
+                for name in ("modal_dist", "kdist", "branching", "cycle")]
+        corpus = [render_term(t) for t in build_corpus()]
+        runs += [["prove", "--", text] for text in corpus[::5]]
+        runs += [[command, "--", text] for text in corpus[::25]
+                 for command in ("fragment", "simplify")]
+        runs += [["fragment", "--", text] for text in ("(-r) ; s", "r^")]
+        digest = hashlib.sha256()
+        for argv in runs:
+            for mode in ([], ["--json"]):
+                code = main([argv[0], *mode, *argv[1:]])
+                out = capsys.readouterr().out
+                digest.update(f"{code}\n{out}".encode())
+        assert digest.hexdigest() == (
+            "1a92752aac4de5f3183468072190690948a023cab22af1be4064112c5f7424d6")
 
 
 class TestRobustness:

@@ -499,16 +499,20 @@ class TestVerdictJson:
         assert data["countermodel"]["valuation"] == {"x": "x", "y": "y"}
 
     def test_verdict_bytes_are_pinned(self):
-        # the verdict JSON of the corpus and of four modal families, byte
-        # for byte: a change to the engine must leave every proof tree,
-        # countermodel and stats line as it is
+        # the verdict JSON and the trace events of the corpus and of four
+        # modal families, byte for byte: a change to the engine must leave
+        # every proof tree, countermodel, stats line and step as it is
         terms = build_corpus() + [
             translate_modal(parse_modal(family_text(name, 4)))
             for name in ("modal_dist", "kdist", "branching", "cycle")
         ]
-        digest = hashlib.sha256()
+        digest, trace_digest = hashlib.sha256(), hashlib.sha256()
         for term in terms:
-            data = verdict_to_json(run_procedure(term))
+            events = []
+            data = verdict_to_json(run_procedure(term, trace=events.append))
             digest.update(json.dumps(data, sort_keys=True).encode() + b"\n")
+            trace_digest.update(json.dumps(events, sort_keys=True).encode() + b"\n")
         assert digest.hexdigest() == (
             "13128eb18178c0a502e28d5740978c2732c5acf78ae5bfb1ed0137443d69c3ea")
+        assert trace_digest.hexdigest() == (
+            "937c097ff395a94e8449a2a1795e172954a83d31d667bafd92a8a3af502787d5")

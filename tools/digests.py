@@ -1,0 +1,70 @@
+"""Check the verdict and trace digests of a fixed set of terms.
+
+Runs the decision procedure on the 500-term seeded corpus, the 1 848
+translated modal formulas of depth at most 3, and the four modal families
+at n=4 and n=8, all built by ``tests/conftest.py``.  It hashes each
+verdict's JSON and each run's trace events, prints both sha256 digests
+with the term and step counts, and exits 1 when either differs from the
+value pinned below.  A change that must keep every proof tree,
+countermodel and rule application as it is leaves both digests alone.
+
+Run it from the root of a source checkout, with pytest and hypothesis
+installed (``conftest.py`` imports them)::
+
+    python3 tools/digests.py
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from conftest import all_modal, build_corpus, family_text  # noqa: E402
+from dualtab.engine import run_procedure, verdict_to_json  # noqa: E402
+from dualtab.frontends import parse_modal, translate_modal  # noqa: E402
+
+FAMILIES = ("modal_dist", "kdist", "branching", "cycle")
+
+VERDICT_DIGEST = "c3b4cd262a65bef34847e2d6f478a357200c0d0352ca356ae90a3d79182c1787"
+TRACE_DIGEST = "fc58031a754240fc9218367cefe06977a6fac1db78624d231b2101aa77d41af8"
+
+
+def terms():
+    yield from build_corpus()
+    for formula in all_modal(3):
+        yield translate_modal(formula)
+    for n in (4, 8):
+        for name in FAMILIES:
+            yield translate_modal(parse_modal(family_text(name, n)))
+
+
+def digests():
+    verdict, trace = hashlib.sha256(), hashlib.sha256()
+    count = steps = 0
+    for term in terms():
+        events = []
+        data = verdict_to_json(run_procedure(term, trace=events.append))
+        verdict.update(json.dumps(data, sort_keys=True).encode() + b"\n")
+        trace.update(json.dumps(events, sort_keys=True).encode() + b"\n")
+        count += 1
+        steps += data["stats"]["steps"]
+    return verdict.hexdigest(), trace.hexdigest(), count, steps
+
+
+def main():
+    verdict, trace, count, steps = digests()
+    print(f"{count} terms, {steps} steps")
+    ok = True
+    for name, got, pinned in (("verdict", verdict, VERDICT_DIGEST),
+                              ("trace", trace, TRACE_DIGEST)):
+        same = got == pinned
+        ok = ok and same
+        print(f"{name:8} {got} {'ok' if same else 'DIFFERS from ' + pinned}")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
