@@ -46,7 +46,7 @@ import argparse
 import json
 import sys
 
-from .engine import Countermodel, Proof, run_procedure, stats_of, verdict_to_json
+from .engine import Proof, run_procedure, verdict_to_json
 from .errors import (BudgetExceeded, DualTabError, EmptyPremises,
                      FragmentViolation, ParseError, ResourceExhausted)
 from .formulas import RelFormula, parse_formula
@@ -122,28 +122,50 @@ def _trace_printer(event):
     print(f"[trace] {event['rule']}: {event['premise']}{var}", file=sys.stderr)
 
 
-def _emit(payload, as_json, human_lines):
+def _emit(payload, as_json, text_lines):
+    """Print ``payload`` as JSON, or else the lines ``text_lines(payload)``
+    makes of it; only the form printed is built."""
     if as_json:
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        for line in human_lines:
+        for line in text_lines(payload):
             print(line)
 
 
-def _tree_lines(tree):
+def _verdict_lines(payload, label=None):
+    """The text form of a verdict payload, its encoded or translated term
+    first under ``label``."""
+    lines = [f"{label}: {payload['term']}"] if label else []
+    lines.append(payload["verdict"])
+    if payload["proof"] is not None:
+        lines.extend(_tree_lines(payload["proof"]["nodes"]))
+    else:
+        lines.append(json.dumps(payload["countermodel"], sort_keys=True))
+    if "verified" in payload:
+        lines.append(f"verified: {payload['verified']}")
+    stats = payload["stats"]
+    lines.append(f"steps={stats['steps']} branches={stats['branches']} "
+                 f"variables={stats['variables']}")
+    if payload.get("kripke"):
+        kripke = payload["kripke"]
+        lines.append(f"kripke refuted (<= {kripke['worlds']} worlds): "
+                     f"{kripke['refuted']}")
+    return lines
+
+
+def _tree_lines(nodes):
+    """The proof tree, one line per node in depth-first order, from the
+    JSON nodes and their rendered formulas."""
     lines = []
-
-    def emit(node_id, depth):
-        node = tree.nodes[node_id]
-        formulas = ", ".join(f"{f.left} {render_term(f.term)} {f.right}"
-                             for f in node.formulas)
-        rule = f" [{node.rule}]" if node.rule else ""
-        closed = "  *closed*" if node.closed else ""
-        lines.append(f"{'  ' * depth}({node.id}){rule} {{{formulas}}}{closed}")
-        for child in node.children:
-            emit(child, depth + 1)
-
-    emit(0, 0)
+    stack = [(0, 0)]
+    while stack:
+        node_id, depth = stack.pop()
+        node = nodes[node_id]
+        formulas = ", ".join(" ".join(f) for f in node["formulas"])
+        rule = f" [{node['rule']}]" if node["rule"] else ""
+        closed = "  *closed*" if node["closed"] else ""
+        lines.append(f"{'  ' * depth}({node_id}){rule} {{{formulas}}}{closed}")
+        stack.extend((child, depth + 1) for child in reversed(node["children"]))
     return lines
 
 
@@ -153,22 +175,11 @@ def _prove_payload(term, args, extra=None):
     payload = verdict_to_json(verdict)
     if extra:
         payload.update(extra)
-    lines = []
-    if isinstance(verdict, Proof):
-        lines.append("valid")
-        lines.extend(_tree_lines(verdict.tree))
-    else:
-        lines.append("invalid")
-        lines.append(json.dumps(payload["countermodel"], sort_keys=True))
     if args.verify:
         payload["verified"], note = _verify(term, verdict, args.oracle_size)
         if note:
             payload["verify_note"] = note
-        lines.append(f"verified: {payload['verified']}")
-    stats = stats_of(verdict)
-    lines.append(f"steps={stats['steps']} branches={stats['branches']} "
-                 f"variables={stats['variables']}")
-    return verdict, payload, lines
+    return verdict, payload
 
 
 def _verify(term, verdict, oracle_size):
@@ -190,8 +201,8 @@ def _exit_for(verdict):
 
 def cmd_prove(args):
     term = simplify_ones(parse_term(args.term))
-    verdict, payload, lines = _prove_payload(term, args)
-    _emit(payload, args.json, lines)
+    verdict, payload = _prove_payload(term, args)
+    _emit(payload, args.json, _verdict_lines)
     return _exit_for(verdict)
 
 
@@ -200,9 +211,8 @@ def cmd_entail(args):
     conclusion = parse_term(args.conclusion)
     encoded = encode_entailment(EntailmentProblem(tuple(premises), conclusion))
     extra = {"term": render_term(encoded)}
-    verdict, payload, lines = _prove_payload(encoded, args, extra)
-    lines.insert(0, f"encoded: {render_term(encoded)}")
-    _emit(payload, args.json, lines)
+    verdict, payload = _prove_payload(encoded, args, extra)
+    _emit(payload, args.json, lambda p: _verdict_lines(p, "encoded"))
     return _exit_for(verdict)
 
 
@@ -210,8 +220,7 @@ def cmd_modal(args):
     formula = parse_modal(args.formula)
     translated = translate_modal(formula)
     extra = {"term": render_term(translated)}
-    verdict, payload, lines = _prove_payload(translated, args, extra)
-    lines.insert(0, f"translated: {render_term(translated)}")
+    verdict, payload = _prove_payload(translated, args, extra)
     if args.verify:
         worlds = min(args.oracle_size, 3)
         try:
@@ -223,8 +232,7 @@ def cmd_modal(args):
             payload["kripke"] = {"refuted": refutation is not None, "worlds": worlds}
             if refutation is not None and isinstance(verdict, Proof):
                 payload["verified"] = False
-            lines.append(f"kripke refuted (<= {worlds} worlds): {refutation is not None}")
-    _emit(payload, args.json, lines)
+    _emit(payload, args.json, lambda p: _verdict_lines(p, "translated"))
     return _exit_for(verdict)
 
 
@@ -249,28 +257,20 @@ def cmd_check_model(args):
 def cmd_fragment(args):
     term = simplify_ones(parse_term(args.term))
     verdict = fragment_check(term)
-    if args.json:
-        payload = {
-            "term": render_term(term),
-            "accepted": verdict.accepted,
-            "offender": render_term(verdict.offender) if verdict.offender else None,
-            "clause": verdict.clause,
-        }
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        if verdict.accepted:
-            print("accepted")
-        else:
-            print(f"rejected: {verdict.clause}: {render_term(verdict.offender)}")
+    payload = {
+        "term": render_term(term),
+        "accepted": verdict.accepted,
+        "offender": render_term(verdict.offender) if verdict.offender else None,
+        "clause": verdict.clause,
+    }
+    _emit(payload, args.json, lambda p: [
+        "accepted" if p["accepted"] else f"rejected: {p['clause']}: {p['offender']}"])
     return EXIT_VALID if verdict.accepted else EXIT_FRAGMENT
 
 
 def cmd_simplify(args):
     term = simplify_ones(parse_term(args.term))
-    if args.json:
-        print(json.dumps({"term": render_term(term)}, indent=2, sort_keys=True))
-    else:
-        print(render_term(term))
+    _emit({"term": render_term(term)}, args.json, lambda p: [p["term"]])
     return EXIT_VALID
 
 

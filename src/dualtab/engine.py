@@ -9,10 +9,14 @@ order) that still has work and applies, in order: the Boolean rules, the
 complemented-composition rules, the composition rule gated by forced
 literals, and the universal-composition rule instantiated with that
 variable.  :func:`applications` alone decides what applies at a variable,
-and :func:`apply_rule` carries out each application it yields.
-Complemented compositions are suppressed when an already decomposed twin
-*blocks* them; the literals their decomposition would have produced are
-recorded instead and feed the countermodel.
+and :func:`apply_rule` carries out each application it yields, returning
+its conclusions, one group per successor.  The search builds each
+successor from the parent and a group, and passes what entered and left
+the node to the history and the progress check.  :meth:`Branch.introduce`
+places each fresh witness in the branch order once.  Complemented
+compositions are suppressed when an already decomposed twin *blocks*
+them; the literals their decomposition would have produced are recorded
+instead and feed the countermodel.
 
 If every branch closes the tree is a proof.  Otherwise the first
 saturated open branch yields a finite model and identity valuation that
@@ -21,7 +25,6 @@ falsify every formula ever on the branch, the input included.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -29,7 +32,7 @@ from .errors import BranchNotSaturated, EngineInvariantError, ResourceExhausted
 from .formulas import (FormulaSet, History, RelFormula, has_nbool_construction,
                        is_literal)
 from .semantics import Model
-from .terms import (Cmpl, Comp, Inter, One, Union, Var, components,
+from .terms import (Cmpl, Comp, Inter, One, Union, Var, components, interned,
                     render_term, require_fragment, simplify_ones, term_variables)
 
 RULE_UNION = "union"
@@ -49,8 +52,6 @@ _NEGCOMP_RULES = (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE, RULE_CMPL_COMP_UNIV)
 _COMP_RULES = (RULE_COMP_BOOL, RULE_COMP_UNIV)
 _PHASE = {**dict.fromkeys(_BOOLEAN_RULES, 0), **dict.fromkeys(_NEGCOMP_RULES, 1),
           RULE_COMP_BOOL: 2, RULE_COMP_UNIV: 3}  # the order of applications()
-
-GenRecord = namedtuple("GenRecord", "premise parent rule")
 
 VAR_BOUND_FACTOR = 8  # generated variables per branch <= 8 * |components|**2
 
@@ -111,14 +112,17 @@ def is_axiomatic(formulas, added=None):
     """Whether a formula set contains ``x' 1 y'`` or a complementary pair.
 
     With ``added``, the set is known to be open without those formulas,
-    so only pairs that involve one of them are looked for.
+    so only pairs that involve one of them are looked for.  A complement
+    that is not a live term is in no formula, so none is built to look.
     """
     for f in formulas if added is None else added:
-        if isinstance(f.term, One):
+        t = f.term
+        if isinstance(t, One):
             return True
-        if isinstance(f.term, Cmpl) and RelFormula(f.left, f.term.arg, f.right) in formulas:
+        if isinstance(t, Cmpl) and RelFormula(f.left, t.arg, f.right) in formulas:
             return True
-        if RelFormula(f.left, Cmpl(f.term), f.right) in formulas:
+        c = interned(Cmpl, t)
+        if c is not None and RelFormula(f.left, c, f.right) in formulas:
             return True
     return False
 
@@ -128,76 +132,70 @@ class Branch:
 
     ``history`` is the union of all formula sets ever on the branch, an
     indexed :class:`History`; ``vars`` lists object variables in
-    introduction order; ``genealogy`` records, for each generated variable,
-    the premise that introduced it; ``lit_negcomp`` collects the renamed
-    literals of blocked formulas; ``applied`` enforces the
+    introduction order and ``order`` in branch order; ``right`` holds the
+    right root and its descendants; ``genealogy`` maps each generated
+    variable to the premise that introduced it, and ``decomposed_with``
+    each such premise back to its variable; ``lit_negcomp`` collects the
+    renamed literals of blocked formulas; ``applied`` enforces the
     at-most-once-per-premise discipline.
     """
 
-    __slots__ = ("node", "history", "vars", "root_left", "root_right",
-                 "genealogy", "lit_negcomp", "applied", "decomposed_with",
-                 "_fresh", "_before", "_after", "node_axiomatic")
+    __slots__ = ("node", "history", "vars", "order", "right", "root_left",
+                 "root_right", "genealogy", "lit_negcomp", "applied",
+                 "decomposed_with", "_fresh", "node_axiomatic")
 
-    def __init__(self, node, history, vars, genealogy, lit_negcomp, applied,
-                 decomposed_with, fresh):
+    def __init__(self, node, history, vars, order, right, genealogy,
+                 lit_negcomp, applied, decomposed_with, fresh):
         self.node = node
         self.history = history
         self.vars = vars
+        self.order = order
+        self.right = right
         self.root_left, self.root_right = vars[:2]
         self.genealogy = genealogy
         self.lit_negcomp = lit_negcomp
         self.applied = applied
         self.decomposed_with = decomposed_with
         self._fresh = fresh
-        self._before, self._after = [], []  # see var_order
         self.node_axiomatic = False
 
     @classmethod
     def initial(cls, formula):
         node = FormulaSet([formula])
-        branch = cls(node, History(node), [formula.left, formula.right], {},
+        x, y = formula.left, formula.right
+        branch = cls(node, History(node), [x, y], [x, y], {y}, {},
                      FormulaSet(), set(), {}, [0])
         branch.node_axiomatic = is_axiomatic(node)
         return branch
 
-    def alloc_var(self):
-        self._fresh[0] += 1
-        return f"z{self._fresh[0]}"
-
     def fork(self, node):
-        twin = Branch(node, self.history.copy(), list(self.vars),
-                      dict(self.genealogy), self.lit_negcomp.copy(),
-                      set(self.applied), dict(self.decomposed_with),
-                      self._fresh)
-        twin._before, twin._after = list(self._before), list(self._after)
-        return twin
+        return Branch(node, self.history.copy(), list(self.vars),
+                      list(self.order), set(self.right), dict(self.genealogy),
+                      self.lit_negcomp.copy(), set(self.applied),
+                      dict(self.decomposed_with), self._fresh)
 
-    def is_descendant_of_right_root(self, z):
-        y = self.root_right
-        cur = z
-        while cur in self.genealogy:
-            rec = self.genealogy[cur]
-            if rec.rule == RULE_CMPL_COMP_UNIV:
-                return False
-            if rec.parent == y:
-                return True
-            cur = rec.parent
-        return False
+    def introduce(self, premise):
+        """Introduce the fresh witness of the complemented composition
+        ``premise`` and return it.
 
-
-def var_order(branch):
-    """Total order on the branch variables.
-
-    The left root endpoint comes first, then generated variables that are
-    not descendants of the right endpoint in introduction order, then the
-    right endpoint, then its descendants in introduction order.  A
-    variable's genealogy never changes, so each is classified once, on the
-    first call after its introduction.
-    """
-    before, after = branch._before, branch._after
-    for w in branch.vars[2 + len(before) + len(after):]:
-        (after if branch.is_descendant_of_right_root(w) else before).append(w)
-    return [branch.root_left, *before, branch.root_right, *after]
+        The branch order puts the left root first, then the generated
+        variables that do not descend from the right root, then the right
+        root, then its descendants, each group in introduction order.  A
+        variable descends from the right root when its premise's left
+        endpoint does (or is that root) and its rule is not
+        ``cmpl-comp-univ``.
+        """
+        self._fresh[0] += 1
+        z = f"z{self._fresh[0]}"
+        self.vars.append(z)
+        self.genealogy[z] = premise
+        self.decomposed_with[premise] = z
+        if premise.left in self.right and rule_of(premise.term) != RULE_CMPL_COMP_UNIV:
+            self.right.add(z)
+            self.order.append(z)
+        else:
+            self.order.insert(len(self.order) - len(self.right), z)
+        return z
 
 
 def blocker_literals(branch, blocker, w):
@@ -284,7 +282,7 @@ def applications(branch, z):
             yield (rule, f, None) if blocker is None else ("blocked", f, blocker)
     for f, _ in comp_bool:
         forced = history.forced(Cmpl(f.term.left), z)
-        for w in var_order(branch) if forced else ():
+        for w in branch.order if forced else ():
             if w in forced and (RULE_COMP_BOOL, f, w) not in applied:
                 yield RULE_COMP_BOOL, f, w
     for f, _ in comp_univ:
@@ -303,20 +301,19 @@ def branch_saturated(branch):
 def apply_rule(branch, rule, f, z=None):
     """Carry out one application that :func:`applications` yielded.
 
-    Returns the successor formula sets (two for the branching rules) and
-    the variable of the step: the instance ``z`` of a composition, the
-    fresh witness of a complemented composition, None otherwise.  A
-    composition keeps its premise and gains ``z S y``; any other premise
-    leaves the node and stays in the branch history.  Nothing is checked
-    here: the scan has already decided that the rule applies.
+    Returns the step's conclusions, one group of formulas per successor
+    (two for the branching rules), and the variable of the step: the
+    instance ``z`` of a composition, the fresh witness of a complemented
+    composition, None otherwise.  A composition concludes ``z S y`` and
+    keeps its premise; any other premise leaves the node and stays in the
+    branch history.  Nothing is checked here: the scan has already decided
+    that the rule applies.
     """
     branch.applied.add((rule, f, z))
-    if rule in _COMP_RULES:
-        succ = branch.node.copy()
-        succ.add(RelFormula(z, f.term.right, f.right))
-        return [succ], z
     x, y = f.left, f.right
     match f.term:
+        case Comp(_, s):
+            groups = [[RelFormula(z, s, y)]]
         case Union(l, r):
             groups = [[RelFormula(x, l, y), RelFormula(x, r, y)]]
         case Inter(l, r):
@@ -328,23 +325,14 @@ def apply_rule(branch, rule, f, z=None):
         case Cmpl(Inter(l, r)):
             groups = [[RelFormula(x, Cmpl(l), y), RelFormula(x, Cmpl(r), y)]]
         case Cmpl(Comp(b, s)):
-            z = branch.alloc_var()
-            branch.vars.append(z)
-            branch.genealogy[z] = GenRecord(f, x, rule)
-            branch.decomposed_with[f] = z
+            z = branch.introduce(f)
             group = []
             if rule != RULE_CMPL_COMP_UNIV:
                 group.append(RelFormula(x, Cmpl(b), z))
             if rule != RULE_CMPL_COMP_ONE:
                 group.append(RelFormula(z, Cmpl(s), y))
             groups = [group]
-    successors = []
-    for group in groups:
-        succ = FormulaSet(branch.node)
-        del succ[f]
-        succ.update(group)
-        successors.append(succ)
-    return successors, z
+    return groups, z
 
 
 def extract_model(branch):
@@ -517,7 +505,7 @@ class ProofSearch:
         formulas the scan passed are then recorded for the countermodel.
         """
         blocked = []
-        for z in var_order(branch):
+        for z in branch.order:
             for app in applications(branch, z):
                 if app[0] != "blocked":
                     return z
@@ -539,7 +527,7 @@ class ProofSearch:
         if self.tree.steps > self.max_steps:
             raise ResourceExhausted(f"step cap of {self.max_steps} exceeded")
         parent, before = branch.node, len(branch.applied)
-        successors, inst = apply_rule(branch, rule, f, inst)
+        groups, inst = apply_rule(branch, rule, f, inst)
         if len(branch.vars) > self.max_vars:
             raise ResourceExhausted(f"variable cap of {self.max_vars} exceeded")
         if len(branch.vars) > self.var_bound + 2:
@@ -547,24 +535,34 @@ class ProofSearch:
                 f"branch variables exceeded the bound {self.var_bound + 2}"
             )
         self.tree.max_vars = max(self.tree.max_vars, len(branch.vars))
-        children = [self.tree.new_node(leaf, succ, rule, f, inst)
-                    for succ in successors]
+        # each successor: the parent in order, minus the premise unless the
+        # rule is a composition, plus the group's formulas not already there
+        removed = () if rule in _COMP_RULES else (f,)
+        children = []
+        for group in groups:
+            succ = FormulaSet(parent)
+            for g in removed:
+                del succ[g]
+            added = [g for g in group if succ.add(g)]
+            children.append((self.tree.new_node(leaf, succ, rule, f, inst), added))
         self._emit(rule, f, inst)
         if len(children) == 2:
             self.tree.branch_count += 1
-            fork = branch.fork(children[1].formulas)
-            self._enter(fork, children[1].formulas, parent, rule, before)
-            self._stack.append((fork, children[1]))
-        self._enter(branch, children[0].formulas, parent, rule, before)
-        return children[0]
+            child, added = children[1]
+            fork = branch.fork(child.formulas)
+            self._enter(fork, child.formulas, added, removed, rule, before)
+            self._stack.append((fork, child))
+        child, added = children[0]
+        self._enter(branch, child.formulas, added, removed, rule, before)
+        return child
 
-    def _enter(self, branch, node, parent, rule, before):
-        """Make ``node``, a successor of ``parent``, the branch's leaf."""
-        added = [g for g in node if g not in parent]
+    def _enter(self, branch, node, added, removed, rule, before):
+        """Make ``node`` the branch's leaf: its parent, the old leaf, with
+        the formulas ``removed`` taken out and ``added`` put in."""
         branch.node = node
         branch.node_axiomatic = is_axiomatic(node, added)
         self._admit(branch, added)
-        self._check_progress(rule, branch, parent, node, added, before)
+        self._check_progress(rule, branch, added, removed, before)
 
     def _admit(self, branch, formulas):
         """Record formulas in the branch history, checking the component
@@ -582,7 +580,7 @@ class ProofSearch:
                 )
             branch.history.add(f)
 
-    def _check_progress(self, rule, branch, parent, node, added, before):
+    def _check_progress(self, rule, branch, added, removed, before):
         """A composition step must record a new instance; any other step
         must lower the node weight, taken from what entered and left the
         node."""
@@ -592,7 +590,7 @@ class ProofSearch:
         else:
             w = self.weights
             delta = (sum(w[g.term] for g in added)
-                     - sum(w[g.term] for g in parent if g not in node))
+                     - sum(w[g.term] for g in removed))
             if delta >= 0:
                 raise EngineInvariantError(
                     f"rule {rule} did not decrease the node weight"

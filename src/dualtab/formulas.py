@@ -14,10 +14,13 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import NotBoolean
-from .terms import Cmpl, Inter, One, Union, Var, nf_cmpl, render_term
+from .errors import NotBoolean, ParseError
+from .terms import (Cmpl, Inter, One, Union, Var, _Parser, _Tokenizer, nf_cmpl,
+                    parse_term, render_term)
 
 ObjVar = str
+
+DEFAULT_LEFT, DEFAULT_RIGHT = "x", "y"  # the endpoints of a bare term
 
 
 class RelFormula(namedtuple("RelFormula", "left term right")):
@@ -171,17 +174,15 @@ class History(FormulaSet):
         return found
 
 
-def parse_formula(text, default_left="x", default_right="y"):
+def parse_formula(text):
     """Parse ``"IDENT TERM IDENT"`` or a bare term.
 
-    A bare term gets the distinguished endpoints; validity of ``x R y``
-    does not depend on how the endpoints are named.
+    A bare term gets the distinguished endpoints ``DEFAULT_LEFT`` and
+    ``DEFAULT_RIGHT``; validity of ``x R y`` does not depend on how the
+    endpoints are named.
     """
-    from .errors import ParseError
-    from .terms import _Parser, _Tokenizer, parse_term
-
     try:
-        return RelFormula(default_left, parse_term(text), default_right)
+        return RelFormula(DEFAULT_LEFT, parse_term(text), DEFAULT_RIGHT)
     except ParseError as bare_error:
         try:
             tz = _Tokenizer(text)

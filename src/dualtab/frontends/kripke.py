@@ -64,8 +64,11 @@ def eval_modal(f, km, world):
             return any(eval_modal(a, km, u) for w, u in rel if w == world)
 
 
+BUDGET_BITS = 26  # enumerated accessibility and valuation bits accepted
+
+
 def kripke_countermodel(f, max_worlds, *, accessibility=None, propositions=None,
-                        budget_bits=26, memo=None):
+                        memo=None):
     """First pointed model refuting ``f`` with at most ``max_worlds`` worlds.
 
     Enumerates universe sizes ascending; for each size, accessibility
@@ -76,16 +79,17 @@ def kripke_countermodel(f, max_worlds, *, accessibility=None, propositions=None,
 
     ``accessibility``/``propositions`` widen or pin the enumerated
     vocabulary; a shared ``memo`` dict may be passed to reuse truth tables
-    across formulas, and is only sound for a fixed vocabulary.
+    across formulas, and is only sound for a fixed vocabulary.  Refuses
+    (``BudgetExceeded``) a size whose bits exceed :data:`BUDGET_BITS`.
     """
     accs = list(accessibility) if accessibility is not None else accessibility_of(f)
     props = list(propositions) if propositions is not None else propositions_of(f)
     for n in range(1, max_worlds + 1):
         bits = n * n * len(accs) + n * len(props)
-        if bits > budget_bits:
+        if bits > BUDGET_BITS:
             raise BudgetExceeded(
                 f"{len(accs)} relations and {len(props)} propositions over "
-                f"{n} worlds exceed the oracle budget of {budget_bits} bits"
+                f"{n} worlds exceed the oracle budget of {BUDGET_BITS} bits"
             )
         hit = _search_size(f, accs, props, n, memo)
         if hit is not None:

@@ -47,57 +47,42 @@ class _Formula:
         parts = (getattr(self, name) for name in self.__match_args__)
         object.__setattr__(self, "depth", 1 + max(getattr(p, "depth", 0) for p in parts))
 
-
-@dataclass(frozen=True, slots=True)
-class Prop(_Formula):
-    name: str
-
-    def __repr__(self):
-        return self.name
-
-
-@dataclass(frozen=True, slots=True)
-class Not(_Formula):
-    arg: "ModalFormula"
-
     def __repr__(self):
         return render_modal(self)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
+class Prop(_Formula):
+    name: str
+
+
+@dataclass(frozen=True, slots=True, repr=False)
+class Not(_Formula):
+    arg: "ModalFormula"
+
+
+@dataclass(frozen=True, slots=True, repr=False)
 class And(_Formula):
     left: "ModalFormula"
     right: "ModalFormula"
 
-    def __repr__(self):
-        return render_modal(self)
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Or(_Formula):
     left: "ModalFormula"
     right: "ModalFormula"
 
-    def __repr__(self):
-        return render_modal(self)
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Box(_Formula):
     program: RelTerm
     arg: "ModalFormula"
 
-    def __repr__(self):
-        return render_modal(self)
 
-
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, repr=False)
 class Dia(_Formula):
     program: RelTerm
     arg: "ModalFormula"
-
-    def __repr__(self):
-        return render_modal(self)
 
 
 ModalFormula = Prop | Not | And | Or | Box | Dia

@@ -159,9 +159,10 @@ def model_from_json(data):
 _WORD_BITS = 64
 _ALL_ONES = np.uint64(0xFFFFFFFFFFFFFFFF)
 _INNER_BITS_MAX = 22  # packed axis capped at 2^22 combinations
+BUDGET_BITS = 28  # enumerated interpretation bits the oracle accepts
 
 
-def brute_force_countermodel(term, max_universe, *, budget_bits=28):
+def brute_force_countermodel(term, max_universe):
     """First model and valuation falsifying ``x term y``, or None.
 
     Enumerates universes of size 1..max_universe; for each size, every
@@ -172,14 +173,14 @@ def brute_force_countermodel(term, max_universe, *, budget_bits=28):
     :func:`satisfies` before being returned.
 
     Refuses (``BudgetExceeded``) when ``variables * size**2`` exceeds
-    ``budget_bits`` for a size that the search actually reaches.
+    :data:`BUDGET_BITS` for a size that the search actually reaches.
     """
     names = term_variables(term)
     for n in range(1, max_universe + 1):
-        if len(names) * n * n > budget_bits:
+        if len(names) * n * n > BUDGET_BITS:
             raise BudgetExceeded(
                 f"{len(names)} variables over a universe of {n} exceed the "
-                f"oracle budget of {budget_bits} bits"
+                f"oracle budget of {BUDGET_BITS} bits"
             )
         hit = _search_universe(term, names, n)
         if hit is not None:

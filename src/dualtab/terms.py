@@ -60,9 +60,18 @@ def _interned(cls, *fields):
     return t
 
 
+def interned(cls, *fields):
+    """The live term ``cls(*fields)``, or None if there is none; creates
+    nothing."""
+    return _INTERNED.get((cls, *fields))
+
+
 class _Term:
     # ``nf`` memoises nf_cmpl(t) for a Boolean ``t`` not in normal form.
     __slots__ = ("depth", "size", "boolean", "cnf", "plain", "nf", "__weakref__")
+
+    def __repr__(self):
+        return render_term(self)
 
 
 class One(_Term):
@@ -74,9 +83,6 @@ class One(_Term):
     def __new__(cls):
         return _interned(cls)
 
-    def __repr__(self):
-        return "1"
-
 
 class Var(_Term):
     __slots__ = ("name",)
@@ -84,9 +90,6 @@ class Var(_Term):
 
     def __new__(cls, name):
         return _interned(cls, name)
-
-    def __repr__(self):
-        return self.name
 
 
 class _Unary(_Term):
@@ -96,9 +99,6 @@ class _Unary(_Term):
     def __new__(cls, arg):
         return _interned(cls, arg)
 
-    def __repr__(self):
-        return render_term(self)
-
 
 class _Binary(_Term):
     __slots__ = ("left", "right")
@@ -106,9 +106,6 @@ class _Binary(_Term):
 
     def __new__(cls, left, right):
         return _interned(cls, left, right)
-
-    def __repr__(self):
-        return render_term(self)
 
 
 class Cmpl(_Unary):

@@ -9,7 +9,7 @@ import pytest
 
 import dualtab
 from conftest import build_corpus, family_text
-from dualtab.cli import main
+from dualtab.cli import _tree_lines, main
 from dualtab.errors import EngineInvariantError
 from dualtab.terms import MAX_DEPTH, render_term
 
@@ -244,6 +244,18 @@ class TestOutputBytes:
                 digest.update(f"{code}\n{out}".encode())
         assert digest.hexdigest() == (
             "1a92752aac4de5f3183468072190690948a023cab22af1be4064112c5f7424d6")
+
+
+    def test_deep_proof_tree_prints_in_text_mode(self):
+        # a branch of 2 000 nodes is deeper than the interpreter's stack
+        n = 2000
+        nodes = [{"id": i, "formulas": [["x", "r", "y"]] if i else [],
+                  "rule": "union" if i else None, "closed": i == n - 1,
+                  "children": [i + 1] if i < n - 1 else []} for i in range(n)]
+        lines = _tree_lines(nodes)
+        assert lines[:2] == ["(0) {}", "  (1) [union] {x r y}"]
+        assert lines[-1] == "  " * (n - 1) + f"({n - 1}) [union] {{x r y}}  *closed*"
+        assert len(lines) == n
 
 
 class TestRobustness:

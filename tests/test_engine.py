@@ -5,15 +5,14 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import build_corpus, family_text, fragment_term_strategy
-from dualtab import engine
-from dualtab.engine import (Branch, Countermodel, GenRecord, Proof,
-                            RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
-                            RULE_CMPL_COMP_UNIV, RULE_COMP_BOOL,
-                            RULE_COMP_UNIV, RULE_DOUBLE_CMPL, RULE_INTER,
-                            RULE_UNION, applications, apply_rule,
+from dualtab import engine, terms
+from dualtab.engine import (Branch, Countermodel, Proof, RULE_CMPL_COMP,
+                            RULE_CMPL_COMP_ONE, RULE_CMPL_COMP_UNIV,
+                            RULE_COMP_BOOL, RULE_COMP_UNIV, RULE_DOUBLE_CMPL,
+                            RULE_INTER, RULE_UNION, applications, apply_rule,
                             branch_saturated, extract_model, is_axiomatic,
                             is_blocked, record_blocked_literals, rule_of,
-                            run_procedure, var_order, verdict_to_json, weight)
+                            run_procedure, verdict_to_json, weight)
 from dualtab.errors import (BranchNotSaturated, EngineInvariantError,
                             FragmentViolation, ResourceExhausted)
 from dualtab.formulas import FormulaSet, RelFormula, v_set
@@ -67,36 +66,52 @@ class TestIsAxiomatic:
         node = FormulaSet([F("x", "r", "y"), F("y", "-r", "x")])
         assert not is_axiomatic(node)
 
+    def test_builds_no_complement_to_look_for(self, monkeypatch):
+        # no formula can hold a complement that is not a live term, so
+        # looking for one must not create it
+        node = FormulaSet([F("x", "(ax_r ; 1) | ax_s", "y"),
+                           F("x", "-(ax_r & ax_s)", "z")])
+        created = []
+        interned = terms._interned
+
+        def counting(cls, *fields):
+            if terms._INTERNED.get((cls, *fields)) is None:
+                created.append((cls, fields))
+            return interned(cls, *fields)
+
+        monkeypatch.setattr(terms, "_interned", counting)
+        assert not is_axiomatic(node)
+        assert not is_axiomatic(node, list(node))
+        assert created == []
+
 
 class TestVarOrder:
     def test_endpoints_only(self):
         b = Branch.initial(F("x", "r", "y"))
-        assert var_order(b) == ["x", "y"]
+        assert b.order == ["x", "y"]
 
     def test_descendant_of_the_right_endpoint_comes_last(self):
         b = Branch.initial(F("x", "-(r ; (s ; 1))", "y"))
         gen_x = F("x", "-(r ; (s ; 1))", "y")
         gen_y = F("y", "-(s ; 1)", "y")
-        b.vars += ["z1", "z2"]
-        b.genealogy["z1"] = GenRecord(gen_x, "x", RULE_CMPL_COMP)
-        b.genealogy["z2"] = GenRecord(gen_y, "y", RULE_CMPL_COMP_ONE)
-        assert var_order(b) == ["x", "z1", "y", "z2"]
+        assert b.introduce(gen_x) == "z1"
+        assert b.introduce(gen_y) == "z2"
+        assert b.genealogy == {"z1": gen_x, "z2": gen_y}
+        assert b.decomposed_with == {gen_x: "z1", gen_y: "z2"}
+        assert b.vars == ["x", "y", "z1", "z2"]
+        assert b.order == ["x", "z1", "y", "z2"]
 
     def test_universal_rule_variable_is_not_a_descendant(self):
         b = Branch.initial(F("x", "-(1 ; (s ; 1))", "y"))
-        b.vars.append("z1")
-        b.genealogy["z1"] = GenRecord(F("x", "-(1 ; (s ; 1))", "y"), "x",
-                                      RULE_CMPL_COMP_UNIV)
-        assert var_order(b) == ["x", "z1", "y"]
+        b.introduce(F("y", "-(1 ; (s ; 1))", "y"))
+        assert b.order == ["x", "z1", "y"]
 
     def test_chained_descendants(self):
         b = Branch.initial(F("x", "r", "y"))
-        b.vars += ["z1", "z2"]
-        b.genealogy["z1"] = GenRecord(F("y", "-(r ; (s ; 1))", "y"), "y",
-                                      RULE_CMPL_COMP)
-        b.genealogy["z2"] = GenRecord(F("z1", "-(s ; 1)", "y"), "z1",
-                                      RULE_CMPL_COMP_ONE)
-        assert var_order(b) == ["x", "y", "z1", "z2"]
+        b.introduce(F("y", "-(r ; (s ; 1))", "y"))
+        b.introduce(F("z1", "-(s ; 1)", "y"))
+        b.introduce(F("x", "-(s ; 1)", "y"))
+        assert b.order == ["x", "z3", "y", "z1", "z2"]
 
 
 class TestApplyBoolean:
@@ -104,32 +119,35 @@ class TestApplyBoolean:
         f = F("x", "r | s", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_UNION, f, None)]
-        succs, var = apply_rule(b, RULE_UNION, f)
+        groups, var = apply_rule(b, RULE_UNION, f)
         assert var is None
-        assert len(succs) == 1
-        assert list(succs[0]) == [F("x", "r", "y"), F("x", "s", "y")]
+        assert groups == [[F("x", "r", "y"), F("x", "s", "y")]]
 
     def test_intersection_branches(self):
         f = F("x", "r & s", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_INTER, f, None)]
-        succs, _ = apply_rule(b, RULE_INTER, f)
-        assert [list(s) for s in succs] == [[F("x", "r", "y")], [F("x", "s", "y")]]
+        groups, _ = apply_rule(b, RULE_INTER, f)
+        assert groups == [[F("x", "r", "y")], [F("x", "s", "y")]]
 
     def test_double_complement(self):
         f = F("x", "--r", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_DOUBLE_CMPL, f, None)]
-        succs, _ = apply_rule(b, RULE_DOUBLE_CMPL, f)
-        assert list(succs[0]) == [F("x", "r", "y")]
+        groups, _ = apply_rule(b, RULE_DOUBLE_CMPL, f)
+        assert groups == [[F("x", "r", "y")]]
 
     def test_keeps_other_formulas(self):
+        # the successor is the parent in order, minus the premise, plus
+        # the conclusions that are new
         other, f = F("x", "p", "y"), F("x", "r | s", "y")
-        b = Branch.initial(other)
-        b.node.add(f)
-        succs, _ = apply_rule(b, RULE_UNION, f)
-        assert other in succs[0]
-        assert f not in succs[0]
+        tree = prove("(r | p) | (r | s)").tree
+        assert [n.premise for n in tree.nodes[2:4]] == [
+            F("x", "r | p", "y"), f]
+        assert list(tree.nodes[2].formulas) == [F("x", "r | s", "y"),
+                                                F("x", "r", "y"), other]
+        assert list(tree.nodes[3].formulas) == [F("x", "r", "y"), other,
+                                                F("x", "s", "y")]
 
     def test_not_applicable_on_literal(self):
         b = Branch.initial(F("x", "r", "y"))
@@ -141,28 +159,28 @@ class TestApplyNegcomp:
         f = F("x", "-(r ; (s ; 1))", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_CMPL_COMP, f, None)]
-        succs, fresh = apply_rule(b, RULE_CMPL_COMP, f)
+        groups, fresh = apply_rule(b, RULE_CMPL_COMP, f)
         assert fresh == "z1"
-        assert [list(s) for s in succs] == [[F("x", "-r", "z1"),
-                                             F("z1", "-(s ; 1)", "y")]]
+        assert groups == [[F("x", "-r", "z1"), F("z1", "-(s ; 1)", "y")]]
         assert b.decomposed_with[f] == "z1"
-        assert b.genealogy["z1"].parent == "x"
+        assert b.genealogy["z1"] == f
+        assert b.order == ["x", "z1", "y"]
         assert offered(b, "x") == []
 
     def test_right_constant_adds_left_part_only(self):
         f = F("x", "-(r ; 1)", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_CMPL_COMP_ONE, f, None)]
-        succs, fresh = apply_rule(b, RULE_CMPL_COMP_ONE, f)
-        assert [list(s) for s in succs] == [[F("x", "-r", fresh)]]
+        groups, fresh = apply_rule(b, RULE_CMPL_COMP_ONE, f)
+        assert groups == [[F("x", "-r", fresh)]]
 
     def test_left_constant_adds_right_part_only(self):
         f = F("x", "-(1 ; (s ; 1))", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_CMPL_COMP_UNIV, f, None)]
-        succs, fresh = apply_rule(b, RULE_CMPL_COMP_UNIV, f)
-        assert [list(s) for s in succs] == [[F(fresh, "-(s ; 1)", "y")]]
-        assert not b.is_descendant_of_right_root(fresh)
+        groups, fresh = apply_rule(b, RULE_CMPL_COMP_UNIV, f)
+        assert groups == [[F(fresh, "-(s ; 1)", "y")]]
+        assert fresh not in b.right
 
     def test_fully_constant_shape_is_inert(self):
         f = F("x", "-(1 ; 1)", "y")
@@ -172,11 +190,9 @@ class TestApplyNegcomp:
     def test_left_constant_suppressed_by_existing_instance(self):
         f = F("x", "-(1 ; (s ; 1))", "y")
         b = Branch.initial(f)
-        b.vars.append("z9")
-        b.genealogy["z9"] = GenRecord(F("x", "-(r ; (s ; 1))", "y"), "x",
-                                      RULE_CMPL_COMP)
+        z = b.introduce(F("x", "-(r ; (s ; 1))", "y"))
         assert offered(b, "x") == [(RULE_CMPL_COMP_UNIV, f, None)]
-        b.history.add(F("z9", "-(s ; 1)", "y"))
+        b.history.add(F(z, "-(s ; 1)", "y"))
         assert offered(b, "x") == []
 
     def test_blocked_formula_records_renamed_literals(self):
@@ -242,21 +258,21 @@ class TestApplyCompA:
     def forced_branch(self, text):
         f = F("x", text, "y")
         b = Branch.initial(f)
-        b.vars.append("z1")
+        b.introduce(F("x", "-(r ; 1)", "y"))
         b.history.add(F("x", "-r", "z1"))
         return b, f
 
     def test_adds_instantiated_right_part(self):
         b, f = self.forced_branch("r ; (s ; 1)")
-        succs, var = apply_rule(b, RULE_COMP_BOOL, f, "z1")
+        groups, var = apply_rule(b, RULE_COMP_BOOL, f, "z1")
         assert var == "z1"
-        assert F("z1", "s ; 1", "y") in succs[0]
-        assert f in succs[0]
+        assert groups == [[F("z1", "s ; 1", "y")]]
 
     def test_right_constant_closes_the_node(self):
         b, f = self.forced_branch("r ; 1")
-        succs, _ = apply_rule(b, RULE_COMP_BOOL, f, "z1")
-        assert is_axiomatic(succs[0])
+        groups, _ = apply_rule(b, RULE_COMP_BOOL, f, "z1")
+        assert groups == [[F("z1", "1", "y")]]
+        assert is_axiomatic(FormulaSet(groups[0]))
 
     def test_same_variable_only_once(self):
         b, f = self.forced_branch("r ; (s ; 1)")
@@ -269,7 +285,7 @@ class TestApplyCompA:
         b = Branch.initial(f)
         assert offered(b, "x") == []
         b, f = self.forced_branch("r ; (s ; 1)")
-        b.vars.append("z2")  # z2 is on the branch, but x -r z2 is not
+        b.introduce(F("x", "-(s ; 1)", "y"))  # z2, but x -r z2 is not on the branch
         assert [w for _, _, w in offered(b, "x")] == ["z1"]
 
 
@@ -278,19 +294,19 @@ class TestApplyCompB:
         f = F("x", "1 ; (r ; 1)", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_COMP_UNIV, f, "x")]
-        succs, var = apply_rule(b, RULE_COMP_UNIV, f, "x")
+        groups, var = apply_rule(b, RULE_COMP_UNIV, f, "x")
         assert var == "x"
-        assert F("x", "r ; 1", "y") in succs[0]
-        assert f in succs[0]
+        assert groups == [[F("x", "r ; 1", "y")]]
 
     def test_then_with_right_endpoint(self):
         f = F("x", "1 ; (r ; 1)", "y")
         b = Branch.initial(f)
-        (b.node,), _ = apply_rule(b, RULE_COMP_UNIV, f, "x")
-        b.history.add(F("x", "r ; 1", "y"))
+        (group,), _ = apply_rule(b, RULE_COMP_UNIV, f, "x")
+        b.node.update(group)
+        b.history.update(group)
         assert offered(b, "y") == [(RULE_COMP_UNIV, f, "y")]
-        succs, _ = apply_rule(b, RULE_COMP_UNIV, f, "y")
-        assert F("y", "r ; 1", "y") in succs[0]
+        groups, _ = apply_rule(b, RULE_COMP_UNIV, f, "y")
+        assert groups == [[F("y", "r ; 1", "y")]]
 
     def test_existing_instance_not_repeated(self):
         f = F("x", "1 ; (r ; 1)", "y")

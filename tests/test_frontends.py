@@ -2,6 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_modal
+
 from dualtab.engine import Countermodel, Proof, run_procedure
 from dualtab.errors import BudgetExceeded, EmptyPremises, FragmentViolation, ParseError
 from dualtab.formulas import RelFormula
@@ -178,9 +180,10 @@ class TestModalParser:
     def test_render_round_trip(self):
         import random
 
-        for seed in range(40):
-            f = random_modal(random.Random(seed), 4)
+        formulas = [random_modal(random.Random(seed), 4) for seed in range(40)]
+        for f in formulas + all_modal(3):
             assert parse_modal(render_modal(f)) == f
+            assert repr(f) == render_modal(f)
 
     def test_depth(self):
         assert parse_modal("p").depth == 1

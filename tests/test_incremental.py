@@ -1,28 +1,43 @@
 """The engine's incremental search state against its from-scratch meaning.
 
 A search is driven to its verdict; after every rule application, on the
-branch that took it (and on a fork it made), each index the history and
-the branch keep up to date is compared with a plain recomputation over
-the whole history: the branch's variables, the per-key formula lists,
-every forced set the node's compositions ask for, the variable order,
-and the blocking verdict of every complemented composition on the node.
+branch that took it (and on a fork it made), the formulas the step says
+it added to and removed from the node are compared with a diff of the
+node against its parent, and each index the history and the branch keep
+up to date is compared with a plain recomputation over the whole history:
+the branch's variables, the per-key formula lists, every forced set the
+node's compositions ask for, the variable order, and the blocking verdict
+of every complemented composition on the node.
 """
 
 import pytest
 
 from conftest import family_text
-from dualtab.engine import (RULE_COMP_BOOL, ProofSearch, Proof, is_blocked,
-                            rule_of, var_order)
+from dualtab.engine import (RULE_CMPL_COMP_UNIV, RULE_COMP_BOOL, ProofSearch,
+                            Proof, is_blocked, rule_of)
 from dualtab.formulas import (FormulaSet, History, RelFormula,
                               has_nbool_construction, v_set, variables_of)
 from dualtab.frontends import parse_modal, translate_modal
 from dualtab.terms import ONE, Cmpl, Comp, Inter, Var
 
 
+def descends_from_right_root(branch, w):
+    """Walk the genealogy of ``w`` up: through premises' left endpoints,
+    until the right root, a root, or a ``cmpl-comp-univ`` witness."""
+    while w in branch.genealogy:
+        premise = branch.genealogy[w]
+        if rule_of(premise.term) == RULE_CMPL_COMP_UNIV:
+            return False
+        if premise.left == branch.root_right:
+            return True
+        w = premise.left
+    return False
+
+
 def scratch_order(branch):
     x, y = branch.root_left, branch.root_right
     rest = branch.vars[2:]
-    after = [w for w in rest if branch.is_descendant_of_right_root(w)]
+    after = [w for w in rest if descends_from_right_root(branch, w)]
     before = [w for w in rest if w not in after]
     return [x, *before, y, *after]
 
@@ -74,17 +89,24 @@ def check_branch(branch):
             blocker = scratch_blocked(f, branch)
             assert is_blocked(f, twin) == blocker
             CheckedSearch.blocked += blocker is not None
-    assert var_order(twin) == scratch_order(branch)
+    assert twin.order == scratch_order(branch)
 
 
 class CheckedSearch(ProofSearch):
-    """A proof search that checks every index after each step."""
+    """A proof search that checks the step's delta and every index after
+    each step."""
 
     checked_steps = 0
     blocked = 0  # blocking verdicts that found a blocker, over all searches
 
-    def _enter(self, branch, node, *args):
-        super()._enter(branch, node, *args)
+    def _apply(self, branch, leaf, app):
+        self.parent = leaf.formulas
+        return super()._apply(branch, leaf, app)
+
+    def _enter(self, branch, node, added, removed, *args):
+        assert added == [g for g in node if g not in self.parent]
+        assert list(removed) == [g for g in self.parent if g not in node]
+        super()._enter(branch, node, added, removed, *args)
         check_branch(branch)
         self.checked_steps += 1
 

@@ -373,6 +373,7 @@ def assert_attributes_match_reference(roots):
             ref_boolean(u), ref_cnf(u), ref_plain(u), ref_depth(u), ref_size(u)), u
         assert (is_boolean(u), is_cnf(u), is_plain_boolean(u), term_depth(u),
                 term_size(u)) == (u.boolean, u.cnf, u.plain, u.depth, u.size)
+        assert repr(u) == render_term(u)
         try:
             expected = ref_nf_cmpl(u)
         except NotBoolean as exc:
