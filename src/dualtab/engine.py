@@ -140,9 +140,9 @@ class Branch:
     at-most-once-per-premise discipline.
     """
 
-    __slots__ = ("node", "history", "vars", "order", "right", "root_left",
-                 "root_right", "genealogy", "lit_negcomp", "applied",
-                 "decomposed_with", "_fresh", "node_axiomatic")
+    __slots__ = ("node", "history", "vars", "order", "right", "root_right",
+                 "genealogy", "lit_negcomp", "applied", "decomposed_with",
+                 "_fresh", "node_axiomatic")
 
     def __init__(self, node, history, vars, order, right, genealogy,
                  lit_negcomp, applied, decomposed_with, fresh):
@@ -151,7 +151,7 @@ class Branch:
         self.vars = vars
         self.order = order
         self.right = right
-        self.root_left, self.root_right = vars[:2]
+        self.root_right = vars[1]
         self.genealogy = genealogy
         self.lit_negcomp = lit_negcomp
         self.applied = applied

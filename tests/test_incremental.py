@@ -35,7 +35,7 @@ def descends_from_right_root(branch, w):
 
 
 def scratch_order(branch):
-    x, y = branch.root_left, branch.root_right
+    x, y = branch.vars[:2]
     rest = branch.vars[2:]
     after = [w for w in rest if descends_from_right_root(branch, w)]
     before = [w for w in rest if w not in after]
