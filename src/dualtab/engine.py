@@ -9,14 +9,17 @@ order) that still has work and applies, in order: the Boolean rules, the
 complemented-composition rules, the composition rule gated by forced
 literals, and the universal-composition rule instantiated with that
 variable.  :func:`applications` alone decides what applies at a variable,
-and :func:`apply_rule` carries out each application it yields, returning
-its conclusions, one group per successor.  The search builds each
-successor from the parent and a group, and passes what entered and left
-the node to the history and the progress check.  :meth:`Branch.introduce`
-places each fresh witness in the branch order once.  Complemented
-compositions are suppressed when an already decomposed twin *blocks*
-them; the literals their decomposition would have produced are recorded
-instead and feed the countermodel.
+reading only the branch's agenda: the node's formulas with work, grouped
+by left variable and phase.  :func:`apply_rule` carries out each
+application it yields, returning its conclusions, one group per
+successor.  The search builds each successor from the parent and a
+group, and passes what entered and left the node to
+:meth:`Branch.enter`, which keeps the agenda, and to the history and
+the progress check.  :meth:`Branch.introduce` places each fresh
+witness in the branch order once.  Complemented compositions are
+suppressed when an already decomposed twin *blocks* them; the literals
+their decomposition would have produced are recorded instead and feed
+the countermodel.
 
 If every branch closes the tree is a proof.  Otherwise the first
 saturated open branch yields a finite model and identity valuation that
@@ -108,6 +111,22 @@ def rule_of(t):
     return None
 
 
+@lru_cache(maxsize=65536)
+def gate_of(t):
+    """The term ``-B`` whose forced variables instantiate ``B;S``."""
+    return Cmpl(t.left)
+
+
+def agenda_entry(f):
+    """The rule that decomposes ``f`` and its group in a branch's agenda;
+    the group is None for a formula with no work."""
+    rule = rule_of(f.term)
+    phase = _PHASE.get(rule)
+    if phase is None:
+        return rule, None
+    return rule, (None if phase == 3 else f.left, phase)
+
+
 def is_axiomatic(formulas, added=None):
     """Whether a formula set contains ``x' 1 y'`` or a complementary pair.
 
@@ -138,14 +157,22 @@ class Branch:
     each such premise back to its variable; ``lit_negcomp`` collects the
     renamed literals of blocked formulas; ``applied`` enforces the
     at-most-once-per-premise discipline.
+
+    ``agenda`` holds the node's formulas with work, each group in node
+    order: the Boolean, complemented-composition and literal-gated
+    composition premises under ``(left, phase)``, the ``(1;S)`` premises
+    under ``(None, 3)``.  Each formula maps to its rule, except in the
+    literal-gated groups, where it maps to the number of its instances
+    applied.  The node changes only through :meth:`enter`, which keeps
+    the agenda in step with it.
     """
 
     __slots__ = ("node", "history", "vars", "order", "right", "root_right",
                  "genealogy", "lit_negcomp", "applied", "decomposed_with",
-                 "_fresh", "node_axiomatic")
+                 "_fresh", "node_axiomatic", "agenda")
 
     def __init__(self, node, history, vars, order, right, genealogy,
-                 lit_negcomp, applied, decomposed_with, fresh):
+                 lit_negcomp, applied, decomposed_with, fresh, agenda):
         self.node = node
         self.history = history
         self.vars = vars
@@ -158,21 +185,39 @@ class Branch:
         self.decomposed_with = decomposed_with
         self._fresh = fresh
         self.node_axiomatic = False
+        self.agenda = agenda
 
     @classmethod
     def initial(cls, formula):
         node = FormulaSet([formula])
         x, y = formula.left, formula.right
-        branch = cls(node, History(node), [x, y], [x, y], {y}, {},
-                     FormulaSet(), set(), {}, [0])
-        branch.node_axiomatic = is_axiomatic(node)
+        branch = cls(None, History(node), [x, y], [x, y], {y}, {},
+                     FormulaSet(), set(), {}, [0], {})
+        branch.enter(node, node, ())
         return branch
 
     def fork(self, node):
         return Branch(node, self.history.copy(), list(self.vars),
                       list(self.order), set(self.right), dict(self.genealogy),
                       self.lit_negcomp.copy(), set(self.applied),
-                      dict(self.decomposed_with), self._fresh)
+                      dict(self.decomposed_with), self._fresh,
+                      {key: dict(group) for key, group in self.agenda.items()
+                       if group})
+
+    def enter(self, node, added, removed):
+        """Make ``node`` the leaf: the old leaf with the formulas
+        ``removed`` taken out and ``added`` put in at the end."""
+        self.node = node
+        self.node_axiomatic = is_axiomatic(node, added)
+        agenda = self.agenda
+        for f in removed:
+            _, key = agenda_entry(f)
+            if key is not None:
+                del agenda[key][f]
+        for f in added:
+            rule, key = agenda_entry(f)
+            if key is not None:
+                agenda.setdefault(key, {})[f] = 0 if rule == RULE_COMP_BOOL else rule
 
     def introduce(self, premise):
         """Introduce the fresh witness of the complemented composition
@@ -260,18 +305,13 @@ def applications(branch, z):
     branch order; then the universal composition rule instantiated with
     ``z``.  A complemented composition that a twin blocks comes in its
     place as ``("blocked", f, blocker)``, which is not an application.
+    The formulas are read off the branch's agenda, not the node.
     """
-    applied, history = branch.applied, branch.history
-    boolean, negcomp, comp_bool, comp_univ = phases = ([], [], [], [])
-    for f in branch.node:
-        rule = rule_of(f.term)
-        phase = _PHASE.get(rule)
-        if phase is not None and (f.left == z or phase == 3):
-            phases[phase].append((f, rule))
-    for f, rule in boolean:
+    applied, history, agenda = branch.applied, branch.history, branch.agenda
+    for f, rule in agenda.get((z, 0), {}).items():
         if (rule, f, None) not in applied:
             yield rule, f, None
-    for f, rule in negcomp:
+    for f, rule in agenda.get((z, 1), {}).items():
         if (rule, f, None) in applied:
             continue
         if rule == RULE_CMPL_COMP_UNIV:
@@ -280,12 +320,14 @@ def applications(branch, z):
         else:
             blocker = is_blocked(f, branch)
             yield (rule, f, None) if blocker is None else ("blocked", f, blocker)
-    for f, _ in comp_bool:
-        forced = history.forced(Cmpl(f.term.left), z)
-        for w in branch.order if forced else ():
+    for f, count in agenda.get((z, 2), {}).items():
+        # forced sets only grow and only forced instances are applied, so
+        # a premise with as many instances as forced variables has none left
+        forced = history.forced(gate_of(f.term), z)
+        for w in branch.order if count < len(forced) else ():
             if w in forced and (RULE_COMP_BOOL, f, w) not in applied:
                 yield RULE_COMP_BOOL, f, w
-    for f, _ in comp_univ:
+    for f in agenda.get((None, 3), {}):
         if ((RULE_COMP_UNIV, f, z) not in applied
                 and RelFormula(z, f.term.right, f.right) not in history):
             yield RULE_COMP_UNIV, f, z
@@ -310,6 +352,8 @@ def apply_rule(branch, rule, f, z=None):
     that the rule applies.
     """
     branch.applied.add((rule, f, z))
+    if rule == RULE_COMP_BOOL:
+        branch.agenda[f.left, 2][f] += 1
     x, y = f.left, f.right
     match f.term:
         case Comp(_, s):
@@ -350,7 +394,9 @@ def extract_model(branch):
     universe = tuple(branch.vars)
     literals = [f for f in branch.history if is_literal(f)]
     literals.extend(branch.lit_negcomp)
-    names = sorted(set().union(*(term_variables(f.term) for f in branch.history)))
+    # every term on the branch is a component of the root formula's term,
+    # the history's first entry, so it has no variable the root term lacks
+    names = term_variables(next(iter(branch.history)).term)
     interp = {name: set() for name in names}
     positive = set()
     for f in literals:
@@ -559,8 +605,7 @@ class ProofSearch:
     def _enter(self, branch, node, added, removed, rule, before):
         """Make ``node`` the branch's leaf: its parent, the old leaf, with
         the formulas ``removed`` taken out and ``added`` put in."""
-        branch.node = node
-        branch.node_axiomatic = is_axiomatic(node, added)
+        branch.enter(node, added, removed)
         self._admit(branch, added)
         self._check_progress(rule, branch, added, removed, before)
 

@@ -41,7 +41,9 @@ class FormulaSet(dict):
     __slots__ = ()
 
     def __init__(self, items=()):
-        super().__init__(dict.fromkeys(items))
+        # a formula set is copied as a dict, which reuses its stored hashes
+        super().__init__(items if isinstance(items, FormulaSet)
+                         else dict.fromkeys(items))
 
     def add(self, f):
         """Insert ``f``; returns True iff it was not already present."""

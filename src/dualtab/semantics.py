@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import BudgetExceeded, UnboundVariable, UnknownVariableWarning
 from .formulas import RelFormula
-from .terms import Cmpl, Comp, Conv, Inter, One, Union, Var, term_variables
+from .terms import ONE, Cmpl, Comp, Conv, Inter, One, Union, Var, term_variables
 
 _ELEMENT_NAMES = "abcdefgh"
 
@@ -77,7 +77,7 @@ def eval_term(model, t, memo=None):
             else:
                 out = set(model.interp[name])
         case Cmpl(a):
-            out = model.all_pairs() - eval_term(model, a, memo)
+            out = eval_term(model, ONE, memo) - eval_term(model, a, memo)
         case Union(l, r):
             out = eval_term(model, l, memo) | eval_term(model, r, memo)
         case Inter(l, r):

@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import strategies as st
 
+from dualtab.engine import Countermodel, run_procedure
 from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop
 from dualtab.terms import (Cmpl, Comp, Conv, Inter, ONE, Union, Var,
                            fragment_check, parse_term, simplify_ones, term_depth)
@@ -104,6 +105,13 @@ def all_modal(depth):
 @pytest.fixture(scope="session")
 def fragment_corpus():
     return build_corpus()
+
+
+@pytest.fixture(scope="session")
+def corpus_countermodels(fragment_corpus):
+    """The corpus terms' verdicts that are countermodels; read them only."""
+    verdicts = (run_procedure(term) for term in fragment_corpus)
+    return [v for v in verdicts if isinstance(v, Countermodel)]
 
 
 def all_models(names, size, universe=("a", "b", "c", "d")):

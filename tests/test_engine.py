@@ -20,7 +20,7 @@ from dualtab.frontends import parse_modal, translate_modal
 from dualtab.semantics import (brute_force_countermodel, falsifies_branch,
                                satisfies)
 from dualtab.terms import (Cmpl, components, is_boolean, parse_term,
-                           simplify_ones)
+                           simplify_ones, term_variables)
 
 
 def F(left, text, right):
@@ -200,7 +200,7 @@ class TestApplyNegcomp:
         blocked = RelFormula("z2", parse_term(term_text), "y")
         blocker = RelFormula("z1", parse_term(term_text), "y")
         b = Branch.initial(F("x", "1 ; " + term_text, "y"))
-        b.node.add(blocked)
+        b.enter(FormulaSet([*b.node, blocked]), [blocked], ())
         for g in (blocker, blocked, F("z1", "-r", "w")):
             b.history.add(g)
         b.vars += ["z1", "w", "z2"]
@@ -302,7 +302,7 @@ class TestApplyCompB:
         f = F("x", "1 ; (r ; 1)", "y")
         b = Branch.initial(f)
         (group,), _ = apply_rule(b, RULE_COMP_UNIV, f, "x")
-        b.node.update(group)
+        b.enter(FormulaSet([*b.node, *group]), group, ())
         b.history.update(group)
         assert offered(b, "y") == [(RULE_COMP_UNIV, f, "y")]
         groups, _ = apply_rule(b, RULE_COMP_UNIV, f, "y")
@@ -487,6 +487,15 @@ class TestExtractModel:
         verdict = prove("r ; 1")
         model, valuation = extract_model(verdict.branch)
         assert valuation == {w: w for w in model.universe}
+
+    def test_names_are_those_of_the_whole_branch(self, corpus_countermodels):
+        # read off the root term alone, they are every relational variable
+        # of every formula the branch ever carried
+        for verdict in corpus_countermodels:
+            names = set().union(*(term_variables(f.term)
+                                  for f in verdict.branch.history))
+            assert list(extract_model(verdict.branch)[0].interp) == sorted(names)
+        assert corpus_countermodels
 
     def test_requires_saturation(self):
         b = Branch.initial(F("x", "r | s", "y"))

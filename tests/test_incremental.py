@@ -4,17 +4,23 @@ A search is driven to its verdict; after every rule application, on the
 branch that took it (and on a fork it made), the formulas the step says
 it added to and removed from the node are compared with a diff of the
 node against its parent, and each index the history and the branch keep
-up to date is compared with a plain recomputation over the whole history:
-the branch's variables, the per-key formula lists, every forced set the
-node's compositions ask for, the variable order, and the blocking verdict
-of every complemented composition on the node.
+up to date is compared with a plain recomputation over the whole history
+or node: the agenda's groups and instance counts, the applications the
+agenda yields at every variable, the branch's variables, the per-key
+formula lists, every forced set the node's compositions ask for, the
+variable order, and the blocking verdict of every complemented
+composition on the node.
 """
 
 import pytest
 
 from conftest import family_text
-from dualtab.engine import (RULE_CMPL_COMP_UNIV, RULE_COMP_BOOL, ProofSearch,
-                            Proof, is_blocked, rule_of)
+from dualtab.engine import (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
+                            RULE_CMPL_COMP_UNIV, RULE_CMPL_INTER,
+                            RULE_CMPL_UNION, RULE_COMP_BOOL, RULE_COMP_UNIV,
+                            RULE_DOUBLE_CMPL, RULE_INTER, RULE_UNION,
+                            ProofSearch, Proof, applications, is_blocked,
+                            rule_of)
 from dualtab.formulas import (FormulaSet, History, RelFormula,
                               has_nbool_construction, v_set, variables_of)
 from dualtab.frontends import parse_modal, translate_modal
@@ -66,11 +72,79 @@ def scratch_blocked(f, branch):
     return None
 
 
+# the phase of each rule, in the order the scan tries them
+PHASE = {**dict.fromkeys((RULE_UNION, RULE_CMPL_UNION, RULE_INTER,
+                          RULE_CMPL_INTER, RULE_DOUBLE_CMPL), 0),
+         **dict.fromkeys((RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
+                          RULE_CMPL_COMP_UNIV), 1),
+         RULE_COMP_BOOL: 2, RULE_COMP_UNIV: 3}
+
+
+def scratch_agenda(branch):
+    """The node's formulas with work, grouped by left variable and phase,
+    the ``(1;S)`` premises under ``(None, 3)``, each group in node order."""
+    groups = {}
+    for f in branch.node:
+        phase = PHASE.get(rule_of(f.term))
+        if phase is not None:
+            groups.setdefault((None if phase == 3 else f.left, phase), []).append(f)
+    return groups
+
+
+def scratch_applications(branch, z):
+    """The applicability scan as a walk over the whole node, with forced
+    sets, blocking and suppression recomputed over the whole history."""
+    applied, history = branch.applied, branch.history
+    plain = FormulaSet(history)
+    phases = ([], [], [], [])
+    for f in branch.node:
+        rule = rule_of(f.term)
+        phase = PHASE.get(rule)
+        if phase is not None and (f.left == z or phase == 3):
+            phases[phase].append((f, rule))
+    boolean, negcomp, comp_bool, comp_univ = phases
+    out = [(rule, f, None) for f, rule in boolean
+           if (rule, f, None) not in applied]
+    for f, rule in negcomp:
+        if (rule, f, None) in applied:
+            continue
+        if rule == RULE_CMPL_COMP_UNIV:
+            if not any(g.term == Cmpl(f.term.arg.right) and g.right == f.right
+                       and g.left in branch.genealogy for g in plain):
+                out.append((rule, f, None))
+        else:
+            blocker = scratch_blocked(f, branch)
+            out.append((rule, f, None) if blocker is None
+                       else ("blocked", f, blocker))
+    for f, _ in comp_bool:
+        forced = v_set(Cmpl(f.term.left), z, plain)
+        out += [(RULE_COMP_BOOL, f, w) for w in branch.order
+                if w in forced and (RULE_COMP_BOOL, f, w) not in applied]
+    out += [(RULE_COMP_UNIV, f, z) for f, _ in comp_univ
+            if (RULE_COMP_UNIV, f, z) not in applied
+            and RelFormula(z, f.term.right, f.right) not in plain]
+    return out
+
+
 def check_branch(branch):
     # the indices are read on a fork, whose caches start as copies of the
     # branch's: reading them on the branch itself would bring its lazily
-    # extended caches up to date after every step and hide a stale one
+    # extended caches up to date after every step and hide a stale one;
+    # the agenda's applications are read first, before the forced-set
+    # checks below bring the fork's caches up to date
     twin = branch.fork(branch.node)
+    for z in branch.order:
+        assert list(applications(twin, z)) == scratch_applications(branch, z)
+    expected = scratch_agenda(branch)
+    assert {k: list(g) for k, g in branch.agenda.items() if g} == expected
+    assert {k: list(g) for k, g in twin.agenda.items()} == expected
+    for (_, phase), group in branch.agenda.items():
+        for f, value in group.items():
+            if phase == 2:
+                assert value == sum(1 for rule, g, _ in branch.applied
+                                    if rule == RULE_COMP_BOOL and g == f)
+            else:
+                assert value == rule_of(f.term)
     history = twin.history
     plain = FormulaSet(branch.history)
     assert twin.vars == variables_of(plain)

@@ -40,6 +40,24 @@ class TestEvalTerm:
         with pytest.warns(UnknownVariableWarning):
             assert eval_term(m, Var("ghost")) == set()
 
+    def test_memo_gives_the_sets_of_a_fresh_evaluation(self, corpus_countermodels):
+        # every subterm on a countermodel's branch evaluates to the same set
+        # with one memo shared over the branch as without one, and no later
+        # evaluation changes a set the memo already holds
+        def subterms(t):
+            yield t
+            for child in (getattr(t, name) for name in t.__match_args__):
+                if not isinstance(child, str):
+                    yield from subterms(child)
+
+        for verdict in corpus_countermodels:
+            model, memo = verdict.model, {}
+            for f in verdict.branch.history:
+                for t in subterms(f.term):
+                    assert eval_term(model, t, memo) == eval_term(model, t)
+            assert all(pairs == eval_term(model, t) for t, pairs in memo.items())
+        assert corpus_countermodels
+
 
 class TestSatisfies:
     def test_empty_relation(self):

@@ -1,0 +1,54 @@
+"""Print how the cost of a proof-search step grows with problem size.
+
+Runs the decision procedure on the four modal families of
+``tests/conftest.py`` at a small and a large size each, and prints per
+instance the steps taken, the best of five wall times of
+``run_procedure`` and that time per step in microseconds.  Translating the
+modal formula is not timed.  The numbers depend on the machine, so
+nothing is checked: the script exits 0 whatever it measures.
+
+Run it from the root of a source checkout, with pytest and hypothesis
+installed (``conftest.py`` imports them)::
+
+    python3 tools/scaling.py
+"""
+
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
+
+from conftest import family_text  # noqa: E402
+from dualtab.engine import run_procedure  # noqa: E402
+from dualtab.frontends import parse_modal, translate_modal  # noqa: E402
+
+SIZES = (("modal_dist", (4, 20)), ("cycle", (4, 14)), ("branching", (4, 8)),
+         ("kdist", (4, 32)))
+REPEATS = 5
+
+
+def measure(name, n):
+    """Steps and best wall time in seconds of one family instance."""
+    term = translate_modal(parse_modal(family_text(name, n)))
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        verdict = run_procedure(term)
+        best = min(best, time.perf_counter() - start)
+    return verdict.tree.steps, best
+
+
+def main():
+    print(f"{'family':12} {'n':>3} {'steps':>7} {'best ms':>9} {'us/step':>8}")
+    for name, sizes in SIZES:
+        for n in sizes:
+            steps, best = measure(name, n)
+            print(f"{name:12} {n:>3} {steps:>7} {best * 1e3:>9.1f} "
+                  f"{best * 1e6 / steps:>8.0f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
