@@ -45,10 +45,12 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 
 from .engine import Proof, run_procedure, verdict_to_json
 from .errors import (BudgetExceeded, DualTabError, EmptyPremises,
-                     FragmentViolation, ParseError, ResourceExhausted)
+                     FragmentViolation, ParseError, ResourceExhausted,
+                     UnknownVariableWarning)
 from .formulas import RelFormula, parse_formula
 from .frontends import (EntailmentProblem, encode_entailment,
                         kripke_countermodel, parse_modal, translate_modal)
@@ -246,10 +248,14 @@ def cmd_check_model(args):
         print(f"error: malformed model file: {exc}", file=sys.stderr)
         return EXIT_PARSE
     try:
-        holds = satisfies(model, valuation, formula)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("default", UnknownVariableWarning)
+            holds = satisfies(model, valuation, formula)
     except DualTabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    for warning in caught:
+        print(f"warning: {warning.message}", file=sys.stderr)
     print("satisfied" if holds else "falsified")
     return EXIT_INVALID if holds else EXIT_VALID
 

@@ -8,18 +8,21 @@ branch the engine repeatedly picks the smallest variable (in the branch
 order) that still has work and applies, in order: the Boolean rules, the
 complemented-composition rules, the composition rule gated by forced
 literals, and the universal-composition rule instantiated with that
-variable.  :func:`applications` alone decides what applies at a variable,
-reading only the branch's agenda: the node's formulas with work, grouped
-by left variable and phase.  :func:`apply_rule` carries out each
-application it yields, returning its conclusions, one group per
-successor.  The search builds each successor from the parent and a
-group, and passes what entered and left the node to
-:meth:`Branch.enter`, which keeps the agenda, and to the history and
-the progress check.  :meth:`Branch.introduce` places each fresh
-witness in the branch order once.  Complemented compositions are
-suppressed when an already decomposed twin *blocks* them; the literals
-their decomposition would have produced are recorded instead and feed
-the countermodel.
+variable.
+
+A step has a pure part and one write.  :func:`applications` alone decides
+what applies at a variable, reading only the branch's agenda: the node's
+formulas with work, grouped by left variable and phase.
+:func:`conclusions` is a function of the rule, its premise and its
+variable, and returns one group of formulas per successor; the search
+names each fresh witness from one counter.  The search builds each
+successor from the parent and a group, checks what enters the node, and
+hands the step and what entered and left the node to :meth:`Branch.enter`,
+the only method that writes a branch's node, history, agenda, composition
+instances, decomposed premises and witness placement.  Complemented
+compositions are suppressed when an already decomposed twin *blocks* them;
+the literals their decomposition would have produced are recorded instead
+and feed the countermodel.
 
 If every branch closes the tree is a proof.  Otherwise the first
 saturated open branch yields a finite model and identity valuation that
@@ -57,6 +60,7 @@ _PHASE = {**dict.fromkeys(_BOOLEAN_RULES, 0), **dict.fromkeys(_NEGCOMP_RULES, 1)
           RULE_COMP_BOOL: 2, RULE_COMP_UNIV: 3}  # the order of applications()
 
 VAR_BOUND_FACTOR = 8  # generated variables per branch <= 8 * |components|**2
+MAX_VARS = 10_000  # variables per branch before the search gives up
 
 
 def weight(t, table=None):
@@ -151,96 +155,99 @@ class Branch:
 
     ``history`` is the union of all formula sets ever on the branch, an
     indexed :class:`History`; ``vars`` lists object variables in
-    introduction order and ``order`` in branch order; ``right`` holds the
-    right root and its descendants; ``genealogy`` maps each generated
-    variable to the premise that introduced it, and ``decomposed_with``
-    each such premise back to its variable; ``lit_negcomp`` collects the
-    renamed literals of blocked formulas; ``applied`` enforces the
-    at-most-once-per-premise discipline.
+    introduction order, the two roots first, and ``order`` in branch
+    order; ``right`` holds the right root and its descendants;
+    ``decomposed`` maps each premise a Boolean or complemented-composition
+    rule decomposed to its fresh witness, or to None for a Boolean rule;
+    ``applied`` holds the composition instances ``(premise, variable)``;
+    ``lit_negcomp`` collects the renamed literals of blocked formulas.
 
     ``agenda`` holds the node's formulas with work, each group in node
     order: the Boolean, complemented-composition and literal-gated
     composition premises under ``(left, phase)``, the ``(1;S)`` premises
     under ``(None, 3)``.  Each formula maps to its rule, except in the
     literal-gated groups, where it maps to the number of its instances
-    applied.  The node changes only through :meth:`enter`, which keeps
-    the agenda in step with it.
+    applied.  A decomposed premise that re-enters the node has no work
+    and stays off the agenda.
+
+    :meth:`enter` is the only method that writes this state;
+    :func:`record_blocked_literals` is the scheduler's one other writer.
     """
 
-    __slots__ = ("node", "history", "vars", "order", "right", "root_right",
-                 "genealogy", "lit_negcomp", "applied", "decomposed_with",
-                 "_fresh", "node_axiomatic", "agenda")
+    __slots__ = ("node", "history", "vars", "order", "right", "lit_negcomp",
+                 "applied", "decomposed", "node_axiomatic", "agenda")
 
-    def __init__(self, node, history, vars, order, right, genealogy,
-                 lit_negcomp, applied, decomposed_with, fresh, agenda):
+    def __init__(self, node, history, vars, order, right, lit_negcomp,
+                 applied, decomposed, agenda):
         self.node = node
         self.history = history
         self.vars = vars
         self.order = order
         self.right = right
-        self.root_right = vars[1]
-        self.genealogy = genealogy
         self.lit_negcomp = lit_negcomp
         self.applied = applied
-        self.decomposed_with = decomposed_with
-        self._fresh = fresh
+        self.decomposed = decomposed
         self.node_axiomatic = False
         self.agenda = agenda
 
     @classmethod
     def initial(cls, formula):
-        node = FormulaSet([formula])
         x, y = formula.left, formula.right
-        branch = cls(None, History(node), [x, y], [x, y], {y}, {},
-                     FormulaSet(), set(), {}, [0], {})
-        branch.enter(node, node, ())
+        branch = cls(None, History(), [x, y], [x, y], {y}, FormulaSet(), set(),
+                     {}, {})
+        node = FormulaSet([formula])
+        branch.enter(node, node, (), None)
         return branch
 
-    def fork(self, node):
-        return Branch(node, self.history.copy(), list(self.vars),
-                      list(self.order), set(self.right), dict(self.genealogy),
-                      self.lit_negcomp.copy(), set(self.applied),
-                      dict(self.decomposed_with), self._fresh,
+    def fork(self):
+        """A copy of the branch that shares its node and no mutable state."""
+        return Branch(self.node, self.history.copy(), list(self.vars),
+                      list(self.order), set(self.right), self.lit_negcomp.copy(),
+                      set(self.applied), dict(self.decomposed),
                       {key: dict(group) for key, group in self.agenda.items()
                        if group})
 
-    def enter(self, node, added, removed):
-        """Make ``node`` the leaf: the old leaf with the formulas
-        ``removed`` taken out and ``added`` put in at the end."""
+    def enter(self, node, added, removed, step):
+        """Make ``node`` the leaf and record the step that made it.
+
+        ``node`` is the old leaf with the formulas ``removed`` taken out
+        and ``added`` put in at the end; ``step`` is the ``(rule, premise,
+        variable)`` of the rule application, None for the root.
+
+        The branch order puts the left root first, then the generated
+        variables that do not descend from the right root, then the right
+        root, then its descendants, each group in introduction order.  A
+        fresh witness descends from the right root when its premise's left
+        endpoint does (or is that root) and its rule is not
+        ``cmpl-comp-univ``.
+        """
         self.node = node
         self.node_axiomatic = is_axiomatic(node, added)
-        agenda = self.agenda
+        self.history.update(added)
+        agenda, decomposed = self.agenda, self.decomposed
+        if step is not None:
+            rule, f, z = step
+            if rule in _COMP_RULES:
+                self.applied.add((f, z))
+                if rule == RULE_COMP_BOOL:
+                    agenda[f.left, 2][f] += 1
+            else:
+                decomposed[f] = z
+                if z is not None:
+                    self.vars.append(z)
+                    if f.left in self.right and rule != RULE_CMPL_COMP_UNIV:
+                        self.right.add(z)
+                        self.order.append(z)
+                    else:
+                        self.order.insert(len(self.order) - len(self.right), z)
         for f in removed:
             _, key = agenda_entry(f)
             if key is not None:
                 del agenda[key][f]
         for f in added:
             rule, key = agenda_entry(f)
-            if key is not None:
+            if key is not None and not (key[1] < 2 and f in decomposed):
                 agenda.setdefault(key, {})[f] = 0 if rule == RULE_COMP_BOOL else rule
-
-    def introduce(self, premise):
-        """Introduce the fresh witness of the complemented composition
-        ``premise`` and return it.
-
-        The branch order puts the left root first, then the generated
-        variables that do not descend from the right root, then the right
-        root, then its descendants, each group in introduction order.  A
-        variable descends from the right root when its premise's left
-        endpoint does (or is that root) and its rule is not
-        ``cmpl-comp-univ``.
-        """
-        self._fresh[0] += 1
-        z = f"z{self._fresh[0]}"
-        self.vars.append(z)
-        self.genealogy[z] = premise
-        self.decomposed_with[premise] = z
-        if premise.left in self.right and rule_of(premise.term) != RULE_CMPL_COMP_UNIV:
-            self.right.add(z)
-            self.order.append(z)
-        else:
-            self.order.insert(len(self.order) - len(self.right), z)
-        return z
 
 
 def blocker_literals(branch, blocker, w):
@@ -262,7 +269,7 @@ def is_blocked(f, branch):
     """
     y, history = f.right, branch.history
     for g in history.by_term_right.get((f.term, y), ()):
-        w = branch.decomposed_with.get(g)
+        w = branch.decomposed.get(g)
         if g == f or w is None:
             continue
         renamed = FormulaSet(
@@ -277,22 +284,26 @@ def is_blocked(f, branch):
     return None
 
 
-def record_blocked_literals(branch, f, blocker):
-    w = branch.decomposed_with[blocker]
-    for h in blocker_literals(branch, blocker, w):
-        branch.lit_negcomp.add(RelFormula(f.left, h.term, w))
+def record_blocked_literals(branch, blocked):
+    """Record the renamed blocker literals of each ``("blocked", f,
+    blocker)`` that :func:`applications` yielded."""
+    for _, f, blocker in blocked:
+        w = branch.decomposed[blocker]
+        for h in blocker_literals(branch, blocker, w):
+            branch.lit_negcomp.add(RelFormula(f.left, h.term, w))
 
 
 def is_suppressed(branch, f):
     """Side condition of the ``x -(1;S) y`` rule: it is not applied once some
-    generated variable ``z'`` carries ``z' -S y``."""
+    generated variable ``z'``, any but the two roots, carries ``z' -S y``."""
     twins = branch.history.by_term_right.get((Cmpl(f.term.arg.right), f.right), ())
-    return any(g.left in branch.genealogy for g in twins)
+    roots = branch.vars[:2]
+    return any(g.left not in roots for g in twins)
 
 
 # ---------------------------------------------------------------------------
-# Applicability and state update: ``applications`` alone decides what
-# applies, ``apply_rule`` carries out what it yields.
+# Applicability and conclusions: ``applications`` alone decides what
+# applies, ``conclusions`` says what each application concludes.
 
 
 def applications(branch, z):
@@ -309,11 +320,8 @@ def applications(branch, z):
     """
     applied, history, agenda = branch.applied, branch.history, branch.agenda
     for f, rule in agenda.get((z, 0), {}).items():
-        if (rule, f, None) not in applied:
-            yield rule, f, None
+        yield rule, f, None
     for f, rule in agenda.get((z, 1), {}).items():
-        if (rule, f, None) in applied:
-            continue
         if rule == RULE_CMPL_COMP_UNIV:
             if not is_suppressed(branch, f):
                 yield rule, f, None
@@ -325,10 +333,10 @@ def applications(branch, z):
         # a premise with as many instances as forced variables has none left
         forced = history.forced(gate_of(f.term), z)
         for w in branch.order if count < len(forced) else ():
-            if w in forced and (RULE_COMP_BOOL, f, w) not in applied:
+            if w in forced and (f, w) not in applied:
                 yield RULE_COMP_BOOL, f, w
     for f in agenda.get((None, 3), {}):
-        if ((RULE_COMP_UNIV, f, z) not in applied
+        if ((f, z) not in applied
                 and RelFormula(z, f.term.right, f.right) not in history):
             yield RULE_COMP_UNIV, f, z
 
@@ -340,43 +348,37 @@ def branch_saturated(branch):
         for rule, _, _ in applications(branch, z))
 
 
-def apply_rule(branch, rule, f, z=None):
-    """Carry out one application that :func:`applications` yielded.
+def conclusions(rule, f, z):
+    """The conclusions of one application that :func:`applications`
+    yielded, one group of formulas per successor (two for the branching
+    rules).  ``z`` is the instance of a composition, the fresh witness of
+    a complemented composition, None otherwise.
 
-    Returns the step's conclusions, one group of formulas per successor
-    (two for the branching rules), and the variable of the step: the
-    instance ``z`` of a composition, the fresh witness of a complemented
-    composition, None otherwise.  A composition concludes ``z S y`` and
-    keeps its premise; any other premise leaves the node and stays in the
-    branch history.  Nothing is checked here: the scan has already decided
-    that the rule applies.
+    A composition concludes ``z S y`` and keeps its premise; any other
+    premise leaves the node and stays in the branch history.  Nothing is
+    checked here: the scan has already decided that the rule applies.
     """
-    branch.applied.add((rule, f, z))
-    if rule == RULE_COMP_BOOL:
-        branch.agenda[f.left, 2][f] += 1
     x, y = f.left, f.right
     match f.term:
         case Comp(_, s):
-            groups = [[RelFormula(z, s, y)]]
+            return [[RelFormula(z, s, y)]]
         case Union(l, r):
-            groups = [[RelFormula(x, l, y), RelFormula(x, r, y)]]
+            return [[RelFormula(x, l, y), RelFormula(x, r, y)]]
         case Inter(l, r):
-            groups = [[RelFormula(x, l, y)], [RelFormula(x, r, y)]]
+            return [[RelFormula(x, l, y)], [RelFormula(x, r, y)]]
         case Cmpl(Cmpl(a)):
-            groups = [[RelFormula(x, a, y)]]
+            return [[RelFormula(x, a, y)]]
         case Cmpl(Union(l, r)):
-            groups = [[RelFormula(x, Cmpl(l), y)], [RelFormula(x, Cmpl(r), y)]]
+            return [[RelFormula(x, Cmpl(l), y)], [RelFormula(x, Cmpl(r), y)]]
         case Cmpl(Inter(l, r)):
-            groups = [[RelFormula(x, Cmpl(l), y), RelFormula(x, Cmpl(r), y)]]
+            return [[RelFormula(x, Cmpl(l), y), RelFormula(x, Cmpl(r), y)]]
         case Cmpl(Comp(b, s)):
-            z = branch.introduce(f)
             group = []
             if rule != RULE_CMPL_COMP_UNIV:
                 group.append(RelFormula(x, Cmpl(b), z))
             if rule != RULE_CMPL_COMP_ONE:
                 group.append(RelFormula(z, Cmpl(s), y))
-            groups = [group]
-    return groups, z
+            return [group]
 
 
 def extract_model(branch):
@@ -496,13 +498,11 @@ Verdict = Proof | Countermodel
 class ProofSearch:
     """One run of the decision procedure on a single input term."""
 
-    def __init__(self, term, *, max_steps=1_000_000, max_vars=10_000,
-                 trace=None):
+    def __init__(self, term, *, max_steps=1_000_000, trace=None):
         prepared = simplify_ones(term)
         require_fragment(prepared)
         self.term = prepared
         self.max_steps = max_steps
-        self.max_vars = max_vars
         self.trace = trace
         self.cp = components(prepared)
         self.weights = {}
@@ -512,6 +512,7 @@ class ProofSearch:
         self.tree = DeductionTree()
         self.root_formula = RelFormula("x", prepared, "y")
         self._stack = []
+        self._witnesses = 0  # fresh witnesses are numbered across all branches
 
     def run(self):
         branch = Branch.initial(self.root_formula)
@@ -532,39 +533,39 @@ class ProofSearch:
     def _expand(self, branch, leaf):
         """Expand the branch in turns: the smallest variable with work
         takes rule applications until it has none left."""
+        z = None
         while not branch.node_axiomatic:
-            z = self._smallest_pending_var(branch)
-            if z is None:
+            turn = self._next_application(branch, z)
+            if turn is None:
                 return leaf, "open"
-            while not branch.node_axiomatic:
-                app = self._next_application(branch, z)
-                if app is None:
-                    break
-                leaf = self._apply(branch, leaf, app)
+            z, app = turn
+            leaf = self._apply(branch, leaf, app)
         leaf.closed = True
         return leaf, "closed"
 
-    def _smallest_pending_var(self, branch):
-        """The first variable in branch order with an application open.
-
-        None means the branch is saturated; the literals of the blocked
-        formulas the scan passed are then recorded for the countermodel.
-        """
-        blocked = []
-        for z in branch.order:
-            for app in applications(branch, z):
-                if app[0] != "blocked":
-                    return z
-                blocked.append(app)
-        for _, f, blocker in blocked:
-            record_blocked_literals(branch, f, blocker)
-        return None
-
     def _next_application(self, branch, z):
-        for app in applications(branch, z):
-            if app[0] != "blocked":
-                return app
-            record_blocked_literals(branch, app[1], app[2])
+        """The next application and the variable whose turn it is.
+
+        ``z`` keeps the turn while it has an application open; then the
+        turn passes to the first variable in branch order with one.  The
+        literals of the blocked formulas passed at ``z`` and at the
+        variable that takes the turn are recorded for the countermodel;
+        when none does, the branch is saturated and those of every blocked
+        formula are.
+        """
+        skipped = []
+        for v in branch.order if z is None else (z, *branch.order):
+            blocked = []
+            for app in applications(branch, v):
+                if app[0] != "blocked":
+                    record_blocked_literals(branch, blocked)
+                    return v, app
+                blocked.append(app)
+            if v == z:
+                record_blocked_literals(branch, blocked)
+            else:
+                skipped += blocked
+        record_blocked_literals(branch, skipped)
         return None
 
     def _apply(self, branch, leaf, app):
@@ -572,74 +573,66 @@ class ProofSearch:
         self.tree.steps += 1
         if self.tree.steps > self.max_steps:
             raise ResourceExhausted(f"step cap of {self.max_steps} exceeded")
-        parent, before = branch.node, len(branch.applied)
-        groups, inst = apply_rule(branch, rule, f, inst)
-        if len(branch.vars) > self.max_vars:
-            raise ResourceExhausted(f"variable cap of {self.max_vars} exceeded")
-        if len(branch.vars) > self.var_bound + 2:
-            raise EngineInvariantError(
-                f"branch variables exceeded the bound {self.var_bound + 2}"
-            )
-        self.tree.max_vars = max(self.tree.max_vars, len(branch.vars))
+        if rule in _COMP_RULES:
+            if (f, inst) in branch.applied:
+                raise EngineInvariantError("composition step without progress")
+        elif rule in _NEGCOMP_RULES:
+            count = len(branch.vars) + 1
+            if count > MAX_VARS:
+                raise ResourceExhausted(f"variable cap of {MAX_VARS} exceeded")
+            if count > self.var_bound + 2:
+                raise EngineInvariantError(
+                    f"branch variables exceeded the bound {self.var_bound + 2}"
+                )
+            self.tree.max_vars = max(self.tree.max_vars, count)
+            self._witnesses += 1
+            inst = f"z{self._witnesses}"
+        step = (rule, f, inst)
         # each successor: the parent in order, minus the premise unless the
         # rule is a composition, plus the group's formulas not already there
+        parent = branch.node
         removed = () if rule in _COMP_RULES else (f,)
         children = []
-        for group in groups:
+        for group in conclusions(*step):
             succ = FormulaSet(parent)
             for g in removed:
                 del succ[g]
             added = [g for g in group if succ.add(g)]
-            children.append((self.tree.new_node(leaf, succ, rule, f, inst), added))
-        self._emit(rule, f, inst)
+            children.append((self.tree.new_node(leaf, succ, *step), added))
+        self._emit(*step)
         if len(children) == 2:
             self.tree.branch_count += 1
             child, added = children[1]
-            fork = branch.fork(child.formulas)
-            self._enter(fork, child.formulas, added, removed, rule, before)
+            fork = branch.fork()
+            self._enter(fork, child.formulas, added, removed, step)
             self._stack.append((fork, child))
         child, added = children[0]
-        self._enter(branch, child.formulas, added, removed, rule, before)
+        self._enter(branch, child.formulas, added, removed, step)
         return child
 
-    def _enter(self, branch, node, added, removed, rule, before):
-        """Make ``node`` the branch's leaf: its parent, the old leaf, with
-        the formulas ``removed`` taken out and ``added`` put in."""
-        branch.enter(node, added, removed)
-        self._admit(branch, added)
-        self._check_progress(rule, branch, added, removed, before)
-
-    def _admit(self, branch, formulas):
-        """Record formulas in the branch history, checking the component
-        and endpoint discipline every formula must respect."""
-        for f in formulas:
-            if f in branch.history:
-                continue
+    def _enter(self, branch, node, added, removed, step):
+        """Check what the step puts into the node, then make ``node``, the
+        old leaf with ``removed`` taken out and ``added`` put in, the
+        branch's leaf.  A new formula must be a component of the input and,
+        if compositional, keep the right root; any step but a composition
+        must lower the node weight."""
+        for f in added:
             if f.term not in self.cp:
                 raise EngineInvariantError(
                     f"formula term escaped the component set: {f!r}"
                 )
-            if not f.term.boolean and f.right != branch.root_right:
+            if not f.term.boolean and f.right != self.root_formula.right:
                 raise EngineInvariantError(
                     f"compositional formula with a generated right endpoint: {f!r}"
                 )
-            branch.history.add(f)
-
-    def _check_progress(self, rule, branch, added, removed, before):
-        """A composition step must record a new instance; any other step
-        must lower the node weight, taken from what entered and left the
-        node."""
-        if rule in _COMP_RULES:
-            if len(branch.applied) <= before:
-                raise EngineInvariantError("composition step without progress")
-        else:
+        rule = step[0]
+        if rule not in _COMP_RULES:
             w = self.weights
-            delta = (sum(w[g.term] for g in added)
-                     - sum(w[g.term] for g in removed))
-            if delta >= 0:
+            if sum(w[g.term] for g in added) >= sum(w[g.term] for g in removed):
                 raise EngineInvariantError(
                     f"rule {rule} did not decrease the node weight"
                 )
+        branch.enter(node, added, removed, step)
 
     def _emit(self, rule, premise, variable):
         if self.trace is not None:
@@ -650,7 +643,7 @@ class ProofSearch:
             })
 
 
-def run_procedure(term, *, max_steps=1_000_000, max_vars=10_000, trace=None):
+def run_procedure(term, *, max_steps=1_000_000, trace=None):
     """Decide validity of ``x term y``.
 
     The term is simplified and fragment-checked first; a
@@ -659,8 +652,7 @@ def run_procedure(term, *, max_steps=1_000_000, max_vars=10_000, trace=None):
     saturated open branch as a :class:`Countermodel`.  Identical inputs
     produce identical trees.
     """
-    return ProofSearch(term, max_steps=max_steps, max_vars=max_vars,
-                       trace=trace).run()
+    return ProofSearch(term, max_steps=max_steps, trace=trace).run()
 
 
 def stats_of(verdict):

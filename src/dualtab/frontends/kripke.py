@@ -65,10 +65,10 @@ def eval_modal(f, km, world):
 
 
 BUDGET_BITS = 26  # enumerated accessibility and valuation bits accepted
+MAX_WORLDS = 8  # a world mask is one uint8
 
 
-def kripke_countermodel(f, max_worlds, *, accessibility=None, propositions=None,
-                        memo=None):
+def kripke_countermodel(f, max_worlds):
     """First pointed model refuting ``f`` with at most ``max_worlds`` worlds.
 
     Enumerates universe sizes ascending; for each size, accessibility
@@ -77,13 +77,10 @@ def kripke_countermodel(f, max_worlds, *, accessibility=None, propositions=None,
     Returns ``(model, world)`` or None; every returned witness is
     re-checked through :func:`eval_modal`.
 
-    ``accessibility``/``propositions`` widen or pin the enumerated
-    vocabulary; a shared ``memo`` dict may be passed to reuse truth tables
-    across formulas, and is only sound for a fixed vocabulary.  Refuses
-    (``BudgetExceeded``) a size whose bits exceed :data:`BUDGET_BITS`.
+    Refuses (``BudgetExceeded``) a size whose bits exceed
+    :data:`BUDGET_BITS`, or of more than :data:`MAX_WORLDS` worlds.
     """
-    accs = list(accessibility) if accessibility is not None else accessibility_of(f)
-    props = list(propositions) if propositions is not None else propositions_of(f)
+    accs, props = accessibility_of(f), propositions_of(f)
     for n in range(1, max_worlds + 1):
         bits = n * n * len(accs) + n * len(props)
         if bits > BUDGET_BITS:
@@ -91,7 +88,10 @@ def kripke_countermodel(f, max_worlds, *, accessibility=None, propositions=None,
                 f"{len(accs)} relations and {len(props)} propositions over "
                 f"{n} worlds exceed the oracle budget of {BUDGET_BITS} bits"
             )
-        hit = _search_size(f, accs, props, n, memo)
+        if n > MAX_WORLDS:
+            raise BudgetExceeded(
+                f"{n} worlds exceed the oracle's limit of {MAX_WORLDS}")
+        hit = _search_size(f, accs, props, n)
         if hit is not None:
             model, world = hit
             if eval_modal(f, model, world):
@@ -100,7 +100,7 @@ def kripke_countermodel(f, max_worlds, *, accessibility=None, propositions=None,
     return None
 
 
-def _search_size(f, accs, props, n, memo):
+def _search_size(f, accs, props, n):
     q = n * n
     n_rel = 1 << (q * len(accs))
     n_val = 1 << (n * len(props))
@@ -135,8 +135,6 @@ def _search_size(f, accs, props, n, memo):
         raise ValueError(f"not a plain Boolean program: {prog!r}")
 
     def truth(g):
-        if memo is not None and (n, g) in memo:
-            return memo[(n, g)]
         match g:
             case Prop(name):
                 out = np.broadcast_to(prop_cols[name][None, :], (1, n_val))
@@ -160,8 +158,6 @@ def _search_size(f, accs, props, n, memo):
                 for w in range(n):
                     ok = (sa[:, w][:, None] & (ta ^ world_mask)) == 0
                     out |= ok.astype(np.uint8) << np.uint8(w)
-        if memo is not None:
-            memo[(n, g)] = out
         return out
 
     root = truth(f)

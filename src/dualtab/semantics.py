@@ -135,7 +135,10 @@ def model_to_json(model, valuation):
 
 
 def model_from_json(data):
-    universe = tuple(data["universe"])
+    universe = data["universe"]
+    if not isinstance(universe, list) or not all(isinstance(u, str) for u in universe):
+        raise ValueError("the universe must be a list of element names")
+    universe = tuple(universe)
     elems = set(universe)
     interp = {}
     for name, pairs in data["relations"].items():

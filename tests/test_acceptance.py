@@ -182,15 +182,12 @@ def test_criterion_6_entailment():
 def test_criterion_7_modal_agreement():
     started = time.monotonic()
     formulas = all_modal(3)
-    memo = {}
     failures = 0
     refuted = proofs = 0
     for f in formulas:
         term = translate_modal(f)
         verdict = run_procedure(term)
-        refutation = kripke_countermodel(
-            f, 3, accessibility=["r", "s"], propositions=["p", "q"], memo=memo
-        )
+        refutation = kripke_countermodel(f, 3)
         if refutation is not None:
             refuted += 1
             if not isinstance(verdict, Countermodel):

@@ -167,6 +167,24 @@ class TestCheckModel:
         code, _, _ = run(capsys, "check-model", "r", "/nonexistent/model.json")
         assert code == 2
 
+    def test_uninterpreted_variable_is_one_warning_line(self, model_file):
+        # a fresh process: pytest captures warnings raised in its own
+        proc = run_process("-m", "dualtab", "check-model", "s", model_file)
+        assert proc.returncode == 0
+        assert proc.stdout == "falsified\n"
+        assert proc.stderr == (
+            "warning: variable 's' has no interpretation; treating as empty\n")
+
+    @pytest.mark.parametrize("universe", ["ab", [1, 2]])
+    def test_universe_must_be_a_list_of_names(self, tmp_path, universe):
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps({"universe": universe, "relations": {},
+                                    "valuation": dict(zip("xy", universe))}))
+        proc = run_process("-m", "dualtab", "check-model", "r", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: malformed model file:")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestEndToEnd:
     def test_countermodel_feeds_check_model(self, capsys, tmp_path):

@@ -9,10 +9,10 @@ from dualtab import engine, terms
 from dualtab.engine import (Branch, Countermodel, Proof, RULE_CMPL_COMP,
                             RULE_CMPL_COMP_ONE, RULE_CMPL_COMP_UNIV,
                             RULE_COMP_BOOL, RULE_COMP_UNIV, RULE_DOUBLE_CMPL,
-                            RULE_INTER, RULE_UNION, applications, apply_rule,
-                            branch_saturated, extract_model, is_axiomatic,
-                            is_blocked, record_blocked_literals, rule_of,
-                            run_procedure, verdict_to_json, weight)
+                            RULE_INTER, RULE_UNION, applications,
+                            branch_saturated, conclusions, extract_model,
+                            is_axiomatic, is_blocked, record_blocked_literals,
+                            rule_of, run_procedure, verdict_to_json, weight)
 from dualtab.errors import (BranchNotSaturated, EngineInvariantError,
                             FragmentViolation, ResourceExhausted)
 from dualtab.formulas import FormulaSet, RelFormula, v_set
@@ -33,6 +33,25 @@ def prove(text, **kw):
 
 def offered(branch, z):
     return list(applications(branch, z))
+
+
+def take(branch, rule, f, z=None):
+    """Carry out one application on the branch as the search does, keeping
+    the first successor; returns the conclusion groups."""
+    groups = conclusions(rule, f, z)
+    removed = () if rule in (RULE_COMP_BOOL, RULE_COMP_UNIV) else (f,)
+    succ = FormulaSet(branch.node)
+    for g in removed:
+        del succ[g]
+    added = [g for g in groups[0] if succ.add(g)]
+    branch.enter(succ, added, removed, (rule, f, z))
+    return groups
+
+
+def introduce(branch, premise, z):
+    """Enter the step that decomposes ``premise`` with the fresh witness
+    ``z``, leaving the node as it is."""
+    branch.enter(branch.node, [], (), (rule_of(premise.term), premise, z))
 
 
 class TestWeight:
@@ -94,23 +113,22 @@ class TestVarOrder:
         b = Branch.initial(F("x", "-(r ; (s ; 1))", "y"))
         gen_x = F("x", "-(r ; (s ; 1))", "y")
         gen_y = F("y", "-(s ; 1)", "y")
-        assert b.introduce(gen_x) == "z1"
-        assert b.introduce(gen_y) == "z2"
-        assert b.genealogy == {"z1": gen_x, "z2": gen_y}
-        assert b.decomposed_with == {gen_x: "z1", gen_y: "z2"}
+        introduce(b, gen_x, "z1")
+        introduce(b, gen_y, "z2")
+        assert b.decomposed == {gen_x: "z1", gen_y: "z2"}
         assert b.vars == ["x", "y", "z1", "z2"]
         assert b.order == ["x", "z1", "y", "z2"]
 
     def test_universal_rule_variable_is_not_a_descendant(self):
         b = Branch.initial(F("x", "-(1 ; (s ; 1))", "y"))
-        b.introduce(F("y", "-(1 ; (s ; 1))", "y"))
+        introduce(b, F("y", "-(1 ; (s ; 1))", "y"), "z1")
         assert b.order == ["x", "z1", "y"]
 
     def test_chained_descendants(self):
         b = Branch.initial(F("x", "r", "y"))
-        b.introduce(F("y", "-(r ; (s ; 1))", "y"))
-        b.introduce(F("z1", "-(s ; 1)", "y"))
-        b.introduce(F("x", "-(s ; 1)", "y"))
+        introduce(b, F("y", "-(r ; (s ; 1))", "y"), "z1")
+        introduce(b, F("z1", "-(s ; 1)", "y"), "z2")
+        introduce(b, F("x", "-(s ; 1)", "y"), "z3")
         assert b.order == ["x", "z3", "y", "z1", "z2"]
 
 
@@ -119,22 +137,21 @@ class TestApplyBoolean:
         f = F("x", "r | s", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_UNION, f, None)]
-        groups, var = apply_rule(b, RULE_UNION, f)
-        assert var is None
+        groups = conclusions(RULE_UNION, f, None)
         assert groups == [[F("x", "r", "y"), F("x", "s", "y")]]
 
     def test_intersection_branches(self):
         f = F("x", "r & s", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_INTER, f, None)]
-        groups, _ = apply_rule(b, RULE_INTER, f)
+        groups = conclusions(RULE_INTER, f, None)
         assert groups == [[F("x", "r", "y")], [F("x", "s", "y")]]
 
     def test_double_complement(self):
         f = F("x", "--r", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_DOUBLE_CMPL, f, None)]
-        groups, _ = apply_rule(b, RULE_DOUBLE_CMPL, f)
+        groups = conclusions(RULE_DOUBLE_CMPL, f, None)
         assert groups == [[F("x", "r", "y")]]
 
     def test_keeps_other_formulas(self):
@@ -149,6 +166,15 @@ class TestApplyBoolean:
         assert list(tree.nodes[3].formulas) == [F("x", "r", "y"), other,
                                                 F("x", "s", "y")]
 
+    def test_decomposed_premise_that_comes_back_is_not_decomposed_again(self):
+        # x (r | s) y leaves the node, comes back as a conclusion of the
+        # last union, and has no work left
+        tree = prove("(r | s) | ((r | s) | p)").tree
+        assert [n.premise for n in tree.nodes[1:]] == [
+            F("x", "(r | s) | ((r | s) | p)", "y"), F("x", "r | s", "y"),
+            F("x", "(r | s) | p", "y")]
+        assert F("x", "r | s", "y") in tree.nodes[-1].formulas
+
     def test_not_applicable_on_literal(self):
         b = Branch.initial(F("x", "r", "y"))
         assert offered(b, "x") == [] and offered(b, "y") == []
@@ -159,11 +185,9 @@ class TestApplyNegcomp:
         f = F("x", "-(r ; (s ; 1))", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_CMPL_COMP, f, None)]
-        groups, fresh = apply_rule(b, RULE_CMPL_COMP, f)
-        assert fresh == "z1"
+        groups = take(b, RULE_CMPL_COMP, f, "z1")
         assert groups == [[F("x", "-r", "z1"), F("z1", "-(s ; 1)", "y")]]
-        assert b.decomposed_with[f] == "z1"
-        assert b.genealogy["z1"] == f
+        assert b.decomposed[f] == "z1"
         assert b.order == ["x", "z1", "y"]
         assert offered(b, "x") == []
 
@@ -171,16 +195,16 @@ class TestApplyNegcomp:
         f = F("x", "-(r ; 1)", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_CMPL_COMP_ONE, f, None)]
-        groups, fresh = apply_rule(b, RULE_CMPL_COMP_ONE, f)
-        assert groups == [[F("x", "-r", fresh)]]
+        groups = conclusions(RULE_CMPL_COMP_ONE, f, "z1")
+        assert groups == [[F("x", "-r", "z1")]]
 
     def test_left_constant_adds_right_part_only(self):
         f = F("x", "-(1 ; (s ; 1))", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_CMPL_COMP_UNIV, f, None)]
-        groups, fresh = apply_rule(b, RULE_CMPL_COMP_UNIV, f)
-        assert groups == [[F(fresh, "-(s ; 1)", "y")]]
-        assert fresh not in b.right
+        groups = take(b, RULE_CMPL_COMP_UNIV, f, "z1")
+        assert groups == [[F("z1", "-(s ; 1)", "y")]]
+        assert "z1" not in b.right
 
     def test_fully_constant_shape_is_inert(self):
         f = F("x", "-(1 ; 1)", "y")
@@ -190,7 +214,8 @@ class TestApplyNegcomp:
     def test_left_constant_suppressed_by_existing_instance(self):
         f = F("x", "-(1 ; (s ; 1))", "y")
         b = Branch.initial(f)
-        z = b.introduce(F("x", "-(r ; (s ; 1))", "y"))
+        z = "z1"
+        introduce(b, F("x", "-(r ; (s ; 1))", "y"), z)
         assert offered(b, "x") == [(RULE_CMPL_COMP_UNIV, f, None)]
         b.history.add(F(z, "-(s ; 1)", "y"))
         assert offered(b, "x") == []
@@ -200,13 +225,13 @@ class TestApplyNegcomp:
         blocked = RelFormula("z2", parse_term(term_text), "y")
         blocker = RelFormula("z1", parse_term(term_text), "y")
         b = Branch.initial(F("x", "1 ; " + term_text, "y"))
-        b.enter(FormulaSet([*b.node, blocked]), [blocked], ())
+        b.enter(FormulaSet([*b.node, blocked]), [blocked], (), None)
         for g in (blocker, blocked, F("z1", "-r", "w")):
             b.history.add(g)
         b.vars += ["z1", "w", "z2"]
-        b.decomposed_with[blocker] = "w"
+        b.decomposed[blocker] = "w"
         assert offered(b, "z2") == [("blocked", blocked, blocker)]
-        record_blocked_literals(b, blocked, blocker)
+        record_blocked_literals(b, offered(b, "z2"))
         assert F("z2", "-r", "w") in b.lit_negcomp
 
 
@@ -233,13 +258,13 @@ class TestIsBlocked:
 
     def test_decomposed_twin_blocks_without_obligations(self):
         b, blocker, blocked = self.setup_branch()
-        b.decomposed_with[blocker] = "w"
+        b.decomposed[blocker] = "w"
         b.history.add(F("z1", "-r", "w"))
         assert is_blocked(blocked, b) == blocker
 
     def test_unmirrored_obligation_prevents_blocking(self):
         b, blocker, blocked = self.setup_branch()
-        b.decomposed_with[blocker] = "w"
+        b.decomposed[blocker] = "w"
         b.history.add(F("z1", "-r", "w"))
         # the blocked variable owes a composition the twin never mirrored
         b.history.add(F("z2", "r ; (s ; 1)", "y"))
@@ -247,7 +272,7 @@ class TestIsBlocked:
 
     def test_mirrored_obligation_restores_blocking(self):
         b, blocker, blocked = self.setup_branch()
-        b.decomposed_with[blocker] = "w"
+        b.decomposed[blocker] = "w"
         b.history.add(F("z1", "-r", "w"))
         b.history.add(F("z2", "r ; (s ; 1)", "y"))
         b.history.add(F("z1", "r ; (s ; 1)", "y"))
@@ -258,26 +283,25 @@ class TestApplyCompA:
     def forced_branch(self, text):
         f = F("x", text, "y")
         b = Branch.initial(f)
-        b.introduce(F("x", "-(r ; 1)", "y"))
+        introduce(b, F("x", "-(r ; 1)", "y"), "z1")
         b.history.add(F("x", "-r", "z1"))
         return b, f
 
     def test_adds_instantiated_right_part(self):
         b, f = self.forced_branch("r ; (s ; 1)")
-        groups, var = apply_rule(b, RULE_COMP_BOOL, f, "z1")
-        assert var == "z1"
+        groups = conclusions(RULE_COMP_BOOL, f, "z1")
         assert groups == [[F("z1", "s ; 1", "y")]]
 
     def test_right_constant_closes_the_node(self):
         b, f = self.forced_branch("r ; 1")
-        groups, _ = apply_rule(b, RULE_COMP_BOOL, f, "z1")
+        groups = conclusions(RULE_COMP_BOOL, f, "z1")
         assert groups == [[F("z1", "1", "y")]]
         assert is_axiomatic(FormulaSet(groups[0]))
 
     def test_same_variable_only_once(self):
         b, f = self.forced_branch("r ; (s ; 1)")
         assert offered(b, "x") == [(RULE_COMP_BOOL, f, "z1")]
-        apply_rule(b, RULE_COMP_BOOL, f, "z1")
+        take(b, RULE_COMP_BOOL, f, "z1")
         assert offered(b, "x") == []
 
     def test_unforced_variable_rejected(self):
@@ -285,7 +309,7 @@ class TestApplyCompA:
         b = Branch.initial(f)
         assert offered(b, "x") == []
         b, f = self.forced_branch("r ; (s ; 1)")
-        b.introduce(F("x", "-(s ; 1)", "y"))  # z2, but x -r z2 is not on the branch
+        introduce(b, F("x", "-(s ; 1)", "y"), "z2")  # x -r z2 is not on the branch
         assert [w for _, _, w in offered(b, "x")] == ["z1"]
 
 
@@ -294,18 +318,15 @@ class TestApplyCompB:
         f = F("x", "1 ; (r ; 1)", "y")
         b = Branch.initial(f)
         assert offered(b, "x") == [(RULE_COMP_UNIV, f, "x")]
-        groups, var = apply_rule(b, RULE_COMP_UNIV, f, "x")
-        assert var == "x"
+        groups = conclusions(RULE_COMP_UNIV, f, "x")
         assert groups == [[F("x", "r ; 1", "y")]]
 
     def test_then_with_right_endpoint(self):
         f = F("x", "1 ; (r ; 1)", "y")
         b = Branch.initial(f)
-        (group,), _ = apply_rule(b, RULE_COMP_UNIV, f, "x")
-        b.enter(FormulaSet([*b.node, *group]), group, ())
-        b.history.update(group)
+        take(b, RULE_COMP_UNIV, f, "x")
         assert offered(b, "y") == [(RULE_COMP_UNIV, f, "y")]
-        groups, _ = apply_rule(b, RULE_COMP_UNIV, f, "y")
+        groups = conclusions(RULE_COMP_UNIV, f, "y")
         assert groups == [[F("y", "r ; 1", "y")]]
 
     def test_existing_instance_not_repeated(self):
@@ -383,9 +404,10 @@ class TestRunProcedure:
             if node.closed:
                 assert node.children == []
 
-    def test_variable_cap(self):
+    def test_variable_cap(self, monkeypatch):
+        monkeypatch.setattr(engine, "MAX_VARS", 1)
         with pytest.raises(ResourceExhausted):
-            prove("1 ; -(r ; (s ; 1))", max_vars=1)
+            prove("1 ; -(r ; (s ; 1))")
 
     def test_returned_branch_is_saturated(self):
         for text in ("r", "1 ; (r ; 1)", "1 ; -(r ; (s ; 1))"):
@@ -425,13 +447,13 @@ class TestRunProcedure:
                 for w in v_set(Cmpl(f.term.left), f.left, history):
                     assert RelFormula(w, f.term.right, f.right) in history
             if (rule in (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE)
-                    and f not in branch.decomposed_with and f in branch.node):
+                    and f not in branch.decomposed and f in branch.node):
                 assert is_blocked(f, branch) is not None
-            if rule == RULE_CMPL_COMP_UNIV and f not in branch.decomposed_with:
+            if rule == RULE_CMPL_COMP_UNIV and f not in branch.decomposed:
                 s = f.term.arg.right
                 assert any(
                     g.term == Cmpl(s) and g.right == f.right
-                    and g.left in branch.genealogy
+                    and g.left not in branch.vars[:2]
                     for g in history
                 )
 
@@ -455,14 +477,15 @@ class TestRunProcedure:
 
     def test_composition_without_a_new_instance_is_an_invariant_error(
             self, monkeypatch):
-        apply = engine.apply_rule
+        # a scan that offers an applied instance again
+        scan = engine.applications
 
-        def forgetful(branch, rule, f, z=None):
-            result = apply(branch, rule, f, z)
-            branch.applied.discard((rule, f, z))
-            return result
+        def repeating(branch, z):
+            for f, w in branch.applied:
+                yield rule_of(f.term), f, w
+            yield from scan(branch, z)
 
-        monkeypatch.setattr(engine, "apply_rule", forgetful)
+        monkeypatch.setattr(engine, "applications", repeating)
         with pytest.raises(EngineInvariantError, match="without progress"):
             prove("1 ; (r ; 1)")
 

@@ -121,6 +121,15 @@ class TestKripkeOracle:
         with pytest.raises(BudgetExceeded):
             kripke_countermodel(f, 3)
 
+    def test_more_than_eight_worlds_is_refused(self):
+        # a world mask is one byte: eight worlds are searched, a ninth is
+        # refused once the search reaches it
+        f = parse_modal("p | ~p")
+        assert kripke_countermodel(f, 8) is None
+        with pytest.raises(BudgetExceeded, match="9 worlds"):
+            kripke_countermodel(f, 9)
+        assert kripke_countermodel(parse_modal("p"), 9) is not None
+
     def test_witness_is_reproducible(self):
         f = parse_modal("p -> [r]p")
         assert kripke_countermodel(f, 3) == kripke_countermodel(f, 3)

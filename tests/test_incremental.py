@@ -9,7 +9,9 @@ or node: the agenda's groups and instance counts, the applications the
 agenda yields at every variable, the branch's variables, the per-key
 formula lists, every forced set the node's compositions ask for, the
 variable order, and the blocking verdict of every complemented
-composition on the node.
+composition on the node.  A second search enters each step on a fork of
+the branch first, and checks that the fork holds none of the branch's
+mutable state and that its step leaves the branch as it was.
 """
 
 import pytest
@@ -19,22 +21,28 @@ from dualtab.engine import (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
                             RULE_CMPL_COMP_UNIV, RULE_CMPL_INTER,
                             RULE_CMPL_UNION, RULE_COMP_BOOL, RULE_COMP_UNIV,
                             RULE_DOUBLE_CMPL, RULE_INTER, RULE_UNION,
-                            ProofSearch, Proof, applications, is_blocked,
-                            rule_of)
+                            Branch, ProofSearch, Proof, applications,
+                            is_blocked, rule_of)
 from dualtab.formulas import (FormulaSet, History, RelFormula,
                               has_nbool_construction, v_set, variables_of)
 from dualtab.frontends import parse_modal, translate_modal
 from dualtab.terms import ONE, Cmpl, Comp, Inter, Var
 
 
+def genealogy(branch):
+    """Each generated variable and the premise that introduced it."""
+    return {w: f for f, w in branch.decomposed.items() if w is not None}
+
+
 def descends_from_right_root(branch, w):
     """Walk the genealogy of ``w`` up: through premises' left endpoints,
     until the right root, a root, or a ``cmpl-comp-univ`` witness."""
-    while w in branch.genealogy:
-        premise = branch.genealogy[w]
+    parents = genealogy(branch)
+    while w in parents:
+        premise = parents[w]
         if rule_of(premise.term) == RULE_CMPL_COMP_UNIV:
             return False
-        if premise.left == branch.root_right:
+        if premise.left == branch.vars[1]:
             return True
         w = premise.left
     return False
@@ -54,9 +62,9 @@ def scratch_blocked(f, branch):
     for g in history:
         if g == f or g.term != f.term or g.right != f.right:
             continue
-        if g not in branch.decomposed_with:
+        w = branch.decomposed.get(g)
+        if w is None:
             continue
-        w = branch.decomposed_with[g]
         renamed = FormulaSet(
             RelFormula(f.left, h.term, w) for h in history
             if h.left == g.left and h.right == w
@@ -82,11 +90,12 @@ PHASE = {**dict.fromkeys((RULE_UNION, RULE_CMPL_UNION, RULE_INTER,
 
 def scratch_agenda(branch):
     """The node's formulas with work, grouped by left variable and phase,
-    the ``(1;S)`` premises under ``(None, 3)``, each group in node order."""
+    the ``(1;S)`` premises under ``(None, 3)``, each group in node order.
+    A premise already decomposed has no work."""
     groups = {}
     for f in branch.node:
         phase = PHASE.get(rule_of(f.term))
-        if phase is not None:
+        if phase is not None and not (phase < 2 and f in branch.decomposed):
             groups.setdefault((None if phase == 3 else f.left, phase), []).append(f)
     return groups
 
@@ -95,6 +104,7 @@ def scratch_applications(branch, z):
     """The applicability scan as a walk over the whole node, with forced
     sets, blocking and suppression recomputed over the whole history."""
     applied, history = branch.applied, branch.history
+    decomposed, generated = branch.decomposed, genealogy(branch)
     plain = FormulaSet(history)
     phases = ([], [], [], [])
     for f in branch.node:
@@ -103,14 +113,13 @@ def scratch_applications(branch, z):
         if phase is not None and (f.left == z or phase == 3):
             phases[phase].append((f, rule))
     boolean, negcomp, comp_bool, comp_univ = phases
-    out = [(rule, f, None) for f, rule in boolean
-           if (rule, f, None) not in applied]
+    out = [(rule, f, None) for f, rule in boolean if f not in decomposed]
     for f, rule in negcomp:
-        if (rule, f, None) in applied:
+        if f in decomposed:
             continue
         if rule == RULE_CMPL_COMP_UNIV:
             if not any(g.term == Cmpl(f.term.arg.right) and g.right == f.right
-                       and g.left in branch.genealogy for g in plain):
+                       and g.left in generated for g in plain):
                 out.append((rule, f, None))
         else:
             blocker = scratch_blocked(f, branch)
@@ -119,9 +128,9 @@ def scratch_applications(branch, z):
     for f, _ in comp_bool:
         forced = v_set(Cmpl(f.term.left), z, plain)
         out += [(RULE_COMP_BOOL, f, w) for w in branch.order
-                if w in forced and (RULE_COMP_BOOL, f, w) not in applied]
+                if w in forced and (f, w) not in applied]
     out += [(RULE_COMP_UNIV, f, z) for f, _ in comp_univ
-            if (RULE_COMP_UNIV, f, z) not in applied
+            if (f, z) not in applied
             and RelFormula(z, f.term.right, f.right) not in plain]
     return out
 
@@ -132,7 +141,7 @@ def check_branch(branch):
     # extended caches up to date after every step and hide a stale one;
     # the agenda's applications are read first, before the forced-set
     # checks below bring the fork's caches up to date
-    twin = branch.fork(branch.node)
+    twin = branch.fork()
     for z in branch.order:
         assert list(applications(twin, z)) == scratch_applications(branch, z)
     expected = scratch_agenda(branch)
@@ -141,8 +150,7 @@ def check_branch(branch):
     for (_, phase), group in branch.agenda.items():
         for f, value in group.items():
             if phase == 2:
-                assert value == sum(1 for rule, g, _ in branch.applied
-                                    if rule == RULE_COMP_BOOL and g == f)
+                assert value == sum(1 for g, _ in branch.applied if g == f)
             else:
                 assert value == rule_of(f.term)
     history = twin.history
@@ -205,6 +213,72 @@ def test_corpus_indices_match_recomputation(fragment_corpus):
         search.run()
         checked += search.checked_steps
     assert checked > len(fragment_corpus)
+
+
+def mutables(value):
+    """Every mutable container reachable from ``value``, by id: lists, sets
+    and dicts (formula sets and histories among them) with their elements
+    and values, tuples' elements, and a history's indices and caches."""
+    found, stack = {}, [value]
+    while stack:
+        v = stack.pop()
+        if isinstance(v, History):
+            stack.extend(getattr(v, name) for name in History.__slots__)
+        if isinstance(v, tuple):
+            stack.extend(v)
+        elif isinstance(v, (list, set, dict)) and id(v) not in found:
+            found[id(v)] = v
+            stack.extend(v.values() if isinstance(v, dict) else v)
+    return found
+
+
+def plain(value):
+    """A copy of ``value`` made of fresh containers, which compares equal
+    to a later copy only when nothing in ``value`` changed, order included."""
+    if isinstance(value, History):
+        return plain(dict(value)), [plain(getattr(value, name))
+                                    for name in History.__slots__]
+    if isinstance(value, dict):
+        return [(k, plain(v)) for k, v in value.items()]
+    if isinstance(value, (list, tuple)):
+        return [plain(v) for v in value]
+    if isinstance(value, set):
+        return set(value)
+    return value
+
+
+class ForkingSearch(ProofSearch):
+    """A proof search that, before each step enters a branch, enters it on
+    a fork of that branch first and checks that the branch is unchanged."""
+
+    forks = 0
+
+    def _enter(self, branch, node, added, removed, step):
+        names = [name for name in Branch.__slots__ if name != "node"]
+        twin = branch.fork()
+        held = {}
+        for name in names:
+            held.update(mutables(getattr(branch, name)))
+        for name in names:
+            assert not mutables(getattr(twin, name)).keys() & held.keys(), name
+        before = [plain(getattr(branch, name)) for name in Branch.__slots__]
+        twin.enter(node, added, removed, step)
+        for z in twin.order:  # brings the fork's lazy caches up to date
+            list(applications(twin, z))
+        assert [plain(getattr(branch, name)) for name in Branch.__slots__] == before
+        ForkingSearch.forks += 1
+        super()._enter(branch, node, added, removed, step)
+
+
+@pytest.mark.parametrize("family", ["modal_dist", "kdist", "branching", "cycle"])
+def test_fork_shares_no_mutable_state(family):
+    # a slot that fork forgets to copy is shared with the parent, and the
+    # fork's first step shows through on the parent
+    forks_before = ForkingSearch.forks
+    search = ForkingSearch(translate_modal(parse_modal(family_text(family, 4))))
+    search.run()
+    assert ForkingSearch.forks - forks_before == search.tree.steps + (
+        search.tree.branch_count - 1)
 
 
 def test_forced_set_grows_when_the_last_literal_arrives():
