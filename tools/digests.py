@@ -1,12 +1,15 @@
-"""Check the verdict and trace digests of a fixed set of terms.
+"""Check the verdict, trace and blocking digests of fixed sets of terms.
 
 Runs the decision procedure on the 500-term seeded corpus, the 1 848
 translated modal formulas of depth at most 3, and the four modal families
 at n=4 and n=8, all built by ``tests/conftest.py``.  It hashes each
-verdict's JSON and each run's trace events, prints both sha256 digests
-with the term and step counts, and exits 1 when either differs from the
-value pinned below.  A change that must keep every proof tree,
-countermodel and rule application as it is leaves both digests alone.
+verdict's JSON and each run's trace events into two sha256 digests.  A
+third digest hashes both, verdict and trace, over ten deeper corpora
+(seeds 1-10, 200 terms of depth at most 6 each), whose countermodels use
+the literals of blocked formulas far more often.  The script prints each
+digest with the term and step counts, and exits 1 when one differs from
+the value pinned below.  A change that must keep every proof tree,
+countermodel and rule application as it is leaves all three alone.
 
 Run it from the root of a source checkout, with pytest and hypothesis
 installed (``conftest.py`` imports them)::
@@ -30,6 +33,7 @@ FAMILIES = ("modal_dist", "kdist", "branching", "cycle")
 
 VERDICT_DIGEST = "c3b4cd262a65bef34847e2d6f478a357200c0d0352ca356ae90a3d79182c1787"
 TRACE_DIGEST = "fc58031a754240fc9218367cefe06977a6fac1db78624d231b2101aa77d41af8"
+BLOCKING_DIGEST = "10e3d0e963fe7780d7fb8ea081989ea78b606b6f1a7303bff9ae082cb0fb7074"
 
 
 def terms():
@@ -41,25 +45,43 @@ def terms():
             yield translate_modal(parse_modal(family_text(name, n)))
 
 
-def digests():
-    verdict, trace = hashlib.sha256(), hashlib.sha256()
-    count = steps = 0
-    for term in terms():
+def blocking_terms():
+    for seed in range(1, 11):
+        yield from build_corpus(seed=seed, size=200, depth=6)
+
+
+def runs(terms):
+    """Each term's verdict JSON and trace events, as two lines of bytes."""
+    for term in terms:
         events = []
         data = verdict_to_json(run_procedure(term, trace=events.append))
-        verdict.update(json.dumps(data, sort_keys=True).encode() + b"\n")
-        trace.update(json.dumps(events, sort_keys=True).encode() + b"\n")
+        yield (json.dumps(data, sort_keys=True).encode() + b"\n",
+               json.dumps(events, sort_keys=True).encode() + b"\n",
+               data["stats"]["steps"])
+
+
+def digests():
+    verdict, trace, blocking = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    count = steps = 0
+    for data, events, n in runs(terms()):
+        verdict.update(data)
+        trace.update(events)
         count += 1
-        steps += data["stats"]["steps"]
-    return verdict.hexdigest(), trace.hexdigest(), count, steps
+        steps += n
+    for data, events, n in runs(blocking_terms()):
+        blocking.update(data + events)
+        count += 1
+        steps += n
+    return verdict.hexdigest(), trace.hexdigest(), blocking.hexdigest(), count, steps
 
 
 def main():
-    verdict, trace, count, steps = digests()
+    verdict, trace, blocking, count, steps = digests()
     print(f"{count} terms, {steps} steps")
     ok = True
     for name, got, pinned in (("verdict", verdict, VERDICT_DIGEST),
-                              ("trace", trace, TRACE_DIGEST)):
+                              ("trace", trace, TRACE_DIGEST),
+                              ("blocking", blocking, BLOCKING_DIGEST)):
         same = got == pinned
         ok = ok and same
         print(f"{name:8} {got} {'ok' if same else 'DIFFERS from ' + pinned}")
