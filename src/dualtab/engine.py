@@ -21,12 +21,13 @@ hands the step and what entered and left the node to :meth:`Branch.enter`,
 the only method that writes a branch's node, history, agenda, composition
 instances, decomposed premises and witness placement.  Complemented
 compositions are suppressed when an already decomposed twin *blocks* them;
-the literals their decomposition would have produced are recorded instead
-and feed the countermodel.
+the scheduler passes over a blocked formula and writes nothing.
 
 If every branch closes the tree is a proof.  Otherwise the first
 saturated open branch yields a finite model and identity valuation that
-falsify every formula ever on the branch, the input included.
+falsify every formula ever on the branch, the input included.  The model
+is a function of that branch alone: its literals, plus the renamed
+literals of each blocked formula's blocker, found by one last scan.
 """
 
 from __future__ import annotations
@@ -159,8 +160,7 @@ class Branch:
     order; ``right`` holds the right root and its descendants;
     ``decomposed`` maps each premise a Boolean or complemented-composition
     rule decomposed to its fresh witness, or to None for a Boolean rule;
-    ``applied`` holds the composition instances ``(premise, variable)``;
-    ``lit_negcomp`` collects the renamed literals of blocked formulas.
+    ``applied`` holds the composition instances ``(premise, variable)``.
 
     ``agenda`` holds the node's formulas with work, each group in node
     order: the Boolean, complemented-composition and literal-gated
@@ -170,21 +170,21 @@ class Branch:
     applied.  A decomposed premise that re-enters the node has no work
     and stays off the agenda.
 
-    :meth:`enter` is the only method that writes this state;
-    :func:`record_blocked_literals` is the scheduler's one other writer.
+    :meth:`enter` is the only method that writes this state; scans and
+    model extraction only read it (:meth:`History.forced` aside, which
+    fills its own cache).
     """
 
-    __slots__ = ("node", "history", "vars", "order", "right", "lit_negcomp",
-                 "applied", "decomposed", "node_axiomatic", "agenda")
+    __slots__ = ("node", "history", "vars", "order", "right", "applied",
+                 "decomposed", "node_axiomatic", "agenda")
 
-    def __init__(self, node, history, vars, order, right, lit_negcomp,
-                 applied, decomposed, agenda):
+    def __init__(self, node, history, vars, order, right, applied, decomposed,
+                 agenda):
         self.node = node
         self.history = history
         self.vars = vars
         self.order = order
         self.right = right
-        self.lit_negcomp = lit_negcomp
         self.applied = applied
         self.decomposed = decomposed
         self.node_axiomatic = False
@@ -193,8 +193,7 @@ class Branch:
     @classmethod
     def initial(cls, formula):
         x, y = formula.left, formula.right
-        branch = cls(None, History(), [x, y], [x, y], {y}, FormulaSet(), set(),
-                     {}, {})
+        branch = cls(None, History(), [x, y], [x, y], {y}, set(), {}, {})
         node = FormulaSet([formula])
         branch.enter(node, node, (), None)
         return branch
@@ -202,8 +201,8 @@ class Branch:
     def fork(self):
         """A copy of the branch that shares its node and no mutable state."""
         return Branch(self.node, self.history.copy(), list(self.vars),
-                      list(self.order), set(self.right), self.lit_negcomp.copy(),
-                      set(self.applied), dict(self.decomposed),
+                      list(self.order), set(self.right), set(self.applied),
+                      dict(self.decomposed),
                       {key: dict(group) for key, group in self.agenda.items()
                        if group})
 
@@ -284,15 +283,6 @@ def is_blocked(f, branch):
     return None
 
 
-def record_blocked_literals(branch, blocked):
-    """Record the renamed blocker literals of each ``("blocked", f,
-    blocker)`` that :func:`applications` yielded."""
-    for _, f, blocker in blocked:
-        w = branch.decomposed[blocker]
-        for h in blocker_literals(branch, blocker, w):
-            branch.lit_negcomp.add(RelFormula(f.left, h.term, w))
-
-
 def is_suppressed(branch, f):
     """Side condition of the ``x -(1;S) y`` rule: it is not applied once some
     generated variable ``z'``, any but the two roots, carries ``z' -S y``."""
@@ -335,17 +325,10 @@ def applications(branch, z):
         for w in branch.order if count < len(forced) else ():
             if w in forced and (f, w) not in applied:
                 yield RULE_COMP_BOOL, f, w
+    # an applied instance ``(f, z)`` put ``z S y`` into the history
     for f in agenda.get((None, 3), {}):
-        if ((f, z) not in applied
-                and RelFormula(z, f.term.right, f.right) not in history):
+        if RelFormula(z, f.term.right, f.right) not in history:
             yield RULE_COMP_UNIV, f, z
-
-
-def branch_saturated(branch):
-    """True iff the branch is open and no rule application remains."""
-    return not is_axiomatic(branch.node) and all(
-        rule == "blocked" for z in branch.vars
-        for rule, _, _ in applications(branch, z))
 
 
 def conclusions(rule, f, z):
@@ -385,17 +368,24 @@ def extract_model(branch):
     """Read the falsifying model off a saturated open branch.
 
     The universe is the branch's variable list; a pair belongs to the
-    interpretation of a relational variable exactly when the branch (or
-    the recorded literals of blocked formulas) carries the corresponding
-    negated literal.  The valuation is the identity.
+    interpretation of a relational variable exactly when the branch
+    carries the corresponding negated literal, or a blocked formula
+    ``x -(B;S) y`` with blocker ``g`` and witness ``w`` would have put it
+    there: each negated literal ``g.left -r w`` of the blocker counts
+    as ``x -r w``.  One scan at every variable finds the blocked formulas
+    and that no rule applies.  The valuation is the identity.
     """
-    if not branch_saturated(branch):
+    scan = [app for z in branch.vars for app in applications(branch, z)]
+    if is_axiomatic(branch.node) or any(rule != "blocked" for rule, _, _ in scan):
         raise BranchNotSaturated(
             "model extraction needs a non-axiomatic branch with no applicable rule"
         )
-    universe = tuple(branch.vars)
     literals = [f for f in branch.history if is_literal(f)]
-    literals.extend(branch.lit_negcomp)
+    for _, f, blocker in scan:
+        w = branch.decomposed[blocker]
+        literals.extend(RelFormula(f.left, h.term, w)
+                        for h in blocker_literals(branch, blocker, w))
+    universe = tuple(branch.vars)
     # every term on the branch is a component of the root formula's term,
     # the history's first entry, so it has no variable the root term lacks
     names = term_variables(next(iter(branch.history)).term)
@@ -547,25 +537,15 @@ class ProofSearch:
         """The next application and the variable whose turn it is.
 
         ``z`` keeps the turn while it has an application open; then the
-        turn passes to the first variable in branch order with one.  The
-        literals of the blocked formulas passed at ``z`` and at the
-        variable that takes the turn are recorded for the countermodel;
-        when none does, the branch is saturated and those of every blocked
-        formula are.
+        turn passes to the first variable in branch order with one.  A
+        blocked formula is passed over.  None means the branch is
+        saturated.  Nothing is written: :func:`extract_model` reads the
+        blocked formulas off the saturated branch.
         """
-        skipped = []
         for v in branch.order if z is None else (z, *branch.order):
-            blocked = []
             for app in applications(branch, v):
                 if app[0] != "blocked":
-                    record_blocked_literals(branch, blocked)
                     return v, app
-                blocked.append(app)
-            if v == z:
-                record_blocked_literals(branch, blocked)
-            else:
-                skipped += blocked
-        record_blocked_literals(branch, skipped)
         return None
 
     def _apply(self, branch, leaf, app):

@@ -138,18 +138,23 @@ def model_from_json(data):
     universe = data["universe"]
     if not isinstance(universe, list) or not all(isinstance(u, str) for u in universe):
         raise ValueError("the universe must be a list of element names")
+    relations, valuation = data["relations"], data["valuation"]
+    if not isinstance(relations, dict) or not isinstance(valuation, dict):
+        raise ValueError("the relations and the valuation must be objects")
     universe = tuple(universe)
     elems = set(universe)
     interp = {}
-    for name, pairs in data["relations"].items():
+    for name, pairs in relations.items():
+        if not isinstance(pairs, list) or not all(
+                isinstance(p, list) and len(p) == 2
+                and all(isinstance(e, str) for e in p) for p in pairs):
+            raise ValueError(f"relation {name!r} must be a list of name pairs")
         rel = set()
-        for pair in pairs:
-            a, b = pair
+        for a, b in pairs:
             if a not in elems or b not in elems:
-                raise ValueError(f"pair {pair!r} of relation {name!r} leaves the universe")
+                raise ValueError(f"pair {[a, b]!r} of relation {name!r} leaves the universe")
             rel.add((a, b))
         interp[name] = rel
-    valuation = dict(data["valuation"])
     for var, elem in valuation.items():
         if elem not in elems:
             raise ValueError(f"valuation maps {var!r} outside the universe")

@@ -529,57 +529,42 @@ def fragment_check(t):
     Returns a :class:`FragmentVerdict`; rejections carry the offending
     subterm and the violated clause.
     """
-    match t:
-        case One() | Var():
-            return _ACCEPT
-        case Conv():
-            return FragmentVerdict(False, t, "converse is not allowed in the fragment")
-        case Cmpl(a):
-            return fragment_check(a)
-        case Union(l, r) | Inter(l, r):
-            v = fragment_check(l)
-            return v if not v else fragment_check(r)
-        case Comp(l, r):
-            if not (isinstance(l, One) or l.plain):
-                return FragmentVerdict(
-                    False, l,
-                    "left operand of ';' must be 1 or a complement- and 1-free Boolean term",
-                )
-            if isinstance(r, One):
-                return _ACCEPT
-            return _check_comp_right(r)
-    raise TypeError(f"not a relational term: {t!r}")
+    return _fragment_walk(t, False)
 
 
-def _check_comp_right(t):
+def _fragment_walk(t, inside):
     # Inside a composition's right operand, 1 may occur only as the right
     # operand of a composition whose left operand is plain Boolean.
     match t:
-        case One():
+        case One() if inside:
             return FragmentVerdict(
                 False, t,
                 "inside a composition's right operand, 1 may occur only as "
                 "the right operand of a composition with a Boolean left operand",
             )
-        case Var():
+        case One() | Var():
             return _ACCEPT
         case Conv():
             return FragmentVerdict(False, t, "converse is not allowed in the fragment")
         case Cmpl(a):
-            return _check_comp_right(a)
+            return _fragment_walk(a, inside)
         case Union(l, r) | Inter(l, r):
-            v = _check_comp_right(l)
-            return v if not v else _check_comp_right(r)
+            v = _fragment_walk(l, inside)
+            return v if not v else _fragment_walk(r, inside)
         case Comp(l, r):
-            if not l.plain:
+            if inside and not l.plain:
                 return FragmentVerdict(
                     False, l,
                     "inside a composition's right operand, every composition "
                     "must have a complement- and 1-free Boolean left operand",
                 )
-            if isinstance(r, One):
-                return _ACCEPT
-            return _check_comp_right(r)
+            if not (isinstance(l, One) or l.plain):
+                return FragmentVerdict(
+                    False, l,
+                    "left operand of ';' must be 1 or a complement- and 1-free Boolean term",
+                )
+            return _ACCEPT if isinstance(r, One) else _fragment_walk(r, True)
+    raise TypeError(f"not a relational term: {t!r}")
 
 
 def require_fragment(t):

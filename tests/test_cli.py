@@ -185,6 +185,21 @@ class TestCheckModel:
         assert proc.stderr.startswith("error: malformed model file:")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("fields", [
+        {"relations": {"r": ["ab"]}},  # a string is not a pair
+        {"relations": []},
+        {"valuation": [["x", "a"], ["y", "b"]]},
+    ], ids=["string-pair", "relations-list", "valuation-list"])
+    def test_malformed_relations_or_valuation(self, tmp_path, fields):
+        data = {"universe": ["a", "b"], "relations": {"r": [["a", "b"]]},
+                "valuation": {"x": "a", "y": "b"}, **fields}
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(data))
+        proc = run_process("-m", "dualtab", "check-model", "r", str(path))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("error: malformed model file:")
+        assert proc.stderr.count("\n") == 1
+
 
 class TestEndToEnd:
     def test_countermodel_feeds_check_model(self, capsys, tmp_path):

@@ -10,9 +10,9 @@ from dualtab.engine import (Branch, Countermodel, Proof, RULE_CMPL_COMP,
                             RULE_CMPL_COMP_ONE, RULE_CMPL_COMP_UNIV,
                             RULE_COMP_BOOL, RULE_COMP_UNIV, RULE_DOUBLE_CMPL,
                             RULE_INTER, RULE_UNION, applications,
-                            branch_saturated, conclusions, extract_model,
-                            is_axiomatic, is_blocked, record_blocked_literals,
-                            rule_of, run_procedure, verdict_to_json, weight)
+                            conclusions, extract_model, is_axiomatic,
+                            is_blocked, rule_of, run_procedure,
+                            verdict_to_json, weight)
 from dualtab.errors import (BranchNotSaturated, EngineInvariantError,
                             FragmentViolation, ResourceExhausted)
 from dualtab.formulas import FormulaSet, RelFormula, v_set
@@ -221,18 +221,20 @@ class TestApplyNegcomp:
         assert offered(b, "x") == []
 
     def test_blocked_formula_records_renamed_literals(self):
+        # the blocker's decomposition with witness w left z1 -r w; the
+        # model counts it for the blocked formula as z2 -r w as well
         term_text = "-(r ; (s ; 1))"
         blocked = RelFormula("z2", parse_term(term_text), "y")
         blocker = RelFormula("z1", parse_term(term_text), "y")
-        b = Branch.initial(F("x", "1 ; " + term_text, "y"))
-        b.enter(FormulaSet([*b.node, blocked]), [blocked], (), None)
-        for g in (blocker, blocked, F("z1", "-r", "w")):
+        b = Branch.initial(blocked)
+        for g in (blocker, F("z1", "-r", "w")):
             b.history.add(g)
-        b.vars += ["z1", "w", "z2"]
+        b.vars += ["z1", "w"]
         b.decomposed[blocker] = "w"
         assert offered(b, "z2") == [("blocked", blocked, blocker)]
-        record_blocked_literals(b, offered(b, "z2"))
-        assert F("z2", "-r", "w") in b.lit_negcomp
+        model, _ = extract_model(b)
+        assert F("z2", "-r", "w") not in b.history
+        assert model.interp["r"] == {("z1", "w"), ("z2", "w")}
 
 
 class TestIsBlocked:
@@ -368,7 +370,13 @@ class TestRunProcedure:
         t = simplify_ones(parse_term("1 ; -(r ; (s ; 1))"))
         verdict = run_procedure(t)
         assert isinstance(verdict, Countermodel)
-        assert len(verdict.branch.lit_negcomp) > 0
+        b = verdict.branch
+        blocked = [app for z in b.vars for app in applications(b, z)]
+        assert blocked and all(rule == "blocked" for rule, _, _ in blocked)
+        for _, f, blocker in blocked:
+            w = b.decomposed[blocker]
+            assert F(f.left, "-r", w) not in b.history
+            assert (f.left, w) in verdict.model.interp["r"]
         assert falsifies_branch(verdict.model, verdict.valuation, verdict.branch)
 
     def test_negated_literal_forces_the_pair_in(self):
@@ -413,7 +421,8 @@ class TestRunProcedure:
         for text in ("r", "1 ; (r ; 1)", "1 ; -(r ; (s ; 1))"):
             verdict = prove(text)
             assert isinstance(verdict, Countermodel)
-            assert branch_saturated(verdict.branch)
+            assert extract_model(verdict.branch) == (verdict.model,
+                                                     verdict.valuation)
 
     @given(fragment_term_strategy(depth=5))
     @settings(max_examples=80, deadline=None)

@@ -11,18 +11,21 @@ formula lists, every forced set the node's compositions ask for, the
 variable order, and the blocking verdict of every complemented
 composition on the node.  A second search enters each step on a fork of
 the branch first, and checks that the fork holds none of the branch's
-mutable state and that its step leaves the branch as it was.
+mutable state and that its step leaves the branch as it was.  A third
+checks that the scheduler's scans and the model extraction write nothing
+to a branch.
 """
 
 import pytest
 
 from conftest import family_text
+from dualtab import engine
 from dualtab.engine import (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
                             RULE_CMPL_COMP_UNIV, RULE_CMPL_INTER,
                             RULE_CMPL_UNION, RULE_COMP_BOOL, RULE_COMP_UNIV,
                             RULE_DOUBLE_CMPL, RULE_INTER, RULE_UNION,
-                            Branch, ProofSearch, Proof, applications,
-                            is_blocked, rule_of)
+                            Branch, Countermodel, ProofSearch, Proof,
+                            applications, extract_model, is_blocked, rule_of)
 from dualtab.formulas import (FormulaSet, History, RelFormula,
                               has_nbool_construction, v_set, variables_of)
 from dualtab.frontends import parse_modal, translate_modal
@@ -279,6 +282,62 @@ def test_fork_shares_no_mutable_state(family):
     search.run()
     assert ForkingSearch.forks - forks_before == search.tree.steps + (
         search.tree.branch_count - 1)
+
+
+def snapshot(branch):
+    """Every slot of the branch as fresh containers, the history's lazily
+    filled forced-set cache left out."""
+    out = []
+    for name in Branch.__slots__:
+        value = getattr(branch, name)
+        if isinstance(value, History):
+            value = dict(value), [getattr(value, index) for index
+                                  in History.__slots__ if index != "_forced"]
+        out.append(plain(value))
+    return out
+
+
+class ReadOnlySearch(ProofSearch):
+    """A proof search that checks that each scan for the next application
+    leaves the branch as it was."""
+
+    scans = 0
+
+    def _next_application(self, branch, z):
+        before = snapshot(branch)
+        turn = super()._next_application(branch, z)
+        assert snapshot(branch) == before
+        ReadOnlySearch.scans += 1
+        return turn
+
+
+def check_read_only(term, monkeypatch):
+    def extract(branch):
+        before = snapshot(branch)
+        found = extract_model(branch)
+        assert snapshot(branch) == before
+        return found
+
+    monkeypatch.setattr(engine, "extract_model", extract)
+    scans_before = ReadOnlySearch.scans
+    search = ReadOnlySearch(term)
+    verdict = search.run()
+    assert ReadOnlySearch.scans - scans_before >= search.tree.steps
+    if isinstance(verdict, Countermodel):
+        assert extract(verdict.branch) == (verdict.model, verdict.valuation)
+    return verdict
+
+
+@pytest.mark.parametrize("family", ["modal_dist", "kdist", "branching", "cycle"])
+def test_scans_and_extraction_write_nothing(family, monkeypatch):
+    term = translate_modal(parse_modal(family_text(family, 4)))
+    verdict = check_read_only(term, monkeypatch)
+    assert isinstance(verdict, Countermodel) == (family == "cycle")
+
+
+def test_corpus_scans_and_extraction_write_nothing(fragment_corpus, monkeypatch):
+    verdicts = [check_read_only(term, monkeypatch) for term in fragment_corpus]
+    assert any(isinstance(v, Countermodel) for v in verdicts)
 
 
 def test_forced_set_grows_when_the_last_literal_arrives():

@@ -251,6 +251,26 @@ class TestFragmentCheck:
         assert not verdict
         assert "converse" in verdict.clause
 
+    @pytest.mark.parametrize("text, offender, clause", [
+        ("r^", "r^", "converse is not allowed"),
+        ("s ; (r^)", "r^", "converse is not allowed"),
+        ("(-r) ; s", "-r", "left operand of ';' must be 1 or"),
+        ("s ; ((-r) ; t)", "-r", "inside a composition's right operand, every"),
+        ("1 ; t", None, None),
+        ("s ; (1 ; t)", "1", "inside a composition's right operand, every"),
+        ("1 | s", None, None),
+        ("s ; (t | 1)", "1", "inside a composition's right operand, 1 may"),
+    ])
+    def test_each_clause_at_top_level_and_in_a_right_operand(
+            self, text, offender, clause):
+        verdict = fragment_check(parse_term(text))
+        assert bool(verdict) == (offender is None)
+        if offender is None:
+            assert verdict.offender is None and verdict.clause is None
+        else:
+            assert verdict.offender == parse_term(offender)
+            assert verdict.clause.startswith(clause)
+
     def test_rejects_composition_as_left_operand(self):
         assert not fragment_check(parse_term("(r ; 1) ; s"))
 
