@@ -6,10 +6,13 @@ at n=4 and n=8, all built by ``tests/conftest.py``.  It hashes each
 verdict's JSON and each run's trace events into two sha256 digests.  A
 third digest hashes both, verdict and trace, over ten deeper corpora
 (seeds 1-10, 200 terms of depth at most 6 each), whose countermodels use
-the literals of blocked formulas far more often.  The script prints each
+the literals of blocked formulas far more often.  A fourth digest hashes
+the answer of the size-3 finite-model oracle, the first countermodel or
+none, for every term of the 500-term corpus.  The script prints each
 digest with the term and step counts, and exits 1 when one differs from
 the value pinned below.  A change that must keep every proof tree,
-countermodel and rule application as it is leaves all three alone.
+countermodel and rule application as it is leaves the first three alone;
+one that must keep every oracle witness leaves the fourth alone.
 
 Run it from the root of a source checkout, with pytest and hypothesis
 installed (``conftest.py`` imports them)::
@@ -28,12 +31,14 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from conftest import all_modal, build_corpus, family_text  # noqa: E402
 from dualtab.engine import run_procedure, verdict_to_json  # noqa: E402
 from dualtab.frontends import parse_modal, translate_modal  # noqa: E402
+from dualtab.semantics import brute_force_countermodel, model_to_json  # noqa: E402
 
 FAMILIES = ("modal_dist", "kdist", "branching", "cycle")
 
 VERDICT_DIGEST = "c3b4cd262a65bef34847e2d6f478a357200c0d0352ca356ae90a3d79182c1787"
 TRACE_DIGEST = "fc58031a754240fc9218367cefe06977a6fac1db78624d231b2101aa77d41af8"
 BLOCKING_DIGEST = "10e3d0e963fe7780d7fb8ea081989ea78b606b6f1a7303bff9ae082cb0fb7074"
+ORACLE_DIGEST = "16d6539d998cd186aad3b8f4111d61043ac1ce4eebb713cf6fb3644293f36953"
 
 
 def terms():
@@ -75,13 +80,24 @@ def digests():
     return verdict.hexdigest(), trace.hexdigest(), blocking.hexdigest(), count, steps
 
 
+def oracle_digest():
+    """Digest of the size-3 oracle's answer for every corpus term."""
+    digest = hashlib.sha256()
+    for term in build_corpus():
+        hit = brute_force_countermodel(term, 3)
+        digest.update(json.dumps(model_to_json(*hit) if hit else None,
+                                 sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def main():
     verdict, trace, blocking, count, steps = digests()
     print(f"{count} terms, {steps} steps")
     ok = True
     for name, got, pinned in (("verdict", verdict, VERDICT_DIGEST),
                               ("trace", trace, TRACE_DIGEST),
-                              ("blocking", blocking, BLOCKING_DIGEST)):
+                              ("blocking", blocking, BLOCKING_DIGEST),
+                              ("oracle", oracle_digest(), ORACLE_DIGEST)):
         same = got == pinned
         ok = ok and same
         print(f"{name:8} {got} {'ok' if same else 'DIFFERS from ' + pinned}")
