@@ -8,10 +8,19 @@ interpretation over universes of increasing size in a fixed order, so its
 output is reproducible.  Internally it packs the last variables' joint
 interpretations into bit vectors (the packed axis) and loops over those of
 the first ones (the outer assignments).  A term's table holds one row per
-pair and one bit per packed interpretation.  Subterms over packed
-variables only are evaluated once per universe size; every other subterm
-once per outer assignment, in a memo keyed by the interned term.  Outer
-variables and ``1`` are one-word columns that broadcast along the packed
+pair and one bit per packed interpretation.
+
+Before that loop, each universe size evaluates once every subterm whose
+table no outer assignment can change: one over packed variables only, and
+one that folds to a constant, a union with an all-ones part or an
+intersection or composition with an all-zeros part.  The fragment keeps
+``1 ; 1``, whose table is all ones, so such roots are common.  When the
+root itself folds or hoists, the first outer assignment decides the size
+and the loop runs once.  Every other subterm is evaluated once per outer
+assignment.  The memos, keyed by the interned term, keep only the hoisted
+tables and those of subterms that more than one parent uses; any other
+table is dropped once its parent has it.  Outer variables, ``1`` and
+folded constants are one-word columns that broadcast along the packed
 axis, and composition ORs ``n`` broadcast ANDs of ``(n, n, words)`` views.
 None of this changes the enumeration order: the first witness is always
 the first falsifier in the order :func:`brute_force_countermodel` states.
@@ -218,16 +227,22 @@ def _search_universe(term, names, n):
     for i, name in enumerate(inner_names):
         fixed[Var(name)] = np.stack(
             [_bit_pattern(q * (n_inner - 1 - i) + p, nwords) for p in range(q)])
-    _hoist(term, fixed, set(outer_names), n)
+    keep = _shared(term)
+    root = _hoist(term, fixed, set(outer_names), n, keep)
+    if root is not None:
+        fixed[term] = root
     shifts = np.arange(q)
 
-    for outer_masks in itertools.product(range(1 << q), repeat=len(outer_names)):
+    # A root that no outer assignment changes is decided by the first one.
+    assignments = itertools.product(range(1 << q), repeat=len(outer_names))
+    for outer_masks in itertools.islice(assignments, None if root is None else 1):
         outer = dict(zip(outer_names, outer_masks))
         memo = dict(fixed)
         for name, mask in outer.items():
             memo[Var(name)] = np.where((mask >> shifts) & 1, _ALL_ONES, np.uint64(0))[:, None]
-        # The root mentions every variable, so its rows are nwords wide.
-        rows = _eval_rows(term, memo, n)
+        # A row one word wide holds the same bit for every packed
+        # interpretation, so its first falsifier is combination 0.
+        rows = _eval_rows(term, memo, n, keep)
         merged = np.bitwise_not(np.bitwise_and.reduce(rows, axis=0))
         merged[-1] &= tail_mask
         nz = np.nonzero(merged)[0]
@@ -258,47 +273,86 @@ def _bit_pattern(j, nwords):
     return np.where(block.astype(bool), _ALL_ONES, np.uint64(0))
 
 
-def _hoist(t, memo, outer, n):
-    """Evaluate into ``memo`` the largest subterms of ``t`` that mention no
-    variable in ``outer``."""
-    if outer.isdisjoint(term_variables(t)):
-        _eval_rows(t, memo, n)
-        return
+def _parts(t):
     match t:
         case Cmpl(a) | Conv(a):
-            _hoist(a, memo, outer, n)
+            return (a,)
         case Union(l, r) | Inter(l, r) | Comp(l, r):
-            _hoist(l, memo, outer, n)
-            _hoist(r, memo, outer, n)
+            return (l, r)
+    return ()
 
 
-def _eval_rows(t, memo, n):
+def _shared(term):
+    """The subterms of ``term`` that more than one parent uses, counting a
+    parent that uses one twice; each distinct subterm is visited once."""
+    seen, shared, stack = set(), set(), [term]
+    while stack:
+        t = stack.pop()
+        if t in seen:
+            shared.add(t)
+        else:
+            seen.add(t)
+            stack.extend(_parts(t))
+    return shared
+
+
+def _hoist(t, memo, outer, n, keep):
+    """The table of ``t`` if no assignment to the variables in ``outer``
+    can change it, else None: ``t`` mentions none of them, or all its
+    parts hoist, or it is a union with an all-ones part or an intersection
+    or composition with an all-zeros part.  Stores in ``memo`` the largest
+    such subterms, the parts of one that does not hoist, and the shared
+    ones in ``keep``."""
+    if outer.isdisjoint(term_variables(t)):
+        return _eval_rows(t, memo, n, keep)
+    parts = _parts(t)
+    tables = [_hoist(u, memo, outer, n, keep) for u in parts]
+    known = [a for a in tables if a is not None]
+    match t:
+        case _ if known and len(known) == len(tables):
+            out = _table(t, tables, n)
+        case Union() if any((a == _ALL_ONES).all() for a in known):
+            out = np.full((n * n, 1), _ALL_ONES, dtype=np.uint64)
+        case Inter() | Comp() if any(not a.any() for a in known):
+            out = np.zeros((n * n, 1), dtype=np.uint64)
+        case _:
+            memo.update((u, a) for u, a in zip(parts, tables) if a is not None)
+            return None
+    if t in keep:
+        memo[t] = out
+    return out
+
+
+def _eval_rows(t, memo, n, keep):
     """Packed table of ``t`` over an ``n``-element universe: row ``p`` holds
     one bit per packed interpretation, set when pair ``p`` is in ``t``.  A
     row of one word holds the same bit for every interpretation and
-    broadcasts.  ``memo`` holds the variables, ``1`` and every subterm
-    evaluated so far; results are shared and must not be mutated."""
+    broadcasts.  ``memo`` holds the variables, ``1`` and the hoisted
+    subterms, and takes every subterm in ``keep`` evaluated here; results
+    are shared and must not be mutated."""
     out = memo.get(t)
-    if out is not None:
-        return out
+    if out is None:
+        out = _table(t, [_eval_rows(u, memo, n, keep) for u in _parts(t)], n)
+        if t in keep:
+            memo[t] = out
+    return out
+
+
+def _table(t, tables, n):
+    """Packed table of ``t`` from the tables of its parts."""
     match t:
-        case Cmpl(a):
-            out = np.bitwise_not(_eval_rows(a, memo, n))
-        case Union(l, r):
-            out = _eval_rows(l, memo, n) | _eval_rows(r, memo, n)
-        case Inter(l, r):
-            out = _eval_rows(l, memo, n) & _eval_rows(r, memo, n)
-        case Comp(l, r):
-            lv = _eval_rows(l, memo, n).reshape(n, n, -1)
-            rv = _eval_rows(r, memo, n).reshape(n, n, -1)
+        case Cmpl():
+            return np.bitwise_not(tables[0])
+        case Union():
+            return tables[0] | tables[1]
+        case Inter():
+            return tables[0] & tables[1]
+        case Comp():
+            lv, rv = (a.reshape(n, n, -1) for a in tables)
             comp = lv[:, 0, None] & rv[0]
             for c in range(1, n):
                 comp |= lv[:, c, None] & rv[c]
-            out = comp.reshape(n * n, -1)
-        case Conv(a):
-            av = _eval_rows(a, memo, n).reshape(n, n, -1)
-            out = av.transpose(1, 0, 2).reshape(n * n, -1)
-        case _:
-            raise TypeError(f"not a relational term: {t!r}")
-    memo[t] = out
-    return out
+            return comp.reshape(n * n, -1)
+        case Conv():
+            return tables[0].reshape(n, n, -1).transpose(1, 0, 2).reshape(n * n, -1)
+    raise TypeError(f"not a relational term: {t!r}")

@@ -371,10 +371,14 @@ def term_depth(t):
 
 
 def term_variables(t):
-    """Names of the relational variables occurring in ``t``, sorted."""
-    out = set()
+    """Names of the relational variables occurring in ``t``, sorted.  Each
+    distinct subterm is visited once."""
+    out, seen = set(), set()
 
     def walk(u):
+        if u in seen:
+            return
+        seen.add(u)
         match u:
             case Var(name):
                 out.add(name)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -5,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_models, model_strategy, term_strategy
+from dualtab import semantics
 from dualtab.errors import BudgetExceeded, UnboundVariable, UnknownVariableWarning
 from dualtab.formulas import RelFormula
 from dualtab.semantics import (Model, brute_force_countermodel, eval_term,
                                falsifies_branch, model_from_json,
                                model_to_json, satisfies)
-from dualtab.terms import (ONE, Union, Var, parse_term, simplify_ones,
-                           term_variables)
+from dualtab.terms import (ONE, Cmpl, Comp, Inter, Union, Var, parse_term,
+                           simplify_ones, term_variables)
 
 
 def F(left, text, right):
@@ -161,6 +163,88 @@ class TestBruteForce:
             return None
 
         assert brute_force_countermodel(t, 2) == reference(t, 2)
+
+
+# A three-variable term whose first witness over three elements sits on
+# the outer axis (``r`` nonempty), and one with no witness at that size.
+WITNESSED = "((-(r ; s) | (-t | (r | s))) | -((-t)^))"
+VALID = "((r & (s | r)) ; (t ; -s)) | -((r & (s | r)) ; (t ; -s))"
+
+
+class TestConstantFolding:
+    @pytest.mark.parametrize("text", [
+        f"(1 ; 1) | ({WITNESSED})",
+        f"({WITNESSED}) | (1 ; 1)",
+        "(t | -t) | (r ; s)",
+        f"-(-(1 ; 1) & ({WITNESSED}))",
+    ])
+    def test_all_ones_part_folds_to_no_witness(self, text):
+        assert brute_force_countermodel(parse_term(text), 3) is None
+
+    def test_all_zeros_part_gives_the_first_model(self):
+        model, valuation = brute_force_countermodel(parse_term(f"-(1 ; 1) & ({WITNESSED})"), 3)
+        assert model == Model(("a",), {"r": set(), "s": set(), "t": set()})
+        assert valuation == {"x": "a", "y": "a"}
+
+    @pytest.mark.parametrize("y", [WITNESSED, VALID])
+    def test_all_zeros_composition_part_drops_out(self, y):
+        for text in (f"(-(1 ; 1) ; (r ; t)) | ({y})", f"({y}) | ((t & s) ; -(1 ; 1))"):
+            assert (brute_force_countermodel(parse_term(text), 3)
+                    == brute_force_countermodel(parse_term(y), 3))
+
+    def test_one_word_root_reads_its_witness(self):
+        # valid on at most two elements; over three the folded part leaves
+        # a root of one word, while ``s`` and ``t`` span 4 096 words
+        r_only = ("((r | (-r ; -(r ; r))) | "
+                  "(((1 & r) | (r & 1))^ ; (-(-r) ; ((r ; 1) ; (1 & r)))))")
+        model, valuation = brute_force_countermodel(parse_term(r_only), 3)
+        model.interp.update(s=set(), t=set())
+        assert brute_force_countermodel(
+            parse_term(f"(-(1 ; 1) & (s | t)) | {r_only}"), 3) == (model, valuation)
+        assert len(model.universe) == 3
+
+    @staticmethod
+    def size_3_counts(text, monkeypatch):
+        """How often the size-3 search computes each subterm's table, and
+        how often it reads the root's table."""
+        tables, reads = collections.Counter(), collections.Counter()
+        table, eval_rows = semantics._table, semantics._eval_rows
+
+        def counting_table(t, parts, n):
+            tables[t] += n == 3
+            return table(t, parts, n)
+
+        def counting_eval_rows(t, memo, n, keep):
+            reads[t] += n == 3
+            return eval_rows(t, memo, n, keep)
+
+        monkeypatch.setattr(semantics, "_table", counting_table)
+        monkeypatch.setattr(semantics, "_eval_rows", counting_eval_rows)
+        root = parse_term(text)
+        brute_force_countermodel(root, 3)
+        return tables, reads[root]
+
+    @pytest.mark.parametrize("text", [f"(1 ; 1) | ({VALID})", f"-(-(1 ; 1) & ({VALID}))"])
+    def test_constant_root_runs_one_outer_assignment(self, text, monkeypatch):
+        tables, root_reads = self.size_3_counts(text, monkeypatch)
+        assert max(tables.values()) == 1
+        assert root_reads == 1
+
+    def test_constant_part_is_computed_once_or_not_at_all(self, monkeypatch):
+        text = f"(-(1 ; 1) ; r) | ({VALID})"
+        tables, root_reads = self.size_3_counts(text, monkeypatch)
+        assert root_reads == tables[parse_term(text)] == 512  # one per outer assignment
+        assert tables[parse_term("(r & (s | r)) ; (t ; -s)")] == 512  # shared, kept
+        assert tables[parse_term("t ; -s")] == 1
+        assert tables[parse_term("-(1 ; 1) ; r")] == 0
+
+    @given(term_strategy(variables=("r", "s", "t"), with_conv=True, max_leaves=6))
+    @settings(max_examples=25, deadline=None)
+    def test_constant_identities_keep_the_answer(self, t):
+        ones = Comp(ONE, ONE)
+        expected = brute_force_countermodel(t, 2)
+        assert brute_force_countermodel(Inter(t, ones), 2) == expected
+        assert brute_force_countermodel(Union(t, Cmpl(ones)), 2) == expected
 
 
 class TestMeaningPreservingRewrites:

@@ -131,6 +131,19 @@ class TestRender:
         assert parse_term(render_term(t)) == t
 
 
+class TestTermVariables:
+    def test_sorted_names(self):
+        assert term_variables(parse_term("(s ; r) | -(t & (r^ ; 1))")) == ["r", "s", "t"]
+        assert term_variables(parse_term("1 ; -1")) == []
+
+    def test_shared_subterms_are_walked_once(self):
+        # as a tree this term has 2**40 leaves
+        t = Var("r")
+        for _ in range(40):
+            t = Union(t, t)
+        assert term_variables(t) == ["r"]
+
+
 class TestSimplifyOnes:
     def test_union_with_one(self):
         assert simplify_ones(parse_term("1 | p")) == ONE
