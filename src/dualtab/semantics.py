@@ -193,22 +193,23 @@ def brute_force_countermodel(term, max_universe):
     :data:`BUDGET_BITS` for a size that the search actually reaches.
     """
     names = term_variables(term)
+    keep = _shared(term)
     for n in range(1, max_universe + 1):
         if len(names) * n * n > BUDGET_BITS:
             raise BudgetExceeded(
                 f"{len(names)} variables over a universe of {n} exceed the "
                 f"oracle budget of {BUDGET_BITS} bits"
             )
-        hit = _search_universe(term, names, n)
+        hit = _search_universe(term, names, n, keep)
         if hit is not None:
             model, valuation = hit
-            if satisfies(model, valuation, RelFormula("x", term, "y")):
+            if satisfies(model, valuation, RelFormula("x", term, "y"), {}):
                 raise AssertionError("oracle witness failed its own re-check")
             return model, valuation
     return None
 
 
-def _search_universe(term, names, n):
+def _search_universe(term, names, n, keep):
     universe = tuple(_ELEMENT_NAMES[:n])
     q = n * n
     k = len(names)
@@ -227,8 +228,7 @@ def _search_universe(term, names, n):
     for i, name in enumerate(inner_names):
         fixed[Var(name)] = np.stack(
             [_bit_pattern(q * (n_inner - 1 - i) + p, nwords) for p in range(q)])
-    keep = _shared(term)
-    root = _hoist(term, fixed, set(outer_names), n, keep)
+    root = _hoist(term, fixed, n, keep)
     if root is not None:
         fixed[term] = root
     shifts = np.arange(q)
@@ -240,8 +240,10 @@ def _search_universe(term, names, n):
         memo = dict(fixed)
         for name, mask in outer.items():
             memo[Var(name)] = np.where((mask >> shifts) & 1, _ALL_ONES, np.uint64(0))[:, None]
-        # A row one word wide holds the same bit for every packed
-        # interpretation, so its first falsifier is combination 0.
+        # With more than one word, a one-word row comes from ``1``, the
+        # outer variables or a folded constant, so it is all ones or all
+        # zeros and combination 0 is its first falsifier; with one word,
+        # every row is read as it is.
         rows = _eval_rows(term, memo, n, keep)
         merged = np.bitwise_not(np.bitwise_and.reduce(rows, axis=0))
         merged[-1] &= tail_mask
@@ -296,28 +298,29 @@ def _shared(term):
     return shared
 
 
-def _hoist(t, memo, outer, n, keep):
-    """The table of ``t`` if no assignment to the variables in ``outer``
-    can change it, else None: ``t`` mentions none of them, or all its
-    parts hoist, or it is a union with an all-ones part or an intersection
-    or composition with an all-zeros part.  Stores in ``memo`` the largest
-    such subterms, the parts of one that does not hoist, and the shared
-    ones in ``keep``."""
-    if outer.isdisjoint(term_variables(t)):
-        return _eval_rows(t, memo, n, keep)
+def _hoist(t, memo, n, keep):
+    """The table of ``t`` if no outer assignment can change it, else None:
+    ``t`` is ``1`` or a packed variable, or all its parts hoist, or it is a
+    union with an all-ones part or an intersection or composition with an
+    all-zeros part.  ``memo`` holds ``1`` and the packed variables; it takes
+    the parts that hoist of a ``t`` that does not, and the answer for every
+    ``t`` in ``keep``, None included, so a shared subterm is walked once."""
+    if t in memo:
+        return memo[t]
     parts = _parts(t)
-    tables = [_hoist(u, memo, outer, n, keep) for u in parts]
-    known = [a for a in tables if a is not None]
+    tables = [_hoist(u, memo, n, keep) for u in parts]
     match t:
-        case _ if known and len(known) == len(tables):
+        case Var():
+            out = None
+        case _ if all(a is not None for a in tables):
             out = _table(t, tables, n)
-        case Union() if any((a == _ALL_ONES).all() for a in known):
+        case Union() if any(a is not None and (a == _ALL_ONES).all() for a in tables):
             out = np.full((n * n, 1), _ALL_ONES, dtype=np.uint64)
-        case Inter() | Comp() if any(not a.any() for a in known):
+        case Inter() | Comp() if any(a is not None and not a.any() for a in tables):
             out = np.zeros((n * n, 1), dtype=np.uint64)
         case _:
             memo.update((u, a) for u, a in zip(parts, tables) if a is not None)
-            return None
+            out = None
     if t in keep:
         memo[t] = out
     return out
@@ -326,9 +329,9 @@ def _hoist(t, memo, outer, n, keep):
 def _eval_rows(t, memo, n, keep):
     """Packed table of ``t`` over an ``n``-element universe: row ``p`` holds
     one bit per packed interpretation, set when pair ``p`` is in ``t``.  A
-    row of one word holds the same bit for every interpretation and
-    broadcasts.  ``memo`` holds the variables, ``1`` and the hoisted
-    subterms, and takes every subterm in ``keep`` evaluated here; results
+    row of one word broadcasts along the packed axis.  ``memo`` holds the
+    variables, ``1`` and the hoisted subterms (None where a shared one does
+    not hoist), and takes every subterm in ``keep`` evaluated here; results
     are shared and must not be mutated."""
     out = memo.get(t)
     if out is None:

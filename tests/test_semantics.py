@@ -203,6 +203,14 @@ class TestConstantFolding:
             parse_term(f"(-(1 ; 1) & (s | t)) | {r_only}"), 3) == (model, valuation)
         assert len(model.universe) == 3
 
+    def test_shared_subterms_are_walked_once(self):
+        # 2^40 paths lead from the root to ``t``; a walk along each of them,
+        # in the hoisting pass or in the witness's re-check, would not end
+        t = deep = parse_term(WITNESSED)
+        for _ in range(40):
+            deep = Union(deep, deep)
+        assert brute_force_countermodel(deep, 3) == brute_force_countermodel(t, 3)
+
     @staticmethod
     def size_3_counts(text, monkeypatch):
         """How often the size-3 search computes each subterm's table, and
@@ -248,8 +256,8 @@ class TestConstantFolding:
         ones = Comp(ONE, ONE)
         for same in (Inter(t, ones), Union(t, Cmpl(ones))):
             assert brute_force_countermodel(same, 2) == brute_force_countermodel(t, 2)
-            assert (semantics._search_universe(same, names, 3)
-                    == semantics._search_universe(t, names, 3))
+            assert (semantics._search_universe(same, names, 3, semantics._shared(same))
+                    == semantics._search_universe(t, names, 3, semantics._shared(t)))
 
 
 class TestMeaningPreservingRewrites:
