@@ -64,26 +64,13 @@ VAR_BOUND_FACTOR = 8  # generated variables per branch <= 8 * |components|**2
 MAX_VARS = 10_000  # variables per branch before the search gives up
 
 
-def weight(t, table=None):
-    """Recursive weight of a fragment term; literals and constants weigh
-    nothing.  ``table``, when given, memoises the weights of subterms."""
-    if table is not None and t in table:
-        return table[t]
-    match t:
-        case One() | Var() | Cmpl(One()) | Cmpl(Var()):
-            w = 0
-        case Union(l, r) | Inter(l, r) | Comp(l, r):
-            w = weight(l, table) + weight(r, table) + 1
-        case Cmpl(Union(l, r)) | Cmpl(Inter(l, r)) | Cmpl(Comp(l, r)):
-            w = weight(Cmpl(l), table) + weight(Cmpl(r), table) + 1
-        case Cmpl(Cmpl(a)):
-            w = weight(a, table) + 1
-        case _:
-            raise EngineInvariantError(
-                f"weight of a non-fragment term: {render_term(t)}")
-    if table is not None:
-        table[t] = w
-    return w
+def weight(t):
+    """Recursive weight of a fragment term, read off its ``weight``
+    attribute; literals and constants weigh nothing."""
+    if t.weight is None:
+        raise EngineInvariantError(
+            f"weight of a non-fragment term: {render_term(t)}")
+    return t.weight
 
 
 @lru_cache(maxsize=65536)
@@ -495,9 +482,6 @@ class ProofSearch:
         self.max_steps = max_steps
         self.trace = trace
         self.cp = components(prepared)
-        self.weights = {}
-        for t in self.cp:
-            weight(t, self.weights)
         self.var_bound = VAR_BOUND_FACTOR * len(self.cp) ** 2
         self.tree = DeductionTree()
         self.root_formula = RelFormula("x", prepared, "y")
@@ -607,8 +591,8 @@ class ProofSearch:
                 )
         rule = step[0]
         if rule not in _COMP_RULES:
-            w = self.weights
-            if sum(w[g.term] for g in added) >= sum(w[g.term] for g in removed):
+            if (sum(g.term.weight for g in added)
+                    >= sum(g.term.weight for g in removed)):
                 raise EngineInvariantError(
                     f"rule {rule} did not decrease the node weight"
                 )

@@ -278,24 +278,32 @@ def translate_modal(f):
 
     The result always lies in the prover's fragment; this is asserted.
     ``f`` or an image deeper than ``MAX_DEPTH`` is a :class:`ParseError`.
+    Each distinct subformula object is translated once.
     """
     _bound_depth(f.depth, "modal formula")
-    term = _translate(f)
+    term = _translate(f, {})
     _bound_depth(term.depth, "translated term")
     return require_fragment(simplify_ones(term))
 
 
-def _translate(f):
-    match f:
-        case Prop(name):
-            return Comp(Var(name), ONE)
-        case Not(a):
-            return Cmpl(_translate(a))
-        case And(l, r):
-            return TInter(_translate(l), _translate(r))
-        case Or(l, r):
-            return TUnion(_translate(l), _translate(r))
-        case Dia(prog, a):
-            return Comp(prog, _translate(a))
-        case Box(prog, a):
-            return Cmpl(Comp(prog, Cmpl(_translate(a))))
+def _translate(f, memo):
+    # ``memo`` maps id(g) to the image of each subformula ``g`` translated
+    # so far; the formula keeps ``g`` alive.  Keys are ids because a
+    # formula hashes its whole tree, and ``<->`` shares its operands.
+    term = memo.get(id(f))
+    if term is None:
+        match f:
+            case Prop(name):
+                term = Comp(Var(name), ONE)
+            case Not(a):
+                term = Cmpl(_translate(a, memo))
+            case And(l, r):
+                term = TInter(_translate(l, memo), _translate(r, memo))
+            case Or(l, r):
+                term = TUnion(_translate(l, memo), _translate(r, memo))
+            case Dia(prog, a):
+                term = Comp(prog, _translate(a, memo))
+            case Box(prog, a):
+                term = Cmpl(Comp(prog, Cmpl(_translate(a, memo))))
+        memo[id(f)] = term
+    return term

@@ -5,7 +5,15 @@ A model is a finite universe plus an interpretation of relational
 variables as sets of ordered pairs; the constant ``1`` always denotes the
 full pair set and is never stored.  The oracle enumerates every
 interpretation over universes of increasing size in a fixed order, so its
-output is reproducible.  Internally it packs the last variables' joint
+output is reproducible.
+
+First, the oracle evaluates the term's Boolean skeleton once: every
+variable, composition and converse is an independent atom, and ``1`` and
+``1 ; 1`` are all ones, since a universe is never empty.  When every
+combination of the atoms makes the skeleton true, the term holds at every
+pair of every model; the oracle then answers None without enumerating,
+after the same per-size budget checks, so it refuses exactly what it
+refused before.  Internally it packs the last variables' joint
 interpretations into bit vectors (the packed axis) and loops over those of
 the first ones (the outer assignments).  A term's table holds one row per
 pair and one bit per packed interpretation.
@@ -194,12 +202,15 @@ def brute_force_countermodel(term, max_universe):
     """
     names = term_variables(term)
     keep = _shared(term)
+    tautology = _skeleton_tautology(term, keep)
     for n in range(1, max_universe + 1):
         if len(names) * n * n > BUDGET_BITS:
             raise BudgetExceeded(
                 f"{len(names)} variables over a universe of {n} exceed the "
                 f"oracle budget of {BUDGET_BITS} bits"
             )
+        if tautology:
+            continue
         hit = _search_universe(term, names, n, keep)
         if hit is not None:
             model, valuation = hit
@@ -207,6 +218,38 @@ def brute_force_countermodel(term, max_universe):
                 raise AssertionError("oracle witness failed its own re-check")
             return model, valuation
     return None
+
+
+def _skeleton_tautology(term, keep):
+    """Whether the Boolean skeleton of ``term`` is a tautology, so that
+    ``term`` holds at every pair of every model.
+
+    The skeleton reads every variable, composition and converse as an
+    independent atom, except ``1 ; 1``, which like ``1`` is all ones
+    because a universe is never empty.  It is evaluated once, at one
+    pair, over every combination of the atoms' truth values packed along
+    the bit axis; over more than :data:`_INNER_BITS_MAX` atoms it is not
+    evaluated and the answer is False.
+    """
+    ones = np.full((1, 1), _ALL_ONES, dtype=np.uint64)
+    memo = {ONE: ones, Comp(ONE, ONE): ones}
+    atoms, seen, stack = [], set(memo), [term]
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            if isinstance(t, (Var, Comp, Conv)):
+                atoms.append(t)
+            else:
+                stack.extend(_parts(t))
+    if len(atoms) > _INNER_BITS_MAX:
+        return False
+    nwords = max(1, (1 << len(atoms)) // _WORD_BITS)
+    for j, t in enumerate(atoms):
+        memo[t] = _bit_pattern(j, nwords)[None, :]
+    # with fewer than 64 combinations, each bit of the one word still
+    # holds one of them: bit b holds combination b mod 2**len(atoms)
+    return bool((_eval_rows(term, memo, 1, keep) == _ALL_ONES).all())
 
 
 def _search_universe(term, names, n, keep):

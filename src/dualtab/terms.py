@@ -26,9 +26,16 @@ deep, flat chains included; the parser raises :class:`ParseError` before
 it builds a deeper node.  Every recursive walker over terms takes one
 interpreter frame per level, so no walker can exhaust the stack.
 
-Each term carries ``depth``, ``size``, and ``boolean``, ``cnf`` and
-``plain``, the readings of :func:`is_boolean`, :func:`is_cnf` and
-:func:`is_plain_boolean`, set once at interning from its children's.
+Each term carries attributes set once at interning from its children's:
+
+- ``depth`` and ``size``;
+- ``boolean``, ``cnf`` and ``plain``, the readings of :func:`is_boolean`,
+  :func:`is_cnf` and :func:`is_plain_boolean`;
+- ``simple``: the term is its own :func:`simplify_ones`;
+- ``fragment`` and ``fragment_inside``: :func:`fragment_check` accepts the
+  term at top level, and inside a composition's right operand;
+- ``weight`` and ``cweight``: the engine's weight of the term and of its
+  complement, None under a converse, where it is undefined.
 """
 
 from __future__ import annotations
@@ -54,7 +61,8 @@ def _interned(cls, *fields):
         t = object.__new__(cls)
         for name, value in zip(cls.__match_args__, fields):
             setattr(t, name, value)
-        t.depth, t.size, t.boolean, t.cnf, t.plain = _ATTRIBUTES[cls](*fields)
+        (t.depth, t.size, t.boolean, t.cnf, t.plain, t.simple, t.fragment,
+         t.fragment_inside, t.weight, t.cweight) = _ATTRIBUTES[cls](*fields)
         t.nf = None
         _INTERNED[key] = t
     return t
@@ -68,7 +76,8 @@ def interned(cls, *fields):
 
 class _Term:
     # ``nf`` memoises nf_cmpl(t) for a Boolean ``t`` not in normal form.
-    __slots__ = ("depth", "size", "boolean", "cnf", "plain", "nf", "__weakref__")
+    __slots__ = ("depth", "size", "boolean", "cnf", "plain", "simple", "fragment",
+                 "fragment_inside", "weight", "cweight", "nf", "__weakref__")
 
     def __repr__(self):
         return render_term(self)
@@ -130,18 +139,53 @@ class Comp(_Binary):
 
 RelTerm = One | Var | Cmpl | Union | Inter | Comp | Conv
 
-# (depth, size, boolean, cnf, plain) of a new term from its fields.
+# (depth, size, boolean, cnf, plain, simple, fragment, fragment_inside,
+# weight, cweight) of a new term from its fields.
 _ATTRIBUTES = {
-    One: lambda: (1, 1, True, True, False),
-    Var: lambda name: (1, 1, True, True, True),
-    Cmpl: lambda a: (a.depth + 1, a.size + 1, a.boolean, isinstance(a, (One, Var)), False),
-    Conv: lambda a: (a.depth + 1, a.size + 1, False, a.cnf, False),
+    One: lambda: (1, 1, True, True, False, True, True, False, 0, 0),
+    Var: lambda name: (1, 1, True, True, True, True, True, True, 0, 0),
+    Cmpl: lambda a: (a.depth + 1, a.size + 1, a.boolean, isinstance(a, (One, Var)), False,
+                     a.simple and not _is_cmpl_one(a), a.fragment, a.fragment_inside,
+                     a.cweight, _plus_one(a.weight)),
+    Conv: lambda a: (a.depth + 1, a.size + 1, False, a.cnf, False,
+                     a.simple, False, False, None, None),
     Union: lambda l, r: (max(l.depth, r.depth) + 1, l.size + r.size + 1,
-                         l.boolean and r.boolean, l.cnf and r.cnf, l.plain and r.plain),
+                         l.boolean and r.boolean, l.cnf and r.cnf, l.plain and r.plain,
+                         l.simple and r.simple and not _is_constant(l) and not _is_constant(r),
+                         l.fragment and r.fragment, l.fragment_inside and r.fragment_inside,
+                         _weigh(l.weight, r.weight), _weigh(l.cweight, r.cweight)),
     Comp: lambda l, r: (max(l.depth, r.depth) + 1, l.size + r.size + 1,
-                        False, l.cnf and r.cnf, False),
+                        False, l.cnf and r.cnf, False, l.simple and r.simple,
+                        (isinstance(l, One) or l.plain) and _right_operand_ok(r),
+                        l.plain and _right_operand_ok(r),
+                        _weigh(l.weight, r.weight), _weigh(l.cweight, r.cweight)),
 }
 _ATTRIBUTES[Inter] = _ATTRIBUTES[Union]
+
+
+def _is_cmpl_one(t):
+    return isinstance(t, Cmpl) and isinstance(t.arg, One)
+
+
+def _is_constant(t):
+    """Whether ``t`` is ``1`` or ``-1``, which :func:`simplify_ones` drops
+    from a union or intersection."""
+    return isinstance(t, One) or _is_cmpl_one(t)
+
+
+def _right_operand_ok(r):
+    """Whether ``r`` may be the right operand of a fragment composition."""
+    return isinstance(r, One) or r.fragment_inside
+
+
+def _plus_one(w):
+    return None if w is None else w + 1
+
+
+def _weigh(a, b):
+    """Weight of a binary node whose parts weigh ``a`` and ``b``; None
+    (undefined) if either is."""
+    return None if a is None or b is None else a + b + 1
 
 ONE = One()
 CMPL_ONE = Cmpl(ONE)
@@ -402,18 +446,32 @@ def simplify_ones(t):
         -(-1) = 1
 
     The result is semantically equivalent to ``t`` and every Boolean
-    subterm of it is 1, -1, or free of 1.  Linear in the size of ``t``.
+    subterm of it is 1, -1, or free of 1.  A term that is its own result
+    (its ``simple`` attribute) is returned at once; otherwise each
+    distinct subterm is simplified once.
     """
+    memo = {}
+
+    def walk(u):
+        if u.simple:
+            return u
+        out = memo.get(u)
+        if out is None:
+            out = memo[u] = _simplify_node(u, walk)
+        return out
+
+    return walk(t)
+
+
+def _simplify_node(t, walk):
+    """One step of :func:`simplify_ones` at ``t``, with ``walk``
+    simplifying its parts."""
     match t:
-        case One() | Var():
-            return t
         case Cmpl(a):
-            a2 = simplify_ones(a)
-            if a2 == CMPL_ONE:
-                return ONE
-            return Cmpl(a2)
+            a2 = walk(a)
+            return ONE if a2 == CMPL_ONE else Cmpl(a2)
         case Union(l, r):
-            l2, r2 = simplify_ones(l), simplify_ones(r)
+            l2, r2 = walk(l), walk(r)
             if l2 == ONE or r2 == ONE:
                 return ONE
             if l2 == CMPL_ONE:
@@ -422,7 +480,7 @@ def simplify_ones(t):
                 return l2
             return Union(l2, r2)
         case Inter(l, r):
-            l2, r2 = simplify_ones(l), simplify_ones(r)
+            l2, r2 = walk(l), walk(r)
             if l2 == CMPL_ONE or r2 == CMPL_ONE:
                 return CMPL_ONE
             if l2 == ONE:
@@ -431,9 +489,9 @@ def simplify_ones(t):
                 return l2
             return Inter(l2, r2)
         case Comp(l, r):
-            return Comp(simplify_ones(l), simplify_ones(r))
+            return Comp(walk(l), walk(r))
         case Conv(a):
-            return Conv(simplify_ones(a))
+            return Conv(walk(a))
 
 
 def is_boolean(t):
@@ -531,44 +589,42 @@ def fragment_check(t):
     through :func:`simplify_ones` first.
 
     Returns a :class:`FragmentVerdict`; rejections carry the offending
-    subterm and the violated clause.
+    subterm and the violated clause.  The answer is the term's
+    ``fragment`` attribute; only a rejection walks the term, down the
+    first rejected part at each node, to name the offender.
     """
-    return _fragment_walk(t, False)
-
-
-def _fragment_walk(t, inside):
-    # Inside a composition's right operand, 1 may occur only as the right
-    # operand of a composition whose left operand is plain Boolean.
-    match t:
-        case One() if inside:
-            return FragmentVerdict(
-                False, t,
-                "inside a composition's right operand, 1 may occur only as "
-                "the right operand of a composition with a Boolean left operand",
-            )
-        case One() | Var():
-            return _ACCEPT
-        case Conv():
-            return FragmentVerdict(False, t, "converse is not allowed in the fragment")
-        case Cmpl(a):
-            return _fragment_walk(a, inside)
-        case Union(l, r) | Inter(l, r):
-            v = _fragment_walk(l, inside)
-            return v if not v else _fragment_walk(r, inside)
-        case Comp(l, r):
-            if inside and not l.plain:
+    if t.fragment:
+        return _ACCEPT
+    inside = False  # inside a composition's right operand
+    while True:
+        match t:
+            case One():
                 return FragmentVerdict(
-                    False, l,
-                    "inside a composition's right operand, every composition "
-                    "must have a complement- and 1-free Boolean left operand",
+                    False, t,
+                    "inside a composition's right operand, 1 may occur only as "
+                    "the right operand of a composition with a Boolean left operand",
                 )
-            if not (isinstance(l, One) or l.plain):
-                return FragmentVerdict(
-                    False, l,
-                    "left operand of ';' must be 1 or a complement- and 1-free Boolean term",
-                )
-            return _ACCEPT if isinstance(r, One) else _fragment_walk(r, True)
-    raise TypeError(f"not a relational term: {t!r}")
+            case Conv():
+                return FragmentVerdict(False, t, "converse is not allowed in the fragment")
+            case Cmpl(a):
+                t = a
+            case Union(l, r) | Inter(l, r):
+                t = r if (l.fragment_inside if inside else l.fragment) else l
+            case Comp(l, r):
+                if inside and not l.plain:
+                    return FragmentVerdict(
+                        False, l,
+                        "inside a composition's right operand, every composition "
+                        "must have a complement- and 1-free Boolean left operand",
+                    )
+                if not (isinstance(l, One) or l.plain):
+                    return FragmentVerdict(
+                        False, l,
+                        "left operand of ';' must be 1 or a complement- and 1-free Boolean term",
+                    )
+                t, inside = r, True
+            case _:
+                raise TypeError(f"not a relational term: {t!r}")
 
 
 def require_fragment(t):

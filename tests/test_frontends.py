@@ -1,3 +1,5 @@
+import collections
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,6 +12,7 @@ from dualtab.formulas import RelFormula
 from dualtab.frontends import (EntailmentProblem, encode_entailment,
                                eval_modal, kripke_countermodel, parse_modal,
                                translate_modal)
+from dualtab.frontends import modal
 from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop, render_modal
 from dualtab.semantics import falsifies_branch, satisfies
 from dualtab.terms import fragment_check, parse_term, render_term
@@ -74,6 +77,32 @@ class TestTranslateModal:
 
         f = random_modal(random.Random(seed), 4)
         assert fragment_check(translate_modal(f))
+
+    def test_chain_translates_each_subformula_object_once(self, monkeypatch):
+        # ``a <-> b`` shares ``a`` and ``b`` between its two implications,
+        # so as a tree the k=12 chain has thousands of times more nodes.
+        # Translated once, each object is asked for once by each of the
+        # distinct objects that hold it, and once more if it is the root.
+        f = parse_modal(" <-> ".join(f"p{i}" for i in range(13)))
+        asked, objects, stack = collections.Counter({id(f): 1}), {}, [f]
+        while stack:
+            g = stack.pop()
+            if id(g) not in objects:
+                objects[id(g)] = g
+                parts = [getattr(g, name) for name in ("left", "right", "arg")
+                         if hasattr(g, name)]
+                asked.update(id(p) for p in parts)
+                stack.extend(parts)
+        calls = collections.Counter()
+        translate = modal._translate
+
+        def counting(g, memo):
+            calls[id(g)] += 1
+            return translate(g, memo)
+
+        monkeypatch.setattr(modal, "_translate", counting)
+        assert translate_modal(f).size > 50_000
+        assert calls == asked
 
 
 def random_modal(rng, depth):

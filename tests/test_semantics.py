@@ -214,22 +214,25 @@ class TestConstantFolding:
     @staticmethod
     def size_3_counts(text, monkeypatch):
         """How often the size-3 search computes each subterm's table, and
-        how often it reads the root's table."""
+        how often it reads the root's table.  The search is called on its
+        own: these roots are skeleton tautologies, which
+        :func:`brute_force_countermodel` answers without searching."""
         tables, reads = collections.Counter(), collections.Counter()
         table, eval_rows = semantics._table, semantics._eval_rows
 
         def counting_table(t, parts, n):
-            tables[t] += n == 3
+            tables[t] += 1
             return table(t, parts, n)
 
         def counting_eval_rows(t, memo, n, keep):
-            reads[t] += n == 3
+            reads[t] += 1
             return eval_rows(t, memo, n, keep)
 
         monkeypatch.setattr(semantics, "_table", counting_table)
         monkeypatch.setattr(semantics, "_eval_rows", counting_eval_rows)
         root = parse_term(text)
-        brute_force_countermodel(root, 3)
+        assert semantics._search_universe(
+            root, term_variables(root), 3, semantics._shared(root)) is None
         return tables, reads[root]
 
     @pytest.mark.parametrize("text", [f"(1 ; 1) | ({VALID})", f"-(-(1 ; 1) & ({VALID}))"])
@@ -258,6 +261,78 @@ class TestConstantFolding:
             assert brute_force_countermodel(same, 2) == brute_force_countermodel(t, 2)
             assert (semantics._search_universe(same, names, 3, semantics._shared(same))
                     == semantics._search_universe(t, names, 3, semantics._shared(t)))
+
+
+# A propositional tautology over ``r``, ``s`` and ``t`` that no constant
+# fold sees: every size-3 outer assignment would be searched.
+TAUTOLOGY = "(-(-r & (t | t)) | -((s | t) & (t & r)))"
+
+
+class TestSkeletonTautology:
+    @given(term_strategy(variables=("r", "s", "t"), with_conv=True, max_leaves=4),
+           term_strategy(variables=("r", "s", "t"), with_conv=True, max_leaves=4),
+           st.integers(0, 4))
+    @settings(max_examples=25, deadline=None)
+    def test_tautology_has_no_countermodel(self, a, b, shape):
+        t = (a, Union(a, Cmpl(a)), Union(Cmpl(Inter(a, b)), a),
+             Union(Inter(a, b), Union(Cmpl(b), Cmpl(a))), Union(b, Comp(ONE, ONE)))[shape]
+        keep = semantics._shared(t)
+        if not semantics._skeleton_tautology(t, keep):
+            assert shape == 0
+            return
+        names = term_variables(t)
+        for n in (1, 2, 3):
+            assert semantics._search_universe(t, names, n, keep) is None
+
+    @staticmethod
+    def searches(monkeypatch):
+        calls = []
+        search = semantics._search_universe
+
+        def counting(*args):
+            calls.append(args)
+            return search(*args)
+
+        monkeypatch.setattr(semantics, "_search_universe", counting)
+        return calls
+
+    @pytest.mark.parametrize("names", list(itertools.permutations("rst")))
+    def test_found_tautology_is_not_searched(self, names, monkeypatch):
+        calls = self.searches(monkeypatch)
+        renaming = dict(zip("rst", names))
+        t = parse_term("".join(renaming.get(c, c) for c in TAUTOLOGY))
+        assert brute_force_countermodel(t, 3) is None
+        assert calls == []
+
+    @pytest.mark.parametrize("x", ["r ; s", "r ; (s | t)", "(r ; 1)^"])
+    def test_excluded_middle_over_a_composition_is_not_searched(self, x, monkeypatch):
+        calls = self.searches(monkeypatch)
+        assert brute_force_countermodel(parse_term(f"({x}) | -({x})"), 3) is None
+        assert calls == []
+
+    def test_one_composed_with_one_is_all_ones(self, monkeypatch):
+        calls = self.searches(monkeypatch)
+        assert brute_force_countermodel(parse_term("(1 ; 1) | -r"), 3) is None
+        assert calls == []
+        # ``1 ; r`` may be empty, so it is an atom like any other
+        assert brute_force_countermodel(parse_term("(1 ; r) | r"), 3) is not None
+
+    def test_one_falsifying_combination_among_several_words(self):
+        # 8 atoms give 256 combinations in four words; a union is false
+        # only at the first, the complement of an intersection at the last
+        names = [f"v{i}" for i in range(8)]
+        for text, closing in ((" | ".join(names), "-v3"),
+                              ("-(" + " & ".join(names) + ")", "v5")):
+            t, valid = parse_term(text), parse_term(f"({text}) | {closing}")
+            assert not semantics._skeleton_tautology(t, semantics._shared(t))
+            assert semantics._skeleton_tautology(valid, semantics._shared(valid))
+
+    def test_budget_is_checked_before_the_shortcut(self):
+        names = [f"v{i}" for i in range(8)]
+        t = parse_term(" | ".join(names + ["-v0"]))
+        assert brute_force_countermodel(t, 1) is None
+        with pytest.raises(BudgetExceeded):
+            brute_force_countermodel(t, 2)
 
 
 class TestMeaningPreservingRewrites:

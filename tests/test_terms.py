@@ -397,6 +397,88 @@ def ref_nf_cmpl(t):
             raise NotBoolean(f"term contains a non-Boolean operator: {render_term(t)}")
 
 
+def simplify_ones_walk(t):
+    """The recursive tree walk that ``simplify_ones`` replaced."""
+    match t:
+        case One() | Var():
+            return t
+        case Cmpl(a):
+            a2 = simplify_ones_walk(a)
+            return ONE if a2 == CMPL_ONE else Cmpl(a2)
+        case Union(l, r):
+            l2, r2 = simplify_ones_walk(l), simplify_ones_walk(r)
+            if l2 == ONE or r2 == ONE:
+                return ONE
+            if l2 == CMPL_ONE:
+                return r2
+            if r2 == CMPL_ONE:
+                return l2
+            return Union(l2, r2)
+        case Inter(l, r):
+            l2, r2 = simplify_ones_walk(l), simplify_ones_walk(r)
+            if l2 == CMPL_ONE or r2 == CMPL_ONE:
+                return CMPL_ONE
+            if l2 == ONE:
+                return r2
+            if r2 == ONE:
+                return l2
+            return Inter(l2, r2)
+        case Comp(l, r):
+            return Comp(simplify_ones_walk(l), simplify_ones_walk(r))
+        case Conv(a):
+            return Conv(simplify_ones_walk(a))
+
+
+def _fragment_walk(t, inside):
+    """The recursive walk that ``fragment_check`` replaced: whether ``t``
+    is accepted, at top level or inside a composition's right operand."""
+    match t:
+        case One():
+            return not inside
+        case Var():
+            return True
+        case Conv():
+            return False
+        case Cmpl(a):
+            return _fragment_walk(a, inside)
+        case Union(l, r) | Inter(l, r):
+            return _fragment_walk(l, inside) and _fragment_walk(r, inside)
+        case Comp(l, r):
+            if inside and not ref_plain(l):
+                return False
+            if not (isinstance(l, One) or ref_plain(l)):
+                return False
+            return isinstance(r, One) or _fragment_walk(r, True)
+
+
+def ref_weight(t):
+    """The engine's recursive weight, None where it raised."""
+    match t:
+        case One() | Var() | Cmpl(One()) | Cmpl(Var()):
+            return 0
+        case Union(l, r) | Inter(l, r) | Comp(l, r):
+            parts = (ref_weight(l), ref_weight(r))
+        case Cmpl(Union(l, r)) | Cmpl(Inter(l, r)) | Cmpl(Comp(l, r)):
+            parts = (ref_weight(Cmpl(l)), ref_weight(Cmpl(r)))
+        case Cmpl(Cmpl(a)):
+            parts = (ref_weight(a), 0)
+        case _:
+            return None
+    return None if None in parts else sum(parts) + 1
+
+
+def assert_preparation_matches_reference(u):
+    """The attributes that prepare a term for the engine against the
+    walkers they replaced, and the readers that use them."""
+    simplified = simplify_ones_walk(u)
+    assert u.simple == (simplified is u), u
+    assert simplify_ones(u) is simplified
+    assert (u.fragment, u.fragment_inside) == (
+        _fragment_walk(u, False), _fragment_walk(u, True)), u
+    assert bool(fragment_check(u)) == u.fragment
+    assert (u.weight, u.cweight) == (ref_weight(u), ref_weight(Cmpl(u))), u
+
+
 def assert_attributes_match_reference(roots):
     seen = set()
     for root in roots:
@@ -407,6 +489,7 @@ def assert_attributes_match_reference(roots):
         assert (is_boolean(u), is_cnf(u), is_plain_boolean(u), term_depth(u),
                 term_size(u)) == (u.boolean, u.cnf, u.plain, u.depth, u.size)
         assert repr(u) == render_term(u)
+        assert_preparation_matches_reference(u)
         try:
             expected = ref_nf_cmpl(u)
         except NotBoolean as exc:
@@ -434,6 +517,18 @@ class TestAttributes:
     @given(term_strategy(max_leaves=12))
     def test_random_terms(self, t):
         assert_attributes_match_reference([t])
+
+    def test_every_small_term(self):
+        # every term up to three levels over 1, r and s, with converse
+        level = [ONE, Var("r"), Var("s")]
+        for _ in range(2):
+            level = list({**dict.fromkeys(level),
+                          **dict.fromkeys(c(a) for c in (Cmpl, Conv) for a in level),
+                          **dict.fromkeys(c(a, b) for c in (Union, Inter, Comp)
+                                          for a in level for b in level)})
+        assert len(level) == 3963
+        for u in level:
+            assert_preparation_matches_reference(u)
 
 
 def chain(op, n):

@@ -4,7 +4,11 @@ Runs the decision procedure on the four modal families of
 ``tests/conftest.py`` at a small and a large size each, and prints per
 instance the steps taken, the best of five wall times of
 ``run_procedure`` and that time per step in microseconds.  Translating the
-modal formula is not timed.  The numbers depend on the machine, so
+modal formula is not timed there.  It then prints the same columns for the
+biconditional chains ``p0 <-> ... <-> pk``, k = 8, 12 and 16, timing
+``translate_modal`` and ``run_procedure`` together: a chain's term shares
+every operand of each ``<->``, so a walker that visits shared subterms
+once per occurrence shows here.  The numbers depend on the machine, so
 nothing is checked: the script exits 0 whatever it measures.
 
 Run it from the root of a source checkout, with pytest and hypothesis
@@ -26,6 +30,7 @@ from dualtab.frontends import parse_modal, translate_modal  # noqa: E402
 
 SIZES = (("modal_dist", (4, 20)), ("cycle", (4, 14)), ("branching", (4, 8)),
          ("kdist", (4, 32)))
+CHAINS = (8, 12, 16)
 REPEATS = 5
 
 
@@ -40,13 +45,26 @@ def measure(name, n):
     return verdict.tree.steps, best
 
 
+def measure_chain(k):
+    """Steps and best wall time in seconds of translating and deciding
+    ``p0 <-> ... <-> pk``."""
+    formula = parse_modal(" <-> ".join(f"p{i}" for i in range(k + 1)))
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        verdict = run_procedure(translate_modal(formula))
+        best = min(best, time.perf_counter() - start)
+    return verdict.tree.steps, best
+
+
 def main():
     print(f"{'family':12} {'n':>3} {'steps':>7} {'best ms':>9} {'us/step':>8}")
-    for name, sizes in SIZES:
-        for n in sizes:
-            steps, best = measure(name, n)
-            print(f"{name:12} {n:>3} {steps:>7} {best * 1e3:>9.1f} "
-                  f"{best * 1e6 / steps:>8.0f}")
+    rows = [(name, n, measure) for name, sizes in SIZES for n in sizes]
+    rows += [("iff_chain", k, lambda _, k: measure_chain(k)) for k in CHAINS]
+    for name, n, run in rows:
+        steps, best = run(name, n)
+        print(f"{name:12} {n:>3} {steps:>7} {best * 1e3:>9.1f} "
+              f"{best * 1e6 / steps:>8.0f}")
     return 0
 
 
