@@ -34,37 +34,42 @@ CHAINS = (8, 12, 16)
 REPEATS = 5
 
 
-def measure(name, n):
-    """Steps and best wall time in seconds of one family instance."""
-    term = translate_modal(parse_modal(family_text(name, n)))
+def best_of(run):
+    """Steps of the verdict ``run()`` returns, and its best wall time in
+    seconds over :data:`REPEATS` calls."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        verdict = run_procedure(term)
+        verdict = run()
         best = min(best, time.perf_counter() - start)
     return verdict.tree.steps, best
+
+
+def measure(name, n):
+    """Steps and best wall time of deciding one family instance."""
+    term = translate_modal(parse_modal(family_text(name, n)))
+    return best_of(lambda: run_procedure(term))
 
 
 def measure_chain(k):
-    """Steps and best wall time in seconds of translating and deciding
+    """Steps and best wall time of translating and deciding
     ``p0 <-> ... <-> pk``."""
     formula = parse_modal(" <-> ".join(f"p{i}" for i in range(k + 1)))
-    best = float("inf")
-    for _ in range(REPEATS):
-        start = time.perf_counter()
-        verdict = run_procedure(translate_modal(formula))
-        best = min(best, time.perf_counter() - start)
-    return verdict.tree.steps, best
+    return best_of(lambda: run_procedure(translate_modal(formula)))
+
+
+def report(name, n, steps, best):
+    print(f"{name:12} {n:>3} {steps:>7} {best * 1e3:>9.1f} "
+          f"{best * 1e6 / steps:>8.0f}")
 
 
 def main():
     print(f"{'family':12} {'n':>3} {'steps':>7} {'best ms':>9} {'us/step':>8}")
-    rows = [(name, n, measure) for name, sizes in SIZES for n in sizes]
-    rows += [("iff_chain", k, lambda _, k: measure_chain(k)) for k in CHAINS]
-    for name, n, run in rows:
-        steps, best = run(name, n)
-        print(f"{name:12} {n:>3} {steps:>7} {best * 1e3:>9.1f} "
-              f"{best * 1e6 / steps:>8.0f}")
+    for name, sizes in SIZES:
+        for n in sizes:
+            report(name, n, *measure(name, n))
+    for k in CHAINS:
+        report("iff_chain", k, *measure_chain(k))
     return 0
 
 
