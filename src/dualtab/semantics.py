@@ -7,13 +7,14 @@ full pair set and is never stored.  The oracle enumerates every
 interpretation over universes of increasing size in a fixed order, so its
 output is reproducible.
 
-First, the oracle evaluates the term's Boolean skeleton once: every
-variable, composition and converse is an independent atom, and ``1`` and
-``1 ; 1`` are all ones, since a universe is never empty.  When every
-combination of the atoms makes the skeleton true, the term holds at every
-pair of every model; the oracle then answers None without enumerating,
-after the same per-size budget checks, so it refuses exactly what it
-refused before.  Internally it packs the last variables' joint
+When the one-element universe has no witness, the oracle evaluates the
+term's Boolean skeleton once: every variable, composition and converse is
+an independent atom, and ``1`` and ``1 ; 1`` are all ones, since a
+universe is never empty.  When every combination of the atoms makes the
+skeleton true, the term holds at every pair of every model; the oracle
+then answers None without enumerating the larger universes, after the
+same per-size budget checks, so it refuses exactly what it refused
+before.  Internally it packs the last variables' joint
 interpretations into bit vectors (the packed axis) and loops over those of
 the first ones (the outer assignments).  A term's table holds one row per
 pair and one bit per packed interpretation.
@@ -202,7 +203,7 @@ def brute_force_countermodel(term, max_universe):
     """
     names = term_variables(term)
     keep = _shared(term)
-    tautology = _skeleton_tautology(term, keep)
+    tautology = False
     for n in range(1, max_universe + 1):
         if len(names) * n * n > BUDGET_BITS:
             raise BudgetExceeded(
@@ -217,6 +218,10 @@ def brute_force_countermodel(term, max_universe):
             if satisfies(model, valuation, RelFormula("x", term, "y"), {}):
                 raise AssertionError("oracle witness failed its own re-check")
             return model, valuation
+        if n == 1:
+            # a skeleton tautology has no witness of any size, so only a
+            # term without one of size 1 pays for evaluating its skeleton
+            tautology = _skeleton_tautology(term, keep)
     return None
 
 

@@ -456,42 +456,40 @@ def simplify_ones(t):
         if u.simple:
             return u
         out = memo.get(u)
-        if out is None:
-            out = memo[u] = _simplify_node(u, walk)
+        if out is not None:
+            return out
+        match u:
+            case Cmpl(a):
+                a2 = walk(a)
+                out = ONE if a2 == CMPL_ONE else Cmpl(a2)
+            case Union(l, r):
+                l2, r2 = walk(l), walk(r)
+                if l2 == ONE or r2 == ONE:
+                    out = ONE
+                elif l2 == CMPL_ONE:
+                    out = r2
+                elif r2 == CMPL_ONE:
+                    out = l2
+                else:
+                    out = Union(l2, r2)
+            case Inter(l, r):
+                l2, r2 = walk(l), walk(r)
+                if l2 == CMPL_ONE or r2 == CMPL_ONE:
+                    out = CMPL_ONE
+                elif l2 == ONE:
+                    out = r2
+                elif r2 == ONE:
+                    out = l2
+                else:
+                    out = Inter(l2, r2)
+            case Comp(l, r):
+                out = Comp(walk(l), walk(r))
+            case Conv(a):
+                out = Conv(walk(a))
+        memo[u] = out
         return out
 
     return walk(t)
-
-
-def _simplify_node(t, walk):
-    """One step of :func:`simplify_ones` at ``t``, with ``walk``
-    simplifying its parts."""
-    match t:
-        case Cmpl(a):
-            a2 = walk(a)
-            return ONE if a2 == CMPL_ONE else Cmpl(a2)
-        case Union(l, r):
-            l2, r2 = walk(l), walk(r)
-            if l2 == ONE or r2 == ONE:
-                return ONE
-            if l2 == CMPL_ONE:
-                return r2
-            if r2 == CMPL_ONE:
-                return l2
-            return Union(l2, r2)
-        case Inter(l, r):
-            l2, r2 = walk(l), walk(r)
-            if l2 == CMPL_ONE or r2 == CMPL_ONE:
-                return CMPL_ONE
-            if l2 == ONE:
-                return r2
-            if r2 == ONE:
-                return l2
-            return Inter(l2, r2)
-        case Comp(l, r):
-            return Comp(walk(l), walk(r))
-        case Conv(a):
-            return Conv(walk(a))
 
 
 def is_boolean(t):
@@ -623,8 +621,6 @@ def fragment_check(t):
                         "left operand of ';' must be 1 or a complement- and 1-free Boolean term",
                     )
                 t, inside = r, True
-            case _:
-                raise TypeError(f"not a relational term: {t!r}")
 
 
 def require_fragment(t):

@@ -349,6 +349,15 @@ def chain(op, n, atom="r{}"):
     return f" {op} ".join(atom.format(i) for i in range(n))
 
 
+def constant_chain(op, depth):
+    """A left-associated ``op`` chain ``depth`` deep whose innermost
+    operand is the constant that ``simplify_ones`` removes: ``-1`` (two
+    levels) under ``|``, ``1`` under ``&``."""
+    if op == "|":
+        return chain(op, depth - 1, "r{}").replace("r0", "-1", 1)
+    return chain(op, depth, "r{}").replace("r0", "1", 1)
+
+
 def deep_argv(command, op, n, tmp_path, flags=()):
     text = chain(op, n)
     if command == "entail":
@@ -408,6 +417,23 @@ class TestDeepInput:
             if command == "entail":
                 return ["entail", "--premise=-r", "--conclusion", chain(op, n)]
             return deep_argv(command, op, n, tmp_path)
+
+        code, _, err = run(capsys, *argv(MAX_DEPTH))
+        assert code in (0, 1) and err == ""
+        code, _, err = run(capsys, *argv(MAX_DEPTH + 1))
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
+    # The same bound where ``simplify_ones`` has to rebuild every level:
+    # the innermost operand is ``-1`` under ``|`` and ``1`` under ``&``.
+    @pytest.mark.parametrize("op", ["|", "&"])
+    @pytest.mark.parametrize("command, extra", [("prove", 0), ("entail", 1)])
+    def test_depth_bound_is_exact_over_a_constant(self, capsys, command, extra, op):
+        def argv(depth):
+            text = constant_chain(op, depth - extra)
+            if command == "entail":
+                return ["entail", "--premise=-r", "--conclusion", text]
+            return ["prove", "--", text]
 
         code, _, err = run(capsys, *argv(MAX_DEPTH))
         assert code in (0, 1) and err == ""

@@ -286,34 +286,53 @@ class TestSkeletonTautology:
 
     @staticmethod
     def searches(monkeypatch):
+        """The universe sizes ``_search_universe`` is called for."""
         calls = []
         search = semantics._search_universe
 
-        def counting(*args):
-            calls.append(args)
-            return search(*args)
+        def counting(term, names, n, keep):
+            calls.append(n)
+            return search(term, names, n, keep)
 
         monkeypatch.setattr(semantics, "_search_universe", counting)
         return calls
 
     @pytest.mark.parametrize("names", list(itertools.permutations("rst")))
-    def test_found_tautology_is_not_searched(self, names, monkeypatch):
+    def test_found_tautology_is_searched_at_size_1_only(self, names, monkeypatch):
         calls = self.searches(monkeypatch)
         renaming = dict(zip("rst", names))
         t = parse_term("".join(renaming.get(c, c) for c in TAUTOLOGY))
         assert brute_force_countermodel(t, 3) is None
-        assert calls == []
+        assert calls == [1]
 
     @pytest.mark.parametrize("x", ["r ; s", "r ; (s | t)", "(r ; 1)^"])
-    def test_excluded_middle_over_a_composition_is_not_searched(self, x, monkeypatch):
+    def test_excluded_middle_over_a_composition_is_searched_at_size_1_only(
+            self, x, monkeypatch):
         calls = self.searches(monkeypatch)
         assert brute_force_countermodel(parse_term(f"({x}) | -({x})"), 3) is None
-        assert calls == []
+        assert calls == [1]
+
+    def test_skeleton_waits_for_size_1(self, monkeypatch):
+        calls = self.searches(monkeypatch)
+        skeletons = []
+        skeleton = semantics._skeleton_tautology
+
+        def recording(t, keep):
+            skeletons.append(t)
+            return skeleton(t, keep)
+
+        monkeypatch.setattr(semantics, "_skeleton_tautology", recording)
+        assert brute_force_countermodel(parse_term("r ; s"), 3) is not None
+        assert calls == [1] and skeletons == []
+        # at size 1 a composition is an intersection, so this holds there
+        t = parse_term("(r ; s) | -(s ; r)")
+        assert brute_force_countermodel(t, 3)[0].universe == ("a", "b")
+        assert calls == [1, 1, 2] and skeletons == [t]
 
     def test_one_composed_with_one_is_all_ones(self, monkeypatch):
         calls = self.searches(monkeypatch)
         assert brute_force_countermodel(parse_term("(1 ; 1) | -r"), 3) is None
-        assert calls == []
+        assert calls == [1]
         # ``1 ; r`` may be empty, so it is an atom like any other
         assert brute_force_countermodel(parse_term("(1 ; r) | r"), 3) is not None
 

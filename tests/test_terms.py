@@ -550,6 +550,17 @@ class TestDepthLimit:
             parse_term(make(MAX_DEPTH + 1))
         assert f"deeper than {MAX_DEPTH} levels" in str(exc.value)
 
+    # ``simplify_ones`` rebuilds every level of these, and must still take
+    # one frame per level at the bound.
+    @pytest.mark.parametrize("text", [
+        " | ".join(["-1"] + [f"r{i}" for i in range(1, MAX_DEPTH - 1)]),
+        " & ".join(["1"] + [f"r{i}" for i in range(1, MAX_DEPTH)]),
+    ], ids=["union", "inter"])
+    def test_simplify_ones_at_the_limit(self, text):
+        t = parse_term(text)
+        assert t.depth == MAX_DEPTH and not t.simple
+        assert simplify_ones(t) is parse_term(text.split(maxsplit=2)[2])
+
     def test_error_points_at_the_operator_past_the_bound(self):
         text = chain("|", MAX_DEPTH + 5)
         with pytest.raises(ParseError) as exc:
