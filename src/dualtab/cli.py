@@ -37,7 +37,8 @@ Proof-tree nodes carry ``id``, ``parent``, ``children``, ``formulas``
 and ``closed``.  Commands that encode their input (``entail``, ``modal``)
 add the encoded/translated term under ``"term"``; ``--verify`` adds
 ``"verified"`` (true/false/null) and, for ``modal``, the Kripke
-cross-check under ``"kripke"``.
+cross-check under ``"kripke"``; ``"verify_note"`` gives the reason of each
+oracle that refused the problem over its budget, joined by ``"; "``.
 """
 
 from __future__ import annotations
@@ -229,7 +230,8 @@ def cmd_modal(args):
             refutation = kripke_countermodel(formula, worlds)
         except BudgetExceeded as exc:
             payload["kripke"] = None
-            payload["verify_note"] = str(exc)
+            notes = (payload.get("verify_note"), str(exc))
+            payload["verify_note"] = "; ".join(filter(None, notes))
         else:
             payload["kripke"] = {"refuted": refutation is not None, "worlds": worlds}
             if refutation is not None and isinstance(verdict, Proof):

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .errors import BranchNotSaturated, EngineInvariantError, ResourceExhausted
-from .formulas import (FormulaSet, History, RelFormula, has_nbool_construction,
+from .formulas import (FormulaSet, History, RelFormula, gate_forced, gate_index,
                        is_literal)
 from .semantics import Model
 from .terms import (Cmpl, Comp, Inter, One, Union, Var, components, interned,
@@ -62,15 +62,6 @@ _PHASE = {**dict.fromkeys(_BOOLEAN_RULES, 0), **dict.fromkeys(_NEGCOMP_RULES, 1)
 
 VAR_BOUND_FACTOR = 8  # generated variables per branch <= 8 * |components|**2
 MAX_VARS = 10_000  # variables per branch before the search gives up
-
-
-def weight(t):
-    """Recursive weight of a fragment term, read off its ``weight``
-    attribute; literals and constants weigh nothing."""
-    if t.weight is None:
-        raise EngineInvariantError(
-            f"weight of a non-fragment term: {render_term(t)}")
-    return t.weight
 
 
 @lru_cache(maxsize=65536)
@@ -101,12 +92,6 @@ def rule_of(t):
         case Comp():
             return RULE_COMP_BOOL
     return None
-
-
-@lru_cache(maxsize=65536)
-def gate_of(t):
-    """The term ``-B`` whose forced variables instantiate ``B;S``."""
-    return Cmpl(t.left)
 
 
 def agenda_entry(f):
@@ -142,9 +127,9 @@ class Branch:
     """State of one branch: current leaf set plus everything the rules consult.
 
     ``history`` is the union of all formula sets ever on the branch, an
-    indexed :class:`History`; ``vars`` lists object variables in
-    introduction order, the two roots first, and ``order`` in branch
-    order; ``right`` holds the right root and its descendants;
+    indexed :class:`History` with the forced sets; ``vars`` lists object
+    variables in introduction order, the two roots first, and ``order``
+    in branch order; ``right`` holds the right root and its descendants;
     ``decomposed`` maps each premise a Boolean or complemented-composition
     rule decomposed to its fresh witness, or to None for a Boolean rule;
     ``applied`` holds the composition instances ``(premise, variable)``.
@@ -158,8 +143,7 @@ class Branch:
     and stays off the agenda.
 
     :meth:`enter` is the only method that writes this state; scans and
-    model extraction only read it (:meth:`History.forced` aside, which
-    fills its own cache).
+    model extraction only read it.
     """
 
     __slots__ = ("node", "history", "vars", "order", "right", "applied",
@@ -178,9 +162,11 @@ class Branch:
         self.agenda = agenda
 
     @classmethod
-    def initial(cls, formula):
+    def initial(cls, formula, gates):
+        """The branch of the root node ``{formula}``; ``gates`` is the
+        :func:`gate_index` of the components of the formula's term."""
         x, y = formula.left, formula.right
-        branch = cls(None, History(), [x, y], [x, y], {y}, set(), {}, {})
+        branch = cls(None, History(gates), [x, y], [x, y], {y}, set(), {}, {})
         node = FormulaSet([formula])
         branch.enter(node, node, (), None)
         return branch
@@ -264,8 +250,7 @@ def is_blocked(f, branch):
         if all(RelFormula(g.left, h.term, y) in history
                for h in history.by_left_right.get((f.left, y), ())
                if rule_of(h.term) == RULE_COMP_BOOL
-               and has_nbool_construction(RelFormula(f.left, Cmpl(h.term.left), w),
-                                          renamed)):
+               and gate_forced(f.left, h.term.left, w, renamed)):
             return g
     return None
 
@@ -308,7 +293,7 @@ def applications(branch, z):
     for f, count in agenda.get((z, 2), {}).items():
         # forced sets only grow and only forced instances are applied, so
         # a premise with as many instances as forced variables has none left
-        forced = history.forced(gate_of(f.term), z)
+        forced = history.forced.get((f.term.left, z), ())
         for w in branch.order if count < len(forced) else ():
             if w in forced and (f, w) not in applied:
                 yield RULE_COMP_BOOL, f, w
@@ -489,7 +474,7 @@ class ProofSearch:
         self._witnesses = 0  # fresh witnesses are numbered across all branches
 
     def run(self):
-        branch = Branch.initial(self.root_formula)
+        branch = Branch.initial(self.root_formula, gate_index(self.cp))
         root = self.tree.new_node(None, branch.node)
         self.tree.max_vars = len(branch.vars)
         return self._drive(branch, root)

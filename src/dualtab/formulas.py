@@ -4,21 +4,20 @@ machinery that gates composition decomposition in the engine.
 A formula is *forced* by a set ``N`` of literals when it can be assembled
 from literals of ``N`` using only unions (both sides forced) and
 intersections (one side forced, the other in complement normal form).
-``v_set`` collects the object variables a term can reach that way; the
-engine consults it before instantiating a composition.  A branch history
-is a :class:`History`, which keeps the indices the engine queries up to
-date as formulas enter it.
+``v_set`` collects the object variables a term can reach that way.  A
+branch history is a :class:`History`, which keeps the indices the engine
+queries and the forced sets it reads before instantiating a composition
+up to date as formulas enter it.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from types import MappingProxyType
 
 from .errors import NotBoolean, ParseError
-from .terms import (Cmpl, Inter, One, Union, Var, _Parser, _Tokenizer, nf_cmpl,
-                    parse_term, render_term)
-
-ObjVar = str
+from .terms import (Cmpl, Comp, Inter, One, Union, Var, _Parser, _Tokenizer,
+                    interned, nf_cmpl, parse_term, render_term, term_variables)
 
 DEFAULT_LEFT, DEFAULT_RIGHT = "x", "y"  # the endpoints of a bare term
 
@@ -121,59 +120,68 @@ def v_set(term, x, n):
     return {z for z in variables_of(n) if _is_nbool(x, nf, z, n)}
 
 
+def gate_index(terms):
+    """Maps each ``-v`` to the gates that mention ``v``: the left operands
+    ``B``, other than 1, of the compositions among ``terms``.  ``x B;S y``
+    is instantiated only with the ``z`` for which ``x -B z`` is forced.
+    Read-only, so that copies of a history share it."""
+    index = {}
+    for t in terms:
+        if isinstance(t, Comp) and not isinstance(t.left, One):
+            for name in term_variables(t.left):
+                index.setdefault(Cmpl(Var(name)), {})[t.left] = None
+    return MappingProxyType({lit: tuple(gates) for lit, gates in index.items()})
+
+
+def gate_forced(x, b, z, n):
+    """Whether ``x -b z`` is forced by ``n``, for a plain ``b``: the normal
+    form of ``-b`` swaps its unions and intersections and negates its
+    variables (:func:`has_nbool_construction`).  Builds no term."""
+    if isinstance(b, Var):
+        return RelFormula(x, interned(Cmpl, b), z) in n
+    holds = any if isinstance(b, Union) else all
+    return holds(gate_forced(x, part, z, n) for part in (b.left, b.right))
+
+
 class History(FormulaSet):
     """A branch history: a formula set that only grows, indexed as each
     formula enters it.
 
-    ``by_left``, ``by_left_right`` and ``by_term_right`` list the formulas
-    with a given left endpoint, pair of endpoints, or term and right
-    endpoint, each list in admission order.
+    ``by_left_right`` and ``by_term_right`` list the formulas with a given
+    pair of endpoints, or term and right endpoint, each list in admission
+    order.  ``forced`` maps ``(B, x)``, for each gate ``B`` of ``gates``,
+    to ``v_set(-B, x, self)`` when that is not empty; a gate is plain, so
+    only a literal ``x -v z`` that ``gates`` lists can extend one, by ``z``.
     """
 
-    __slots__ = ("by_left", "by_left_right", "by_term_right", "_forced")
+    __slots__ = ("gates", "forced", "by_left_right", "by_term_right")
 
-    def __init__(self, items=()):
+    def __init__(self, gates):
         super().__init__()
-        self.by_left = {}
+        self.gates = gates
+        self.forced = {}
         self.by_left_right = {}
         self.by_term_right = {}
-        self._forced = {}
-        self.update(items)
 
     def add(self, f):
         if not super().add(f):
             return False
-        self.by_left.setdefault(f.left, []).append(f)
-        self.by_left_right.setdefault((f.left, f.right), []).append(f)
-        self.by_term_right.setdefault((f.term, f.right), []).append(f)
+        x, z = f.left, f.right
+        self.by_left_right.setdefault((x, z), []).append(f)
+        self.by_term_right.setdefault((f.term, z), []).append(f)
+        for gate in self.gates.get(f.term, ()):
+            forced = self.forced.get((gate, x), frozenset())
+            if z not in forced and gate_forced(x, gate, z, self):
+                self.forced[gate, x] = forced | {z}
         return True
 
     def copy(self):
-        h = History()
+        h = History(self.gates)
         dict.update(h, self)
-        h._forced = dict(self._forced)
-        for name in ("by_left", "by_left_right", "by_term_right"):
+        h.forced = dict(self.forced)
+        for name in ("by_left_right", "by_term_right"):
             setattr(h, name, {k: list(v) for k, v in getattr(self, name).items()})
         return h
-
-    def forced(self, term, x):
-        """``v_set(term, x, self)``, kept up to date incrementally.
-
-        Whether ``x term z`` is forced depends only on the formulas with
-        endpoints ``x`` and ``z``, and once forced it stays forced as the
-        history grows.  So each set is extended only by the right
-        endpoints of the formulas with left endpoint ``x`` admitted since
-        it was last asked for.
-        """
-        key = (term, x)
-        seen, found = self._forced.get(key, (0, frozenset()))
-        fresh = self.by_left.get(x, ())[seen:]
-        if fresh:
-            nf = nf_cmpl(term)
-            found = found.union(z for z in {f.right for f in fresh}
-                                if z not in found and _is_nbool(x, nf, z, self))
-            self._forced[key] = (seen + len(fresh), found)
-        return found
 
 
 def parse_formula(text):

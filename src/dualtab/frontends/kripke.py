@@ -18,7 +18,7 @@ import numpy as np
 from ..errors import BudgetExceeded
 from ..terms import Inter as TInter, Union as TUnion, Var
 from .modal import (And, Box, Dia, Not, Or, Prop, accessibility_of,
-                    propositions_of)
+                    propositions_of, subformulas)
 
 
 @dataclass
@@ -35,33 +35,46 @@ class KripkeModel:
 
 def eval_program(program, km):
     """Pairs of the accessibility relation a program denotes."""
-    match program:
+    return _program(program, lambda name: set(km.relations.get(name, ())))
+
+
+def _program(prog, value):
+    """A program's value, ``|`` and ``&`` applied to ``value(name)`` of
+    each of its variables."""
+    match prog:
         case Var(name):
-            return set(km.relations.get(name, ()))
+            return value(name)
         case TUnion(l, r):
-            return eval_program(l, km) | eval_program(r, km)
+            return _program(l, value) | _program(r, value)
         case TInter(l, r):
-            return eval_program(l, km) & eval_program(r, km)
-    raise ValueError(f"not a plain Boolean program: {program!r}")
+            return _program(l, value) & _program(r, value)
+    raise ValueError(f"not a plain Boolean program: {prog!r}")
 
 
 def eval_modal(f, km, world):
-    """Truth of ``f`` at ``world`` under possible-worlds semantics."""
-    match f:
-        case Prop(name):
-            return world in km.valuation.get(name, ())
-        case Not(a):
-            return not eval_modal(a, km, world)
-        case And(l, r):
-            return eval_modal(l, km, world) and eval_modal(r, km, world)
-        case Or(l, r):
-            return eval_modal(l, km, world) or eval_modal(r, km, world)
-        case Box(prog, a):
-            rel = eval_program(prog, km)
-            return all(eval_modal(a, km, u) for w, u in rel if w == world)
-        case Dia(prog, a):
-            rel = eval_program(prog, km)
-            return any(eval_modal(a, km, u) for w, u in rel if w == world)
+    """Truth of ``f`` at ``world`` under possible-worlds semantics.  Each
+    distinct subformula object is evaluated at most once per world."""
+    memo = {}  # (id(g), w) -> truth of g at w; ``f`` keeps each g alive
+
+    def holds(g, w):
+        value = memo.get((id(g), w))
+        if value is None:
+            match g:
+                case Prop(name):
+                    value = w in km.valuation.get(name, ())
+                case Not(a):
+                    value = not holds(a, w)
+                case And(l, r):
+                    value = holds(l, w) and holds(r, w)
+                case Or(l, r):
+                    value = holds(l, w) or holds(r, w)
+                case Box(prog, a) | Dia(prog, a):
+                    values = (holds(a, u) for v, u in eval_program(prog, km) if v == w)
+                    value = all(values) if isinstance(g, Box) else any(values)
+            memo[id(g), w] = value
+        return value
+
+    return holds(f, world)
 
 
 BUDGET_BITS = 26  # enumerated accessibility and valuation bits accepted
@@ -80,7 +93,8 @@ def kripke_countermodel(f, max_worlds):
     Refuses (``BudgetExceeded``) a size whose bits exceed
     :data:`BUDGET_BITS`, or of more than :data:`MAX_WORLDS` worlds.
     """
-    accs, props = accessibility_of(f), propositions_of(f)
+    subs = subformulas(f)
+    accs, props = accessibility_of(subs), propositions_of(subs)
     for n in range(1, max_worlds + 1):
         bits = n * n * len(accs) + n * len(props)
         if bits > BUDGET_BITS:
@@ -91,7 +105,7 @@ def kripke_countermodel(f, max_worlds):
         if n > MAX_WORLDS:
             raise BudgetExceeded(
                 f"{n} worlds exceed the oracle's limit of {MAX_WORLDS}")
-        hit = _search_size(f, accs, props, n)
+        hit = _search_size(f, accs, props, n, subs)
         if hit is not None:
             model, world = hit
             if eval_modal(f, model, world):
@@ -100,7 +114,7 @@ def kripke_countermodel(f, max_worlds):
     return None
 
 
-def _search_size(f, accs, props, n):
+def _search_size(f, accs, props, n, subs):
     q = n * n
     n_rel = 1 << (q * len(accs))
     n_val = 1 << (n * len(props))
@@ -124,40 +138,35 @@ def _search_size(f, accs, props, n):
         shift = n * (len(props) - 1 - j)
         prop_cols[name] = ((pcs >> shift) & ((1 << n) - 1)).astype(np.uint8)
 
-    def program_succ(prog):
-        match prog:
-            case Var(name):
-                return succ[name]
-            case TUnion(l, r):
-                return program_succ(l) | program_succ(r)
-            case TInter(l, r):
-                return program_succ(l) & program_succ(r)
-        raise ValueError(f"not a plain Boolean program: {prog!r}")
+    owed = {key: held for key, (_, held) in subs.items()}  # asks to come
+    memo = {}  # masks of the shared subformulas still owed, never written
 
     def truth(g):
-        match g:
-            case Prop(name):
-                out = np.broadcast_to(prop_cols[name][None, :], (1, n_val))
-            case Not(a):
-                out = truth(a) ^ world_mask
-            case And(l, r):
-                out = truth(l) & truth(r)
-            case Or(l, r):
-                out = truth(l) | truth(r)
-            case Dia(prog, a):
-                ta = truth(a)
-                sa = program_succ(prog)
-                out = np.zeros((n_rel, ta.shape[1]), dtype=np.uint8)
-                for w in range(n):
-                    hit = (sa[:, w][:, None] & ta) != 0
-                    out |= hit.astype(np.uint8) << np.uint8(w)
-            case Box(prog, a):
-                ta = truth(a)
-                sa = program_succ(prog)
-                out = np.zeros((n_rel, ta.shape[1]), dtype=np.uint8)
-                for w in range(n):
-                    ok = (sa[:, w][:, None] & (ta ^ world_mask)) == 0
-                    out |= ok.astype(np.uint8) << np.uint8(w)
+        out = memo.get(id(g))
+        if out is None:
+            match g:
+                case Prop(name):
+                    out = np.broadcast_to(prop_cols[name][None, :], (1, n_val))
+                case Not(a):
+                    out = truth(a) ^ world_mask
+                case And(l, r):
+                    out = truth(l) & truth(r)
+                case Or(l, r):
+                    out = truth(l) | truth(r)
+                case Dia(prog, a) | Box(prog, a):
+                    # [prog]a holds at w when no successor of w falsifies a
+                    box = isinstance(g, Box)
+                    ta = truth(a) ^ world_mask if box else truth(a)
+                    sa = _program(prog, succ.__getitem__)
+                    out = np.zeros((n_rel, ta.shape[1]), dtype=np.uint8)
+                    for w in range(n):
+                        hit = (sa[:, w][:, None] & ta) != 0
+                        out |= (hit != box).astype(np.uint8) << np.uint8(w)
+        owed[id(g)] -= 1
+        if owed[id(g)] > 0:
+            memo[id(g)] = out
+        else:
+            memo.pop(id(g), None)
         return out
 
     root = truth(f)

@@ -104,43 +104,38 @@ def render_modal(f):
             return f"<{render_term(prog)}>{render_modal(a)}"
 
 
-def propositions_of(f):
-    """Proposition names occurring in ``f``, sorted."""
-    out = set()
-
-    def walk(g):
-        match g:
-            case Prop(name):
-                out.add(name)
+def subformulas(f):
+    """The distinct subformula objects of ``f``, by id, each with how many
+    distinct objects of ``f`` hold it (``f`` itself: none).  ``<->`` shares
+    its operands, so a formula can hold far fewer objects than its syntax
+    tree has nodes."""
+    found, stack = {id(f): [f, 0]}, [f]
+    while stack:
+        match stack.pop():
             case Not(a) | Box(_, a) | Dia(_, a):
-                walk(a)
+                parts = (a,)
             case And(l, r) | Or(l, r):
-                walk(l)
-                walk(r)
+                parts = (l, r)
+            case _:
+                parts = ()
+        for p in parts:  # ``f`` keeps ``p`` alive, so its id is its own
+            entry = found.setdefault(id(p), [p, 0])
+            entry[1] += 1
+            if entry[1] == 1:
+                stack.append(p)
+    return found
 
-    walk(f)
-    return sorted(out)
+
+def propositions_of(subs):
+    """Proposition names in the :func:`subformulas` table ``subs``, sorted."""
+    return sorted({g.name for g, _ in subs.values() if isinstance(g, Prop)})
 
 
-def accessibility_of(f):
-    """Accessibility variable names occurring in ``f``'s programs, sorted."""
-    out = set()
-
-    def walk(g):
-        match g:
-            case Prop():
-                pass
-            case Not(a):
-                walk(a)
-            case Box(prog, a) | Dia(prog, a):
-                out.update(term_variables(prog))
-                walk(a)
-            case And(l, r) | Or(l, r):
-                walk(l)
-                walk(r)
-
-    walk(f)
-    return sorted(out)
+def accessibility_of(subs):
+    """Accessibility variable names in the programs of the
+    :func:`subformulas` table ``subs``, sorted."""
+    return sorted({name for g, _ in subs.values() if isinstance(g, (Box, Dia))
+                   for name in term_variables(g.program)})
 
 
 class _ModalTokenizer(TokenStream):

@@ -127,6 +127,30 @@ class TestModal:
         assert data["verified"] is True
         assert data["kripke"]["refuted"] is True
 
+    def test_both_oracle_notes_are_kept(self, capsys):
+        # a valid formula over the budget of both oracles: each says why
+        code, out, _ = run(capsys, "modal", family_text("modal_dist", 3),
+                           "--json", "--verify")
+        assert code == 0
+        data = json.loads(out)
+        assert data["verified"] is None and data["kripke"] is None
+        assert data["verify_note"] == (
+            "7 variables over a universe of 3 exceed the oracle budget of 28 bits; "
+            "1 relations and 6 propositions over 3 worlds exceed the oracle "
+            "budget of 26 bits")
+
+    def test_kripke_note_alone(self, capsys):
+        # a countermodel is checked without the finite-model oracle; the
+        # Kripke oracle finds no refutation at one world and refuses two
+        formula = "p -> [r1][r2][r3][r4][r5][r6][r7]p"
+        code, out, _ = run(capsys, "modal", formula, "--json", "--verify")
+        assert code == 1
+        data = json.loads(out)
+        assert data["verified"] is True and data["kripke"] is None
+        assert data["verify_note"] == (
+            "7 relations and 1 propositions over 2 worlds exceed the oracle "
+            "budget of 26 bits")
+
     def test_parse_error(self, capsys):
         code, _, err = run(capsys, "modal", "[r](p &")
         assert code == 2

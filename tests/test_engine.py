@@ -12,10 +12,10 @@ from dualtab.engine import (Branch, Countermodel, Proof, RULE_CMPL_COMP,
                             RULE_INTER, RULE_UNION, applications,
                             conclusions, extract_model, is_axiomatic,
                             is_blocked, rule_of, run_procedure,
-                            verdict_to_json, weight)
+                            verdict_to_json)
 from dualtab.errors import (BranchNotSaturated, EngineInvariantError,
                             FragmentViolation, ResourceExhausted)
-from dualtab.formulas import FormulaSet, RelFormula, v_set
+from dualtab.formulas import FormulaSet, RelFormula, gate_index, v_set
 from dualtab.frontends import parse_modal, translate_modal
 from dualtab.semantics import (brute_force_countermodel, falsifies_branch,
                                satisfies)
@@ -29,6 +29,12 @@ def F(left, text, right):
 
 def prove(text, **kw):
     return run_procedure(simplify_ones(parse_term(text)), **kw)
+
+
+def initial(formula):
+    """The root branch of ``formula``, with the gates a search of its term
+    indexes."""
+    return Branch.initial(formula, gate_index(components(formula.term)))
 
 
 def offered(branch, z):
@@ -56,21 +62,21 @@ def introduce(branch, premise, z):
 
 class TestWeight:
     def test_literals_weigh_nothing(self):
-        assert weight(parse_term("r")) == 0
-        assert weight(parse_term("-1")) == 0
+        assert parse_term("r").weight == 0
+        assert parse_term("-1").weight == 0
 
     def test_composition(self):
-        assert weight(parse_term("r ; 1")) == 1
+        assert parse_term("r ; 1").weight == 1
 
     def test_complemented_union(self):
-        assert weight(parse_term("-(r | s)")) == 1
+        assert parse_term("-(r | s)").weight == 1
 
     def test_complement_distributes(self):
-        assert weight(parse_term("-((r | s) ; 1)")) == 2
+        assert parse_term("-((r | s) ; 1)").weight == 2
 
-    def test_non_fragment_term_is_an_invariant_error(self):
-        with pytest.raises(EngineInvariantError, match="non-fragment"):
-            weight(parse_term("r^"))
+    def test_non_fragment_term_has_no_weight(self):
+        assert parse_term("r^").weight is None
+        assert parse_term("-(r | s^)").weight is None
 
 
 class TestIsAxiomatic:
@@ -106,11 +112,11 @@ class TestIsAxiomatic:
 
 class TestVarOrder:
     def test_endpoints_only(self):
-        b = Branch.initial(F("x", "r", "y"))
+        b = initial(F("x", "r", "y"))
         assert b.order == ["x", "y"]
 
     def test_descendant_of_the_right_endpoint_comes_last(self):
-        b = Branch.initial(F("x", "-(r ; (s ; 1))", "y"))
+        b = initial(F("x", "-(r ; (s ; 1))", "y"))
         gen_x = F("x", "-(r ; (s ; 1))", "y")
         gen_y = F("y", "-(s ; 1)", "y")
         introduce(b, gen_x, "z1")
@@ -120,12 +126,12 @@ class TestVarOrder:
         assert b.order == ["x", "z1", "y", "z2"]
 
     def test_universal_rule_variable_is_not_a_descendant(self):
-        b = Branch.initial(F("x", "-(1 ; (s ; 1))", "y"))
+        b = initial(F("x", "-(1 ; (s ; 1))", "y"))
         introduce(b, F("y", "-(1 ; (s ; 1))", "y"), "z1")
         assert b.order == ["x", "z1", "y"]
 
     def test_chained_descendants(self):
-        b = Branch.initial(F("x", "r", "y"))
+        b = initial(F("x", "r", "y"))
         introduce(b, F("y", "-(r ; (s ; 1))", "y"), "z1")
         introduce(b, F("z1", "-(s ; 1)", "y"), "z2")
         introduce(b, F("x", "-(s ; 1)", "y"), "z3")
@@ -135,21 +141,21 @@ class TestVarOrder:
 class TestApplyBoolean:
     def test_union_yields_both_disjuncts(self):
         f = F("x", "r | s", "y")
-        b = Branch.initial(f)
+        b = initial(f)
         assert offered(b, "x") == [(RULE_UNION, f, None)]
         groups = conclusions(RULE_UNION, f, None)
         assert groups == [[F("x", "r", "y"), F("x", "s", "y")]]
 
     def test_intersection_branches(self):
         f = F("x", "r & s", "y")
-        b = Branch.initial(f)
+        b = initial(f)
         assert offered(b, "x") == [(RULE_INTER, f, None)]
         groups = conclusions(RULE_INTER, f, None)
         assert groups == [[F("x", "r", "y")], [F("x", "s", "y")]]
 
     def test_double_complement(self):
         f = F("x", "--r", "y")
-        b = Branch.initial(f)
+        b = initial(f)
         assert offered(b, "x") == [(RULE_DOUBLE_CMPL, f, None)]
         groups = conclusions(RULE_DOUBLE_CMPL, f, None)
         assert groups == [[F("x", "r", "y")]]
@@ -176,14 +182,14 @@ class TestApplyBoolean:
         assert F("x", "r | s", "y") in tree.nodes[-1].formulas
 
     def test_not_applicable_on_literal(self):
-        b = Branch.initial(F("x", "r", "y"))
+        b = initial(F("x", "r", "y"))
         assert offered(b, "x") == [] and offered(b, "y") == []
 
 
 class TestApplyNegcomp:
     def test_general_shape_adds_both_parts(self):
         f = F("x", "-(r ; (s ; 1))", "y")
-        b = Branch.initial(f)
+        b = initial(f)
         assert offered(b, "x") == [(RULE_CMPL_COMP, f, None)]
         groups = take(b, RULE_CMPL_COMP, f, "z1")
         assert groups == [[F("x", "-r", "z1"), F("z1", "-(s ; 1)", "y")]]
@@ -193,14 +199,14 @@ class TestApplyNegcomp:
 
     def test_right_constant_adds_left_part_only(self):
         f = F("x", "-(r ; 1)", "y")
-        b = Branch.initial(f)
+        b = initial(f)
         assert offered(b, "x") == [(RULE_CMPL_COMP_ONE, f, None)]
         groups = conclusions(RULE_CMPL_COMP_ONE, f, "z1")
         assert groups == [[F("x", "-r", "z1")]]
 
     def test_left_constant_adds_right_part_only(self):
         f = F("x", "-(1 ; (s ; 1))", "y")
-        b = Branch.initial(f)
+        b = initial(f)
         assert offered(b, "x") == [(RULE_CMPL_COMP_UNIV, f, None)]
         groups = take(b, RULE_CMPL_COMP_UNIV, f, "z1")
         assert groups == [[F("z1", "-(s ; 1)", "y")]]
@@ -208,12 +214,12 @@ class TestApplyNegcomp:
 
     def test_fully_constant_shape_is_inert(self):
         f = F("x", "-(1 ; 1)", "y")
-        b = Branch.initial(f)
+        b = initial(f)
         assert offered(b, "x") == [] and offered(b, "y") == []
 
     def test_left_constant_suppressed_by_existing_instance(self):
         f = F("x", "-(1 ; (s ; 1))", "y")
-        b = Branch.initial(f)
+        b = initial(f)
         z = "z1"
         introduce(b, F("x", "-(r ; (s ; 1))", "y"), z)
         assert offered(b, "x") == [(RULE_CMPL_COMP_UNIV, f, None)]
@@ -226,7 +232,7 @@ class TestApplyNegcomp:
         term_text = "-(r ; (s ; 1))"
         blocked = RelFormula("z2", parse_term(term_text), "y")
         blocker = RelFormula("z1", parse_term(term_text), "y")
-        b = Branch.initial(blocked)
+        b = initial(blocked)
         for g in (blocker, F("z1", "-r", "w")):
             b.history.add(g)
         b.vars += ["z1", "w"]
@@ -242,7 +248,7 @@ class TestIsBlocked:
         term_text = "-(r ; (s ; 1))"
         blocker = RelFormula("z1", parse_term(term_text), "y")
         blocked = RelFormula("z2", parse_term(term_text), "y")
-        b = Branch.initial(F("x", "1 ; " + term_text, "y"))
+        b = initial(F("x", "1 ; " + term_text, "y"))
         b.history.add(blocker)
         b.history.add(blocked)
         b.vars += ["z1", "w", "z2"]
@@ -250,7 +256,7 @@ class TestIsBlocked:
 
     def test_no_twin_in_history(self):
         f = F("z1", "-(r ; (s ; 1))", "y")
-        b = Branch.initial(F("x", "1 ; -(r ; (s ; 1))", "y"))
+        b = initial(F("x", "1 ; -(r ; (s ; 1))", "y"))
         b.history.add(f)
         assert is_blocked(f, b) is None
 
@@ -284,7 +290,7 @@ class TestIsBlocked:
 class TestApplyCompA:
     def forced_branch(self, text):
         f = F("x", text, "y")
-        b = Branch.initial(f)
+        b = initial(f)
         introduce(b, F("x", "-(r ; 1)", "y"), "z1")
         b.history.add(F("x", "-r", "z1"))
         return b, f
@@ -308,7 +314,7 @@ class TestApplyCompA:
 
     def test_unforced_variable_rejected(self):
         f = F("x", "r ; (s ; 1)", "y")
-        b = Branch.initial(f)
+        b = initial(f)
         assert offered(b, "x") == []
         b, f = self.forced_branch("r ; (s ; 1)")
         introduce(b, F("x", "-(s ; 1)", "y"), "z2")  # x -r z2 is not on the branch
@@ -318,14 +324,14 @@ class TestApplyCompA:
 class TestApplyCompB:
     def test_instantiates_with_left_endpoint(self):
         f = F("x", "1 ; (r ; 1)", "y")
-        b = Branch.initial(f)
+        b = initial(f)
         assert offered(b, "x") == [(RULE_COMP_UNIV, f, "x")]
         groups = conclusions(RULE_COMP_UNIV, f, "x")
         assert groups == [[F("x", "r ; 1", "y")]]
 
     def test_then_with_right_endpoint(self):
         f = F("x", "1 ; (r ; 1)", "y")
-        b = Branch.initial(f)
+        b = initial(f)
         take(b, RULE_COMP_UNIV, f, "x")
         assert offered(b, "y") == [(RULE_COMP_UNIV, f, "y")]
         groups = conclusions(RULE_COMP_UNIV, f, "y")
@@ -333,7 +339,7 @@ class TestApplyCompB:
 
     def test_existing_instance_not_repeated(self):
         f = F("x", "1 ; (r ; 1)", "y")
-        b = Branch.initial(f)
+        b = initial(f)
         assert offered(b, "y") == [(RULE_COMP_UNIV, f, "y")]
         b.history.add(F("y", "r ; 1", "y"))
         assert offered(b, "y") == []
@@ -530,12 +536,12 @@ class TestExtractModel:
         assert corpus_countermodels
 
     def test_requires_saturation(self):
-        b = Branch.initial(F("x", "r | s", "y"))
+        b = initial(F("x", "r | s", "y"))
         with pytest.raises(BranchNotSaturated):
             extract_model(b)
 
     def test_requires_open_branch(self):
-        b = Branch.initial(F("x", "1", "y"))
+        b = initial(F("x", "1", "y"))
         with pytest.raises(BranchNotSaturated):
             extract_model(b)
 

@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from conftest import boolean_term_strategy
 from dualtab.errors import NotBoolean, ParseError
-from dualtab.formulas import (FormulaSet, RelFormula, has_nbool_construction,
-                              is_literal, is_nbool, parse_formula, v_set,
-                              variables_of)
-from dualtab.terms import Cmpl, ONE, Var, nf_cmpl, parse_term
+from dualtab.formulas import (FormulaSet, RelFormula, gate_forced,
+                              has_nbool_construction, is_literal, is_nbool,
+                              parse_formula, v_set, variables_of)
+from dualtab.terms import Cmpl, Inter, ONE, Union, Var, nf_cmpl, parse_term
 
 
 def F(left, text, right):
@@ -127,6 +127,22 @@ class TestVSet:
         larger = base.copy()
         larger.update(F(*parts) for parts in extra)
         assert v_set(t, "x", base) <= v_set(t, "x", larger)
+
+
+class TestGateForced:
+    def test_matches_the_construction_on_every_small_gate(self):
+        # every plain gate of up to four leaves over p, q, r, against every
+        # set of the literals ``x -v z`` and two that must not count
+        gates = {Var(v) for v in "pqr"}
+        for _ in range(2):
+            gates |= {op(a, b) for a in gates for b in gates for op in (Union, Inter)}
+        literals = [F("x", f"-{v}", "z") for v in "pqr"]
+        noise = [F("x", "p", "z"), F("z", "-q", "x")]
+        for bits in range(8):
+            n = FormulaSet([f for i, f in enumerate(literals) if bits >> i & 1] + noise)
+            for gate in gates:
+                assert gate_forced("x", gate, "z", n) == has_nbool_construction(
+                    RelFormula("x", Cmpl(gate), "z"), n), (gate, bits)
 
 
 class TestFormulaSet:

@@ -1,4 +1,6 @@
 import collections
+import contextlib
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from dualtab.formulas import RelFormula
 from dualtab.frontends import (EntailmentProblem, encode_entailment,
                                eval_modal, kripke_countermodel, parse_modal,
                                translate_modal)
-from dualtab.frontends import modal
+from dualtab.frontends import KripkeModel, kripke, modal
 from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop, render_modal
 from dualtab.semantics import falsifies_branch, satisfies
 from dualtab.terms import fragment_check, parse_term, render_term
@@ -79,20 +81,10 @@ class TestTranslateModal:
         assert fragment_check(translate_modal(f))
 
     def test_chain_translates_each_subformula_object_once(self, monkeypatch):
-        # ``a <-> b`` shares ``a`` and ``b`` between its two implications,
-        # so as a tree the k=12 chain has thousands of times more nodes.
         # Translated once, each object is asked for once by each of the
         # distinct objects that hold it, and once more if it is the root.
-        f = parse_modal(" <-> ".join(f"p{i}" for i in range(13)))
-        asked, objects, stack = collections.Counter({id(f): 1}), {}, [f]
-        while stack:
-            g = stack.pop()
-            if id(g) not in objects:
-                objects[id(g)] = g
-                parts = [getattr(g, name) for name in ("left", "right", "arg")
-                         if hasattr(g, name)]
-                asked.update(id(p) for p in parts)
-                stack.extend(parts)
+        f = iff_chain(12)
+        asked, _ = holders(f)
         calls = collections.Counter()
         translate = modal._translate
 
@@ -103,6 +95,53 @@ class TestTranslateModal:
         monkeypatch.setattr(modal, "_translate", counting)
         assert translate_modal(f).size > 50_000
         assert calls == asked
+
+
+def iff_chain(k):
+    """``p0 <-> ... <-> pk``.  ``a <-> b`` shares ``a`` and ``b`` between
+    its two implications, so as a tree the k=12 chain has thousands of
+    times more nodes than it has distinct objects."""
+    return parse_modal(" <-> ".join(f"p{i}" for i in range(k + 1)))
+
+
+def holders(f):
+    """How many distinct subformula objects of ``f`` hold each one, by id,
+    the root counted once, and the distinct objects by id."""
+    asked, objects, stack = collections.Counter({id(f): 1}), {}, [f]
+    while stack:
+        g = stack.pop()
+        if id(g) not in objects:
+            objects[id(g)] = g
+            parts = [getattr(g, name) for name in ("left", "right", "arg")
+                     if hasattr(g, name)]
+            asked.update(id(p) for p in parts)
+            stack.extend(parts)
+    return asked, objects
+
+
+@contextlib.contextmanager
+def profiling(profile):
+    """Run the block with ``profile`` as the interpreter's profile hook."""
+    before = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield
+    finally:
+        sys.setprofile(before)
+
+
+def calls_by_object(run):
+    """Run ``run()``; count the calls of each function by its name and the
+    id of its argument ``g``, the subformula it was asked for."""
+    calls = collections.defaultdict(collections.Counter)
+
+    def profile(frame, event, arg):
+        if event == "call" and "g" in frame.f_code.co_varnames[:1]:
+            calls[frame.f_code.co_name][id(frame.f_locals["g"])] += 1
+
+    with profiling(profile):
+        run()
+    return calls
 
 
 def random_modal(rng, depth):
@@ -158,6 +197,36 @@ class TestKripkeOracle:
         with pytest.raises(BudgetExceeded, match="9 worlds"):
             kripke_countermodel(f, 9)
         assert kripke_countermodel(parse_modal("p"), 9) is not None
+
+    def test_chain_visits_each_subformula_object_once(self):
+        # the search asks for each object's masks once per holder; the
+        # witness re-check, which short-circuits, at most once per holder
+        # at each world; the walkers meet each object once
+        f = iff_chain(12)
+        asked, objects = holders(f)
+        assert {key: (g, n) for key, (g, n) in modal.subformulas(f).items()} == {
+            key: (g, asked[key] - (g is f)) for key, g in objects.items()}
+        assert modal.propositions_of(modal.subformulas(f)) == sorted(
+            f"p{i}" for i in range(13))
+        calls = calls_by_object(lambda: kripke_countermodel(f, 1))
+        assert calls["truth"] == asked
+        assert calls["holds"][id(f)] == 1
+        assert all(n <= asked[key] for key, n in calls["holds"].items())
+        # every proposition true: no ``|`` short-circuits past its ``~``
+        everywhere = KripkeModel(("w",), {}, {f"p{i}": {"w"} for i in range(13)})
+        calls = calls_by_object(lambda: eval_modal(f, everywhere, "w"))
+        assert all(n <= asked[key] for key, n in calls["holds"].items())
+
+    def test_shared_masks_are_released_at_the_last_ask(self):
+        left = []
+
+        def profile(frame, event, arg):
+            if event == "return" and frame.f_code.co_name == "_search_size":
+                left.append(dict(frame.f_locals["memo"]))
+
+        with profiling(profile):
+            assert kripke_countermodel(iff_chain(6), 1) is not None
+        assert left == [{}]
 
     def test_witness_is_reproducible(self):
         f = parse_modal("p -> [r]p")

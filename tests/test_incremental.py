@@ -1,19 +1,18 @@
 """The engine's incremental search state against its from-scratch meaning.
 
 A search is driven to its verdict; after every rule application, on the
-branch that took it (and on a fork it made), the formulas the step says
-it added to and removed from the node are compared with a diff of the
-node against its parent, and each index the history and the branch keep
-up to date is compared with a plain recomputation over the whole history
-or node: the agenda's groups and instance counts, the applications the
-agenda yields at every variable, the branch's variables, the per-key
-formula lists, every forced set the node's compositions ask for, the
-variable order, and the blocking verdict of every complemented
-composition on the node.  A second search enters each step on a fork of
-the branch first, and checks that the fork holds none of the branch's
-mutable state and that its step leaves the branch as it was.  A third
-checks that the scheduler's scans and the model extraction write nothing
-to a branch.
+branch that took it, the formulas the step says it added to and removed
+from the node are compared with a diff of the node against its parent,
+and each index the history and the branch keep up to date is compared
+with a plain recomputation over the whole history or node: the agenda's
+groups and instance counts, the applications the agenda yields at every
+variable, the branch's variables, the per-key formula lists, the forced
+set of every gate at every variable, the variable order, and the
+blocking verdict of every complemented composition on the node.  A
+second search enters each step on a fork of the branch first, and checks
+that the fork holds none of the branch's mutable state and that its step
+leaves the branch as it was.  A third checks that the scheduler's scans
+and the model extraction write nothing to a branch.
 """
 
 import pytest
@@ -26,10 +25,10 @@ from dualtab.engine import (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
                             RULE_DOUBLE_CMPL, RULE_INTER, RULE_UNION,
                             Branch, Countermodel, ProofSearch, Proof,
                             applications, extract_model, is_blocked, rule_of)
-from dualtab.formulas import (FormulaSet, History, RelFormula,
+from dualtab.formulas import (FormulaSet, History, RelFormula, gate_index,
                               has_nbool_construction, v_set, variables_of)
 from dualtab.frontends import parse_modal, translate_modal
-from dualtab.terms import ONE, Cmpl, Comp, Inter, Var
+from dualtab.terms import ONE, Cmpl, Comp, Inter, Var, components, parse_term
 
 
 def genealogy(branch):
@@ -138,43 +137,48 @@ def scratch_applications(branch, z):
     return out
 
 
+def scratch_forced(branch):
+    """Every non-empty forced set, recomputed over the whole history: for
+    each gate, the left operand of a literal-gated composition among the
+    components of the root formula's term, and each variable ``x``, the
+    variables ``z`` for which ``x -gate z`` is forced."""
+    plain = FormulaSet(branch.history)
+    root = next(iter(plain)).term
+    gates = {t.left for t in components(root) if rule_of(t) == RULE_COMP_BOOL}
+    found = {(gate, x): v_set(Cmpl(gate), x, plain)
+             for gate in gates for x in branch.vars}
+    return {key: forced for key, forced in found.items() if forced}
+
+
 def check_branch(branch):
-    # the indices are read on a fork, whose caches start as copies of the
-    # branch's: reading them on the branch itself would bring its lazily
-    # extended caches up to date after every step and hide a stale one;
-    # the agenda's applications are read first, before the forced-set
-    # checks below bring the fork's caches up to date
-    twin = branch.fork()
     for z in branch.order:
-        assert list(applications(twin, z)) == scratch_applications(branch, z)
+        assert list(applications(branch, z)) == scratch_applications(branch, z)
     expected = scratch_agenda(branch)
     assert {k: list(g) for k, g in branch.agenda.items() if g} == expected
-    assert {k: list(g) for k, g in twin.agenda.items()} == expected
+    # a fork keeps the groups that are not empty
+    assert {k: list(g) for k, g in branch.fork().agenda.items()} == expected
     for (_, phase), group in branch.agenda.items():
         for f, value in group.items():
             if phase == 2:
                 assert value == sum(1 for g, _ in branch.applied if g == f)
             else:
                 assert value == rule_of(f.term)
-    history = twin.history
-    plain = FormulaSet(branch.history)
-    assert twin.vars == variables_of(plain)
-    for name, key in (("by_left", lambda f: f.left),
-                      ("by_left_right", lambda f: (f.left, f.right)),
+    history = branch.history
+    plain = FormulaSet(history)
+    assert branch.vars == variables_of(plain)
+    for name, key in (("by_left_right", lambda f: (f.left, f.right)),
                       ("by_term_right", lambda f: (f.term, f.right))):
         expected = {}
         for f in plain:
             expected.setdefault(key(f), []).append(f)
         assert getattr(history, name) == expected, name
+    assert history.forced == scratch_forced(branch)
     for f in branch.node:
-        if rule_of(f.term) == RULE_COMP_BOOL:
-            term = Cmpl(f.term.left)
-            assert history.forced(term, f.left) == v_set(term, f.left, plain)
         if isinstance(f.term, Cmpl) and isinstance(f.term.arg, Comp):
             blocker = scratch_blocked(f, branch)
-            assert is_blocked(f, twin) == blocker
+            assert is_blocked(f, branch) == blocker
             CheckedSearch.blocked += blocker is not None
-    assert twin.order == scratch_order(branch)
+    assert branch.order == scratch_order(branch)
 
 
 class CheckedSearch(ProofSearch):
@@ -221,7 +225,7 @@ def test_corpus_indices_match_recomputation(fragment_corpus):
 def mutables(value):
     """Every mutable container reachable from ``value``, by id: lists, sets
     and dicts (formula sets and histories among them) with their elements
-    and values, tuples' elements, and a history's indices and caches."""
+    and values, tuples' elements, and every slot of a history."""
     found, stack = {}, [value]
     while stack:
         v = stack.pop()
@@ -264,11 +268,9 @@ class ForkingSearch(ProofSearch):
             held.update(mutables(getattr(branch, name)))
         for name in names:
             assert not mutables(getattr(twin, name)).keys() & held.keys(), name
-        before = [plain(getattr(branch, name)) for name in Branch.__slots__]
+        before = snapshot(branch)
         twin.enter(node, added, removed, step)
-        for z in twin.order:  # brings the fork's lazy caches up to date
-            list(applications(twin, z))
-        assert [plain(getattr(branch, name)) for name in Branch.__slots__] == before
+        assert snapshot(branch) == before
         ForkingSearch.forks += 1
         super()._enter(branch, node, added, removed, step)
 
@@ -285,16 +287,8 @@ def test_fork_shares_no_mutable_state(family):
 
 
 def snapshot(branch):
-    """Every slot of the branch as fresh containers, the history's lazily
-    filled forced-set cache left out."""
-    out = []
-    for name in Branch.__slots__:
-        value = getattr(branch, name)
-        if isinstance(value, History):
-            value = dict(value), [getattr(value, index) for index
-                                  in History.__slots__ if index != "_forced"]
-        out.append(plain(value))
-    return out
+    """Every slot of the branch as fresh containers."""
+    return [plain(getattr(branch, name)) for name in Branch.__slots__]
 
 
 class ReadOnlySearch(ProofSearch):
@@ -343,12 +337,27 @@ def test_corpus_scans_and_extraction_write_nothing(fragment_corpus, monkeypatch)
 def test_forced_set_grows_when_the_last_literal_arrives():
     # x -(r & s) z is forced by x -r z together with x -s z
     r, s = Var("r"), Var("s")
-    term = Cmpl(Inter(r, s))
-    history = History([RelFormula("x", Comp(r, ONE), "y")])
-    assert history.forced(term, "x") == frozenset()
+    gate = Inter(r, s)
+    root = RelFormula("x", Comp(gate, ONE), "y")
+    history = History(gate_index(components(root.term)))
+    history.add(root)
+    assert history.forced == {}
     history.add(RelFormula("x", Cmpl(r), "z1"))
     history.add(RelFormula("z1", Cmpl(s), "y"))
-    assert history.forced(term, "x") == frozenset()
+    assert history.forced == {}
     history.add(RelFormula("x", Cmpl(s), "z1"))
-    assert history.forced(term, "x") == {"z1"}
-    assert history.forced(term, "x") == v_set(term, "x", FormulaSet(history))
+    assert history.forced == {(gate, "x"): {"z1"}}
+    assert history.forced[gate, "x"] == v_set(Cmpl(gate), "x", FormulaSet(history))
+
+
+def test_gate_index_lists_the_gates_of_each_negated_variable():
+    # ``1 ; r`` has no gate, ``(r | s) ; (t ; 1)`` has ``r | s`` and
+    # ``t ; 1`` has ``t``; ``-(u ; 1)`` is no composition, so ``-u`` gates
+    # nothing
+    term = parse_term("(1 ; r) | ((r | s) ; (t ; 1)) | -(u ; 1)")
+    rs, t = parse_term("r | s"), Var("t")
+    index = gate_index(components(term))
+    assert dict(index) == {Cmpl(Var("r")): (rs,), Cmpl(Var("s")): (rs,),
+                           Cmpl(t): (t,)}
+    with pytest.raises(TypeError):
+        index[Cmpl(t)] = ()

@@ -3,8 +3,10 @@
 Runs the decision procedure on the four modal families of
 ``tests/conftest.py`` at a small and a large size each, and prints per
 instance the steps taken, the best of five wall times of
-``run_procedure`` and that time per step in microseconds.  Translating the
-modal formula is not timed there.  It then prints the same columns for the
+``run_procedure``, that time per step in microseconds, and the peak
+memory that ``tracemalloc`` traces over one more, untimed, call.
+Translating the modal formula is not measured there.  It then prints the
+same columns for the
 biconditional chains ``p0 <-> ... <-> pk``, k = 8, 12 and 16, timing
 ``translate_modal`` and ``run_procedure`` together: a chain's term shares
 every operand of each ``<->``, so a walker that visits shared subterms
@@ -19,6 +21,7 @@ installed (``conftest.py`` imports them)::
 
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -35,36 +38,45 @@ REPEATS = 5
 
 
 def best_of(run):
-    """Steps of the verdict ``run()`` returns, and its best wall time in
-    seconds over :data:`REPEATS` calls."""
+    """Steps of the verdict ``run()`` returns, its best wall time in
+    seconds over :data:`REPEATS` calls, and the peak traced memory in
+    bytes of one more call, which is not timed."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
         verdict = run()
         best = min(best, time.perf_counter() - start)
-    return verdict.tree.steps, best
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return verdict.tree.steps, best, peak
 
 
 def measure(name, n):
-    """Steps and best wall time of deciding one family instance."""
+    """Steps, best wall time and peak memory of deciding one family
+    instance."""
     term = translate_modal(parse_modal(family_text(name, n)))
     return best_of(lambda: run_procedure(term))
 
 
 def measure_chain(k):
-    """Steps and best wall time of translating and deciding
+    """Steps, best wall time and peak memory of translating and deciding
     ``p0 <-> ... <-> pk``."""
     formula = parse_modal(" <-> ".join(f"p{i}" for i in range(k + 1)))
     return best_of(lambda: run_procedure(translate_modal(formula)))
 
 
-def report(name, n, steps, best):
+def report(name, n, steps, best, peak):
     print(f"{name:12} {n:>3} {steps:>7} {best * 1e3:>9.1f} "
-          f"{best * 1e6 / steps:>8.0f}")
+          f"{best * 1e6 / steps:>8.0f} {peak / 2 ** 20:>8.2f}")
 
 
 def main():
-    print(f"{'family':12} {'n':>3} {'steps':>7} {'best ms':>9} {'us/step':>8}")
+    print(f"{'family':12} {'n':>3} {'steps':>7} {'best ms':>9} {'us/step':>8} "
+          f"{'peak MB':>8}")
     for name, sizes in SIZES:
         for n in sizes:
             report(name, n, *measure(name, n))
