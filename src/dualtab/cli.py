@@ -146,6 +146,8 @@ def _verdict_lines(payload, label=None):
         lines.append(json.dumps(payload["countermodel"], sort_keys=True))
     if "verified" in payload:
         lines.append(f"verified: {payload['verified']}")
+    if "verify_note" in payload:
+        lines.append(f"verify_note: {payload['verify_note']}")
     stats = payload["stats"]
     lines.append(f"steps={stats['steps']} branches={stats['branches']} "
                  f"variables={stats['variables']}")

@@ -3,7 +3,9 @@
 Given a fragment term ``P``, the engine builds a deduction tree for the
 formula ``x P y``.  Nodes carry disjunctive formula sets; a node is closed
 when it contains ``x' 1 y'`` or a formula together with its complement.
-Branches are explored depth first, left successor first.  On each open
+Branches are explored depth first, left successor first, on one
+:class:`Branch`, which :meth:`Branch.undo` takes back to a branching
+step's :meth:`Branch.mark` before its second successor enters.  On each open
 branch the engine repeatedly picks the smallest variable (in the branch
 order) that still has work and applies, in order: the Boolean rules, the
 complemented-composition rules, the composition rule gated by forced
@@ -19,7 +21,7 @@ names each fresh witness from one counter.  The search builds each
 successor from the parent and a group, checks what enters the node, and
 hands the step and what entered and left the node to :meth:`Branch.enter`,
 the only method that writes a branch's node, history, agenda, composition
-instances, decomposed premises and witness placement.  Complemented
+instances, decomposed premises and witness placement forward.  Complemented
 compositions are suppressed when an already decomposed twin *blocks* them;
 the scheduler passes over a blocked formula and writes nothing.
 
@@ -142,42 +144,41 @@ class Branch:
     applied.  A decomposed premise that re-enters the node has no work
     and stays off the agenda.
 
-    :meth:`enter` is the only method that writes this state; scans and
-    model extraction only read it.
+    :meth:`enter` is the only method that writes this state forward, and
+    :meth:`undo` the only one that takes it back; scans and model
+    extraction only read it.
     """
 
     __slots__ = ("node", "history", "vars", "order", "right", "applied",
                  "decomposed", "node_axiomatic", "agenda")
 
-    def __init__(self, node, history, vars, order, right, applied, decomposed,
-                 agenda):
-        self.node = node
-        self.history = history
-        self.vars = vars
-        self.order = order
-        self.right = right
-        self.applied = applied
-        self.decomposed = decomposed
-        self.node_axiomatic = False
-        self.agenda = agenda
-
-    @classmethod
-    def initial(cls, formula, gates):
+    def __init__(self, formula, gates):
         """The branch of the root node ``{formula}``; ``gates`` is the
         :func:`gate_index` of the components of the formula's term."""
         x, y = formula.left, formula.right
-        branch = cls(None, History(gates), [x, y], [x, y], {y}, set(), {}, {})
+        self.history = History(gates)
+        self.vars, self.order, self.right = [x, y], [x, y], {y}
+        self.applied, self.decomposed, self.agenda = {}, {}, {}
         node = FormulaSet([formula])
-        branch.enter(node, node, (), None)
-        return branch
+        self.enter(node, node, (), None)
 
-    def fork(self):
-        """A copy of the branch that shares its node and no mutable state."""
-        return Branch(self.node, self.history.copy(), list(self.vars),
-                      list(self.order), set(self.right), set(self.applied),
-                      dict(self.decomposed),
-                      {key: dict(group) for key, group in self.agenda.items()
-                       if group})
+    def mark(self):
+        """A choice point for :meth:`undo`: the sizes of what only grows,
+        copies of the rest, the agenda without its empty groups."""
+        return (len(self.history), len(self.decomposed), len(self.applied),
+                len(self.vars), list(self.order), set(self.right),
+                {key: dict(group) for key, group in self.agenda.items() if group})
+
+    def undo(self, mark):
+        """Put the branch back as it was at ``mark``, all but the node,
+        which the next :meth:`enter` sets.  A mark is undone to once."""
+        (history, decomposed, applied, vars,
+         self.order, self.right, self.agenda) = mark
+        self.history.truncate(history)
+        for grown, size in ((self.decomposed, decomposed), (self.applied, applied)):
+            while len(grown) > size:
+                grown.popitem()
+        del self.vars[vars:]
 
     def enter(self, node, added, removed, step):
         """Make ``node`` the leaf and record the step that made it.
@@ -200,7 +201,7 @@ class Branch:
         if step is not None:
             rule, f, z = step
             if rule in _COMP_RULES:
-                self.applied.add((f, z))
+                self.applied[f, z] = None
                 if rule == RULE_COMP_BOOL:
                     agenda[f.left, 2][f] += 1
             else:
@@ -406,10 +407,6 @@ class DeductionTree:
     branch_count: int = 1
     max_vars: int = 0
 
-    @property
-    def root(self):
-        return self.nodes[0]
-
     def new_node(self, parent, formulas, rule=None, premise=None, variable=None):
         node = Node(len(self.nodes), parent.id if parent else None, formulas,
                     rule, premise, variable)
@@ -463,7 +460,6 @@ class ProofSearch:
     def __init__(self, term, *, max_steps=1_000_000, trace=None):
         prepared = simplify_ones(term)
         require_fragment(prepared)
-        self.term = prepared
         self.max_steps = max_steps
         self.trace = trace
         self.cp = components(prepared)
@@ -474,20 +470,17 @@ class ProofSearch:
         self._witnesses = 0  # fresh witnesses are numbered across all branches
 
     def run(self):
-        branch = Branch.initial(self.root_formula, gate_index(self.cp))
-        root = self.tree.new_node(None, branch.node)
+        branch = Branch(self.root_formula, gate_index(self.cp))
+        leaf = self.tree.new_node(None, branch.node)
         self.tree.max_vars = len(branch.vars)
-        return self._drive(branch, root)
-
-    def _drive(self, branch, leaf):
-        self._stack.append((branch, leaf))
-        while self._stack:
-            branch, leaf = self._stack.pop()
-            leaf, status = self._expand(branch, leaf)
-            if status == "open":
-                model, valuation = extract_model(branch)
-                return Countermodel(self.tree, branch, model, valuation)
-        return Proof(self.tree)
+        while self._expand(branch, leaf) == "closed":
+            if not self._stack:
+                return Proof(self.tree)
+            mark, leaf, added, removed, step = self._stack.pop()
+            branch.undo(mark)
+            self._enter(branch, leaf, added, removed, step)
+        model, valuation = extract_model(branch)
+        return Countermodel(self.tree, branch, model, valuation)
 
     def _expand(self, branch, leaf):
         """Expand the branch in turns: the smallest variable with work
@@ -496,11 +489,11 @@ class ProofSearch:
         while not branch.node_axiomatic:
             turn = self._next_application(branch, z)
             if turn is None:
-                return leaf, "open"
+                return "open"
             z, app = turn
             leaf = self._apply(branch, leaf, app)
         leaf.closed = True
-        return leaf, "closed"
+        return "closed"
 
     def _next_application(self, branch, z):
         """The next application and the variable whose turn it is.
@@ -537,6 +530,7 @@ class ProofSearch:
             self._witnesses += 1
             inst = f"z{self._witnesses}"
         step = (rule, f, inst)
+        self._emit(*step)
         # each successor: the parent in order, minus the premise unless the
         # rule is a composition, plus the group's formulas not already there
         parent = branch.node
@@ -548,23 +542,19 @@ class ProofSearch:
                 del succ[g]
             added = [g for g in group if succ.add(g)]
             children.append((self.tree.new_node(leaf, succ, *step), added))
-        self._emit(*step)
+            self._check(added, removed, rule)
         if len(children) == 2:
+            # the second child enters once the first one's subtree closes
             self.tree.branch_count += 1
-            child, added = children[1]
-            fork = branch.fork()
-            self._enter(fork, child.formulas, added, removed, step)
-            self._stack.append((fork, child))
+            self._stack.append((branch.mark(), *children[1], removed, step))
         child, added = children[0]
-        self._enter(branch, child.formulas, added, removed, step)
+        self._enter(branch, child, added, removed, step)
         return child
 
-    def _enter(self, branch, node, added, removed, step):
-        """Check what the step puts into the node, then make ``node``, the
-        old leaf with ``removed`` taken out and ``added`` put in, the
-        branch's leaf.  A new formula must be a component of the input and,
-        if compositional, keep the right root; any step but a composition
-        must lower the node weight."""
+    def _check(self, added, removed, rule):
+        """Check what a step puts into a child: a new formula must be a
+        component of the input and, if compositional, keep the right root;
+        any step but a composition must lower the node weight."""
         for f in added:
             if f.term not in self.cp:
                 raise EngineInvariantError(
@@ -574,14 +564,16 @@ class ProofSearch:
                 raise EngineInvariantError(
                     f"compositional formula with a generated right endpoint: {f!r}"
                 )
-        rule = step[0]
         if rule not in _COMP_RULES:
             if (sum(g.term.weight for g in added)
                     >= sum(g.term.weight for g in removed)):
                 raise EngineInvariantError(
                     f"rule {rule} did not decrease the node weight"
                 )
-        branch.enter(node, added, removed, step)
+
+    def _enter(self, branch, child, added, removed, step):
+        """Make the tree node ``child`` the branch's leaf."""
+        branch.enter(child.formulas, added, removed, step)
 
     def _emit(self, rule, premise, variable):
         if self.trace is not None:

@@ -55,9 +55,6 @@ class FormulaSet(dict):
         for f in items:
             self.add(f)
 
-    def copy(self):
-        return FormulaSet(self)
-
     def __repr__(self):
         return "{" + ", ".join(map(repr, self)) + "}"
 
@@ -124,7 +121,7 @@ def gate_index(terms):
     """Maps each ``-v`` to the gates that mention ``v``: the left operands
     ``B``, other than 1, of the compositions among ``terms``.  ``x B;S y``
     is instantiated only with the ``z`` for which ``x -B z`` is forced.
-    Read-only, so that copies of a history share it."""
+    Read-only: a search builds it once and only reads it."""
     index = {}
     for t in terms:
         if isinstance(t, Comp) and not isinstance(t.left, One):
@@ -144,8 +141,8 @@ def gate_forced(x, b, z, n):
 
 
 class History(FormulaSet):
-    """A branch history: a formula set that only grows, indexed as each
-    formula enters it.
+    """A branch history: a formula set indexed as each formula enters it,
+    which grows along a branch and is truncated when the search backs up.
 
     ``by_left_right`` and ``by_term_right`` list the formulas with a given
     pair of endpoints, or term and right endpoint, each list in admission
@@ -175,13 +172,24 @@ class History(FormulaSet):
                 self.forced[gate, x] = forced | {z}
         return True
 
-    def copy(self):
-        h = History(self.gates)
-        dict.update(h, self)
-        h.forced = dict(self.forced)
-        for name in ("by_left_right", "by_term_right"):
-            setattr(h, name, {k: list(v) for k, v in getattr(self, name).items()})
-        return h
+    def truncate(self, size):
+        """Take out the formulas admitted after the first ``size``, last
+        first, with their index entries and the forced variables they made."""
+        while len(self) > size:
+            f = self.popitem()[0]
+            x, z = f.left, f.right
+            for index, key in ((self.by_left_right, (x, z)),
+                               (self.by_term_right, (f.term, z))):
+                index[key].pop()
+                if not index[key]:
+                    del index[key]
+            for gate in self.gates.get(f.term, ()):
+                forced = self.forced.get((gate, x), ())
+                if z in forced and not gate_forced(x, gate, z, self):
+                    if len(forced) > 1:
+                        self.forced[gate, x] = forced - {z}
+                    else:
+                        del self.forced[gate, x]
 
 
 def parse_formula(text):

@@ -120,13 +120,11 @@ def _search_size(f, accs, props, n, subs):
     n_val = 1 << (n * len(props))
     world_mask = np.uint8((1 << n) - 1)
 
-    rel_masks = {}
     succ = {}
     rcs = np.arange(n_rel, dtype=np.int64)
     for i, name in enumerate(accs):
         shift = q * (len(accs) - 1 - i)
         masks = (rcs >> shift) & ((1 << q) - 1)
-        rel_masks[name] = masks
         succ[name] = np.stack(
             [((masks >> (w * n)) & ((1 << n) - 1)).astype(np.uint8) for w in range(n)],
             axis=1,
@@ -182,8 +180,8 @@ def _search_size(f, accs, props, n, subs):
 
     worlds = tuple(f"w{i}" for i in range(n))
     relations = {}
-    for name in accs:
-        mask = int(rel_masks[name][rc])
+    for i, name in enumerate(accs):
+        mask = (rc >> q * (len(accs) - 1 - i)) & ((1 << q) - 1)
         relations[name] = {
             (worlds[p // n], worlds[p % n]) for p in range(q) if (mask >> p) & 1
         }

@@ -139,6 +139,22 @@ class TestModal:
             "1 relations and 6 propositions over 3 worlds exceed the oracle "
             "budget of 26 bits")
 
+    def test_text_mode_prints_the_note(self, capsys):
+        # the note follows ``verified:`` on a line of its own; a verdict
+        # that both oracles check has no note line
+        code, out, _ = run(capsys, "modal", family_text("modal_dist", 3),
+                           "--verify")
+        assert code == 0
+        lines = out.splitlines()
+        at = lines.index("verified: None")
+        assert lines[at + 1] == (
+            "verify_note: 7 variables over a universe of 3 exceed the oracle "
+            "budget of 28 bits; 1 relations and 6 propositions over 3 worlds "
+            "exceed the oracle budget of 26 bits")
+        code, out, _ = run(capsys, "modal", "p -> [r]p", "--verify")
+        assert code == 1 and "verified: True" in out.splitlines()
+        assert "verify_note" not in out
+
     def test_kripke_note_alone(self, capsys):
         # a countermodel is checked without the finite-model oracle; the
         # Kripke oracle finds no refutation at one world and refuses two

@@ -34,7 +34,7 @@ def prove(text, **kw):
 def initial(formula):
     """The root branch of ``formula``, with the gates a search of its term
     indexes."""
-    return Branch.initial(formula, gate_index(components(formula.term)))
+    return Branch(formula, gate_index(components(formula.term)))
 
 
 def offered(branch, z):
@@ -503,6 +503,32 @@ class TestRunProcedure:
         monkeypatch.setattr(engine, "applications", repeating)
         with pytest.raises(EngineInvariantError, match="without progress"):
             prove("1 ; (r ; 1)")
+
+    def test_second_child_is_checked_at_its_step(self):
+        # ``x r y``, the first child of ``x (r & s) y``, ends open, and the
+        # second child ``x s y`` carries a term taken out of the component
+        # set: the check fails at the step, not when the child would enter
+        search = engine.ProofSearch(parse_term("r & s"))
+        search.cp = search.cp - {parse_term("s")}
+        with pytest.raises(EngineInvariantError, match="escaped"):
+            search.run()
+        assert search.tree.steps == 1 and len(search.tree.nodes) == 3
+
+    @pytest.mark.parametrize("family", ["branching", "cycle"])
+    def test_one_search_builds_one_branch(self, family, monkeypatch):
+        built = []
+
+        class CountedBranch(Branch):
+            __slots__ = ()
+
+            def __init__(self, *args):
+                built.append(self)
+                super().__init__(*args)
+
+        monkeypatch.setattr(engine, "Branch", CountedBranch)
+        verdict = run_procedure(translate_modal(parse_modal(family_text(family, 4))))
+        assert verdict.tree.branch_count > 1
+        assert len(built) == 1
 
 
 class TestExtractModel:

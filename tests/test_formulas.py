@@ -86,7 +86,7 @@ class TestNboolConstruction:
     @settings(max_examples=60)
     def test_monotone_in_the_literal_set(self, t, extra):
         base = FormulaSet([F("x", "-r", "z")])
-        larger = base.copy()
+        larger = FormulaSet(base)
         larger.update(F(*parts) for parts in extra)
         f = RelFormula("x", t, "z")
         if has_nbool_construction(f, base):
@@ -124,7 +124,7 @@ class TestVSet:
     @settings(max_examples=60)
     def test_monotone_in_the_literal_set(self, t, extra):
         base = FormulaSet([F("x", "-r", "z"), F("x", "s", "z")])
-        larger = base.copy()
+        larger = FormulaSet(base)
         larger.update(F(*parts) for parts in extra)
         assert v_set(t, "x", base) <= v_set(t, "x", larger)
 
@@ -159,11 +159,13 @@ class TestFormulaSet:
         assert not fs.add(F("x", "r", "y"))
         assert len(fs) == 1
 
-    def test_copy_is_independent(self):
+    def test_construction_from_a_set_copies_it(self):
+        # the search builds each child as ``FormulaSet(parent)``
         fs = FormulaSet([F("x", "r", "y")])
-        other = fs.copy()
+        other = FormulaSet(fs)
         other.add(F("x", "s", "y"))
-        assert len(fs) == 1 and len(other) == 2
+        assert list(fs) == [F("x", "r", "y")]
+        assert list(other) == [F("x", "r", "y"), F("x", "s", "y")]
 
 
 class TestParseFormula:

@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -182,6 +183,21 @@ class TestKripkeOracle:
     def test_intersection_program(self):
         f = parse_modal("[r]p -> [r & s]p")
         assert kripke_countermodel(f, 3) is None
+
+    def test_frame_masks_are_not_kept_for_the_witness(self):
+        # 16 relations at one world make 2^16 frames; one int64 mask per
+        # frame and relation, kept for the whole search, would be 8 MB.
+        # The only refuting frame is the last one, every relation full.
+        f = parse_modal(" | ".join(f"[r{i}]p" for i in range(16)))
+        tracemalloc.start()
+        try:
+            model, world = kripke_countermodel(f, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model.relations == {f"r{i}": {("w0", "w0")} for i in range(16)}
+        assert model.valuation == {"p": set()} and world == "w0"
+        assert peak < 5 * 2 ** 20
 
     def test_budget_guard(self):
         # valid, so the search reaches the over-budget universe size

@@ -8,11 +8,13 @@ with a plain recomputation over the whole history or node: the agenda's
 groups and instance counts, the applications the agenda yields at every
 variable, the branch's variables, the per-key formula lists, the forced
 set of every gate at every variable, the variable order, and the
-blocking verdict of every complemented composition on the node.  A
-second search enters each step on a fork of the branch first, and checks
-that the fork holds none of the branch's mutable state and that its step
-leaves the branch as it was.  A third checks that the scheduler's scans
-and the model extraction write nothing to a branch.
+blocking verdict of every complemented composition on the node.  Since
+a search keeps one branch, a second child is checked after the branch
+has been undone to its step's mark.  A second search marks the branch
+before each step, enters the step, undoes to the mark and checks that
+every slot but the node is as it was, then enters the step again.  A
+third checks that the scheduler's scans and the model extraction write
+nothing to a branch.
 """
 
 import pytest
@@ -155,8 +157,8 @@ def check_branch(branch):
         assert list(applications(branch, z)) == scratch_applications(branch, z)
     expected = scratch_agenda(branch)
     assert {k: list(g) for k, g in branch.agenda.items() if g} == expected
-    # a fork keeps the groups that are not empty
-    assert {k: list(g) for k, g in branch.fork().agenda.items()} == expected
+    # a mark keeps the groups that are not empty
+    assert {k: list(g) for k, g in branch.mark()[-1].items()} == expected
     for (_, phase), group in branch.agenda.items():
         for f, value in group.items():
             if phase == 2:
@@ -183,19 +185,16 @@ def check_branch(branch):
 
 class CheckedSearch(ProofSearch):
     """A proof search that checks the step's delta and every index after
-    each step."""
+    each step enters the branch, a second child's after the undo."""
 
     checked_steps = 0
     blocked = 0  # blocking verdicts that found a blocker, over all searches
 
-    def _apply(self, branch, leaf, app):
-        self.parent = leaf.formulas
-        return super()._apply(branch, leaf, app)
-
-    def _enter(self, branch, node, added, removed, *args):
-        assert added == [g for g in node if g not in self.parent]
-        assert list(removed) == [g for g in self.parent if g not in node]
-        super()._enter(branch, node, added, removed, *args)
+    def _enter(self, branch, child, added, removed, step):
+        parent, node = self.tree.nodes[child.parent].formulas, child.formulas
+        assert added == [g for g in node if g not in parent]
+        assert list(removed) == [g for g in parent if g not in node]
+        super()._enter(branch, child, added, removed, step)
         check_branch(branch)
         self.checked_steps += 1
 
@@ -222,23 +221,6 @@ def test_corpus_indices_match_recomputation(fragment_corpus):
     assert checked > len(fragment_corpus)
 
 
-def mutables(value):
-    """Every mutable container reachable from ``value``, by id: lists, sets
-    and dicts (formula sets and histories among them) with their elements
-    and values, tuples' elements, and every slot of a history."""
-    found, stack = {}, [value]
-    while stack:
-        v = stack.pop()
-        if isinstance(v, History):
-            stack.extend(getattr(v, name) for name in History.__slots__)
-        if isinstance(v, tuple):
-            stack.extend(v)
-        elif isinstance(v, (list, set, dict)) and id(v) not in found:
-            found[id(v)] = v
-            stack.extend(v.values() if isinstance(v, dict) else v)
-    return found
-
-
 def plain(value):
     """A copy of ``value`` made of fresh containers, which compares equal
     to a later copy only when nothing in ``value`` changed, order included."""
@@ -254,36 +236,56 @@ def plain(value):
     return value
 
 
-class ForkingSearch(ProofSearch):
-    """A proof search that, before each step enters a branch, enters it on
-    a fork of that branch first and checks that the branch is unchanged."""
+class UndoingSearch(ProofSearch):
+    """A proof search that, before each step enters the branch, marks the
+    branch, enters the step, undoes to the mark and checks that every
+    slot but the node is as it was; then it enters the step for good."""
 
-    forks = 0
+    undos = 0
 
-    def _enter(self, branch, node, added, removed, step):
-        names = [name for name in Branch.__slots__ if name != "node"]
-        twin = branch.fork()
-        held = {}
-        for name in names:
-            held.update(mutables(getattr(branch, name)))
-        for name in names:
-            assert not mutables(getattr(twin, name)).keys() & held.keys(), name
-        before = snapshot(branch)
-        twin.enter(node, added, removed, step)
-        assert snapshot(branch) == before
-        ForkingSearch.forks += 1
-        super()._enter(branch, node, added, removed, step)
+    def _enter(self, branch, child, added, removed, step):
+        before = undoable(branch)
+        mark = branch.mark()
+        super()._enter(branch, child, added, removed, step)
+        branch.undo(mark)
+        assert undoable(branch) == before
+        UndoingSearch.undos += 1
+        super()._enter(branch, child, added, removed, step)
+
+
+def undoable(branch):
+    """Every slot that :meth:`Branch.undo` restores, as fresh containers:
+    all but the node and its closure flag, the agenda without the empty
+    groups that a mark drops."""
+    slots = {name: getattr(branch, name) for name in Branch.__slots__
+             if name not in ("node", "node_axiomatic")}
+    slots["agenda"] = {key: group for key, group in branch.agenda.items() if group}
+    return plain(slots)
+
+
+def check_undo(term):
+    undos_before = UndoingSearch.undos
+    search = UndoingSearch(term)
+    search.run()
+    # every step enters its first child, and each second child that is
+    # not still pending when the search ends enters once
+    assert UndoingSearch.undos - undos_before == search.tree.steps + (
+        search.tree.branch_count - 1 - len(search._stack))
+    return search
 
 
 @pytest.mark.parametrize("family", ["modal_dist", "kdist", "branching", "cycle"])
-def test_fork_shares_no_mutable_state(family):
-    # a slot that fork forgets to copy is shared with the parent, and the
-    # fork's first step shows through on the parent
-    forks_before = ForkingSearch.forks
-    search = ForkingSearch(translate_modal(parse_modal(family_text(family, 4))))
-    search.run()
-    assert ForkingSearch.forks - forks_before == search.tree.steps + (
-        search.tree.branch_count - 1)
+def test_undo_restores_every_slot(family):
+    # a slot that undo forgets shows as a difference after the step is
+    # undone: an index key left empty, a forced variable kept, a grown
+    # ``applied`` or ``vars``, a reordered ``order``
+    search = check_undo(translate_modal(parse_modal(family_text(family, 4))))
+    assert search.tree.branch_count > 1
+
+
+def test_corpus_undo_restores_every_slot(fragment_corpus):
+    assert sum(check_undo(term).tree.branch_count > 1
+               for term in fragment_corpus) > 0
 
 
 def snapshot(branch):

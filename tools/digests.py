@@ -2,7 +2,7 @@
 
 Runs the decision procedure on the 500-term seeded corpus, the 1 848
 translated modal formulas of depth at most 3, and the four modal families
-at n=4 and n=8, all built by ``tests/conftest.py``.  It hashes each
+at n=4 and n=8, all built by ``tests/corpus.py``.  It hashes each
 verdict's JSON and each run's trace events into two sha256 digests.  A
 third digest hashes both, verdict and trace, over ten deeper corpora
 (seeds 1-10, 200 terms of depth at most 6 each), whose countermodels use
@@ -14,8 +14,8 @@ the value pinned below.  A change that must keep every proof tree,
 countermodel and rule application as it is leaves the first three alone;
 one that must keep every oracle witness leaves the fourth alone.
 
-Run it from the root of a source checkout, with pytest and hypothesis
-installed (``conftest.py`` imports them)::
+Run it from the root of a source checkout; it needs numpy, which
+``dualtab`` imports, but neither pytest nor hypothesis::
 
     python3 tools/digests.py
 """
@@ -28,7 +28,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import all_modal, build_corpus, family_text  # noqa: E402
+from corpus import all_modal, build_corpus, family_text  # noqa: E402
 from dualtab.engine import run_procedure, verdict_to_json  # noqa: E402
 from dualtab.frontends import parse_modal, translate_modal  # noqa: E402
 from dualtab.semantics import brute_force_countermodel, model_to_json  # noqa: E402

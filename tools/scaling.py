@@ -1,7 +1,7 @@
 """Print how the cost of a proof-search step grows with problem size.
 
 Runs the decision procedure on the four modal families of
-``tests/conftest.py`` at a small and a large size each, and prints per
+``tests/corpus.py`` at a small and a large size each, and prints per
 instance the steps taken, the best of five wall times of
 ``run_procedure``, that time per step in microseconds, and the peak
 memory that ``tracemalloc`` traces over one more, untimed, call.
@@ -13,8 +13,8 @@ every operand of each ``<->``, so a walker that visits shared subterms
 once per occurrence shows here.  The numbers depend on the machine, so
 nothing is checked: the script exits 0 whatever it measures.
 
-Run it from the root of a source checkout, with pytest and hypothesis
-installed (``conftest.py`` imports them)::
+Run it from the root of a source checkout; it needs numpy, which
+``dualtab`` imports, but neither pytest nor hypothesis::
 
     python3 tools/scaling.py
 """
@@ -27,7 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
-from conftest import family_text  # noqa: E402
+from corpus import family_text  # noqa: E402
 from dualtab.engine import run_procedure  # noqa: E402
 from dualtab.frontends import parse_modal, translate_modal  # noqa: E402
 
