@@ -55,8 +55,7 @@ from .errors import (BudgetExceeded, DualTabError, EmptyPremises,
 from .formulas import RelFormula, parse_formula
 from .frontends import (EntailmentProblem, encode_entailment,
                         kripke_countermodel, parse_modal, translate_modal)
-from .semantics import (brute_force_countermodel, falsifies_branch,
-                        model_from_json, satisfies)
+from .semantics import falsifies_branch, model_from_json, satisfies
 from .terms import (fragment_check, parse_term, render_term, simplify_ones)
 
 EXIT_VALID = 0
@@ -189,6 +188,8 @@ def _prove_payload(term, args, extra=None):
 
 def _verify(term, verdict, oracle_size):
     if isinstance(verdict, Proof):
+        from .oracle import brute_force_countermodel  # loads numpy
+
         try:
             found = brute_force_countermodel(term, oracle_size)
         except BudgetExceeded as exc:

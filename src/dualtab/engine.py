@@ -40,7 +40,7 @@ from functools import lru_cache
 from .errors import BranchNotSaturated, EngineInvariantError, ResourceExhausted
 from .formulas import (FormulaSet, History, RelFormula, gate_forced, gate_index,
                        is_literal)
-from .semantics import Model
+from .semantics import Model, model_to_json
 from .terms import (Cmpl, Comp, Inter, One, Union, Var, components, interned,
                     render_term, require_fragment, simplify_ones, term_variables)
 
@@ -604,8 +604,6 @@ def stats_of(verdict):
 
 def verdict_to_json(verdict):
     """Stable JSON form of a verdict: proof tree or countermodel plus stats."""
-    from .semantics import model_to_json
-
     valid = isinstance(verdict, Proof)
     return {
         "verdict": "valid" if valid else "invalid",

@@ -6,14 +6,14 @@ program interpreted as the union/intersection of its component
 accessibility relations.  Frames and valuations are enumerated in a fixed
 order over universes of growing size, so the first refuting pointed model
 is reproducible.  The search space is vectorized: truth values are
-computed as world-bitmask arrays over the (frame, valuation) axes.
+computed as world-bitmask arrays over the (frame, valuation) axes.  The
+search imports numpy when it first runs, so importing this module, as the
+CLI does, does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from ..errors import BudgetExceeded
 from ..terms import Inter as TInter, Union as TUnion, Var
@@ -115,6 +115,8 @@ def kripke_countermodel(f, max_worlds):
 
 
 def _search_size(f, accs, props, n, subs):
+    import numpy as np  # only the search needs it, so importing kripke stays cheap
+
     q = n * n
     n_rel = 1 << (q * len(accs))
     n_val = 1 << (n * len(props))

@@ -17,7 +17,8 @@ from dualtab.engine import (VAR_BOUND_FACTOR, Countermodel, Proof,
 from dualtab.formulas import FormulaSet, RelFormula, has_nbool_construction, is_nbool
 from dualtab.frontends import (EntailmentProblem, encode_entailment,
                                kripke_countermodel, translate_modal)
-from dualtab.semantics import brute_force_countermodel, falsifies_branch, satisfies
+from dualtab.oracle import brute_force_countermodel
+from dualtab.semantics import falsifies_branch, satisfies
 from dualtab.terms import (Cmpl, Comp, Inter, ONE, Union, Var, components,
                            fragment_check, parse_term, simplify_ones)
 

@@ -17,8 +17,8 @@ from dualtab.errors import (BranchNotSaturated, EngineInvariantError,
                             FragmentViolation, ResourceExhausted)
 from dualtab.formulas import FormulaSet, RelFormula, gate_index, v_set
 from dualtab.frontends import parse_modal, translate_modal
-from dualtab.semantics import (brute_force_countermodel, falsifies_branch,
-                               satisfies)
+from dualtab.oracle import brute_force_countermodel
+from dualtab.semantics import falsifies_branch, satisfies
 from dualtab.terms import (Cmpl, components, is_boolean, parse_term,
                            simplify_ones, term_variables)
 

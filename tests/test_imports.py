@@ -1,0 +1,90 @@
+"""numpy serves only the two oracles, so a process loads it only when one
+runs.  Each check starts a fresh interpreter: the test process itself has
+numpy loaded long before."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import dualtab
+
+SRC = str(Path(dualtab.__file__).resolve().parent.parent)
+
+# Run each argv through ``cli.main`` in one process and print, as JSON,
+# whether numpy got loaded and each run's exit code and stdout.  With
+# ``blocked`` as first argument, importing numpy fails.
+CLI_RUNS = """
+import contextlib, io, json, sys
+if sys.argv[1] == "blocked":
+    sys.modules["numpy"] = None
+from dualtab.cli import main
+runs = []
+for argv in json.loads(sys.argv[2]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(argv)
+    runs.append([code, out.getvalue()])
+print(json.dumps({"numpy": sys.modules.get("numpy") is not None, "runs": runs}))
+"""
+
+
+def python(*args):
+    """stdout of ``python args`` with this checkout's sources first on the
+    import path; the process must exit 0."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def loads_numpy(code):
+    """Whether running ``code`` in a fresh interpreter loads numpy."""
+    out = python("-c", f"{code}\nimport sys; print('numpy' in sys.modules)")
+    return out.splitlines()[-1] == "True"
+
+
+@pytest.mark.parametrize("module", ["dualtab", "dualtab.cli"])
+def test_import_leaves_numpy_out(module):
+    assert not loads_numpy(f"import {module}")
+
+
+@pytest.fixture
+def cli_argvs(tmp_path):
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"universe": ["x", "y"],
+                                 "relations": {"r": [["x", "x"]]},
+                                 "valuation": {"x": "x", "y": "y"}}))
+    return [
+        ["prove", "--json", "--", "r | -r"],
+        ["prove", "--json", "--", "r"],
+        ["entail", "--json", "--premise", "-r | -(s1 | s2)", "--conclusion", "-s1 | -r"],
+        ["entail", "--json", "--premise", "-r | -s1", "--conclusion", "-r | -s2"],
+        ["modal", "--json", "[r](p->q) -> ([r]p -> [r]q)"],
+        ["modal", "--json", "p -> [r]p"],
+        ["check-model", "r", str(model)],
+        ["check-model", "1", str(model)],
+    ]
+
+
+def test_deciding_without_verify_needs_no_numpy(cli_argvs):
+    argvs = json.dumps(cli_argvs)
+    ordinary = json.loads(python("-c", CLI_RUNS, "ordinary", argvs))
+    blocked = json.loads(python("-c", CLI_RUNS, "blocked", argvs))
+    assert not ordinary["numpy"] and not blocked["numpy"]
+    assert blocked["runs"] == ordinary["runs"]
+    assert [code for code, _ in ordinary["runs"]] == [0, 1, 0, 1, 0, 1, 0, 1]
+
+
+@pytest.mark.parametrize("code", [
+    "from dualtab.cli import main; assert main(['prove', '--json', '--verify', 'r | -r']) == 0",
+    "from dualtab import brute_force_countermodel",
+    "from dualtab.frontends import kripke_countermodel, parse_modal\n"
+    "assert kripke_countermodel(parse_modal('p'), 1) is not None",
+], ids=["verify", "package-export", "kripke-search"])
+def test_an_oracle_loads_numpy(code):
+    assert loads_numpy(code)

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_models, model_strategy, term_strategy
-from dualtab import semantics
+from dualtab import oracle
 from dualtab.errors import BudgetExceeded, UnboundVariable, UnknownVariableWarning
 from dualtab.formulas import RelFormula
-from dualtab.semantics import (Model, brute_force_countermodel, eval_term,
-                               falsifies_branch, model_from_json,
-                               model_to_json, satisfies)
+from dualtab.oracle import brute_force_countermodel
+from dualtab.semantics import (Model, eval_term, falsifies_branch,
+                               model_from_json, model_to_json, satisfies)
 from dualtab.terms import (ONE, Cmpl, Comp, Inter, Union, Var, parse_term,
                            simplify_ones, term_variables)
 
@@ -41,6 +41,14 @@ class TestEvalTerm:
         m = Model(("a",), {})
         with pytest.warns(UnknownVariableWarning):
             assert eval_term(m, Var("ghost")) == set()
+
+    def test_call_without_memo_evaluates_each_subterm_once(self):
+        # the shared uninterpreted variable is evaluated, and warns, once
+        m = Model(("a",), {})
+        ghost = Var("ghost")
+        with pytest.warns(UnknownVariableWarning) as caught:
+            assert eval_term(m, Union(ghost, Comp(ghost, ONE))) == set()
+        assert len(caught) == 1
 
     def test_memo_gives_the_sets_of_a_fresh_evaluation(self, corpus_countermodels):
         # every subterm on a countermodel's branch evaluates to the same set
@@ -218,7 +226,7 @@ class TestConstantFolding:
         own: these roots are skeleton tautologies, which
         :func:`brute_force_countermodel` answers without searching."""
         tables, reads = collections.Counter(), collections.Counter()
-        table, eval_rows = semantics._table, semantics._eval_rows
+        table, eval_rows = oracle._table, oracle._eval_rows
 
         def counting_table(t, parts, n):
             tables[t] += 1
@@ -228,11 +236,11 @@ class TestConstantFolding:
             reads[t] += 1
             return eval_rows(t, memo, n, keep)
 
-        monkeypatch.setattr(semantics, "_table", counting_table)
-        monkeypatch.setattr(semantics, "_eval_rows", counting_eval_rows)
+        monkeypatch.setattr(oracle, "_table", counting_table)
+        monkeypatch.setattr(oracle, "_eval_rows", counting_eval_rows)
         root = parse_term(text)
-        assert semantics._search_universe(
-            root, term_variables(root), 3, semantics._shared(root)) is None
+        assert oracle._search_universe(
+            root, term_variables(root), 3, oracle._shared(root)) is None
         return tables, reads[root]
 
     @pytest.mark.parametrize("text", [f"(1 ; 1) | ({VALID})", f"-(-(1 ; 1) & ({VALID}))"])
@@ -259,8 +267,8 @@ class TestConstantFolding:
         ones = Comp(ONE, ONE)
         for same in (Inter(t, ones), Union(t, Cmpl(ones))):
             assert brute_force_countermodel(same, 2) == brute_force_countermodel(t, 2)
-            assert (semantics._search_universe(same, names, 3, semantics._shared(same))
-                    == semantics._search_universe(t, names, 3, semantics._shared(t)))
+            assert (oracle._search_universe(same, names, 3, oracle._shared(same))
+                    == oracle._search_universe(t, names, 3, oracle._shared(t)))
 
 
 # A propositional tautology over ``r``, ``s`` and ``t`` that no constant
@@ -276,25 +284,25 @@ class TestSkeletonTautology:
     def test_tautology_has_no_countermodel(self, a, b, shape):
         t = (a, Union(a, Cmpl(a)), Union(Cmpl(Inter(a, b)), a),
              Union(Inter(a, b), Union(Cmpl(b), Cmpl(a))), Union(b, Comp(ONE, ONE)))[shape]
-        keep = semantics._shared(t)
-        if not semantics._skeleton_tautology(t, keep):
+        keep = oracle._shared(t)
+        if not oracle._skeleton_tautology(t, keep):
             assert shape == 0
             return
         names = term_variables(t)
         for n in (1, 2, 3):
-            assert semantics._search_universe(t, names, n, keep) is None
+            assert oracle._search_universe(t, names, n, keep) is None
 
     @staticmethod
     def searches(monkeypatch):
         """The universe sizes ``_search_universe`` is called for."""
         calls = []
-        search = semantics._search_universe
+        search = oracle._search_universe
 
         def counting(term, names, n, keep):
             calls.append(n)
             return search(term, names, n, keep)
 
-        monkeypatch.setattr(semantics, "_search_universe", counting)
+        monkeypatch.setattr(oracle, "_search_universe", counting)
         return calls
 
     @pytest.mark.parametrize("names", list(itertools.permutations("rst")))
@@ -315,13 +323,13 @@ class TestSkeletonTautology:
     def test_skeleton_waits_for_size_1(self, monkeypatch):
         calls = self.searches(monkeypatch)
         skeletons = []
-        skeleton = semantics._skeleton_tautology
+        skeleton = oracle._skeleton_tautology
 
         def recording(t, keep):
             skeletons.append(t)
             return skeleton(t, keep)
 
-        monkeypatch.setattr(semantics, "_skeleton_tautology", recording)
+        monkeypatch.setattr(oracle, "_skeleton_tautology", recording)
         assert brute_force_countermodel(parse_term("r ; s"), 3) is not None
         assert calls == [1] and skeletons == []
         # at size 1 a composition is an intersection, so this holds there
@@ -343,8 +351,8 @@ class TestSkeletonTautology:
         for text, closing in ((" | ".join(names), "-v3"),
                               ("-(" + " & ".join(names) + ")", "v5")):
             t, valid = parse_term(text), parse_term(f"({text}) | {closing}")
-            assert not semantics._skeleton_tautology(t, semantics._shared(t))
-            assert semantics._skeleton_tautology(valid, semantics._shared(valid))
+            assert not oracle._skeleton_tautology(t, oracle._shared(t))
+            assert oracle._skeleton_tautology(valid, oracle._shared(valid))
 
     def test_budget_is_checked_before_the_shortcut(self):
         names = [f"v{i}" for i in range(8)]

@@ -14,8 +14,9 @@ the value pinned below.  A change that must keep every proof tree,
 countermodel and rule application as it is leaves the first three alone;
 one that must keep every oracle witness leaves the fourth alone.
 
-Run it from the root of a source checkout; it needs numpy, which
-``dualtab`` imports, but neither pytest nor hypothesis::
+Run it from the root of a source checkout; it needs numpy, which only
+the ``oracle`` digest uses (through ``dualtab.oracle``), but neither
+pytest nor hypothesis::
 
     python3 tools/digests.py
 """
@@ -31,7 +32,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from corpus import all_modal, build_corpus, family_text  # noqa: E402
 from dualtab.engine import run_procedure, verdict_to_json  # noqa: E402
 from dualtab.frontends import parse_modal, translate_modal  # noqa: E402
-from dualtab.semantics import brute_force_countermodel, model_to_json  # noqa: E402
+from dualtab.oracle import brute_force_countermodel  # noqa: E402
+from dualtab.semantics import model_to_json  # noqa: E402
 
 FAMILIES = ("modal_dist", "kdist", "branching", "cycle")
 

@@ -13,8 +13,8 @@ every operand of each ``<->``, so a walker that visits shared subterms
 once per occurrence shows here.  The numbers depend on the machine, so
 nothing is checked: the script exits 0 whatever it measures.
 
-Run it from the root of a source checkout; it needs numpy, which
-``dualtab`` imports, but neither pytest nor hypothesis::
+Run it from the root of a source checkout; it runs no oracle, so it
+needs neither numpy nor pytest nor hypothesis::
 
     python3 tools/scaling.py
 """
