@@ -8,15 +8,17 @@ third digest hashes both, verdict and trace, over ten deeper corpora
 (seeds 1-10, 200 terms of depth at most 6 each), whose countermodels use
 the literals of blocked formulas far more often.  A fourth digest hashes
 the answer of the size-3 finite-model oracle, the first countermodel or
-none, for every term of the 500-term corpus.  The script prints each
-digest with the term and step counts, and exits 1 when one differs from
-the value pinned below.  A change that must keep every proof tree,
-countermodel and rule application as it is leaves the first three alone;
-one that must keep every oracle witness leaves the fourth alone.
+none, for every term of the 500-term corpus.  A fifth hashes the answer
+of the Kripke oracle, the first refuting pointed model or none, at 2 and
+at 3 worlds for every modal formula of depth at most 3.  The script
+prints each digest with the term and step counts, and exits 1 when one
+differs from the value pinned below.  A change that must keep every proof
+tree, countermodel and rule application as it is leaves the first three
+alone; one that must keep every oracle witness leaves the last two alone.
 
 Run it from the root of a source checkout; it needs numpy, which only
-the ``oracle`` digest uses (through ``dualtab.oracle``), but neither
-pytest nor hypothesis::
+the ``oracle`` and ``kripke`` digests use, but neither pytest nor
+hypothesis::
 
     python3 tools/digests.py
 """
@@ -31,7 +33,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from corpus import all_modal, build_corpus, family_text  # noqa: E402
 from dualtab.engine import run_procedure, verdict_to_json  # noqa: E402
-from dualtab.frontends import parse_modal, translate_modal  # noqa: E402
+from dualtab.frontends import (kripke_countermodel, parse_modal,  # noqa: E402
+                               translate_modal)
 from dualtab.oracle import brute_force_countermodel  # noqa: E402
 from dualtab.semantics import model_to_json  # noqa: E402
 
@@ -41,6 +44,7 @@ VERDICT_DIGEST = "c3b4cd262a65bef34847e2d6f478a357200c0d0352ca356ae90a3d79182c17
 TRACE_DIGEST = "fc58031a754240fc9218367cefe06977a6fac1db78624d231b2101aa77d41af8"
 BLOCKING_DIGEST = "10e3d0e963fe7780d7fb8ea081989ea78b606b6f1a7303bff9ae082cb0fb7074"
 ORACLE_DIGEST = "16d6539d998cd186aad3b8f4111d61043ac1ce4eebb713cf6fb3644293f36953"
+KRIPKE_DIGEST = "734f746d099912c130083436fb0ad10e981268177990a566788b1ed6d3b23056"
 
 
 def terms():
@@ -92,6 +96,23 @@ def oracle_digest():
     return digest.hexdigest()
 
 
+def kripke_digest():
+    """Digest of the Kripke oracle's answer at 2 and 3 worlds for every
+    modal formula of depth at most 3."""
+    digest = hashlib.sha256()
+    for formula in all_modal(3):
+        for worlds in (2, 3):
+            hit = kripke_countermodel(formula, worlds)
+            if hit is not None:
+                model, world = hit
+                hit = {"worlds": list(model.worlds),
+                       "relations": {k: sorted(v) for k, v in model.relations.items()},
+                       "valuation": {k: sorted(v) for k, v in model.valuation.items()},
+                       "world": world}
+            digest.update(json.dumps(hit, sort_keys=True).encode() + b"\n")
+    return digest.hexdigest()
+
+
 def main():
     verdict, trace, blocking, count, steps = digests()
     print(f"{count} terms, {steps} steps")
@@ -99,7 +120,8 @@ def main():
     for name, got, pinned in (("verdict", verdict, VERDICT_DIGEST),
                               ("trace", trace, TRACE_DIGEST),
                               ("blocking", blocking, BLOCKING_DIGEST),
-                              ("oracle", oracle_digest(), ORACLE_DIGEST)):
+                              ("oracle", oracle_digest(), ORACLE_DIGEST),
+                              ("kripke", kripke_digest(), KRIPKE_DIGEST)):
         same = got == pinned
         ok = ok and same
         print(f"{name:8} {got} {'ok' if same else 'DIFFERS from ' + pinned}")
