@@ -195,9 +195,10 @@ def _verify(term, verdict, oracle_size):
         except BudgetExceeded as exc:
             return None, str(exc)
         return found is None, None
-    ok = falsifies_branch(verdict.model, verdict.valuation, verdict.branch)
+    memo = {}  # the branch holds the input: its pair sets are built once
+    ok = falsifies_branch(verdict.model, verdict.valuation, verdict.branch, memo)
     query = RelFormula("x", term, "y")
-    ok = ok and not satisfies(verdict.model, verdict.valuation, query)
+    ok = ok and not satisfies(verdict.model, verdict.valuation, query, memo)
     return ok, None
 
 

@@ -34,13 +34,13 @@ literals of each blocked formula's blocker, found by one last scan.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 
 from .errors import BranchNotSaturated, EngineInvariantError, ResourceExhausted
 from .formulas import (FormulaSet, History, RelFormula, gate_forced, gate_index,
                        is_literal)
-from .semantics import Model, model_to_json
+from .semantics import Model, Record, model_to_json
 from .terms import (Cmpl, Comp, Inter, One, Union, Var, components, interned,
                     render_term, require_fragment, simplify_ones, term_variables)
 
@@ -400,12 +400,12 @@ class Node:
         self.children = []
 
 
-@dataclass
-class DeductionTree:
-    nodes: list = field(default_factory=list)
-    steps: int = 0
-    branch_count: int = 1
-    max_vars: int = 0
+class DeductionTree(Record):
+    __slots__ = ("nodes", "steps", "branch_count", "max_vars")
+
+    def __init__(self, nodes=None, steps=0, branch_count=1, max_vars=0):
+        self.nodes = [] if nodes is None else nodes
+        self.steps, self.branch_count, self.max_vars = steps, branch_count, max_vars
 
     def new_node(self, parent, formulas, rule=None, premise=None, variable=None):
         node = Node(len(self.nodes), parent.id if parent else None, formulas,
@@ -416,17 +416,18 @@ class DeductionTree:
         return node
 
     def to_json(self):
+        memo = {}  # one for the whole tree: each distinct term is rendered once
         return {
             "nodes": [
                 {
                     "id": n.id,
                     "parent": n.parent,
                     "formulas": [
-                        [f.left, render_term(f.term), f.right] for f in n.formulas
+                        [f.left, render_term(f.term, memo), f.right] for f in n.formulas
                     ],
                     "rule": n.rule,
                     "premise": (
-                        [n.premise.left, render_term(n.premise.term), n.premise.right]
+                        [n.premise.left, render_term(n.premise.term, memo), n.premise.right]
                         if n.premise is not None else None
                     ),
                     "variable": n.variable,
@@ -438,17 +439,8 @@ class DeductionTree:
         }
 
 
-@dataclass
-class Proof:
-    tree: DeductionTree
-
-
-@dataclass
-class Countermodel:
-    tree: DeductionTree
-    branch: Branch
-    model: Model
-    valuation: dict
+Proof = namedtuple("Proof", "tree")
+Countermodel = namedtuple("Countermodel", "tree branch model valuation")
 
 
 Verdict = Proof | Countermodel

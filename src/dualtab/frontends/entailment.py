@@ -14,20 +14,18 @@ the case for premises expressing inclusions such as ``r <= -(s1 | s2)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from ..errors import EmptyPremises, FragmentViolation, NotBoolean
-from ..terms import (Cmpl, Comp, Inter, ONE, RelTerm, Union, _bound_depth,
+from ..terms import (Cmpl, Comp, Inter, ONE, Union, _bound_depth,
                      nf_cmpl, render_term, require_fragment, simplify_ones)
 
 
-@dataclass(frozen=True)
-class EntailmentProblem:
-    premises: tuple[RelTerm, ...]
-    conclusion: RelTerm
+class EntailmentProblem(namedtuple("EntailmentProblem", "premises conclusion")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "premises", tuple(self.premises))
+    def __new__(cls, premises, conclusion):
+        return super().__new__(cls, tuple(premises), conclusion)
 
 
 def encode_entailment(problem):

@@ -13,24 +13,20 @@ CLI does, does not load it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from ..errors import BudgetExceeded
+from ..semantics import Record
 from ..terms import Inter as TInter, Union as TUnion, Var
 from .modal import (And, Box, Dia, Not, Or, Prop, accessibility_of,
                     propositions_of, subformulas)
 
 
-@dataclass
-class KripkeModel:
-    worlds: tuple[str, ...]
-    relations: dict[str, set[tuple[str, str]]] = field(default_factory=dict)
-    valuation: dict[str, set[str]] = field(default_factory=dict)
+class KripkeModel(Record):
+    __slots__ = ("worlds", "relations", "valuation")
 
-    def __post_init__(self):
-        self.worlds = tuple(self.worlds)
-        self.relations = {k: {tuple(p) for p in v} for k, v in self.relations.items()}
-        self.valuation = {k: set(v) for k, v in self.valuation.items()}
+    def __init__(self, worlds, relations=None, valuation=None):
+        self.worlds = tuple(worlds)
+        self.relations = {k: {tuple(p) for p in v} for k, v in (relations or {}).items()}
+        self.valuation = {k: set(v) for k, v in (valuation or {}).items()}
 
 
 def eval_program(program, km):
@@ -53,11 +49,11 @@ def _program(prog, value):
 
 def eval_modal(f, km, world):
     """Truth of ``f`` at ``world`` under possible-worlds semantics.  Each
-    distinct subformula object is evaluated at most once per world."""
-    memo = {}  # (id(g), w) -> truth of g at w; ``f`` keeps each g alive
+    distinct subformula is evaluated at most once per world."""
+    memo = {}  # (g, w) -> truth of g at w
 
     def holds(g, w):
-        value = memo.get((id(g), w))
+        value = memo.get((g, w))
         if value is None:
             match g:
                 case Prop(name):
@@ -71,7 +67,7 @@ def eval_modal(f, km, world):
                 case Box(prog, a) | Dia(prog, a):
                     values = (holds(a, u) for v, u in eval_program(prog, km) if v == w)
                     value = all(values) if isinstance(g, Box) else any(values)
-            memo[id(g), w] = value
+            memo[g, w] = value
         return value
 
     return holds(f, world)
@@ -138,11 +134,11 @@ def _search_size(f, accs, props, n, subs):
         shift = n * (len(props) - 1 - j)
         prop_cols[name] = ((pcs >> shift) & ((1 << n) - 1)).astype(np.uint8)
 
-    owed = {key: held for key, (_, held) in subs.items()}  # asks to come
+    owed = dict(subs)  # asks to come
     memo = {}  # masks of the shared subformulas still owed, never written
 
     def truth(g):
-        out = memo.get(id(g))
+        out = memo.get(g)
         if out is None:
             match g:
                 case Prop(name):
@@ -162,11 +158,11 @@ def _search_size(f, accs, props, n, subs):
                     for w in range(n):
                         hit = (sa[:, w][:, None] & ta) != 0
                         out |= (hit != box).astype(np.uint8) << np.uint8(w)
-        owed[id(g)] -= 1
-        if owed[id(g)] > 0:
-            memo[id(g)] = out
+        owed[g] -= 1
+        if owed[g] > 0:
+            memo[g] = out
         else:
-            memo.pop(id(g), None)
+            memo.pop(g, None)
         return out
 
     root = truth(f)

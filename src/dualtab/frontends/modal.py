@@ -28,88 +28,100 @@ levels deep, flat chains included.  Deeper input is a :class:`ParseError`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import weakref
 
 from ..errors import ParseError
-from ..terms import (_IDENT_RE, Cmpl, Comp, ONE, NestingParser, RelTerm,
+from ..terms import (_IDENT_RE, Cmpl, Comp, ONE, NestingParser,
                      TokenStream, Union as TUnion, Inter as TInter, Var,
                      _bound_depth, _byte_offset, parse_term, render_term,
                      require_fragment, simplify_ones, term_variables)
 
 
+_INTERNED = weakref.WeakValueDictionary()  # formulas weakly, their parts strongly
+
+
 class _Formula:
-    """Base of the modal syntax classes: ``depth``, the levels of the
-    syntax tree, is set from the parts as each node is built."""
+    """Base of the modal syntax classes, interned as terms are: ``==`` and
+    hashing are identity, and ``depth``, the levels of the syntax tree, is
+    set from the parts once, at interning."""
 
-    __slots__ = ("depth",)
+    __slots__ = ("depth", "__weakref__")
 
-    def __post_init__(self):
-        parts = (getattr(self, name) for name in self.__match_args__)
-        object.__setattr__(self, "depth", 1 + max(getattr(p, "depth", 0) for p in parts))
+    def __new__(cls, *parts):
+        f = _INTERNED.get((cls, *parts))
+        if f is None:
+            if len(parts) != len(cls.__match_args__):
+                raise TypeError(f"{cls.__name__} takes the parts {cls.__match_args__}")
+            f = object.__new__(cls)
+            for name, value in zip(cls.__match_args__, parts):
+                setattr(f, name, value)
+            f.depth = 1 + max(getattr(p, "depth", 0) for p in parts)
+            _INTERNED[cls, *parts] = f
+        return f
+
+    def __reduce__(self):  # copies and unpickled formulas are interned too
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
     def __repr__(self):
         return render_modal(self)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Prop(_Formula):
-    name: str
+    __slots__ = __match_args__ = ("name",)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Not(_Formula):
-    arg: "ModalFormula"
+    __slots__ = __match_args__ = ("arg",)
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class And(_Formula):
-    left: "ModalFormula"
-    right: "ModalFormula"
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Or(_Formula):
-    left: "ModalFormula"
-    right: "ModalFormula"
+    __slots__ = __match_args__ = ("left", "right")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Box(_Formula):
-    program: RelTerm
-    arg: "ModalFormula"
+    __slots__ = __match_args__ = ("program", "arg")
 
 
-@dataclass(frozen=True, slots=True, repr=False)
 class Dia(_Formula):
-    program: RelTerm
-    arg: "ModalFormula"
+    __slots__ = __match_args__ = ("program", "arg")
 
 
 ModalFormula = Prop | Not | And | Or | Box | Dia
 
 
-def render_modal(f):
+def render_modal(f, memo=None):
+    """Text of ``f`` that :func:`parse_modal` reads back as ``f``.  Each distinct
+    subformula is rendered once per call, or once over a given ``memo``."""
+    if memo is None:
+        memo = {}
+    elif f in memo:
+        return memo[f]
     match f:
         case Prop(name):
-            return name
+            out = name
         case Not(a):
-            return "~" + render_modal(a)
+            out = "~" + render_modal(a, memo)
         case And(l, r):
-            return f"({render_modal(l)} & {render_modal(r)})"
+            out = f"({render_modal(l, memo)} & {render_modal(r, memo)})"
         case Or(l, r):
-            return f"({render_modal(l)} | {render_modal(r)})"
+            out = f"({render_modal(l, memo)} | {render_modal(r, memo)})"
         case Box(prog, a):
-            return f"[{render_term(prog)}]{render_modal(a)}"
+            out = f"[{render_term(prog)}]{render_modal(a, memo)}"
         case Dia(prog, a):
-            return f"<{render_term(prog)}>{render_modal(a)}"
+            out = f"<{render_term(prog)}>{render_modal(a, memo)}"
+    memo[f] = out
+    return out
 
 
 def subformulas(f):
-    """The distinct subformula objects of ``f``, by id, each with how many
-    distinct objects of ``f`` hold it (``f`` itself: none).  ``<->`` shares
-    its operands, so a formula can hold far fewer objects than its syntax
-    tree has nodes."""
-    found, stack = {id(f): [f, 0]}, [f]
+    """Each distinct subformula of ``f`` with how often the distinct
+    subformulas hold it as a part (``f`` itself: never).  ``<->`` shares its
+    operands, so there can be far fewer of them than syntax-tree nodes."""
+    found, stack = {f: 0}, [f]
     while stack:
         match stack.pop():
             case Not(a) | Box(_, a) | Dia(_, a):
@@ -118,23 +130,22 @@ def subformulas(f):
                 parts = (l, r)
             case _:
                 parts = ()
-        for p in parts:  # ``f`` keeps ``p`` alive, so its id is its own
-            entry = found.setdefault(id(p), [p, 0])
-            entry[1] += 1
-            if entry[1] == 1:
+        for p in parts:
+            found[p] = found.get(p, 0) + 1
+            if found[p] == 1:
                 stack.append(p)
     return found
 
 
 def propositions_of(subs):
     """Proposition names in the :func:`subformulas` table ``subs``, sorted."""
-    return sorted({g.name for g, _ in subs.values() if isinstance(g, Prop)})
+    return sorted({g.name for g in subs if isinstance(g, Prop)})
 
 
 def accessibility_of(subs):
     """Accessibility variable names in the programs of the
     :func:`subformulas` table ``subs``, sorted."""
-    return sorted({name for g, _ in subs.values() if isinstance(g, (Box, Dia))
+    return sorted({name for g in subs if isinstance(g, (Box, Dia))
                    for name in term_variables(g.program)})
 
 
@@ -273,7 +284,7 @@ def translate_modal(f):
 
     The result always lies in the prover's fragment; this is asserted.
     ``f`` or an image deeper than ``MAX_DEPTH`` is a :class:`ParseError`.
-    Each distinct subformula object is translated once.
+    Each distinct subformula is translated once.
     """
     _bound_depth(f.depth, "modal formula")
     term = _translate(f, {})
@@ -282,10 +293,7 @@ def translate_modal(f):
 
 
 def _translate(f, memo):
-    # ``memo`` maps id(g) to the image of each subformula ``g`` translated
-    # so far; the formula keeps ``g`` alive.  Keys are ids because a
-    # formula hashes its whole tree, and ``<->`` shares its operands.
-    term = memo.get(id(f))
+    term = memo.get(f)
     if term is None:
         match f:
             case Prop(name):
@@ -300,5 +308,5 @@ def _translate(f, memo):
                 term = Comp(prog, _translate(a, memo))
             case Box(prog, a):
                 term = Cmpl(Comp(prog, Cmpl(_translate(a, memo))))
-        memo[id(f)] = term
+        memo[f] = term
     return term

@@ -13,30 +13,34 @@ enumeration oracle, which needs numpy, lives in :mod:`dualtab.oracle`.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
 
 from .errors import UnboundVariable, UnknownVariableWarning
 from .terms import ONE, Cmpl, Comp, Conv, Inter, One, Union, Var
 
 
-@dataclass
-class Model:
-    universe: tuple[str, ...]
-    interp: dict[str, set[tuple[str, str]]] = field(default_factory=dict)
+class Record:
+    """Fields in ``__slots__``, compared and shown as a dataclass's are."""
 
-    def __post_init__(self):
-        self.universe = tuple(self.universe)
-        self.interp = {name: {tuple(p) for p in pairs} for name, pairs in self.interp.items()}
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return (isinstance(other, type(self))
+                and all(getattr(self, n) == getattr(other, n) for n in self.__slots__))
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Model(Record):
+    __slots__ = ("universe", "interp")
+
+    def __init__(self, universe, interp=None):
+        self.universe = tuple(universe)
+        self.interp = {name: {tuple(p) for p in pairs} for name, pairs in (interp or {}).items()}
 
     def all_pairs(self):
         return {(a, b) for a in self.universe for b in self.universe}
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Model)
-            and self.universe == other.universe
-            and self.interp == other.interp
-        )
 
 
 def eval_term(model, t, memo=None):
@@ -94,14 +98,15 @@ def satisfies(model, valuation, f, memo=None):
     return pair in eval_term(model, f.term, memo)
 
 
-def falsifies_branch(model, valuation, branch):
+def falsifies_branch(model, valuation, branch, memo=None):
     """Whether ``model``/``valuation`` falsify every formula ever on the branch.
 
     ``branch`` may be an engine branch (its full history is used) or any
-    iterable of formulas.  Each distinct subterm is evaluated once per call.
+    iterable of formulas.  Each distinct subterm is evaluated once per call;
+    ``memo`` is passed on to :func:`eval_term`.
     """
     formulas = getattr(branch, "history", branch)
-    memo = {}
+    memo = {} if memo is None else memo
     return all(not satisfies(model, valuation, f, memo) for f in formulas)
 
 

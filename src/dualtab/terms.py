@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import re
 import weakref
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import FragmentViolation, NotBoolean, ParseError
 
@@ -371,37 +371,39 @@ def parse_term(text):
     return _Parser(_Tokenizer(text)).parse()
 
 
-def render_term(t):
-    """Canonical fully-parenthesized text for ``t``; inverse of parse_term."""
+def render_term(t, memo=None):
+    """Canonical fully-parenthesized text for ``t``, inverse of parse_term.  Each
+    distinct subterm is rendered once per call, or once over a given ``memo``."""
+    if memo is None:
+        memo = {}
+    elif t in memo:
+        return memo[t]
     match t:
         case One():
-            return "1"
+            out = "1"
         case Var(name):
-            return name
+            out = name
         case Cmpl(arg):
-            return "-" + _render_unary_arg(arg)
+            out = "-" + _render_part(arg, (Cmpl, Conv), memo)
         case Union(l, r):
-            return f"({render_term(l)} | {render_term(r)})"
+            out = f"({render_term(l, memo)} | {render_term(r, memo)})"
         case Inter(l, r):
-            return f"({render_term(l)} & {render_term(r)})"
+            out = f"({render_term(l, memo)} & {render_term(r, memo)})"
         case Comp(l, r):
-            return f"({render_term(l)} ; {render_term(r)})"
+            out = f"({render_term(l, memo)} ; {render_term(r, memo)})"
         case Conv(arg):
-            return _render_conv_arg(arg) + "^"
-    raise TypeError(f"not a relational term: {t!r}")
+            out = _render_part(arg, Cmpl, memo) + "^"
+        case _:
+            raise TypeError(f"not a relational term: {t!r}")
+    memo[t] = out
+    return out
 
 
-def _render_unary_arg(t):
-    # Cmpl/Conv children need explicit parens: "-(-1)", "-(r^)".
-    if isinstance(t, (Cmpl, Conv)):
-        return f"({render_term(t)})"
-    return render_term(t)
-
-
-def _render_conv_arg(t):
-    if isinstance(t, Cmpl):
-        return f"({render_term(t)})"
-    return render_term(t)
+def _render_part(t, bracketed, memo):
+    """A unary operand's text, in parentheses if of a ``bracketed`` class, as
+    in "-(-1)", "-(r^)" and "(-r)^"."""
+    text = render_term(t, memo)
+    return f"({text})" if isinstance(t, bracketed) else text
 
 
 def term_size(t):
@@ -563,11 +565,9 @@ def is_plain_boolean(t):
     return t.plain
 
 
-@dataclass(frozen=True, slots=True)
-class FragmentVerdict:
-    accepted: bool
-    offender: RelTerm | None = None
-    clause: str | None = None
+class FragmentVerdict(namedtuple("FragmentVerdict", "accepted offender clause",
+                                 defaults=(None, None))):
+    __slots__ = ()
 
     def __bool__(self):
         return self.accepted

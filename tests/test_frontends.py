@@ -17,8 +17,8 @@ from dualtab.frontends import (EntailmentProblem, encode_entailment,
                                translate_modal)
 from dualtab.frontends import KripkeModel, kripke, modal
 from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop, render_modal
-from dualtab.semantics import falsifies_branch, satisfies
-from dualtab.terms import fragment_check, parse_term, render_term
+from dualtab.semantics import Model, falsifies_branch, satisfies
+from dualtab.terms import FragmentVerdict, fragment_check, parse_term, render_term
 
 
 def problem(premises, conclusion):
@@ -220,8 +220,8 @@ class TestKripkeOracle:
         # at each world; the walkers meet each object once
         f = iff_chain(12)
         asked, objects = holders(f)
-        assert {key: (g, n) for key, (g, n) in modal.subformulas(f).items()} == {
-            key: (g, asked[key] - (g is f)) for key, g in objects.items()}
+        assert modal.subformulas(f) == {
+            g: asked[key] - (g is f) for key, g in objects.items()}
         assert modal.propositions_of(modal.subformulas(f)) == sorted(
             f"p{i}" for i in range(13))
         calls = calls_by_object(lambda: kripke_countermodel(f, 1))
@@ -313,3 +313,99 @@ class TestModalParser:
         assert parse_modal("[r]p").depth == 2
         assert parse_modal("[r]p & q").depth == 3
         assert parse_modal("<r | s>p").depth == 3
+
+    @pytest.mark.parametrize("text", ["p", "~p", "[r](p -> <r | s>q)", "p <-> q <-> r"])
+    def test_equal_formulas_are_one_object(self, text):
+        f = parse_modal(text)
+        assert parse_modal(text) is f
+        assert parse_modal(render_modal(f)) is f
+
+    def test_constructors_intern(self):
+        assert Not(Prop("p")) is Not(Prop("p"))
+        assert Box(parse_term("r | s"), Prop("p")) is parse_modal("[r | s]p")
+        assert Box(parse_term("r"), Prop("p")) is not Dia(parse_term("r"), Prop("p"))
+        assert And(Prop("p"), Prop("q")) != And(Prop("q"), Prop("p"))
+        assert Not(Prop("p")) != Prop("p")
+
+    def test_depth_is_set_at_interning(self):
+        f = Box(parse_term("r | s"), Not(Prop("p")))
+        assert (f.depth, f.arg.depth, f.arg.arg.depth) == (3, 2, 1)
+        assert Or(f, Prop("q")).depth == 4
+
+    def test_constructor_checks_its_arity(self):
+        with pytest.raises(TypeError):
+            And(Prop("p"))
+        with pytest.raises(TypeError):
+            Prop("p", "q")
+
+    def test_copies_are_the_interned_formula(self):
+        import copy
+        import pickle
+
+        f = parse_modal("(p -> ~q) & (q | ~p)")
+        assert copy.copy(f) is f and copy.deepcopy(f) is f
+        assert pickle.loads(pickle.dumps(f)) is f
+        g = parse_modal("[r | s]p")
+        assert copy.copy(g) is g
+
+    def test_formulas_are_released(self):
+        import gc
+        import weakref
+
+        ref = weakref.ref(Not(Prop("unused_modal_p")))
+        gc.collect()
+        assert ref() is None
+        assert Not(Prop("unused_modal_p")).arg.name == "unused_modal_p"
+
+    def test_render_memo_is_shared_across_calls(self):
+        f = iff_chain(12)
+        memo = {}
+        assert render_modal(f.left, memo) == render_modal(f.left)
+        assert render_modal(f, memo) == render_modal(f)
+        assert memo.keys() == modal.subformulas(f).keys()
+
+
+class TestRecords:
+    """The plain records keep the equality, normalisation and truth value
+    that their fields give them."""
+
+    def test_model_equality(self):
+        m = Model(["a", "b"], {"r": [("a", "b")]})
+        assert m.universe == ("a", "b") and m.interp == {"r": {("a", "b")}}
+        assert m == Model(("a", "b"), {"r": {("a", "b")}})
+        assert m != Model(("b", "a"), {"r": {("a", "b")}})
+        assert m != Model(("a", "b"), {"r": set()})
+        assert Model(("a",)) == Model(("a",), {})
+        assert repr(m) == "Model(universe=('a', 'b'), interp={'r': {('a', 'b')}})"
+
+    def test_kripke_model_equality(self):
+        km = KripkeModel(["w0", "w1"], {"r": [["w0", "w1"]]}, {"p": ["w1"]})
+        assert (km.worlds, km.relations, km.valuation) == (
+            ("w0", "w1"), {"r": {("w0", "w1")}}, {"p": {"w1"}})
+        assert km == KripkeModel(("w0", "w1"), {"r": {("w0", "w1")}}, {"p": {"w1"}})
+        assert km != KripkeModel(("w0", "w1"), {"r": {("w0", "w1")}}, {"p": {"w0"}})
+        assert km != KripkeModel(("w0", "w1"), {"r": set()}, {"p": {"w1"}})
+        assert KripkeModel(("w",)) == KripkeModel(("w",), {}, {})
+        assert km != Model(("w0", "w1"))
+        assert repr(KripkeModel(("w",), {"r": {("w", "w")}})) == (
+            "KripkeModel(worlds=('w',), relations={'r': {('w', 'w')}}, valuation={})")
+
+    def test_entailment_problem(self):
+        premises = [parse_term("-r | -s")]
+        problem = EntailmentProblem(premises, parse_term("-s | -r"))
+        assert problem.premises == tuple(premises)
+        assert problem == EntailmentProblem(tuple(premises), parse_term("-s | -r"))
+        assert problem != EntailmentProblem(premises, parse_term("-r"))
+        assert hash(problem) == hash(EntailmentProblem(premises, parse_term("-s | -r")))
+        with pytest.raises(AttributeError):
+            problem.premises = ()
+
+    def test_fragment_verdict(self):
+        accepted, rejected = fragment_check(parse_term("r")), fragment_check(parse_term("r^"))
+        assert accepted == FragmentVerdict(True) and accepted
+        assert (accepted.offender, accepted.clause) == (None, None)
+        assert not rejected and rejected.offender == parse_term("r^")
+        assert rejected == FragmentVerdict(False, parse_term("r^"), rejected.clause)
+        assert rejected != FragmentVerdict(False, parse_term("r"), rejected.clause)
+        with pytest.raises(AttributeError):
+            rejected.accepted = True

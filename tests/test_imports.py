@@ -1,6 +1,7 @@
 """numpy serves only the two oracles, so a process loads it only when one
-runs.  Each check starts a fresh interpreter: the test process itself has
-numpy loaded long before."""
+runs, and no dualtab process loads ``dataclasses``, which brings in
+``inspect``, ``ast`` and ``dis``.  Each check starts a fresh interpreter:
+the test process itself has both loaded long before."""
 
 import json
 import os
@@ -15,7 +16,8 @@ import dualtab
 SRC = str(Path(dualtab.__file__).resolve().parent.parent)
 
 # Run each argv through ``cli.main`` in one process and print, as JSON,
-# whether numpy got loaded and each run's exit code and stdout.  With
+# whether numpy and dataclasses got loaded and each run's exit code and
+# stdout.  With
 # ``blocked`` as first argument, importing numpy fails.
 CLI_RUNS = """
 import contextlib, io, json, sys
@@ -28,7 +30,8 @@ for argv in json.loads(sys.argv[2]):
     with contextlib.redirect_stdout(out):
         code = main(argv)
     runs.append([code, out.getvalue()])
-print(json.dumps({"numpy": sys.modules.get("numpy") is not None, "runs": runs}))
+print(json.dumps({"numpy": sys.modules.get("numpy") is not None,
+                  "dataclasses": "dataclasses" in sys.modules, "runs": runs}))
 """
 
 
@@ -42,15 +45,25 @@ def python(*args):
     return proc.stdout
 
 
+def loaded(code, modules):
+    """Which of ``modules`` running ``code`` in a fresh interpreter loads."""
+    out = python("-c", f"{code}\nimport sys; print(*(m in sys.modules for m in {modules!r}))")
+    return [m for m, hit in zip(modules, out.splitlines()[-1].split()) if hit == "True"]
+
+
 def loads_numpy(code):
     """Whether running ``code`` in a fresh interpreter loads numpy."""
-    out = python("-c", f"{code}\nimport sys; print('numpy' in sys.modules)")
-    return out.splitlines()[-1] == "True"
+    return loaded(code, ["numpy"]) == ["numpy"]
 
 
 @pytest.mark.parametrize("module", ["dualtab", "dualtab.cli"])
 def test_import_leaves_numpy_out(module):
     assert not loads_numpy(f"import {module}")
+
+
+@pytest.mark.parametrize("module", ["dualtab", "dualtab.cli", "dualtab.frontends"])
+def test_import_leaves_dataclasses_and_inspect_out(module):
+    assert loaded(f"import {module}", ["dataclasses", "inspect"]) == []
 
 
 @pytest.fixture
@@ -76,6 +89,7 @@ def test_deciding_without_verify_needs_no_numpy(cli_argvs):
     ordinary = json.loads(python("-c", CLI_RUNS, "ordinary", argvs))
     blocked = json.loads(python("-c", CLI_RUNS, "blocked", argvs))
     assert not ordinary["numpy"] and not blocked["numpy"]
+    assert not ordinary["dataclasses"]
     assert blocked["runs"] == ordinary["runs"]
     assert [code for code, _ in ordinary["runs"]] == [0, 1, 0, 1, 0, 1, 0, 1]
 

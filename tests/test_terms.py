@@ -130,6 +130,16 @@ class TestRender:
     def test_round_trip(self, t):
         assert parse_term(render_term(t)) == t
 
+    def test_shared_memo_gives_the_text_of_a_fresh_render(self):
+        # the k=12 chain is far larger as a tree than as a DAG; a memo
+        # shared across calls must give every subterm its own text
+        term = translate_modal(parse_modal(" <-> ".join(f"p{i}" for i in range(13))))
+        memo = {}
+        assert render_term(term.left, memo) == render_term(term.left)
+        assert render_term(term, memo) == render_term(term)
+        assert all(text == render_term(t) for t, text in memo.items())
+        assert len(memo) < 200 and len(render_term(term)) > 100_000
+
 
 class TestTermVariables:
     def test_sorted_names(self):
