@@ -4,8 +4,9 @@ Given a fragment term ``P``, the engine builds a deduction tree for the
 formula ``x P y``.  Nodes carry disjunctive formula sets; a node is closed
 when it contains ``x' 1 y'`` or a formula together with its complement.
 Branches are explored depth first, left successor first, on one
-:class:`Branch`, which :meth:`Branch.undo` takes back to a branching
-step's :meth:`Branch.mark` before its second successor enters.  On each open
+:class:`Branch`.  Every write to it but the leaf logs its inverse on one
+trail, which :meth:`Branch.undo` runs back to a branching step's
+:meth:`Branch.mark` before its second successor enters.  On each open
 branch the engine repeatedly picks the smallest variable (in the branch
 order) that still has work and applies, in order: the Boolean rules, the
 complemented-composition rules, the composition rule gated by forced
@@ -35,11 +36,11 @@ literals of each blocked formula's blocker, found by one last scan.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
+from functools import partial
 
 from .errors import BranchNotSaturated, EngineInvariantError, ResourceExhausted
-from .formulas import (FormulaSet, History, RelFormula, gate_forced, gate_index,
-                       is_literal)
+from .formulas import (FormulaSet, History, RelFormula, assign, gate_forced,
+                       gate_index, is_literal)
 from .semantics import Model, Record, model_to_json
 from .terms import (Cmpl, Comp, Inter, One, Union, Var, components, interned,
                     render_term, require_fragment, simplify_ones, term_variables)
@@ -66,10 +67,17 @@ VAR_BOUND_FACTOR = 8  # generated variables per branch <= 8 * |components|**2
 MAX_VARS = 10_000  # variables per branch before the search gives up
 
 
-@lru_cache(maxsize=65536)
 def rule_of(t):
-    """The rule that decomposes a term: one of the rule tags, ``"inert"``
-    for ``-(1;1)`` (never decomposed), or None for literals."""
+    """The rule that decomposes a term: a rule tag, ``"inert"`` for
+    ``-(1;1)`` (never decomposed), or None for literals; memoised on the term."""
+    try:
+        return t.rule
+    except AttributeError:
+        t.rule = _rule(t)
+        return t.rule
+
+
+def _rule(t):
     match t:
         case Union():
             return RULE_UNION
@@ -96,14 +104,10 @@ def rule_of(t):
     return None
 
 
-def agenda_entry(f):
-    """The rule that decomposes ``f`` and its group in a branch's agenda;
-    the group is None for a formula with no work."""
-    rule = rule_of(f.term)
-    phase = _PHASE.get(rule)
-    if phase is None:
-        return rule, None
-    return rule, (None if phase == 3 else f.left, phase)
+def agenda_key(f):
+    """The group of ``f`` in a branch's agenda, None if ``f`` has no work."""
+    phase = _PHASE.get(rule_of(f.term))
+    return None if phase is None else (None if phase == 3 else f.left, phase)
 
 
 def is_axiomatic(formulas, added=None):
@@ -134,51 +138,43 @@ class Branch:
     in branch order; ``right`` holds the right root and its descendants;
     ``decomposed`` maps each premise a Boolean or complemented-composition
     rule decomposed to its fresh witness, or to None for a Boolean rule;
-    ``applied`` holds the composition instances ``(premise, variable)``.
+    ``applied`` holds the composition instances ``(premise, variable)``,
+    and ``instances`` their number for each literal-gated premise.
 
-    ``agenda`` holds the node's formulas with work, each group in node
-    order: the Boolean, complemented-composition and literal-gated
+    ``agenda`` holds the node's formulas with work, each group a list in
+    node order: the Boolean, complemented-composition and literal-gated
     composition premises under ``(left, phase)``, the ``(1;S)`` premises
-    under ``(None, 3)``.  Each formula maps to its rule, except in the
-    literal-gated groups, where it maps to the number of its instances
-    applied.  A decomposed premise that re-enters the node has no work
-    and stays off the agenda.
+    under ``(None, 3)``; a group stays once made.  A decomposed premise
+    that re-enters the node has no work and stays off the agenda.
 
-    :meth:`enter` is the only method that writes this state forward, and
-    :meth:`undo` the only one that takes it back; scans and model
-    extraction only read it.
+    :meth:`enter` alone writes this state forward and logs the inverse
+    of each write, the node's aside, on ``trail``; :meth:`undo` only runs
+    them back, last first.  Scans and model extraction only read it.
     """
 
     __slots__ = ("node", "history", "vars", "order", "right", "applied",
-                 "decomposed", "node_axiomatic", "agenda")
+                 "decomposed", "instances", "node_axiomatic", "agenda", "trail")
 
     def __init__(self, formula, gates):
         """The branch of the root node ``{formula}``; ``gates`` is the
         :func:`gate_index` of the components of the formula's term."""
         x, y = formula.left, formula.right
-        self.history = History(gates)
+        self.history, self.trail = History(gates), []
         self.vars, self.order, self.right = [x, y], [x, y], {y}
-        self.applied, self.decomposed, self.agenda = {}, {}, {}
+        self.applied, self.decomposed, self.instances, self.agenda = {}, {}, {}, {}
         node = FormulaSet([formula])
         self.enter(node, node, (), None)
 
     def mark(self):
-        """A choice point for :meth:`undo`: the sizes of what only grows,
-        copies of the rest, the agenda without its empty groups."""
-        return (len(self.history), len(self.decomposed), len(self.applied),
-                len(self.vars), list(self.order), set(self.right),
-                {key: dict(group) for key, group in self.agenda.items() if group})
+        """A choice point for :meth:`undo`: the trail's length; marks nest."""
+        return len(self.trail)
 
     def undo(self, mark):
         """Put the branch back as it was at ``mark``, all but the node,
-        which the next :meth:`enter` sets.  A mark is undone to once."""
-        (history, decomposed, applied, vars,
-         self.order, self.right, self.agenda) = mark
-        self.history.truncate(history)
-        for grown, size in ((self.decomposed, decomposed), (self.applied, applied)):
-            while len(grown) > size:
-                grown.popitem()
-        del self.vars[vars:]
+        which the next :meth:`enter` sets."""
+        trail = self.trail
+        while len(trail) > mark:
+            trail.pop()()
 
     def enter(self, node, added, removed, step):
         """Make ``node`` the leaf and record the step that made it.
@@ -196,31 +192,39 @@ class Branch:
         """
         self.node = node
         self.node_axiomatic = is_axiomatic(node, added)
-        self.history.update(added)
-        agenda, decomposed = self.agenda, self.decomposed
+        trail, agenda, decomposed = self.trail, self.agenda, self.decomposed
         if step is not None:
             rule, f, z = step
             if rule in _COMP_RULES:
                 self.applied[f, z] = None
+                trail.append(self.applied.popitem)
                 if rule == RULE_COMP_BOOL:
-                    agenda[f.left, 2][f] += 1
+                    assign(trail, self.instances, f, self.instances.get(f, 0) + 1)
             else:
                 decomposed[f] = z
+                trail.append(decomposed.popitem)
                 if z is not None:
                     self.vars.append(z)
+                    trail.append(self.vars.pop)
+                    at = len(self.order)
                     if f.left in self.right and rule != RULE_CMPL_COMP_UNIV:
                         self.right.add(z)
-                        self.order.append(z)
+                        trail.append(partial(self.right.remove, z))
                     else:
-                        self.order.insert(len(self.order) - len(self.right), z)
-        for f in removed:
-            _, key = agenda_entry(f)
-            if key is not None:
-                del agenda[key][f]
+                        at -= len(self.right)
+                    self.order.insert(at, z)
+                    trail.append(partial(self.order.pop, at))
+        for f in removed:  # a premise, so on the agenda
+            group = agenda[agenda_key(f)]
+            at = group.index(f)
+            del group[at]
+            trail.append(partial(group.insert, at, f))
         for f in added:
-            rule, key = agenda_entry(f)
+            self.history.add(f, trail)
+            key = agenda_key(f)
             if key is not None and not (key[1] < 2 and f in decomposed):
-                agenda.setdefault(key, {})[f] = 0 if rule == RULE_COMP_BOOL else rule
+                agenda.setdefault(key, []).append(f)  # a group stays, maybe empty
+                trail.append(agenda[key].pop)
 
 
 def blocker_literals(branch, blocker, w):
@@ -279,27 +283,29 @@ def applications(branch, z):
     branch order; then the universal composition rule instantiated with
     ``z``.  A complemented composition that a twin blocks comes in its
     place as ``("blocked", f, blocker)``, which is not an application.
-    The formulas are read off the branch's agenda, not the node.
+    The formulas are read off the branch's agenda, not the node, and
+    their rules off their terms, where :func:`agenda_key` memoised them.
     """
     applied, history, agenda = branch.applied, branch.history, branch.agenda
-    for f, rule in agenda.get((z, 0), {}).items():
-        yield rule, f, None
-    for f, rule in agenda.get((z, 1), {}).items():
+    for f in agenda.get((z, 0), ()):
+        yield f.term.rule, f, None
+    for f in agenda.get((z, 1), ()):
+        rule = f.term.rule
         if rule == RULE_CMPL_COMP_UNIV:
             if not is_suppressed(branch, f):
                 yield rule, f, None
         else:
             blocker = is_blocked(f, branch)
             yield (rule, f, None) if blocker is None else ("blocked", f, blocker)
-    for f, count in agenda.get((z, 2), {}).items():
+    for f in agenda.get((z, 2), ()):
         # forced sets only grow and only forced instances are applied, so
         # a premise with as many instances as forced variables has none left
         forced = history.forced.get((f.term.left, z), ())
-        for w in branch.order if count < len(forced) else ():
+        for w in branch.order if len(forced) > branch.instances.get(f, 0) else ():
             if w in forced and (f, w) not in applied:
                 yield RULE_COMP_BOOL, f, w
     # an applied instance ``(f, z)`` put ``z S y`` into the history
-    for f in agenda.get((None, 3), {}):
+    for f in agenda.get((None, 3), ()):
         if RelFormula(z, f.term.right, f.right) not in history:
             yield RULE_COMP_UNIV, f, z
 
@@ -390,14 +396,9 @@ class Node:
                  "closed", "children")
 
     def __init__(self, id, parent, formulas, rule=None, premise=None, variable=None):
-        self.id = id
-        self.parent = parent
-        self.formulas = formulas
-        self.rule = rule
-        self.premise = premise
-        self.variable = variable
-        self.closed = False
-        self.children = []
+        self.id, self.parent, self.formulas = id, parent, formulas
+        self.rule, self.premise, self.variable = rule, premise, variable
+        self.closed, self.children = False, []
 
 
 class DeductionTree(Record):

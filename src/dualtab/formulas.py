@@ -7,12 +7,13 @@ intersections (one side forced, the other in complement normal form).
 ``v_set`` collects the object variables a term can reach that way.  A
 branch history is a :class:`History`, which keeps the indices the engine
 queries and the forced sets it reads before instantiating a composition
-up to date as formulas enter it.
+up to date as formulas enter it, and logs how to take each write back.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from types import MappingProxyType
 
 from .errors import NotBoolean, ParseError
@@ -140,56 +141,53 @@ def gate_forced(x, b, z, n):
     return holds(gate_forced(x, part, z, n) for part in (b.left, b.right))
 
 
+def assign(trail, table, key, value):
+    """``table[key] = value``, its inverse on ``trail``; no value is None."""
+    old = table.get(key)
+    trail.append(partial(table.__delitem__, key) if old is None
+                 else partial(table.__setitem__, key, old))
+    table[key] = value
+
+
 class History(FormulaSet):
-    """A branch history: a formula set indexed as each formula enters it,
-    which grows along a branch and is truncated when the search backs up.
+    """A branch history: a formula set indexed as each formula enters it.
 
     ``by_left_right`` and ``by_term_right`` list the formulas with a given
     pair of endpoints, or term and right endpoint, each list in admission
     order.  ``forced`` maps ``(B, x)``, for each gate ``B`` of ``gates``,
     to ``v_set(-B, x, self)`` when that is not empty; a gate is plain, so
     only a literal ``x -v z`` that ``gates`` lists can extend one, by ``z``.
+    :meth:`add` logs the inverse of each write on the trail it is given.
     """
 
     __slots__ = ("gates", "forced", "by_left_right", "by_term_right")
 
     def __init__(self, gates):
         super().__init__()
-        self.gates = gates
-        self.forced = {}
-        self.by_left_right = {}
-        self.by_term_right = {}
+        self.gates, self.forced, self.by_left_right, self.by_term_right = gates, {}, {}, {}
 
-    def add(self, f):
+    def add(self, f, trail):  # not kept: a trail holds this history's methods
         if not super().add(f):
             return False
         x, z = f.left, f.right
+        trail.append(self._retract)
         self.by_left_right.setdefault((x, z), []).append(f)
         self.by_term_right.setdefault((f.term, z), []).append(f)
         for gate in self.gates.get(f.term, ()):
             forced = self.forced.get((gate, x), frozenset())
             if z not in forced and gate_forced(x, gate, z, self):
-                self.forced[gate, x] = forced | {z}
+                assign(trail, self.forced, (gate, x), forced | {z})
         return True
 
-    def truncate(self, size):
-        """Take out the formulas admitted after the first ``size``, last
-        first, with their index entries and the forced variables they made."""
-        while len(self) > size:
-            f = self.popitem()[0]
-            x, z = f.left, f.right
-            for index, key in ((self.by_left_right, (x, z)),
-                               (self.by_term_right, (f.term, z))):
-                index[key].pop()
-                if not index[key]:
-                    del index[key]
-            for gate in self.gates.get(f.term, ()):
-                forced = self.forced.get((gate, x), ())
-                if z in forced and not gate_forced(x, gate, z, self):
-                    if len(forced) > 1:
-                        self.forced[gate, x] = forced - {z}
-                    else:
-                        del self.forced[gate, x]
+    def _retract(self):
+        """Take back the last admission and the index entries it made."""
+        f = self.popitem()[0]
+        for index, key in ((self.by_left_right, (f.left, f.right)),
+                           (self.by_term_right, (f.term, f.right))):
+            group = index[key]
+            group.pop()
+            if not group:
+                del index[key]
 
 
 def parse_formula(text):

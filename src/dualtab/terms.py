@@ -48,15 +48,17 @@ from .errors import FragmentViolation, NotBoolean, ParseError
 
 # Every constructor interns: it returns the one live instance with the
 # given structure, so terms keep object identity as their equality and
-# hash.  The table holds its terms weakly, so it shrinks with them.  Its
-# keys hold the children themselves, not their ids, so a key can never
-# match a reused address.
+# hash.  The table holds its terms weakly, so it shrinks with them; its
+# weak references are read from its ``data``.  Its keys hold the children
+# themselves, not their ids, so a key can never match a reused address.
 _INTERNED = weakref.WeakValueDictionary()
+_REFS = _INTERNED.data
 
 
 def _interned(cls, *fields):
     key = (cls, *fields)
-    t = _INTERNED.get(key)
+    ref = _REFS.get(key)
+    t = None if ref is None else ref()
     if t is None:
         t = object.__new__(cls)
         for name, value in zip(cls.__match_args__, fields):
@@ -69,15 +71,18 @@ def _interned(cls, *fields):
 
 
 def interned(cls, *fields):
-    """The live term ``cls(*fields)``, or None if there is none; creates
-    nothing."""
-    return _INTERNED.get((cls, *fields))
+    """The live term ``cls(*fields)``, or None; creates nothing."""
+    ref = _REFS.get((cls, *fields))
+    return None if ref is None else ref()
 
 
 class _Term:
-    # ``nf`` memoises nf_cmpl(t) for a Boolean ``t`` not in normal form.
+    # ``nf`` memoises nf_cmpl(t), ``rule`` (unset until asked) rule_of(t)
     __slots__ = ("depth", "size", "boolean", "cnf", "plain", "simple", "fragment",
-                 "fragment_inside", "weight", "cweight", "nf", "__weakref__")
+                 "fragment_inside", "weight", "cweight", "nf", "rule", "__weakref__")
+
+    def __reduce__(self):  # copies and unpickled terms are interned too
+        return type(self), tuple(getattr(self, n) for n in self.__match_args__)
 
     def __repr__(self):
         return render_term(self)
@@ -86,32 +91,28 @@ class _Term:
 class One(_Term):
     """The universal relation constant."""
 
-    __slots__ = ()
-    __match_args__ = ()
+    __slots__ = __match_args__ = ()
 
     def __new__(cls):
         return _interned(cls)
 
 
 class Var(_Term):
-    __slots__ = ("name",)
-    __match_args__ = ("name",)
+    __slots__ = __match_args__ = ("name",)
 
     def __new__(cls, name):
         return _interned(cls, name)
 
 
 class _Unary(_Term):
-    __slots__ = ("arg",)
-    __match_args__ = ("arg",)
+    __slots__ = __match_args__ = ("arg",)
 
     def __new__(cls, arg):
         return _interned(cls, arg)
 
 
 class _Binary(_Term):
-    __slots__ = ("left", "right")
-    __match_args__ = ("left", "right")
+    __slots__ = __match_args__ = ("left", "right")
 
     def __new__(cls, left, right):
         return _interned(cls, left, right)

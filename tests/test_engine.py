@@ -79,6 +79,29 @@ class TestWeight:
         assert parse_term("-(r | s^)").weight is None
 
 
+class TestRuleOf:
+    def test_rules_of_terms(self):
+        assert rule_of(parse_term("r | s")) == RULE_UNION
+        assert rule_of(parse_term("-(r ; s)")) == RULE_CMPL_COMP
+        assert rule_of(parse_term("-(1 ; 1)")) == "inert"
+        assert rule_of(parse_term("-r")) is None
+
+    def test_memo_lives_and_dies_with_the_term(self):
+        # the rule is memoised on the term, so terms that only ``rule_of``
+        # saw leave the weak interning table when they are dropped
+        import gc
+
+        gc.collect()
+        before = len(terms._INTERNED)
+        for i in range(300):
+            t = parse_term(f"rl_{i} | -(sl_{i} ; tl_{i})")
+            assert rule_of(t) == RULE_UNION and t.rule == RULE_UNION
+        assert len(terms._INTERNED) > before
+        del t
+        gc.collect()
+        assert len(terms._INTERNED) == before
+
+
 class TestIsAxiomatic:
     def test_constant_formula(self):
         assert is_axiomatic(FormulaSet([F("x", "1", "y")]))
@@ -136,6 +159,19 @@ class TestVarOrder:
         introduce(b, F("z1", "-(s ; 1)", "y"), "z2")
         introduce(b, F("x", "-(s ; 1)", "y"), "z3")
         assert b.order == ["x", "z3", "y", "z1", "z2"]
+
+    def test_undo_takes_back_each_placement(self):
+        b = initial(F("x", "r", "y"))
+        states = []
+        for premise, z in ((F("y", "-(r ; (s ; 1))", "y"), "z1"),
+                           (F("z1", "-(s ; 1)", "y"), "z2"),
+                           (F("x", "-(s ; 1)", "y"), "z3")):
+            states.append((b.mark(), list(b.vars), list(b.order), set(b.right)))
+            introduce(b, premise, z)
+        assert b.right == {"y", "z1", "z2"}
+        for mark, vars, order, right in reversed(states):
+            b.undo(mark)
+            assert (b.vars, b.order, b.right) == (vars, order, right)
 
 
 class TestApplyBoolean:
@@ -223,7 +259,7 @@ class TestApplyNegcomp:
         z = "z1"
         introduce(b, F("x", "-(r ; (s ; 1))", "y"), z)
         assert offered(b, "x") == [(RULE_CMPL_COMP_UNIV, f, None)]
-        b.history.add(F(z, "-(s ; 1)", "y"))
+        b.history.add(F(z, "-(s ; 1)", "y"), b.trail)
         assert offered(b, "x") == []
 
     def test_blocked_formula_records_renamed_literals(self):
@@ -234,7 +270,7 @@ class TestApplyNegcomp:
         blocker = RelFormula("z1", parse_term(term_text), "y")
         b = initial(blocked)
         for g in (blocker, F("z1", "-r", "w")):
-            b.history.add(g)
+            b.history.add(g, b.trail)
         b.vars += ["z1", "w"]
         b.decomposed[blocker] = "w"
         assert offered(b, "z2") == [("blocked", blocked, blocker)]
@@ -249,15 +285,15 @@ class TestIsBlocked:
         blocker = RelFormula("z1", parse_term(term_text), "y")
         blocked = RelFormula("z2", parse_term(term_text), "y")
         b = initial(F("x", "1 ; " + term_text, "y"))
-        b.history.add(blocker)
-        b.history.add(blocked)
+        b.history.add(blocker, b.trail)
+        b.history.add(blocked, b.trail)
         b.vars += ["z1", "w", "z2"]
         return b, blocker, blocked
 
     def test_no_twin_in_history(self):
         f = F("z1", "-(r ; (s ; 1))", "y")
         b = initial(F("x", "1 ; -(r ; (s ; 1))", "y"))
-        b.history.add(f)
+        b.history.add(f, b.trail)
         assert is_blocked(f, b) is None
 
     def test_undecomposed_twin_does_not_block(self):
@@ -267,23 +303,23 @@ class TestIsBlocked:
     def test_decomposed_twin_blocks_without_obligations(self):
         b, blocker, blocked = self.setup_branch()
         b.decomposed[blocker] = "w"
-        b.history.add(F("z1", "-r", "w"))
+        b.history.add(F("z1", "-r", "w"), b.trail)
         assert is_blocked(blocked, b) == blocker
 
     def test_unmirrored_obligation_prevents_blocking(self):
         b, blocker, blocked = self.setup_branch()
         b.decomposed[blocker] = "w"
-        b.history.add(F("z1", "-r", "w"))
+        b.history.add(F("z1", "-r", "w"), b.trail)
         # the blocked variable owes a composition the twin never mirrored
-        b.history.add(F("z2", "r ; (s ; 1)", "y"))
+        b.history.add(F("z2", "r ; (s ; 1)", "y"), b.trail)
         assert is_blocked(blocked, b) is None
 
     def test_mirrored_obligation_restores_blocking(self):
         b, blocker, blocked = self.setup_branch()
         b.decomposed[blocker] = "w"
-        b.history.add(F("z1", "-r", "w"))
-        b.history.add(F("z2", "r ; (s ; 1)", "y"))
-        b.history.add(F("z1", "r ; (s ; 1)", "y"))
+        b.history.add(F("z1", "-r", "w"), b.trail)
+        b.history.add(F("z2", "r ; (s ; 1)", "y"), b.trail)
+        b.history.add(F("z1", "r ; (s ; 1)", "y"), b.trail)
         assert is_blocked(blocked, b) == blocker
 
 
@@ -292,7 +328,7 @@ class TestApplyCompA:
         f = F("x", text, "y")
         b = initial(f)
         introduce(b, F("x", "-(r ; 1)", "y"), "z1")
-        b.history.add(F("x", "-r", "z1"))
+        b.history.add(F("x", "-r", "z1"), b.trail)
         return b, f
 
     def test_adds_instantiated_right_part(self):
@@ -341,7 +377,7 @@ class TestApplyCompB:
         f = F("x", "1 ; (r ; 1)", "y")
         b = initial(f)
         assert offered(b, "y") == [(RULE_COMP_UNIV, f, "y")]
-        b.history.add(F("y", "r ; 1", "y"))
+        b.history.add(F("y", "r ; 1", "y"), b.trail)
         assert offered(b, "y") == []
 
 

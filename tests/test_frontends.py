@@ -345,8 +345,9 @@ class TestModalParser:
         f = parse_modal("(p -> ~q) & (q | ~p)")
         assert copy.copy(f) is f and copy.deepcopy(f) is f
         assert pickle.loads(pickle.dumps(f)) is f
-        g = parse_modal("[r | s]p")
-        assert copy.copy(g) is g
+        g = parse_modal("[r | s]p")  # a box holds a program term
+        assert copy.copy(g) is g and copy.deepcopy(g) is g
+        assert pickle.loads(pickle.dumps(g)) is g
 
     def test_formulas_are_released(self):
         import gc

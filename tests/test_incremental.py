@@ -12,21 +12,26 @@ blocking verdict of every complemented composition on the node.  Since
 a search keeps one branch, a second child is checked after the branch
 has been undone to its step's mark.  A second search marks the branch
 before each step, enters the step, undoes to the mark and checks that
-every slot but the node is as it was, then enters the step again.  A
-third checks that the scheduler's scans and the model extraction write
+every slot but the node is as it was, then enters the step again; a
+third does the same across two steps and two nested marks, and a count
+of ``gate_forced`` calls shows that undoing recomputes nothing.  A
+fourth checks that the scheduler's scans and the model extraction write
 nothing to a branch.
 """
+
+from collections import Counter
 
 import pytest
 
 from conftest import family_text
-from dualtab import engine
+from dualtab import engine, formulas
 from dualtab.engine import (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
                             RULE_CMPL_COMP_UNIV, RULE_CMPL_INTER,
                             RULE_CMPL_UNION, RULE_COMP_BOOL, RULE_COMP_UNIV,
                             RULE_DOUBLE_CMPL, RULE_INTER, RULE_UNION,
                             Branch, Countermodel, ProofSearch, Proof,
-                            applications, extract_model, is_blocked, rule_of)
+                            applications, conclusions, extract_model,
+                            is_axiomatic, is_blocked, rule_of)
 from dualtab.formulas import (FormulaSet, History, RelFormula, gate_index,
                               has_nbool_construction, v_set, variables_of)
 from dualtab.frontends import parse_modal, translate_modal
@@ -156,15 +161,16 @@ def check_branch(branch):
     for z in branch.order:
         assert list(applications(branch, z)) == scratch_applications(branch, z)
     expected = scratch_agenda(branch)
-    assert {k: list(g) for k, g in branch.agenda.items() if g} == expected
-    # a mark keeps the groups that are not empty
-    assert {k: list(g) for k, g in branch.mark()[-1].items()} == expected
+    assert {k: g for k, g in branch.agenda.items() if g} == expected
+    # a mark is the length of the trail, which undo runs back to it
+    assert branch.mark() == len(branch.trail)
+    # each literal-gated premise counts its applied instances, and a
+    # premise with none has no entry
+    assert branch.instances == Counter(
+        g for g, _ in branch.applied if rule_of(g.term) == RULE_COMP_BOOL)
     for (_, phase), group in branch.agenda.items():
-        for f, value in group.items():
-            if phase == 2:
-                assert value == sum(1 for g, _ in branch.applied if g == f)
-            else:
-                assert value == rule_of(f.term)
+        for f in group:
+            assert PHASE[rule_of(f.term)] == phase
     history = branch.history
     plain = FormulaSet(history)
     assert branch.vars == variables_of(plain)
@@ -255,8 +261,8 @@ class UndoingSearch(ProofSearch):
 
 def undoable(branch):
     """Every slot that :meth:`Branch.undo` restores, as fresh containers:
-    all but the node and its closure flag, the agenda without the empty
-    groups that a mark drops."""
+    all but the node and its closure flag, the trail included, and the
+    agenda without its empty groups, which stay once made."""
     slots = {name: getattr(branch, name) for name in Branch.__slots__
              if name not in ("node", "node_axiomatic")}
     slots["agenda"] = {key: group for key, group in branch.agenda.items() if group}
@@ -286,6 +292,87 @@ def test_undo_restores_every_slot(family):
 def test_corpus_undo_restores_every_slot(fragment_corpus):
     assert sum(check_undo(term).tree.branch_count > 1
                for term in fragment_corpus) > 0
+
+
+def enter_next(branch, parent):
+    """Enter the first application the scan offers on the branch, its
+    first successor built from the node ``parent`` as the search would,
+    with a fresh witness named apart from the search's; False if none is
+    open.  ``parent`` is the node the branch had when it was entered,
+    since undo leaves the node to the next enter."""
+    app = next((app for z in branch.order for app in applications(branch, z)
+                if app[0] != "blocked"), None)
+    if is_axiomatic(parent) or app is None:
+        return False
+    rule, f, z = app
+    if rule in (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE, RULE_CMPL_COMP_UNIV):
+        z = f"w{len(branch.vars)}"
+    removed = () if rule in (RULE_COMP_BOOL, RULE_COMP_UNIV) else (f,)
+    node = FormulaSet(parent)
+    for g in removed:
+        del node[g]
+    added = [g for g in conclusions(rule, f, z)[0] if node.add(g)]
+    branch.enter(node, added, removed, (rule, f, z))
+    return True
+
+
+class NestedUndoingSearch(ProofSearch):
+    """A proof search that, before each step enters the branch, marks the
+    branch, enters the step, marks it again and enters the next step
+    after it; then it undoes to the inner mark, enters that next step
+    again and undoes to the outer mark, each time checking that every
+    slot but the node is as it was at the mark.  Then it enters the step
+    for good."""
+
+    nested = 0
+
+    def _enter(self, branch, child, added, removed, step):
+        before = undoable(branch)
+        outer = branch.mark()
+        super()._enter(branch, child, added, removed, step)
+        between = undoable(branch)
+        inner = branch.mark()
+        if enter_next(branch, child.formulas):
+            branch.undo(inner)
+            assert undoable(branch) == between
+            assert enter_next(branch, child.formulas)
+            NestedUndoingSearch.nested += 1
+        branch.undo(outer)
+        assert undoable(branch) == before
+        super()._enter(branch, child, added, removed, step)
+
+
+@pytest.mark.parametrize("family", ["modal_dist", "kdist", "branching", "cycle"])
+def test_nested_marks_undo_two_steps(family):
+    nested_before = NestedUndoingSearch.nested
+    search = NestedUndoingSearch(translate_modal(parse_modal(family_text(family, 4))))
+    verdict = search.run()
+    assert isinstance(verdict, Countermodel) == (family == "cycle")
+    assert NestedUndoingSearch.nested - nested_before >= search.tree.steps // 2 > 0
+
+
+@pytest.mark.parametrize("family", ["modal_dist", "kdist", "branching", "cycle"])
+def test_undo_recomputes_no_forced_set(family, monkeypatch):
+    calls = Counter()
+    gate_forced, undo = formulas.gate_forced, Branch.undo
+
+    def counting(*args):
+        calls["gate_forced"] += 1
+        return gate_forced(*args)
+
+    def undoing(branch, mark):
+        calls["undo"] += 1
+        before = calls["gate_forced"]
+        undo(branch, mark)
+        assert calls["gate_forced"] == before
+
+    monkeypatch.setattr(formulas, "gate_forced", counting)
+    monkeypatch.setattr(engine, "gate_forced", counting)
+    monkeypatch.setattr(Branch, "undo", undoing)
+    search = ProofSearch(translate_modal(parse_modal(family_text(family, 4))))
+    search.run()
+    assert calls["undo"] == search.tree.branch_count - 1 - len(search._stack) > 0
+    assert calls["gate_forced"] > 0
 
 
 def snapshot(branch):
@@ -341,13 +428,13 @@ def test_forced_set_grows_when_the_last_literal_arrives():
     r, s = Var("r"), Var("s")
     gate = Inter(r, s)
     root = RelFormula("x", Comp(gate, ONE), "y")
-    history = History(gate_index(components(root.term)))
-    history.add(root)
+    history, trail = History(gate_index(components(root.term))), []
+    history.add(root, trail)
     assert history.forced == {}
-    history.add(RelFormula("x", Cmpl(r), "z1"))
-    history.add(RelFormula("z1", Cmpl(s), "y"))
+    history.add(RelFormula("x", Cmpl(r), "z1"), trail)
+    history.add(RelFormula("z1", Cmpl(s), "y"), trail)
     assert history.forced == {}
-    history.add(RelFormula("x", Cmpl(s), "z1"))
+    history.add(RelFormula("x", Cmpl(s), "z1"), trail)
     assert history.forced == {(gate, "x"): {"z1"}}
     assert history.forced[gate, "x"] == v_set(Cmpl(gate), "x", FormulaSet(history))
 

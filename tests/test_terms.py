@@ -105,6 +105,14 @@ class TestInterning:
         assert simplify_ones(parse_term("1 & (p | -1)")) is Var("p")
         assert simplify_ones(parse_term("-(-1)")) is ONE
 
+    def test_copies_are_the_interned_term(self):
+        import copy
+        import pickle
+
+        for t in (ONE, Var("r"), parse_term("-(r ; 1) | (s & -t^)")):
+            assert copy.copy(t) is t and copy.deepcopy(t) is t
+            assert pickle.loads(pickle.dumps(t)) is t
+
     def test_table_does_not_keep_dead_terms(self):
         import gc
         import weakref

@@ -2,11 +2,13 @@
 
 Runs the decision procedure on the four modal families of
 ``tests/corpus.py`` at a small and a large size each, and prints per
-instance the steps taken, the best of five wall times of
+instance the steps taken, the branches of the deduction tree, the most
+variables on one branch, the best of five wall times of
 ``run_procedure``, that time per step in microseconds, and the peak
-memory that ``tracemalloc`` traces over one more, untimed, call.
-Translating the modal formula is not measured there.  It then prints the
-same columns for the
+memory that ``tracemalloc`` traces over one more, untimed, call.  The
+counts sit next to the time per step so that a change in speed can be
+told from a change in the work done.  Translating the modal formula is
+not measured there.  It then prints the same columns for the
 biconditional chains ``p0 <-> ... <-> pk``, k = 8, 12 and 16, timing
 ``translate_modal`` and ``run_procedure`` together: a chain's term shares
 every operand of each ``<->``, so a walker that visits shared subterms
@@ -38,9 +40,10 @@ REPEATS = 5
 
 
 def best_of(run):
-    """Steps of the verdict ``run()`` returns, its best wall time in
-    seconds over :data:`REPEATS` calls, and the peak traced memory in
-    bytes of one more call, which is not timed."""
+    """Steps, branches and branch variables of the verdict ``run()``
+    returns, its best wall time in seconds over :data:`REPEATS` calls, and
+    the peak traced memory in bytes of one more call, which is not
+    timed."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -52,31 +55,30 @@ def best_of(run):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return verdict.tree.steps, best, peak
+    tree = verdict.tree
+    return tree.steps, tree.branch_count, tree.max_vars, best, peak
 
 
 def measure(name, n):
-    """Steps, best wall time and peak memory of deciding one family
-    instance."""
+    """:func:`best_of` deciding one family instance."""
     term = translate_modal(parse_modal(family_text(name, n)))
     return best_of(lambda: run_procedure(term))
 
 
 def measure_chain(k):
-    """Steps, best wall time and peak memory of translating and deciding
-    ``p0 <-> ... <-> pk``."""
+    """:func:`best_of` translating and deciding ``p0 <-> ... <-> pk``."""
     formula = parse_modal(" <-> ".join(f"p{i}" for i in range(k + 1)))
     return best_of(lambda: run_procedure(translate_modal(formula)))
 
 
-def report(name, n, steps, best, peak):
-    print(f"{name:12} {n:>3} {steps:>7} {best * 1e3:>9.1f} "
-          f"{best * 1e6 / steps:>8.0f} {peak / 2 ** 20:>8.2f}")
+def report(name, n, steps, branches, variables, best, peak):
+    print(f"{name:12} {n:>3} {steps:>7} {branches:>8} {variables:>5} "
+          f"{best * 1e3:>9.1f} {best * 1e6 / steps:>8.0f} {peak / 2 ** 20:>8.2f}")
 
 
 def main():
-    print(f"{'family':12} {'n':>3} {'steps':>7} {'best ms':>9} {'us/step':>8} "
-          f"{'peak MB':>8}")
+    print(f"{'family':12} {'n':>3} {'steps':>7} {'branches':>8} {'vars':>5} "
+          f"{'best ms':>9} {'us/step':>8} {'peak MB':>8}")
     for name, sizes in SIZES:
         for n in sizes:
             report(name, n, *measure(name, n))
