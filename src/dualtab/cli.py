@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 
@@ -126,12 +127,20 @@ def _trace_printer(event):
 
 def _emit(payload, as_json, text_lines):
     """Print ``payload`` as JSON, or else the lines ``text_lines(payload)``
-    makes of it; only the form printed is built."""
-    if as_json:
-        print(json.dumps(payload, indent=2, sort_keys=True))
-    else:
-        for line in text_lines(payload):
-            print(line)
+    makes of it; only the form printed is built.  A reader that closes
+    stdout early, as ``| head`` does, ends the output but not the command,
+    which still exits with its verdict's code."""
+    try:
+        if as_json:
+            print(json.dumps(payload, indent=2, sort_keys=True))
+        else:
+            for line in text_lines(payload):
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the recipe of the ``signal`` module's documentation: what is left
+        # goes to devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _verdict_lines(payload, label=None):
@@ -262,7 +271,7 @@ def cmd_check_model(args):
         return EXIT_PARSE
     for warning in caught:
         print(f"warning: {warning.message}", file=sys.stderr)
-    print("satisfied" if holds else "falsified")
+    _emit(holds, False, lambda h: ["satisfied" if h else "falsified"])
     return EXIT_INVALID if holds else EXIT_VALID
 
 

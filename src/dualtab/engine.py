@@ -4,27 +4,30 @@ Given a fragment term ``P``, the engine builds a deduction tree for the
 formula ``x P y``.  Nodes carry disjunctive formula sets; a node is closed
 when it contains ``x' 1 y'`` or a formula together with its complement.
 Branches are explored depth first, left successor first, on one
-:class:`Branch`.  Every write to it but the leaf logs its inverse on one
-trail, which :meth:`Branch.undo` runs back to a branching step's
-:meth:`Branch.mark` before its second successor enters.  On each open
-branch the engine repeatedly picks the smallest variable (in the branch
-order) that still has work and applies, in order: the Boolean rules, the
-complemented-composition rules, the composition rule gated by forced
-literals, and the universal-composition rule instantiated with that
-variable.
+:class:`Branch`.  Every write to it, the node's included, logs its
+inverse on one trail, which :meth:`Branch.undo` runs back to a branching
+step's :meth:`Branch.mark` before its second successor enters.  On each
+open branch the engine repeatedly picks the smallest variable (in the
+branch order) that still has work and applies, in order: the Boolean
+rules, the complemented-composition rules, the composition rule gated by
+forced literals, and the universal-composition rule instantiated with
+that variable.
 
 A step has a pure part and one write.  :func:`applications` alone decides
 what applies at a variable, reading only the branch's agenda: the node's
 formulas with work, grouped by left variable and phase.
 :func:`conclusions` is a function of the rule, its premise and its
 variable, and returns one group of formulas per successor; the search
-names each fresh witness from one counter.  The search builds each
-successor from the parent and a group, checks what enters the node, and
-hands the step and what entered and left the node to :meth:`Branch.enter`,
+names each fresh witness from one counter.  The search takes from a
+group the formulas that are not on the node yet, checks them, and hands
+the step and what enters and leaves the node to :meth:`Branch.enter`,
 the only method that writes a branch's node, history, agenda, composition
-instances, decomposed premises and witness placement forward.  Complemented
-compositions are suppressed when an already decomposed twin *blocks* them;
-the scheduler passes over a blocked formula and writes nothing.
+instances, decomposed premises and witness placement forward.  A tree
+node keeps only the formulas its step added, and
+:meth:`DeductionTree.replay` rebuilds each node's formulas from its
+parent's.  Complemented compositions are suppressed when an already
+decomposed twin *blocks* them; the scheduler passes over a blocked
+formula and writes nothing.
 
 If every branch closes the tree is a proof.  Otherwise the first
 saturated open branch yields a finite model and identity valuation that
@@ -130,16 +133,18 @@ def is_axiomatic(formulas, added=None):
 
 
 class Branch:
-    """State of one branch: current leaf set plus everything the rules consult.
+    """State of one branch: the leaf's formulas plus everything the rules consult.
 
-    ``history`` is the union of all formula sets ever on the branch, an
-    indexed :class:`History` with the forced sets; ``vars`` lists object
-    variables in introduction order, the two roots first, and ``order``
-    in branch order; ``right`` holds the right root and its descendants;
-    ``decomposed`` maps each premise a Boolean or complemented-composition
-    rule decomposed to its fresh witness, or to None for a Boolean rule;
-    ``applied`` holds the composition instances ``(premise, variable)``,
-    and ``instances`` their number for each literal-gated premise.
+    ``node`` is the set of the leaf's formulas, whose order the tree and
+    the agenda's groups keep; ``history`` is the union of all formula
+    sets ever on the branch, an indexed :class:`History` with the forced
+    sets; ``vars`` lists object variables in introduction order, the two
+    roots first, and ``order`` in branch order; ``right`` holds the right
+    root and its descendants; ``decomposed`` maps each premise a Boolean
+    or complemented-composition rule decomposed to its fresh witness, or
+    to None for a Boolean rule; ``applied`` holds the composition
+    instances ``(premise, variable)``, and ``instances`` their number for
+    each literal-gated premise.
 
     ``agenda`` holds the node's formulas with work, each group a list in
     node order: the Boolean, complemented-composition and literal-gated
@@ -148,40 +153,37 @@ class Branch:
     that re-enters the node has no work and stays off the agenda.
 
     :meth:`enter` alone writes this state forward and logs the inverse
-    of each write, the node's aside, on ``trail``; :meth:`undo` only runs
-    them back, last first.  Scans and model extraction only read it.
+    of each write on ``trail``; :meth:`undo` only runs them back, last
+    first.  Scans and model extraction only read it.
     """
 
     __slots__ = ("node", "history", "vars", "order", "right", "applied",
-                 "decomposed", "instances", "node_axiomatic", "agenda", "trail")
+                 "decomposed", "instances", "agenda", "trail")
 
     def __init__(self, formula, gates):
         """The branch of the root node ``{formula}``; ``gates`` is the
         :func:`gate_index` of the components of the formula's term."""
         x, y = formula.left, formula.right
-        self.history, self.trail = History(gates), []
+        self.node, self.history, self.trail = set(), History(gates), []
         self.vars, self.order, self.right = [x, y], [x, y], {y}
         self.applied, self.decomposed, self.instances, self.agenda = {}, {}, {}, {}
-        node = FormulaSet([formula])
-        self.enter(node, node, (), None)
+        self.enter([formula], (), None)
 
     def mark(self):
         """A choice point for :meth:`undo`: the trail's length; marks nest."""
         return len(self.trail)
 
     def undo(self, mark):
-        """Put the branch back as it was at ``mark``, all but the node,
-        which the next :meth:`enter` sets."""
+        """Put the branch back as it was at ``mark``."""
         trail = self.trail
         while len(trail) > mark:
             trail.pop()()
 
-    def enter(self, node, added, removed, step):
-        """Make ``node`` the leaf and record the step that made it.
-
-        ``node`` is the old leaf with the formulas ``removed`` taken out
-        and ``added`` put in at the end; ``step`` is the ``(rule, premise,
-        variable)`` of the rule application, None for the root.
+    def enter(self, added, removed, step):
+        """Make the next leaf: take the formulas ``removed`` off the node
+        and put ``added``, which are not on it, in; ``step`` is the
+        ``(rule, premise, variable)`` of the rule application, None for
+        the root.  Returns whether the new leaf is axiomatic.
 
         The branch order puts the left root first, then the generated
         variables that do not descend from the right root, then the right
@@ -190,9 +192,8 @@ class Branch:
         endpoint does (or is that root) and its rule is not
         ``cmpl-comp-univ``.
         """
-        self.node = node
-        self.node_axiomatic = is_axiomatic(node, added)
-        trail, agenda, decomposed = self.trail, self.agenda, self.decomposed
+        node, trail, agenda, decomposed = (self.node, self.trail, self.agenda,
+                                           self.decomposed)
         if step is not None:
             rule, f, z = step
             if rule in _COMP_RULES:
@@ -215,16 +216,21 @@ class Branch:
                     self.order.insert(at, z)
                     trail.append(partial(self.order.pop, at))
         for f in removed:  # a premise, so on the agenda
+            node.remove(f)
+            trail.append(partial(node.add, f))
             group = agenda[agenda_key(f)]
             at = group.index(f)
             del group[at]
             trail.append(partial(group.insert, at, f))
         for f in added:
+            node.add(f)
+            trail.append(partial(node.remove, f))
             self.history.add(f, trail)
             key = agenda_key(f)
             if key is not None and not (key[1] < 2 and f in decomposed):
                 agenda.setdefault(key, []).append(f)  # a group stays, maybe empty
                 trail.append(agenda[key].pop)
+        return is_axiomatic(node, added)
 
 
 def blocker_literals(branch, blocker, w):
@@ -392,11 +398,14 @@ def extract_model(branch):
 
 
 class Node:
-    __slots__ = ("id", "parent", "formulas", "rule", "premise", "variable",
+    """A tree node: the formulas its step ``(rule, premise, variable)``
+    added, in order; ``closed`` once it has entered the branch axiomatic."""
+
+    __slots__ = ("id", "parent", "added", "rule", "premise", "variable",
                  "closed", "children")
 
-    def __init__(self, id, parent, formulas, rule=None, premise=None, variable=None):
-        self.id, self.parent, self.formulas = id, parent, formulas
+    def __init__(self, id, parent, added, rule=None, premise=None, variable=None):
+        self.id, self.parent, self.added = id, parent, added
         self.rule, self.premise, self.variable = rule, premise, variable
         self.closed, self.children = False, []
 
@@ -404,38 +413,48 @@ class Node:
 class DeductionTree(Record):
     __slots__ = ("nodes", "steps", "branch_count", "max_vars")
 
-    def __init__(self, nodes=None, steps=0, branch_count=1, max_vars=0):
-        self.nodes = [] if nodes is None else nodes
-        self.steps, self.branch_count, self.max_vars = steps, branch_count, max_vars
+    def __init__(self):
+        self.nodes, self.steps, self.branch_count, self.max_vars = [], 0, 1, 0
 
-    def new_node(self, parent, formulas, rule=None, premise=None, variable=None):
-        node = Node(len(self.nodes), parent.id if parent else None, formulas,
+    def new_node(self, parent, added, rule=None, premise=None, variable=None):
+        node = Node(len(self.nodes), parent.id if parent else None, added,
                     rule, premise, variable)
         self.nodes.append(node)
         if parent is not None:
             parent.children.append(node.id)
         return node
 
+    def replay(self):
+        """Each node's formulas in order, by id: its parent's, minus the
+        premise unless the rule is a composition, plus what it added."""
+        lists = []
+        for n in self.nodes:
+            formulas = [] if n.parent is None else lists[n.parent]
+            if n.premise is not None and n.rule not in _COMP_RULES:
+                formulas = formulas.copy()
+                formulas.remove(n.premise)
+            lists.append(formulas + n.added)
+        return lists
+
     def to_json(self):
         memo = {}  # one for the whole tree: each distinct term is rendered once
+
+        def triple(f):
+            return [f.left, render_term(f.term, memo), f.right]
+
         return {
             "nodes": [
                 {
                     "id": n.id,
                     "parent": n.parent,
-                    "formulas": [
-                        [f.left, render_term(f.term, memo), f.right] for f in n.formulas
-                    ],
+                    "formulas": [triple(f) for f in formulas],
                     "rule": n.rule,
-                    "premise": (
-                        [n.premise.left, render_term(n.premise.term, memo), n.premise.right]
-                        if n.premise is not None else None
-                    ),
+                    "premise": None if n.premise is None else triple(n.premise),
                     "variable": n.variable,
                     "closed": n.closed,
                     "children": list(n.children),
                 }
-                for n in self.nodes
+                for n, formulas in zip(self.nodes, self.replay())
             ]
         }
 
@@ -464,14 +483,15 @@ class ProofSearch:
 
     def run(self):
         branch = Branch(self.root_formula, gate_index(self.cp))
-        leaf = self.tree.new_node(None, branch.node)
+        leaf = self.tree.new_node(None, [self.root_formula])
+        leaf.closed = is_axiomatic(branch.node)
         self.tree.max_vars = len(branch.vars)
         while self._expand(branch, leaf) == "closed":
             if not self._stack:
                 return Proof(self.tree)
-            mark, leaf, added, removed, step = self._stack.pop()
+            mark, leaf = self._stack.pop()
             branch.undo(mark)
-            self._enter(branch, leaf, added, removed, step)
+            self._enter(branch, leaf)
         model, valuation = extract_model(branch)
         return Countermodel(self.tree, branch, model, valuation)
 
@@ -479,13 +499,12 @@ class ProofSearch:
         """Expand the branch in turns: the smallest variable with work
         takes rule applications until it has none left."""
         z = None
-        while not branch.node_axiomatic:
+        while not leaf.closed:
             turn = self._next_application(branch, z)
             if turn is None:
                 return "open"
             z, app = turn
             leaf = self._apply(branch, leaf, app)
-        leaf.closed = True
         return "closed"
 
     def _next_application(self, branch, z):
@@ -525,24 +544,20 @@ class ProofSearch:
         step = (rule, f, inst)
         self._emit(*step)
         # each successor: the parent in order, minus the premise unless the
-        # rule is a composition, plus the group's formulas not already there
-        parent = branch.node
+        # rule is a composition, plus the group's formulas not already there;
+        # no conclusion is its premise, since the weight drops
         removed = () if rule in _COMP_RULES else (f,)
         children = []
         for group in conclusions(*step):
-            succ = FormulaSet(parent)
-            for g in removed:
-                del succ[g]
-            added = [g for g in group if succ.add(g)]
-            children.append((self.tree.new_node(leaf, succ, *step), added))
+            added = [g for g in dict.fromkeys(group) if g not in branch.node]
+            children.append(self.tree.new_node(leaf, added, *step))
             self._check(added, removed, rule)
         if len(children) == 2:
             # the second child enters once the first one's subtree closes
             self.tree.branch_count += 1
-            self._stack.append((branch.mark(), *children[1], removed, step))
-        child, added = children[0]
-        self._enter(branch, child, added, removed, step)
-        return child
+            self._stack.append((branch.mark(), children[1]))
+        self._enter(branch, children[0])
+        return children[0]
 
     def _check(self, added, removed, rule):
         """Check what a step puts into a child: a new formula must be a
@@ -564,9 +579,11 @@ class ProofSearch:
                     f"rule {rule} did not decrease the node weight"
                 )
 
-    def _enter(self, branch, child, added, removed, step):
+    def _enter(self, branch, child):
         """Make the tree node ``child`` the branch's leaf."""
-        branch.enter(child.formulas, added, removed, step)
+        removed = () if child.rule in _COMP_RULES else (child.premise,)
+        child.closed = branch.enter(child.added, removed,
+                                    (child.rule, child.premise, child.variable))
 
     def _emit(self, rule, premise, variable):
         if self.trace is not None:

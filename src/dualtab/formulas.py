@@ -35,15 +35,12 @@ class RelFormula(namedtuple("RelFormula", "left term right")):
 
 class FormulaSet(dict):
     """Set of formulas with insertion-order iteration and O(1) membership:
-    a dict from formula to None, so that membership and copying run at
-    dict speed."""
+    a dict from formula to None, so that membership runs at dict speed."""
 
     __slots__ = ()
 
     def __init__(self, items=()):
-        # a formula set is copied as a dict, which reuses its stored hashes
-        super().__init__(items if isinstance(items, FormulaSet)
-                         else dict.fromkeys(items))
+        super().__init__(dict.fromkeys(items))
 
     def add(self, f):
         """Insert ``f``; returns True iff it was not already present."""

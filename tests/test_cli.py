@@ -332,6 +332,47 @@ class TestOutputBytes:
 
 
 class TestRobustness:
+    def test_closed_stdout_ends_the_output_not_the_command(self):
+        # a reader that stops after a few bytes, as ``| head -c 100`` does;
+        # the proof tree is larger than a pipe's buffer, so the command
+        # writes into the closed pipe
+        env = dict(os.environ, PYTHONPATH=SRC)
+        argv = ["-m", "dualtab", "modal", "--json", "--", family_text("modal_dist", 8)]
+        proc = subprocess.Popen([sys.executable, *argv], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.read(100).startswith(b"{")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) in (0, 1)
+        assert err == b""
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize("argv, code", [
+        (["prove", "--json", "--", "r | -r"], 0),
+        (["prove", "--", "r"], 1),
+        (["check-model", "--", "r", "MODEL"], 0),
+    ])
+    def test_stdout_closed_before_any_output(self, tmp_path, argv, code, unbuffered):
+        # the pipe's reader is gone before the command starts, so its first
+        # write fails, whether stdout is buffered or not
+        model = tmp_path / "model.json"
+        model.write_text(json.dumps({"universe": ["x", "y"], "relations": {"r": []},
+                                     "valuation": {"x": "x", "y": "y"}}))
+        argv = [str(model) if a == "MODEL" else a for a in argv]
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = SRC
+        flags = ["-u"] if unbuffered else []
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, *flags, "-m", "dualtab", *argv],
+                                  stdout=write, stderr=subprocess.PIPE, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stderr) == (code, b"")
+
     @pytest.mark.parametrize("term", ["(" * 300 + "r" + ")" * 300,
                                       "-" * 3000 + "r"])
     def test_deep_nesting_is_a_parse_error(self, term):

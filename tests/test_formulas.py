@@ -160,7 +160,8 @@ class TestFormulaSet:
         assert len(fs) == 1
 
     def test_construction_from_a_set_copies_it(self):
-        # the search builds each child as ``FormulaSet(parent)``
+        # the tests take a plain copy of a branch history as
+        # ``FormulaSet(history)``
         fs = FormulaSet([F("x", "r", "y")])
         other = FormulaSet(fs)
         other.add(F("x", "s", "y"))

@@ -2,17 +2,20 @@
 
 A search is driven to its verdict; after every rule application, on the
 branch that took it, the formulas the step says it added to and removed
-from the node are compared with a diff of the node against its parent,
-and each index the history and the branch keep up to date is compared
-with a plain recomputation over the whole history or node: the agenda's
+from the node are compared with a diff of the tree's replayed node
+against its parent, the branch's node with the set of the replayed
+node, and each index the history and the branch keep up to date with a
+plain recomputation over the whole history or node: the agenda's
 groups and instance counts, the applications the agenda yields at every
 variable, the branch's variables, the per-key formula lists, the forced
 set of every gate at every variable, the variable order, and the
 blocking verdict of every complemented composition on the node.  Since
 a search keeps one branch, a second child is checked after the branch
-has been undone to its step's mark.  A second search marks the branch
-before each step, enters the step, undoes to the mark and checks that
-every slot but the node is as it was, then enters the step again; a
+has been undone to its step's mark.  Every replayed node is compared
+with the node built as a full copy of its parent, as the search once
+built it.  A second search marks the branch before each step, enters
+the step, undoes to the mark and checks that every slot, the node
+included, is as it was, then enters the step again; a
 third does the same across two steps and two nested marks, and a count
 of ``gate_forced`` calls shows that undoing recomputes nothing.  A
 fourth checks that the scheduler's scans and the model extraction write
@@ -97,26 +100,28 @@ PHASE = {**dict.fromkeys((RULE_UNION, RULE_CMPL_UNION, RULE_INTER,
          RULE_COMP_BOOL: 2, RULE_COMP_UNIV: 3}
 
 
-def scratch_agenda(branch):
-    """The node's formulas with work, grouped by left variable and phase,
-    the ``(1;S)`` premises under ``(None, 3)``, each group in node order.
-    A premise already decomposed has no work."""
+def scratch_agenda(branch, node):
+    """The formulas with work of ``node``, the branch's node in order,
+    grouped by left variable and phase, the ``(1;S)`` premises under
+    ``(None, 3)``, each group in node order.  A premise already decomposed
+    has no work."""
     groups = {}
-    for f in branch.node:
+    for f in node:
         phase = PHASE.get(rule_of(f.term))
         if phase is not None and not (phase < 2 and f in branch.decomposed):
             groups.setdefault((None if phase == 3 else f.left, phase), []).append(f)
     return groups
 
 
-def scratch_applications(branch, z):
-    """The applicability scan as a walk over the whole node, with forced
-    sets, blocking and suppression recomputed over the whole history."""
+def scratch_applications(branch, node, z):
+    """The applicability scan as a walk over the whole of ``node``, the
+    branch's node in order, with forced sets, blocking and suppression
+    recomputed over the whole history."""
     applied, history = branch.applied, branch.history
     decomposed, generated = branch.decomposed, genealogy(branch)
     plain = FormulaSet(history)
     phases = ([], [], [], [])
-    for f in branch.node:
+    for f in node:
         rule = rule_of(f.term)
         phase = PHASE.get(rule)
         if phase is not None and (f.left == z or phase == 3):
@@ -157,10 +162,12 @@ def scratch_forced(branch):
     return {key: forced for key, forced in found.items() if forced}
 
 
-def check_branch(branch):
+def check_branch(branch, node):
+    """Check every index of the branch, whose node is ``node`` in order."""
+    assert branch.node == set(node)
     for z in branch.order:
-        assert list(applications(branch, z)) == scratch_applications(branch, z)
-    expected = scratch_agenda(branch)
+        assert list(applications(branch, z)) == scratch_applications(branch, node, z)
+    expected = scratch_agenda(branch, node)
     assert {k: g for k, g in branch.agenda.items() if g} == expected
     # a mark is the length of the trail, which undo runs back to it
     assert branch.mark() == len(branch.trail)
@@ -181,7 +188,7 @@ def check_branch(branch):
             expected.setdefault(key(f), []).append(f)
         assert getattr(history, name) == expected, name
     assert history.forced == scratch_forced(branch)
-    for f in branch.node:
+    for f in node:
         if isinstance(f.term, Cmpl) and isinstance(f.term.arg, Comp):
             blocker = scratch_blocked(f, branch)
             assert is_blocked(f, branch) == blocker
@@ -189,19 +196,50 @@ def check_branch(branch):
     assert branch.order == scratch_order(branch)
 
 
+def removed_by(node):
+    """The formulas the step of a tree node takes off its parent's node."""
+    return () if node.rule in (RULE_COMP_BOOL, RULE_COMP_UNIV) else (node.premise,)
+
+
+def reference_nodes(search):
+    """Each tree node's formulas as a full copy of its parent's, minus the
+    premise unless the rule is a composition, plus the node's conclusion
+    group; by id."""
+    nodes, refs = search.tree.nodes, []
+    for n in nodes:
+        if n.parent is None:
+            refs.append(FormulaSet([search.root_formula]))
+            continue
+        siblings = nodes[n.parent].children
+        group = conclusions(n.rule, n.premise, n.variable)[siblings.index(n.id)]
+        succ = FormulaSet(refs[n.parent])
+        for g in removed_by(n):
+            del succ[g]
+        succ.update(group)
+        refs.append(succ)
+    return refs
+
+
+def check_replay(search):
+    assert search.tree.replay() == [list(ref) for ref in reference_nodes(search)]
+
+
 class CheckedSearch(ProofSearch):
-    """A proof search that checks the step's delta and every index after
-    each step enters the branch, a second child's after the undo."""
+    """A proof search that checks the step's delta, the branch's node and
+    every index after each step enters the branch, a second child's after
+    the undo."""
 
     checked_steps = 0
     blocked = 0  # blocking verdicts that found a blocker, over all searches
 
-    def _enter(self, branch, child, added, removed, step):
-        parent, node = self.tree.nodes[child.parent].formulas, child.formulas
-        assert added == [g for g in node if g not in parent]
-        assert list(removed) == [g for g in parent if g not in node]
-        super()._enter(branch, child, added, removed, step)
-        check_branch(branch)
+    def _enter(self, branch, child):
+        formulas = self.tree.replay()
+        parent, node = formulas[child.parent], formulas[child.id]
+        assert child.added == [g for g in node if g not in parent]
+        assert list(removed_by(child)) == [g for g in parent if g not in node]
+        super()._enter(branch, child)
+        assert child.closed == is_axiomatic(set(node))
+        check_branch(branch, node)
         self.checked_steps += 1
 
 
@@ -214,6 +252,7 @@ def test_family_indices_match_recomputation(family, valid):
     verdict = search.run()
     assert isinstance(verdict, Proof) == valid
     assert search.checked_steps >= search.tree.steps > 0
+    check_replay(search)
     if family == "cycle":  # the family that needs blocking to terminate
         assert CheckedSearch.blocked > blocked_before
 
@@ -223,6 +262,7 @@ def test_corpus_indices_match_recomputation(fragment_corpus):
     for term in fragment_corpus:
         search = CheckedSearch(term)
         search.run()
+        check_replay(search)
         checked += search.checked_steps
     assert checked > len(fragment_corpus)
 
@@ -245,26 +285,25 @@ def plain(value):
 class UndoingSearch(ProofSearch):
     """A proof search that, before each step enters the branch, marks the
     branch, enters the step, undoes to the mark and checks that every
-    slot but the node is as it was; then it enters the step for good."""
+    slot is as it was; then it enters the step for good."""
 
     undos = 0
 
-    def _enter(self, branch, child, added, removed, step):
+    def _enter(self, branch, child):
         before = undoable(branch)
         mark = branch.mark()
-        super()._enter(branch, child, added, removed, step)
+        super()._enter(branch, child)
         branch.undo(mark)
         assert undoable(branch) == before
         UndoingSearch.undos += 1
-        super()._enter(branch, child, added, removed, step)
+        super()._enter(branch, child)
 
 
 def undoable(branch):
     """Every slot that :meth:`Branch.undo` restores, as fresh containers:
-    all but the node and its closure flag, the trail included, and the
-    agenda without its empty groups, which stay once made."""
-    slots = {name: getattr(branch, name) for name in Branch.__slots__
-             if name not in ("node", "node_axiomatic")}
+    all of them, the node as a set and the trail included, and the agenda
+    without its empty groups, which stay once made."""
+    slots = {name: getattr(branch, name) for name in Branch.__slots__}
     slots["agenda"] = {key: group for key, group in branch.agenda.items() if group}
     return plain(slots)
 
@@ -294,26 +333,36 @@ def test_corpus_undo_restores_every_slot(fragment_corpus):
                for term in fragment_corpus) > 0
 
 
-def enter_next(branch, parent):
+def enter_next(branch):
     """Enter the first application the scan offers on the branch, its
-    first successor built from the node ``parent`` as the search would,
-    with a fresh witness named apart from the search's; False if none is
-    open.  ``parent`` is the node the branch had when it was entered,
-    since undo leaves the node to the next enter."""
+    first successor as the search would, with a fresh witness named apart
+    from the search's; False if none is open."""
     app = next((app for z in branch.order for app in applications(branch, z)
                 if app[0] != "blocked"), None)
-    if is_axiomatic(parent) or app is None:
+    if is_axiomatic(branch.node) or app is None:
         return False
     rule, f, z = app
     if rule in (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE, RULE_CMPL_COMP_UNIV):
         z = f"w{len(branch.vars)}"
     removed = () if rule in (RULE_COMP_BOOL, RULE_COMP_UNIV) else (f,)
-    node = FormulaSet(parent)
-    for g in removed:
-        del node[g]
-    added = [g for g in conclusions(rule, f, z)[0] if node.add(g)]
-    branch.enter(node, added, removed, (rule, f, z))
+    added = [g for g in dict.fromkeys(conclusions(rule, f, z)[0])
+             if g not in branch.node]
+    branch.enter(added, removed, (rule, f, z))
     return True
+
+
+def test_undo_puts_the_node_back():
+    # the union's premise leaves the node and its two parts enter; undo
+    # takes the parts off and puts the premise back
+    root = RelFormula("x", parse_term("r | s"), "y")
+    branch = Branch(root, gate_index(components(root.term)))
+    mark = branch.mark()
+    assert enter_next(branch)
+    assert branch.node == {RelFormula("x", Var("r"), "y"),
+                           RelFormula("x", Var("s"), "y")}
+    branch.undo(mark)
+    assert branch.node == {root}
+    assert branch.agenda == {("x", 0): [root]}
 
 
 class NestedUndoingSearch(ProofSearch):
@@ -321,25 +370,24 @@ class NestedUndoingSearch(ProofSearch):
     branch, enters the step, marks it again and enters the next step
     after it; then it undoes to the inner mark, enters that next step
     again and undoes to the outer mark, each time checking that every
-    slot but the node is as it was at the mark.  Then it enters the step
-    for good."""
+    slot is as it was at the mark.  Then it enters the step for good."""
 
     nested = 0
 
-    def _enter(self, branch, child, added, removed, step):
+    def _enter(self, branch, child):
         before = undoable(branch)
         outer = branch.mark()
-        super()._enter(branch, child, added, removed, step)
+        super()._enter(branch, child)
         between = undoable(branch)
         inner = branch.mark()
-        if enter_next(branch, child.formulas):
+        if enter_next(branch):
             branch.undo(inner)
             assert undoable(branch) == between
-            assert enter_next(branch, child.formulas)
+            assert enter_next(branch)
             NestedUndoingSearch.nested += 1
         branch.undo(outer)
         assert undoable(branch) == before
-        super()._enter(branch, child, added, removed, step)
+        super()._enter(branch, child)
 
 
 @pytest.mark.parametrize("family", ["modal_dist", "kdist", "branching", "cycle"])

@@ -4,10 +4,13 @@ Runs the decision procedure on the four modal families of
 ``tests/corpus.py`` at a small and a large size each, and prints per
 instance the steps taken, the branches of the deduction tree, the most
 variables on one branch, the best of five wall times of
-``run_procedure``, that time per step in microseconds, and the peak
-memory that ``tracemalloc`` traces over one more, untimed, call.  The
-counts sit next to the time per step so that a change in speed can be
-told from a change in the work done.  Translating the modal formula is
+``run_procedure``, that time per step in microseconds, the peak memory
+that ``tracemalloc`` traces over one more, untimed, call, the memory
+still traced after it while its verdict is kept (after
+``gc.collect()``), and the time of one ``verdict_to_json`` plus
+``json.dumps(indent=2, sort_keys=True)`` of that verdict, as the CLI's
+``--json`` prints it.  The counts sit next to the time per step so that
+a change in speed can be told from a change in the work done.  Translating the modal formula is
 not measured there.  It then prints the same columns for the
 biconditional chains ``p0 <-> ... <-> pk``, k = 8, 12 and 16, timing
 ``translate_modal`` and ``run_procedure`` together: a chain's term shares
@@ -21,6 +24,8 @@ needs neither numpy nor pytest nor hypothesis::
     python3 tools/scaling.py
 """
 
+import gc
+import json
 import sys
 import time
 import tracemalloc
@@ -30,7 +35,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from corpus import family_text  # noqa: E402
-from dualtab.engine import run_procedure  # noqa: E402
+from dualtab.engine import run_procedure, verdict_to_json  # noqa: E402
 from dualtab.frontends import parse_modal, translate_modal  # noqa: E402
 
 SIZES = (("modal_dist", (4, 20)), ("cycle", (4, 14)), ("branching", (4, 8)),
@@ -41,22 +46,32 @@ REPEATS = 5
 
 def best_of(run):
     """Steps, branches and branch variables of the verdict ``run()``
-    returns, its best wall time in seconds over :data:`REPEATS` calls, and
-    the peak traced memory in bytes of one more call, which is not
-    timed."""
+    returns, its best wall time in seconds over :data:`REPEATS` calls; the
+    peak traced memory in bytes of one more call, which is not timed, and
+    the traced memory its verdict retains; and the seconds that verdict's
+    JSON text takes to build."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
         verdict = run()
         best = min(best, time.perf_counter() - start)
+    # terms are interned while alive: drop the last verdict, so that the
+    # traced call builds and counts its own
+    del verdict
+    gc.collect()
     tracemalloc.start()
     try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
+        verdict = run()
+        gc.collect()
+        retained, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    start = time.perf_counter()
+    json.dumps(verdict_to_json(verdict), indent=2, sort_keys=True)
+    to_json = time.perf_counter() - start
     tree = verdict.tree
-    return tree.steps, tree.branch_count, tree.max_vars, best, peak
+    return (tree.steps, tree.branch_count, tree.max_vars, best, peak, retained,
+            to_json)
 
 
 def measure(name, n):
@@ -71,14 +86,16 @@ def measure_chain(k):
     return best_of(lambda: run_procedure(translate_modal(formula)))
 
 
-def report(name, n, steps, branches, variables, best, peak):
+def report(name, n, steps, branches, variables, best, peak, retained, to_json):
     print(f"{name:12} {n:>3} {steps:>7} {branches:>8} {variables:>5} "
-          f"{best * 1e3:>9.1f} {best * 1e6 / steps:>8.0f} {peak / 2 ** 20:>8.2f}")
+          f"{best * 1e3:>9.1f} {best * 1e6 / steps:>8.0f} {peak / 2 ** 20:>8.2f} "
+          f"{retained / 2 ** 20:>11.2f} {to_json * 1e3:>9.1f}")
 
 
 def main():
     print(f"{'family':12} {'n':>3} {'steps':>7} {'branches':>8} {'vars':>5} "
-          f"{'best ms':>9} {'us/step':>8} {'peak MB':>8}")
+          f"{'best ms':>9} {'us/step':>8} {'peak MB':>8} {'retained MB':>11} "
+          f"{'json ms':>9}")
     for name, sizes in SIZES:
         for n in sizes:
             report(name, n, *measure(name, n))
