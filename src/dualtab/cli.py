@@ -122,25 +122,28 @@ def _build_parser():
 
 def _trace_printer(event):
     var = f" with {event['variable']}" if event["variable"] else ""
-    print(f"[trace] {event['rule']}: {event['premise']}{var}", file=sys.stderr)
+    _write(sys.stderr, [f"[trace] {event['rule']}: {event['premise']}{var}"])
 
 
 def _emit(payload, as_json, text_lines):
     """Print ``payload`` as JSON, or else the lines ``text_lines(payload)``
-    makes of it; only the form printed is built.  A reader that closes
-    stdout early, as ``| head`` does, ends the output but not the command,
-    which still exits with its verdict's code."""
+    makes of it; only the form printed is built."""
+    _write(sys.stdout, [json.dumps(payload, indent=2, sort_keys=True)] if as_json
+           else text_lines(payload))
+
+
+def _write(stream, lines):
+    """Print ``lines`` to ``stream``.  A reader that closes the stream
+    early, as ``| head`` does, ends the output but not the command, which
+    still exits with its verdict's code."""
     try:
-        if as_json:
-            print(json.dumps(payload, indent=2, sort_keys=True))
-        else:
-            for line in text_lines(payload):
-                print(line)
-        sys.stdout.flush()
+        for line in lines:
+            print(line, file=stream)
+        stream.flush()
     except BrokenPipeError:
         # the recipe of the ``signal`` module's documentation: what is left
         # goes to devnull, so that the flush at exit cannot fail again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
 
 
 def _verdict_lines(payload, label=None):
@@ -260,17 +263,17 @@ def cmd_check_model(args):
             data = json.load(fh)
         model, valuation = model_from_json(data)
     except (OSError, ValueError, KeyError, TypeError) as exc:
-        print(f"error: malformed model file: {exc}", file=sys.stderr)
+        _write(sys.stderr, [f"error: malformed model file: {exc}"])
         return EXIT_PARSE
     try:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("default", UnknownVariableWarning)
             holds = satisfies(model, valuation, formula)
     except DualTabError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, [f"error: {exc}"])
         return EXIT_PARSE
     for warning in caught:
-        print(f"warning: {warning.message}", file=sys.stderr)
+        _write(sys.stderr, [f"warning: {warning.message}"])
     _emit(holds, False, lambda h: ["satisfied" if h else "falsified"])
     return EXIT_INVALID if holds else EXIT_VALID
 
@@ -311,16 +314,16 @@ def main(argv=None):
     try:
         return _COMMANDS[args.command](args)
     except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, [f"error: {exc}"])
         return EXIT_PARSE
     except (FragmentViolation, EmptyPremises) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, [f"error: {exc}"])
         return EXIT_FRAGMENT
     except ResourceExhausted as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _write(sys.stderr, [f"error: {exc}"])
         return EXIT_RESOURCES
     except Exception as exc:  # EngineInvariantError, or any other bug
-        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        _write(sys.stderr, [f"internal error: {type(exc).__name__}: {exc}"])
         return EXIT_INTERNAL
 
 

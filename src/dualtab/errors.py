@@ -8,12 +8,14 @@ class DualTabError(Exception):
 class ParseError(DualTabError):
     """Malformed input text.
 
-    Carries the byte offset of the failure (None for input given as terms)
-    and the set of token kinds that would have been accepted there.
+    Carries the message without its position, the byte offset of the
+    failure (None for input given as terms) and the set of token kinds that
+    would have been accepted there.
     """
 
     def __init__(self, message, offset=None, expected=()):
         super().__init__(message if offset is None else f"{message} at offset {offset}")
+        self.message = message
         self.offset = offset
         self.expected = frozenset(expected)
 

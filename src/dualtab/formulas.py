@@ -199,10 +199,10 @@ def parse_formula(text):
     except ParseError as bare_error:
         try:
             tz = _Tokenizer(text)
-            left = tz.expect("ident", expected=("ident",))[1]
-            term = _Parser(tz).disj()
-            right = tz.expect("ident", expected=("ident",))[1]
-            tz.expect("eof", expected=("eof",))
+            left = tz.expect("ident")[1]
+            term = _Parser(tz).top()
+            right = tz.expect("ident")[1]
+            tz.expect("eof")
             return RelFormula(left, term, right)
         except ParseError as triple_error:
             raise (triple_error if triple_error.offset > bare_error.offset

@@ -33,7 +33,7 @@ import weakref
 from ..errors import ParseError
 from ..terms import (_IDENT_RE, Cmpl, Comp, ONE, NestingParser,
                      TokenStream, Union as TUnion, Inter as TInter, Var,
-                     _bound_depth, _byte_offset, parse_term, render_term,
+                     _bound_depth, parse_term, render_term,
                      require_fragment, simplify_ones, term_variables)
 
 
@@ -150,72 +150,43 @@ def accessibility_of(subs):
 
 
 class _ModalTokenizer(TokenStream):
-    def __init__(self, text):
-        super().__init__()
-        i, n = 0, len(text)
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            off = _byte_offset(text, i)
-            if text.startswith("<->", i):
-                self.tokens.append(("<->", "<->", off))
-                i += 3
-            elif text.startswith("->", i):
-                self.tokens.append(("->", "->", off))
-                i += 2
-            elif c in "~&|()":
-                self.tokens.append((c, c, off))
-                i += 1
-            elif c == "[":
-                i = self._program(text, i, "]", "box", off)
-            elif c == "<":
-                i = self._program(text, i, ">", "dia", off)
-            else:
-                m = _IDENT_RE.match(text, i)
-                if not m:
-                    raise ParseError(
-                        f"unexpected character {text[i]!r}", off,
-                        expected=("ident", "~", "(", "[", "<"),
-                    )
-                self.tokens.append(("ident", m.group(), off))
-                i = m.end()
-        self.tokens.append(("eof", "", _byte_offset(text, n)))
+    def token(self, text, i):
+        c = text[i]
+        if c in "~&|()":
+            return c, c, i + 1
+        for op in ("<->", "->"):
+            if text.startswith(op, i):
+                return op, op, i + len(op)
+        if c in "[<":
+            return self._program(text, i)
+        m = _IDENT_RE.match(text, i)
+        if not m:
+            raise self.error(f"unexpected character {c!r}", i, _ModalParser.STARTS)
+        return "ident", m.group(), m.end()
 
-    def _program(self, text, i, closer, kind, off):
+    def _program(self, text, i):
+        """The box or diamond token whose program starts at ``i``."""
+        closer, kind = ("]", "box") if text[i] == "[" else (">", "dia")
         end = text.find(closer, i + 1)
         if end < 0:
-            raise ParseError(f"missing {closer!r} for modality", off, expected=(closer,))
+            raise self.error(f"missing {closer!r} for modality", i, (closer,))
         body = text[i + 1:end]
         try:
             program = parse_term(body)
         except ParseError as exc:
-            raise ParseError(
-                f"bad program term: {exc.args[0]}",
-                _byte_offset(text, i + 1) + exc.offset,
-                expected=exc.expected,
-            ) from None
+            at = i + 1 + len(body.encode("utf-8")[:exc.offset].decode("utf-8"))
+            raise self.error(f"bad program term: {exc.message}", at, exc.expected) from None
         if not program.plain:
-            raise ParseError(
-                "modality programs must be complement- and 1-free Boolean terms",
-                off,
-                expected=("plain Boolean program",),
-            )
-        self.tokens.append((kind, program, off))
-        return end + 1
+            raise self.error("modality programs must be complement- and 1-free Boolean terms",
+                             i, ("plain Boolean program",))
+        return kind, program, end + 1
 
 
 class _ModalParser(NestingParser):
-    def parse(self):
-        f = self.iff()
-        tok = self.tz.peek()
-        if tok[0] != "eof":
-            raise ParseError(f"trailing input {tok[1]!r}", tok[2],
-                             expected=("&", "|", "->", "<->", "eof"))
-        return f
+    FOLLOW = ("&", "|", "->", "<->", "eof")
+    STARTS = ("ident", "~", "(", "[", "<")
 
-    def iff(self):
+    def top(self):
         f = self.imp()
         while (tok := self.tz.peek())[0] == "<->":
             self.tz.next()
@@ -233,44 +204,24 @@ class _ModalParser(NestingParser):
         return f
 
     def disj(self):
-        f = self.conj()
-        while self.tz.peek()[0] == "|":
-            f = self.node(Or, self.tz.next(), f, self.conj())
-        return f
+        return self.chain("|", Or, self.conj)
 
     def conj(self):
-        f = self.unary()
-        while self.tz.peek()[0] == "&":
-            f = self.node(And, self.tz.next(), f, self.unary())
-        return f
+        return self.chain("&", And, self.unary)
 
     def unary(self):
         tok = self.tz.peek()
+        if tok[0] == "ident":
+            self.tz.next()
+            return Prop(tok[1])
         if tok[0] not in ("~", "box", "dia"):
-            return self.atom()
+            return self.group("formula")
         self.nest(self.tz.next())
         f = self.unary()
         self.depth -= 1
         if tok[0] == "~":
             return self.node(Not, tok, f)
         return self.node(Box if tok[0] == "box" else Dia, tok, tok[1], f)
-
-    def atom(self):
-        tok = self.tz.peek()
-        if tok[0] == "ident":
-            self.tz.next()
-            return Prop(tok[1])
-        if tok[0] == "(":
-            self.nest(self.tz.next())
-            f = self.iff()
-            self.tz.expect(")", expected=(")",))
-            self.depth -= 1
-            return f
-        raise ParseError(
-            f"expected a formula, found {tok[1]!r}" if tok[0] != "eof"
-            else "expected a formula, found end of input",
-            tok[2], expected=("ident", "~", "(", "[", "<"),
-        )
 
 
 def parse_modal(text):

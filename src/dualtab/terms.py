@@ -26,6 +26,11 @@ deep, flat chains included; the parser raises :class:`ParseError` before
 it builds a deeper node.  Every recursive walker over terms takes one
 interpreter frame per level, so no walker can exhaust the stack.
 
+:class:`TokenStream` and :class:`NestingParser` are the tokenizer and
+parser core of this grammar and of the modal one.  Tokens hold character
+indices into the text; a :class:`ParseError` reports a byte offset into
+its UTF-8 encoding, computed from the index only when the error is made.
+
 Each term carries attributes set once at interning from its children's:
 
 - ``depth`` and ``size``;
@@ -203,20 +208,32 @@ _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
 _ALIASES = {"∪": "|", "∩": "&", "−": "-", "⌣": "^"}
 
 
-def _byte_offset(text, pos):
-    return len(text[:pos].encode("utf-8"))
-
-
 class TokenStream:
-    """A token list read front to back by a recursive-descent parser.
-
-    Tokens are ``(kind, value, byte_offset)`` triples and the last one is
-    ``("eof", "", offset)``; subclasses fill ``tokens`` from the text.
+    """The tokens of ``text``, read front to back by a recursive-descent
+    parser.  A subclass reads one with ``token(text, i)``, the ``(kind,
+    value, end)`` of the token at character ``i``; whitespace is skipped
+    here.  Tokens are ``(kind, value, index)`` triples holding character
+    indices, the last ``("eof", "", len(text))``.  Offsets are bytes:
+    :meth:`error` computes one from an index only when a parse fails.
     """
 
-    def __init__(self):
+    def __init__(self, text):
+        self.text = text
         self.tokens = []
         self.pos = 0
+        i, n = 0, len(text)
+        while i < n:
+            if text[i].isspace():
+                i += 1
+                continue
+            kind, value, end = self.token(text, i)
+            self.tokens.append((kind, value, i))
+            i = end
+        self.tokens.append(("eof", "", n))
+
+    def error(self, message, index, expected=()):
+        """The :class:`ParseError` at character ``index`` of the text."""
+        return ParseError(message, len(self.text[:index].encode("utf-8")), expected)
 
     def peek(self):
         return self.tokens[self.pos]
@@ -226,105 +243,103 @@ class TokenStream:
         self.pos += 1
         return tok
 
-    def expect(self, kind, expected):
+    def expect(self, kind):
         tok = self.peek()
         if tok[0] != kind:
-            raise ParseError(
-                f"expected {kind!r}, found {tok[1]!r}" if tok[0] != "eof" else f"expected {kind!r}, found end of input",
-                tok[2],
-                expected=expected,
-            )
+            raise self.error(f"expected {kind!r}, found {_found(tok)}", tok[2], (kind,))
         return self.next()
 
 
-class _Tokenizer(TokenStream):
-    """Tokens of a relational term; positions reported as byte offsets."""
+def _found(tok):
+    return "end of input" if tok[0] == "eof" else repr(tok[1])
 
-    def __init__(self, text):
-        super().__init__()
-        self.text = text
-        i, n = 0, len(text)
-        while i < n:
-            c = text[i]
-            if c.isspace():
-                i += 1
-                continue
-            c = _ALIASES.get(c, c)
-            if c in "|&;-^()":
-                self.tokens.append((c, c, _byte_offset(text, i)))
-                i += 1
-            elif c == "1":
-                self.tokens.append(("one", "1", _byte_offset(text, i)))
-                i += 1
-            else:
-                m = _IDENT_RE.match(text, i)
-                if not m:
-                    raise ParseError(
-                        f"unexpected character {text[i]!r}",
-                        _byte_offset(text, i),
-                        expected=("ident", "1", "(", "-"),
-                    )
-                self.tokens.append(("ident", m.group(), _byte_offset(text, i)))
-                i = m.end()
-        self.tokens.append(("eof", "", _byte_offset(text, n)))
+
+class _Tokenizer(TokenStream):
+    """Tokens of a relational term."""
+
+    def token(self, text, i):
+        c = _ALIASES.get(text[i], text[i])
+        if c in "|&;-^()":
+            return c, c, i + 1
+        if c == "1":
+            return "one", "1", i + 1
+        m = _IDENT_RE.match(text, i)
+        if not m:
+            raise self.error(f"unexpected character {text[i]!r}", i, _Parser.STARTS)
+        return "ident", m.group(), m.end()
 
 
 class NestingParser:
     """A recursive-descent parser over a token stream ``tz`` that refuses
     nesting deeper than :data:`MAX_NESTING` and syntax trees deeper than
-    :data:`MAX_DEPTH`."""
+    :data:`MAX_DEPTH`.  A subclass names its top rule ``top``, the token
+    kinds that may follow a complete input in ``FOLLOW`` and those that
+    may start an operand in ``STARTS``."""
 
     def __init__(self, tz):
         self.tz = tz
         self.depth = 0
+
+    def parse(self):
+        """The whole input, which must end after the top rule."""
+        t = self.top()
+        tok = self.tz.peek()
+        if tok[0] != "eof":
+            raise self.tz.error(f"trailing input {tok[1]!r}", tok[2], self.FOLLOW)
+        return t
+
+    def chain(self, kind, cls, operand):
+        """``operand (kind operand)*``, associated to the left by ``cls``."""
+        t = operand()
+        while self.tz.peek()[0] == kind:
+            t = self.node(cls, self.tz.next(), t, operand())
+        return t
+
+    def group(self, what):
+        """The parenthesised input at the next token; at any other token,
+        a ``what`` was expected."""
+        tok = self.tz.peek()
+        if tok[0] != "(":
+            raise self.tz.error(f"expected a {what}, found {_found(tok)}", tok[2], self.STARTS)
+        self.nest(self.tz.next())
+        t = self.top()
+        self.tz.expect(")")
+        self.depth -= 1
+        return t
 
     def nest(self, tok):
         """Enter one more level of nesting at ``tok``; the caller lowers
         ``depth`` again on leaving it."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ParseError(f"nesting deeper than {MAX_NESTING} levels", tok[2])
+            raise self.tz.error(f"nesting deeper than {MAX_NESTING} levels", tok[2])
 
     def node(self, cls, tok, *parts):
         """``cls(*parts)`` for the operator at ``tok``, unless deeper than
         :data:`MAX_DEPTH`."""
-        _bound_depth(1 + max(p.depth for p in parts), "syntax tree", tok[2])
+        if 1 + max(p.depth for p in parts) > MAX_DEPTH:
+            raise self.tz.error(f"syntax tree deeper than {MAX_DEPTH} levels", tok[2])
         return cls(*parts)
 
 
-def _bound_depth(depth, what, offset=None):
+def _bound_depth(depth, what):
     """Raise :class:`ParseError` when ``depth`` exceeds :data:`MAX_DEPTH`."""
     if depth > MAX_DEPTH:
-        raise ParseError(f"{what} deeper than {MAX_DEPTH} levels", offset)
+        raise ParseError(f"{what} deeper than {MAX_DEPTH} levels")
 
 
 class _Parser(NestingParser):
-    def parse(self):
-        t = self.disj()
-        tok = self.tz.peek()
-        if tok[0] != "eof":
-            raise ParseError(
-                f"trailing input {tok[1]!r}", tok[2], expected=("|", "&", ";", "^", "eof")
-            )
-        return t
+    FOLLOW = ("|", "&", ";", "^", "eof")
+    STARTS = ("ident", "1", "(", "-")
 
-    def disj(self):
-        t = self.conj()
-        while self.tz.peek()[0] == "|":
-            t = self.node(Union, self.tz.next(), t, self.conj())
-        return t
+    def top(self):
+        return self.chain("|", Union, self.conj)
 
     def conj(self):
-        t = self.comp()
-        while self.tz.peek()[0] == "&":
-            t = self.node(Inter, self.tz.next(), t, self.comp())
-        return t
+        return self.chain("&", Inter, self.comp)
 
     def comp(self):
-        t = self.unary()
-        while self.tz.peek()[0] == ";":
-            t = self.node(Comp, self.tz.next(), t, self.unary())
-        return t
+        return self.chain(";", Comp, self.unary)
 
     def unary(self):
         tok = self.tz.peek()
@@ -333,7 +348,11 @@ class _Parser(NestingParser):
             t = self.node(Cmpl, tok, self.unary())
             self.depth -= 1
             return t
-        t = self.atom()
+        if tok[0] in ("one", "ident"):
+            self.tz.next()
+            t = ONE if tok[0] == "one" else Var(tok[1])
+        else:
+            t = self.group("term")
         levels = 0
         while (tok := self.tz.peek())[0] == "^":
             levels += 1
@@ -341,26 +360,6 @@ class _Parser(NestingParser):
             t = self.node(Conv, tok, t)
         self.depth -= levels
         return t
-
-    def atom(self):
-        tok = self.tz.peek()
-        if tok[0] == "one":
-            self.tz.next()
-            return ONE
-        if tok[0] == "ident":
-            self.tz.next()
-            return Var(tok[1])
-        if tok[0] == "(":
-            self.nest(self.tz.next())
-            t = self.disj()
-            self.tz.expect(")", expected=(")",))
-            self.depth -= 1
-            return t
-        raise ParseError(
-            f"expected a term, found {tok[1]!r}" if tok[0] != "eof" else "expected a term, found end of input",
-            tok[2],
-            expected=("ident", "1", "(", "-"),
-        )
 
 
 def parse_term(text):

@@ -171,6 +171,13 @@ class TestModal:
         code, _, err = run(capsys, "modal", "[r](p &")
         assert code == 2
 
+    def test_bad_program_reports_one_offset(self, capsys):
+        # the program's own offset is not left inside the message
+        code, _, err = run(capsys, "modal", "--", "[r | ?]p")
+        assert code == 2
+        assert err.splitlines() == [
+            "error: bad program term: unexpected character '?' at offset 5"]
+
 
 class TestCheckModel:
     @pytest.fixture
@@ -372,6 +379,24 @@ class TestRobustness:
         finally:
             os.close(write)
         assert (proc.returncode, proc.stderr) == (code, b"")
+
+    @pytest.mark.parametrize("argv, code, first_line", [
+        (["prove", "--trace", "--", "r | -r"], 0, b"valid"),
+        (["prove", "--", "r &"], 2, b""),
+    ], ids=["trace", "error"])
+    def test_stderr_closed_before_any_output(self, argv, code, first_line):
+        # the trace or the error line is the first write to stderr, and it
+        # fails; the command still exits with its own code
+        env = dict(os.environ, PYTHONPATH=SRC)
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "dualtab", *argv],
+                                  stdout=subprocess.PIPE, stderr=write, env=env,
+                                  timeout=60)
+        finally:
+            os.close(write)
+        assert (proc.returncode, proc.stdout.split(b"\n")[0]) == (code, first_line)
 
     @pytest.mark.parametrize("term", ["(" * 300 + "r" + ")" * 300,
                                       "-" * 3000 + "r"])

@@ -27,6 +27,35 @@ def subterms(u):
             yield from subterms(r)
 
 
+TERM_STARTS = ("ident", "1", "(", "-")
+MODAL_STARTS = ("ident", "~", "(", "[", "<")
+
+# (parser, text, message, byte offset, expected set) of a parse error; the
+# unicode aliases take three bytes each, so an offset after one is no index
+ERROR_POSITIONS = [
+    (parse_term, "r ∪ ?", "unexpected character '?'", 6, TERM_STARTS),
+    (parse_term, "−−r ∩", "expected a term, found end of input", 11, TERM_STARTS),
+    (parse_term, "(r", "expected ')', found end of input", 2, (")",)),
+    (parse_term, "r r", "trailing input 'r'", 2, ("|", "&", ";", "^", "eof")),
+    (parse_term, "-" * 101 + "r", "nesting deeper than 100 levels", 100, ()),
+    (parse_term, "r" + " | r" * 600, "syntax tree deeper than 500 levels", 1998, ()),
+    (parse_modal, "[r ∪ s]p ∧ q", "unexpected character '∧'", 11, MODAL_STARTS),
+    (parse_modal, "[r ∪ ?]p", "bad program term: unexpected character '?'", 7, TERM_STARTS),
+    (parse_modal, "[r ∪ s p", "missing ']' for modality", 0, ("]",)),
+    (parse_modal, "<−r>p", "modality programs must be complement- and 1-free Boolean terms",
+     0, ("plain Boolean program",)),
+    (parse_modal, "(p", "expected ')', found end of input", 2, (")",)),
+    (parse_modal, "p q", "trailing input 'q'", 2, ("&", "|", "->", "<->", "eof")),
+    (parse_modal, "p -> ", "expected a formula, found end of input", 5, MODAL_STARTS),
+    (parse_modal, "~" * 101 + "p", "nesting deeper than 100 levels", 100, ()),
+    (parse_formula, "x r ∪ s y z", "expected 'eof', found 'z'", 12, ("eof",)),
+    (parse_formula, "x r ∪ ? y", "unexpected character '?'", 8, TERM_STARTS),
+    (parse_formula, "x ⌣r y", "trailing input 'r'", 5, ("|", "&", ";", "^", "eof")),
+    (parse_formula, "x r", "expected 'ident', found end of input", 3, ("ident",)),
+    (parse_formula, "x −r ; (s y", "expected ')', found 'y'", 12, (")",)),
+]
+
+
 class TestParse:
     def test_complement_of_composition(self):
         assert parse_term("-(r ; 1)") == Cmpl(Comp(Var("r"), ONE))
@@ -40,6 +69,16 @@ class TestParse:
             parse_term("r &")
         assert exc.value.offset == 3
         assert exc.value.expected
+
+    @pytest.mark.parametrize("parse, text, message, offset, expected", ERROR_POSITIONS,
+                             ids=[f"{parse.__name__}-{i}"
+                                  for i, (parse, *_) in enumerate(ERROR_POSITIONS)])
+    def test_error_position(self, parse, text, message, offset, expected):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert str(exc.value) == f"{message} at offset {offset}"
+        assert exc.value.offset == offset
+        assert exc.value.expected == frozenset(expected)
 
     def test_trailing_input(self):
         with pytest.raises(ParseError):

@@ -15,8 +15,11 @@ not measured there.  It then prints the same columns for the
 biconditional chains ``p0 <-> ... <-> pk``, k = 8, 12 and 16, timing
 ``translate_modal`` and ``run_procedure`` together: a chain's term shares
 every operand of each ``<->``, so a walker that visits shared subterms
-once per occurrence shows here.  The numbers depend on the machine, so
-nothing is checked: the script exits 0 whatever it measures.
+once per occurrence shows here.  Last it prints the best of five wall
+times of ``parse_term`` on balanced unions of 2^13 and 2^15 variables,
+about 64 KB and 256 KB of text: a tokenizer or parser whose cost per
+token grows with the input shows here.  The numbers depend on the
+machine, so nothing is checked: the script exits 0 whatever it measures.
 
 Run it from the root of a source checkout; it runs no oracle, so it
 needs neither numpy nor pytest nor hypothesis::
@@ -37,10 +40,12 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 from corpus import family_text  # noqa: E402
 from dualtab.engine import run_procedure, verdict_to_json  # noqa: E402
 from dualtab.frontends import parse_modal, translate_modal  # noqa: E402
+from dualtab.terms import parse_term  # noqa: E402
 
 SIZES = (("modal_dist", (4, 20)), ("cycle", (4, 14)), ("branching", (4, 8)),
          ("kdist", (4, 32)))
 CHAINS = (8, 12, 16)
+PARSE_LEAVES = (2 ** 13, 2 ** 15)
 REPEATS = 5
 
 
@@ -86,6 +91,25 @@ def measure_chain(k):
     return best_of(lambda: run_procedure(translate_modal(formula)))
 
 
+def balanced_union(leaves):
+    """``(r0 | r1) | (r2 | r3) ...`` over ``leaves`` variables, a power of
+    two, named r0 to r99 in turn, as text."""
+    parts = [f"r{i % 100}" for i in range(leaves)]
+    while len(parts) > 1:
+        parts = [f"({a} | {b})" for a, b in zip(parts[::2], parts[1::2])]
+    return parts[0]
+
+
+def best_parse(text):
+    """The best wall time in seconds of :data:`REPEATS` ``parse_term(text)``."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        parse_term(text)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
 def report(name, n, steps, branches, variables, best, peak, retained, to_json):
     print(f"{name:12} {n:>3} {steps:>7} {branches:>8} {variables:>5} "
           f"{best * 1e3:>9.1f} {best * 1e6 / steps:>8.0f} {peak / 2 ** 20:>8.2f} "
@@ -101,6 +125,11 @@ def main():
             report(name, n, *measure(name, n))
     for k in CHAINS:
         report("iff_chain", k, *measure_chain(k))
+    print(f"\n{'parse_term':12} {'leaves':>6} {'KB':>6} {'best ms':>9}")
+    for leaves in PARSE_LEAVES:
+        text = balanced_union(leaves)
+        print(f"{'balanced':12} {leaves:>6} {len(text.encode()) / 1024:>6.0f} "
+              f"{best_parse(text) * 1e3:>9.1f}")
     return 0
 
 
