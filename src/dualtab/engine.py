@@ -15,10 +15,13 @@ that variable.
 
 A step has a pure part and one write.  :func:`applications` alone decides
 what applies at a variable, reading only the branch's agenda: the node's
-formulas with work, grouped by left variable and phase.
-:func:`conclusions` is a function of the rule, its premise and its
-variable, and returns one group of formulas per successor; the search
-names each fresh witness from one counter.  The search takes from a
+formulas with work, grouped by left variable and phase.  What a rule
+concludes is a function of its premise's term alone, the term's *plan*
+(:func:`plan_of`): one group per successor of ``(left, term, right)``,
+each endpoint the premise's ``x`` or ``y`` or the instance.  It is
+memoised on the interned term next to the term's ``rule``, so a step
+only fills in the endpoints; the search names each fresh witness from
+one counter.  The search takes from a
 group the formulas that are not on the node yet, checks them, and hands
 the step and what enters and leaves the node to :meth:`Branch.enter`,
 the only method that writes a branch's node, history, agenda, composition
@@ -45,7 +48,7 @@ from .errors import BranchNotSaturated, EngineInvariantError, ResourceExhausted
 from .formulas import (FormulaSet, History, RelFormula, assign, gate_forced,
                        gate_index, is_literal)
 from .semantics import Model, Record, model_to_json
-from .terms import (Cmpl, Comp, Inter, One, Union, Var, components, interned,
+from .terms import (_REFS, Cmpl, Comp, Inter, One, Union, Var, components,
                     render_term, require_fragment, simplify_ones, term_variables)
 
 RULE_UNION = "union"
@@ -65,6 +68,9 @@ _NEGCOMP_RULES = (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE, RULE_CMPL_COMP_UNIV)
 _COMP_RULES = (RULE_COMP_BOOL, RULE_COMP_UNIV)
 _PHASE = {**dict.fromkeys(_BOOLEAN_RULES, 0), **dict.fromkeys(_NEGCOMP_RULES, 1),
           RULE_COMP_BOOL: 2, RULE_COMP_UNIV: 3}  # the order of applications()
+
+_new = tuple.__new__  # _new(RelFormula, (x, t, y)) builds a formula in C
+X, Y, Z = 0, 1, 2  # a plan's endpoints: the premise's left and right, the instance
 
 VAR_BOUND_FACTOR = 8  # generated variables per branch <= 8 * |components|**2
 MAX_VARS = 10_000  # variables per branch before the search gives up
@@ -107,10 +113,54 @@ def _rule(t):
     return None
 
 
-def agenda_key(f):
-    """The group of ``f`` in a branch's agenda, None if ``f`` has no work."""
-    phase = _PHASE.get(rule_of(f.term))
-    return None if phase is None else (None if phase == 3 else f.left, phase)
+def plan_of(t):
+    """What the rule that decomposes ``t`` concludes, memoised on the term:
+    one group per successor, each a tuple of ``(left, term, right)``
+    whose endpoints are :data:`X`, :data:`Y` or :data:`Z`, the premise's
+    left and right endpoint and the rule's instance or fresh witness."""
+    try:
+        return t.plan
+    except AttributeError:
+        t.plan = _plan(t)
+        return t.plan
+
+
+def _plan(t):
+    """The plan of ``t``, the one definition of what each rule concludes.
+
+    A composition concludes ``z S y`` and keeps its premise; any other
+    rule's premise leaves the node.  A formula that occurs twice in a
+    group, as in ``r | r``, is kept once.  The rule of every conclusion's
+    term is memoised here, so that :meth:`Branch.enter` reads it off the
+    term.
+    """
+    rule = rule_of(t)
+    match t:
+        case Comp(_, s):
+            groups = [[(Z, s, Y)]]
+        case Union(l, r):
+            groups = [[(X, l, Y), (X, r, Y)]]
+        case Inter(l, r):
+            groups = [[(X, l, Y)], [(X, r, Y)]]
+        case Cmpl(Cmpl(a)):
+            groups = [[(X, a, Y)]]
+        case Cmpl(Union(l, r)):
+            groups = [[(X, Cmpl(l), Y)], [(X, Cmpl(r), Y)]]
+        case Cmpl(Inter(l, r)):
+            groups = [[(X, Cmpl(l), Y), (X, Cmpl(r), Y)]]
+        case Cmpl(Comp(b, s)) if rule != "inert":
+            groups = [[]]
+            if rule != RULE_CMPL_COMP_UNIV:
+                groups[0].append((X, Cmpl(b), Z))
+            if rule != RULE_CMPL_COMP_ONE:
+                groups[0].append((Z, Cmpl(s), Y))
+        case _:
+            groups = []  # a literal or -(1;1): no rule decomposes it
+    plan = tuple(tuple(dict.fromkeys(group)) for group in groups)
+    for group in plan:
+        for _, c, _ in group:
+            rule_of(c)
+    return plan
 
 
 def is_axiomatic(formulas, added=None):
@@ -120,14 +170,14 @@ def is_axiomatic(formulas, added=None):
     so only pairs that involve one of them are looked for.  A complement
     that is not a live term is in no formula, so none is built to look.
     """
-    for f in formulas if added is None else added:
-        t = f.term
+    for x, t, y in formulas if added is None else added:
         if isinstance(t, One):
             return True
-        if isinstance(t, Cmpl) and RelFormula(f.left, t.arg, f.right) in formulas:
+        if isinstance(t, Cmpl) and _new(RelFormula, (x, t.arg, y)) in formulas:
             return True
-        c = interned(Cmpl, t)
-        if c is not None and RelFormula(f.left, c, f.right) in formulas:
+        ref = _REFS.get((Cmpl, t))  # terms.interned(Cmpl, t), inlined
+        c = None if ref is None else ref()
+        if c is not None and _new(RelFormula, (x, c, y)) in formulas:
             return True
     return False
 
@@ -154,11 +204,16 @@ class Branch:
 
     :meth:`enter` alone writes this state forward and logs the inverse
     of each write on ``trail``; :meth:`undo` only runs them back, last
-    first.  Scans and model extraction only read it.
+    first.  Scans and model extraction only read it.  The inverses that
+    never change, ``applied.popitem``, ``decomposed.popitem``,
+    ``vars.pop`` and the history's ``_retract``, are bound once, in the
+    ``pop_applied``, ``pop_decomposed``, ``pop_var`` and ``retract``
+    slots; each is bound to a container, not to the branch.
     """
 
     __slots__ = ("node", "history", "vars", "order", "right", "applied",
-                 "decomposed", "instances", "agenda", "trail")
+                 "decomposed", "instances", "agenda", "trail", "pop_applied",
+                 "pop_decomposed", "pop_var", "retract")
 
     def __init__(self, formula, gates):
         """The branch of the root node ``{formula}``; ``gates`` is the
@@ -167,6 +222,9 @@ class Branch:
         self.node, self.history, self.trail = set(), History(gates), []
         self.vars, self.order, self.right = [x, y], [x, y], {y}
         self.applied, self.decomposed, self.instances, self.agenda = {}, {}, {}, {}
+        self.pop_applied, self.pop_decomposed = self.applied.popitem, self.decomposed.popitem
+        self.pop_var, self.retract = self.vars.pop, self.history._retract
+        rule_of(formula.term)
         self.enter([formula], (), None)
 
     def mark(self):
@@ -176,14 +234,18 @@ class Branch:
     def undo(self, mark):
         """Put the branch back as it was at ``mark``."""
         trail = self.trail
-        while len(trail) > mark:
-            trail.pop()()
+        undone = trail[mark:]
+        del trail[mark:]
+        for inverse in reversed(undone):
+            inverse()
 
     def enter(self, added, removed, step):
         """Make the next leaf: take the formulas ``removed`` off the node
         and put ``added``, which are not on it, in; ``step`` is the
         ``(rule, premise, variable)`` of the rule application, None for
-        the root.  Returns whether the new leaf is axiomatic.
+        the root.  Returns whether the new leaf is axiomatic.  The terms
+        of ``added`` have their rules memoised, as the root's and every
+        conclusion's of a :func:`plan_of` have.
 
         The branch order puts the left root first, then the generated
         variables that do not descend from the right root, then the right
@@ -198,15 +260,15 @@ class Branch:
             rule, f, z = step
             if rule in _COMP_RULES:
                 self.applied[f, z] = None
-                trail.append(self.applied.popitem)
+                trail.append(self.pop_applied)
                 if rule == RULE_COMP_BOOL:
                     assign(trail, self.instances, f, self.instances.get(f, 0) + 1)
             else:
                 decomposed[f] = z
-                trail.append(decomposed.popitem)
+                trail.append(self.pop_decomposed)
                 if z is not None:
                     self.vars.append(z)
-                    trail.append(self.vars.pop)
+                    trail.append(self.pop_var)
                     at = len(self.order)
                     if f.left in self.right and rule != RULE_CMPL_COMP_UNIV:
                         self.right.add(z)
@@ -215,21 +277,28 @@ class Branch:
                         at -= len(self.right)
                     self.order.insert(at, z)
                     trail.append(partial(self.order.pop, at))
-        for f in removed:  # a premise, so on the agenda
+        for f in removed:  # a Boolean or complemented-composition premise
             node.remove(f)
             trail.append(partial(node.add, f))
-            group = agenda[agenda_key(f)]
+            group = agenda[f.left, _PHASE[f.term.rule]]
             at = group.index(f)
             del group[at]
             trail.append(partial(group.insert, at, f))
+        if added:
+            node.update(added)
+            trail.append(partial(node.difference_update, added))
+        history, retract = self.history, self.retract
         for f in added:
-            node.add(f)
-            trail.append(partial(node.remove, f))
-            self.history.add(f, trail)
-            key = agenda_key(f)
-            if key is not None and not (key[1] < 2 and f in decomposed):
-                agenda.setdefault(key, []).append(f)  # a group stays, maybe empty
-                trail.append(agenda[key].pop)
+            history.add(f, trail, retract)
+            # the agenda key: (left, phase), or (None, 3) for a (1;S)
+            phase = _PHASE.get(f.term.rule)
+            if phase is not None and not (phase < 2 and f in decomposed):
+                key = (None if phase == 3 else f.left, phase)
+                group = agenda.get(key)
+                if group is None:
+                    group = agenda[key] = []  # a group stays, maybe empty
+                group.append(f)
+                trail.append(group.pop)
         return is_axiomatic(node, added)
 
 
@@ -290,7 +359,7 @@ def applications(branch, z):
     ``z``.  A complemented composition that a twin blocks comes in its
     place as ``("blocked", f, blocker)``, which is not an application.
     The formulas are read off the branch's agenda, not the node, and
-    their rules off their terms, where :func:`agenda_key` memoised them.
+    their rules off their terms, where :func:`rule_of` memoised them.
     """
     applied, history, agenda = branch.applied, branch.history, branch.agenda
     for f in agenda.get((z, 0), ()):
@@ -312,41 +381,21 @@ def applications(branch, z):
                 yield RULE_COMP_BOOL, f, w
     # an applied instance ``(f, z)`` put ``z S y`` into the history
     for f in agenda.get((None, 3), ()):
-        if RelFormula(z, f.term.right, f.right) not in history:
+        if _new(RelFormula, (z, f.term.right, f.right)) not in history:
             yield RULE_COMP_UNIV, f, z
 
 
-def conclusions(rule, f, z):
-    """The conclusions of one application that :func:`applications`
-    yielded, one group of formulas per successor (two for the branching
-    rules).  ``z`` is the instance of a composition, the fresh witness of
-    a complemented composition, None otherwise.
-
-    A composition concludes ``z S y`` and keeps its premise; any other
-    premise leaves the node and stays in the branch history.  Nothing is
-    checked here: the scan has already decided that the rule applies.
+def conclusions(f, z):
+    """The conclusions of the premise ``f`` of an application that
+    :func:`applications` yielded, one list of formulas per successor (two
+    for the branching rules), read off the term's :func:`plan_of`.  ``z``
+    is the instance of a composition, the fresh witness of a complemented
+    composition, None otherwise.  Nothing is checked here: the scan has
+    already decided that the rule applies.
     """
-    x, y = f.left, f.right
-    match f.term:
-        case Comp(_, s):
-            return [[RelFormula(z, s, y)]]
-        case Union(l, r):
-            return [[RelFormula(x, l, y), RelFormula(x, r, y)]]
-        case Inter(l, r):
-            return [[RelFormula(x, l, y)], [RelFormula(x, r, y)]]
-        case Cmpl(Cmpl(a)):
-            return [[RelFormula(x, a, y)]]
-        case Cmpl(Union(l, r)):
-            return [[RelFormula(x, Cmpl(l), y)], [RelFormula(x, Cmpl(r), y)]]
-        case Cmpl(Inter(l, r)):
-            return [[RelFormula(x, Cmpl(l), y), RelFormula(x, Cmpl(r), y)]]
-        case Cmpl(Comp(b, s)):
-            group = []
-            if rule != RULE_CMPL_COMP_UNIV:
-                group.append(RelFormula(x, Cmpl(b), z))
-            if rule != RULE_CMPL_COMP_ONE:
-                group.append(RelFormula(z, Cmpl(s), y))
-            return [group]
+    ends = (f.left, f.right, z)
+    return [[_new(RelFormula, (ends[l], t, ends[r])) for l, t, r in group]
+            for group in plan_of(f.term)]
 
 
 def extract_model(branch):
@@ -416,14 +465,6 @@ class DeductionTree(Record):
     def __init__(self):
         self.nodes, self.steps, self.branch_count, self.max_vars = [], 0, 1, 0
 
-    def new_node(self, parent, added, rule=None, premise=None, variable=None):
-        node = Node(len(self.nodes), parent.id if parent else None, added,
-                    rule, premise, variable)
-        self.nodes.append(node)
-        if parent is not None:
-            parent.children.append(node.id)
-        return node
-
     def replay(self):
         """Each node's formulas in order, by id: its parent's, minus the
         premise unless the rule is a composition, plus what it added."""
@@ -483,7 +524,8 @@ class ProofSearch:
 
     def run(self):
         branch = Branch(self.root_formula, gate_index(self.cp))
-        leaf = self.tree.new_node(None, [self.root_formula])
+        leaf = Node(0, None, [self.root_formula])
+        self.tree.nodes.append(leaf)
         leaf.closed = is_axiomatic(branch.node)
         self.tree.max_vars = len(branch.vars)
         while self._expand(branch, leaf) == "closed":
@@ -524,8 +566,9 @@ class ProofSearch:
 
     def _apply(self, branch, leaf, app):
         rule, f, inst = app
-        self.tree.steps += 1
-        if self.tree.steps > self.max_steps:
+        tree = self.tree
+        tree.steps += 1
+        if tree.steps > self.max_steps:
             raise ResourceExhausted(f"step cap of {self.max_steps} exceeded")
         if rule in _COMP_RULES:
             if (f, inst) in branch.applied:
@@ -538,46 +581,55 @@ class ProofSearch:
                 raise EngineInvariantError(
                     f"branch variables exceeded the bound {self.var_bound + 2}"
                 )
-            self.tree.max_vars = max(self.tree.max_vars, count)
+            tree.max_vars = max(tree.max_vars, count)
             self._witnesses += 1
             inst = f"z{self._witnesses}"
-        step = (rule, f, inst)
-        self._emit(*step)
+        if self.trace is not None:
+            self._emit(rule, f, inst)
         # each successor: the parent in order, minus the premise unless the
-        # rule is a composition, plus the group's formulas not already there;
-        # no conclusion is its premise, since the weight drops
-        removed = () if rule in _COMP_RULES else (f,)
+        # rule is a composition, plus its plan group's formulas not already
+        # there; no conclusion is its premise, since the weight drops
+        ends, node, nodes = (f.left, f.right, inst), branch.node, tree.nodes
         children = []
-        for group in conclusions(*step):
-            added = [g for g in dict.fromkeys(group) if g not in branch.node]
-            children.append(self.tree.new_node(leaf, added, *step))
-            self._check(added, removed, rule)
+        for group in plan_of(f.term):
+            added = []
+            for l, t, r in group:
+                g = _new(RelFormula, (ends[l], t, ends[r]))
+                if g not in node:
+                    added.append(g)
+            child = Node(len(nodes), leaf.id, added, rule, f, inst)
+            nodes.append(child)
+            leaf.children.append(child.id)
+            children.append(child)
+            self._check(added, f, rule)
         if len(children) == 2:
             # the second child enters once the first one's subtree closes
-            self.tree.branch_count += 1
+            tree.branch_count += 1
             self._stack.append((branch.mark(), children[1]))
         self._enter(branch, children[0])
         return children[0]
 
-    def _check(self, added, removed, rule):
+    def _check(self, added, premise, rule):
         """Check what a step puts into a child: a new formula must be a
         component of the input and, if compositional, keep the right root;
-        any step but a composition must lower the node weight."""
+        any step but a composition must lower the node weight: what it
+        adds must weigh less than its premise, which leaves."""
+        weight, right = 0, self.root_formula.right
         for f in added:
-            if f.term not in self.cp:
+            t = f.term
+            if t not in self.cp:
                 raise EngineInvariantError(
                     f"formula term escaped the component set: {f!r}"
                 )
-            if not f.term.boolean and f.right != self.root_formula.right:
+            if not t.boolean and f.right != right:
                 raise EngineInvariantError(
                     f"compositional formula with a generated right endpoint: {f!r}"
                 )
-        if rule not in _COMP_RULES:
-            if (sum(g.term.weight for g in added)
-                    >= sum(g.term.weight for g in removed)):
-                raise EngineInvariantError(
-                    f"rule {rule} did not decrease the node weight"
-                )
+            weight += t.weight
+        if rule not in _COMP_RULES and weight >= premise.term.weight:
+            raise EngineInvariantError(
+                f"rule {rule} did not decrease the node weight"
+            )
 
     def _enter(self, branch, child):
         """Make the tree node ``child`` the branch's leaf."""
@@ -586,12 +638,12 @@ class ProofSearch:
                                     (child.rule, child.premise, child.variable))
 
     def _emit(self, rule, premise, variable):
-        if self.trace is not None:
-            self.trace({
-                "rule": rule,
-                "premise": repr(premise),
-                "variable": variable,
-            })
+        """Hand one step to the trace callback; called only when tracing."""
+        self.trace({
+            "rule": rule,
+            "premise": repr(premise),
+            "variable": variable,
+        })
 
 
 def run_procedure(term, *, max_steps=1_000_000, trace=None):

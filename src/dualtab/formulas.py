@@ -18,7 +18,7 @@ from types import MappingProxyType
 
 from .errors import NotBoolean, ParseError
 from .terms import (Cmpl, Comp, Inter, One, Union, Var, _Parser, _Tokenizer,
-                    interned, nf_cmpl, parse_term, render_term, term_variables)
+                    interned, nf_cmpl, render_term, term_variables)
 
 DEFAULT_LEFT, DEFAULT_RIGHT = "x", "y"  # the endpoints of a bare term
 
@@ -133,7 +133,7 @@ def gate_forced(x, b, z, n):
     form of ``-b`` swaps its unions and intersections and negates its
     variables (:func:`has_nbool_construction`).  Builds no term."""
     if isinstance(b, Var):
-        return RelFormula(x, interned(Cmpl, b), z) in n
+        return tuple.__new__(RelFormula, (x, interned(Cmpl, b), z)) in n
     holds = any if isinstance(b, Union) else all
     return holds(gate_forced(x, part, z, n) for part in (b.left, b.right))
 
@@ -155,6 +155,9 @@ class History(FormulaSet):
     to ``v_set(-B, x, self)`` when that is not empty; a gate is plain, so
     only a literal ``x -v z`` that ``gates`` lists can extend one, by ``z``.
     :meth:`add` logs the inverse of each write on the trail it is given.
+    The caller binds ``_retract`` once and passes it to every :meth:`add`;
+    the history keeps no bound method of its own, which would make it a
+    reference cycle.
     """
 
     __slots__ = ("gates", "forced", "by_left_right", "by_term_right")
@@ -163,14 +166,18 @@ class History(FormulaSet):
         super().__init__()
         self.gates, self.forced, self.by_left_right, self.by_term_right = gates, {}, {}, {}
 
-    def add(self, f, trail):  # not kept: a trail holds this history's methods
-        if not super().add(f):
+    def add(self, f, trail, retract):
+        """Admit ``f`` unless it is present, logging on ``trail``; returns
+        whether it was admitted.  ``retract`` is this history's bound
+        ``_retract``, the inverse of an admission."""
+        if f in self:
             return False
-        x, z = f.left, f.right
-        trail.append(self._retract)
+        self[f] = None
+        trail.append(retract)
+        x, t, z = f
         self.by_left_right.setdefault((x, z), []).append(f)
-        self.by_term_right.setdefault((f.term, z), []).append(f)
-        for gate in self.gates.get(f.term, ()):
+        self.by_term_right.setdefault((t, z), []).append(f)
+        for gate in self.gates.get(t, ()):
             forced = self.forced.get((gate, x), frozenset())
             if z not in forced and gate_forced(x, gate, z, self):
                 assign(trail, self.forced, (gate, x), forced | {z})
@@ -194,11 +201,12 @@ def parse_formula(text):
     ``DEFAULT_RIGHT``; validity of ``x R y`` does not depend on how the
     endpoints are named.
     """
+    tz = _Tokenizer(text)  # a tokenizing error is both readings' error
     try:
-        return RelFormula(DEFAULT_LEFT, parse_term(text), DEFAULT_RIGHT)
+        return RelFormula(DEFAULT_LEFT, _Parser(tz).parse(), DEFAULT_RIGHT)
     except ParseError as bare_error:
+        tz.pos = 0
         try:
-            tz = _Tokenizer(text)
             left = tz.expect("ident")[1]
             term = _Parser(tz).top()
             right = tz.expect("ident")[1]

@@ -41,6 +41,11 @@ Each term carries attributes set once at interning from its children's:
   term at top level, and inside a composition's right operand;
 - ``weight`` and ``cweight``: the engine's weight of the term and of its
   complement, None under a converse, where it is undefined.
+
+Three more are memos, filled when first asked for and dropped with the
+term: ``nf``, its :func:`nf_cmpl`, and the engine's ``rule``, the rule
+that decomposes it, and ``plan``, what that rule concludes.  Since terms
+are interned, a memo on the term is exact.
 """
 
 from __future__ import annotations
@@ -82,9 +87,11 @@ def interned(cls, *fields):
 
 
 class _Term:
-    # ``nf`` memoises nf_cmpl(t), ``rule`` (unset until asked) rule_of(t)
+    # ``nf`` memoises nf_cmpl(t); ``rule`` and ``plan`` (each unset until
+    # asked) memoise the engine's rule_of(t) and plan_of(t)
     __slots__ = ("depth", "size", "boolean", "cnf", "plain", "simple", "fragment",
-                 "fragment_inside", "weight", "cweight", "nf", "rule", "__weakref__")
+                 "fragment_inside", "weight", "cweight", "nf", "rule", "plan",
+                 "__weakref__")
 
     def __reduce__(self):  # copies and unpickled terms are interned too
         return type(self), tuple(getattr(self, n) for n in self.__match_args__)

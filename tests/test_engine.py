@@ -11,7 +11,7 @@ from dualtab.engine import (Branch, Countermodel, Proof, RULE_CMPL_COMP,
                             RULE_COMP_BOOL, RULE_COMP_UNIV, RULE_DOUBLE_CMPL,
                             RULE_INTER, RULE_UNION, applications,
                             conclusions, extract_model, is_axiomatic,
-                            is_blocked, rule_of, run_procedure,
+                            is_blocked, plan_of, rule_of, run_procedure,
                             verdict_to_json)
 from dualtab.errors import (BranchNotSaturated, EngineInvariantError,
                             FragmentViolation, ResourceExhausted)
@@ -44,9 +44,9 @@ def offered(branch, z):
 def take(branch, rule, f, z=None):
     """Carry out one application on the branch as the search does, keeping
     the first successor; returns the conclusion groups."""
-    groups = conclusions(rule, f, z)
+    groups = conclusions(f, z)
     removed = () if rule in (RULE_COMP_BOOL, RULE_COMP_UNIV) else (f,)
-    added = [g for g in dict.fromkeys(groups[0]) if g not in branch.node]
+    added = [g for g in groups[0] if g not in branch.node]
     branch.enter(added, removed, (rule, f, z))
     return groups
 
@@ -84,8 +84,10 @@ class TestRuleOf:
         assert rule_of(parse_term("-r")) is None
 
     def test_memo_lives_and_dies_with_the_term(self):
-        # the rule is memoised on the term, so terms that only ``rule_of``
-        # saw leave the weak interning table when they are dropped
+        # the rule and the plan are memoised on the term, so terms that
+        # only ``rule_of`` and ``plan_of`` saw, the complements that a
+        # plan made included, leave the weak interning table when they
+        # are dropped
         import gc
 
         gc.collect()
@@ -93,8 +95,11 @@ class TestRuleOf:
         for i in range(300):
             t = parse_term(f"rl_{i} | -(sl_{i} ; tl_{i})")
             assert rule_of(t) == RULE_UNION and t.rule == RULE_UNION
+            for _, c, _ in plan_of(t)[0]:
+                plan_of(c)
+            assert terms.interned(Cmpl, parse_term(f"sl_{i}")) is not None
         assert len(terms._INTERNED) > before
-        del t
+        del t, c
         gc.collect()
         assert len(terms._INTERNED) == before
 
@@ -176,21 +181,21 @@ class TestApplyBoolean:
         f = F("x", "r | s", "y")
         b = initial(f)
         assert offered(b, "x") == [(RULE_UNION, f, None)]
-        groups = conclusions(RULE_UNION, f, None)
+        groups = conclusions(f, None)
         assert groups == [[F("x", "r", "y"), F("x", "s", "y")]]
 
     def test_intersection_branches(self):
         f = F("x", "r & s", "y")
         b = initial(f)
         assert offered(b, "x") == [(RULE_INTER, f, None)]
-        groups = conclusions(RULE_INTER, f, None)
+        groups = conclusions(f, None)
         assert groups == [[F("x", "r", "y")], [F("x", "s", "y")]]
 
     def test_double_complement(self):
         f = F("x", "--r", "y")
         b = initial(f)
         assert offered(b, "x") == [(RULE_DOUBLE_CMPL, f, None)]
-        groups = conclusions(RULE_DOUBLE_CMPL, f, None)
+        groups = conclusions(f, None)
         assert groups == [[F("x", "r", "y")]]
 
     def test_keeps_other_formulas(self):
@@ -233,7 +238,7 @@ class TestApplyNegcomp:
         f = F("x", "-(r ; 1)", "y")
         b = initial(f)
         assert offered(b, "x") == [(RULE_CMPL_COMP_ONE, f, None)]
-        groups = conclusions(RULE_CMPL_COMP_ONE, f, "z1")
+        groups = conclusions(f, "z1")
         assert groups == [[F("x", "-r", "z1")]]
 
     def test_left_constant_adds_right_part_only(self):
@@ -255,7 +260,7 @@ class TestApplyNegcomp:
         z = "z1"
         introduce(b, F("x", "-(r ; (s ; 1))", "y"), z)
         assert offered(b, "x") == [(RULE_CMPL_COMP_UNIV, f, None)]
-        b.history.add(F(z, "-(s ; 1)", "y"), b.trail)
+        b.history.add(F(z, "-(s ; 1)", "y"), b.trail, b.retract)
         assert offered(b, "x") == []
 
     def test_blocked_formula_records_renamed_literals(self):
@@ -266,7 +271,7 @@ class TestApplyNegcomp:
         blocker = RelFormula("z1", parse_term(term_text), "y")
         b = initial(blocked)
         for g in (blocker, F("z1", "-r", "w")):
-            b.history.add(g, b.trail)
+            b.history.add(g, b.trail, b.retract)
         b.vars += ["z1", "w"]
         b.decomposed[blocker] = "w"
         assert offered(b, "z2") == [("blocked", blocked, blocker)]
@@ -281,15 +286,15 @@ class TestIsBlocked:
         blocker = RelFormula("z1", parse_term(term_text), "y")
         blocked = RelFormula("z2", parse_term(term_text), "y")
         b = initial(F("x", "1 ; " + term_text, "y"))
-        b.history.add(blocker, b.trail)
-        b.history.add(blocked, b.trail)
+        b.history.add(blocker, b.trail, b.retract)
+        b.history.add(blocked, b.trail, b.retract)
         b.vars += ["z1", "w", "z2"]
         return b, blocker, blocked
 
     def test_no_twin_in_history(self):
         f = F("z1", "-(r ; (s ; 1))", "y")
         b = initial(F("x", "1 ; -(r ; (s ; 1))", "y"))
-        b.history.add(f, b.trail)
+        b.history.add(f, b.trail, b.retract)
         assert is_blocked(f, b) is None
 
     def test_undecomposed_twin_does_not_block(self):
@@ -299,23 +304,23 @@ class TestIsBlocked:
     def test_decomposed_twin_blocks_without_obligations(self):
         b, blocker, blocked = self.setup_branch()
         b.decomposed[blocker] = "w"
-        b.history.add(F("z1", "-r", "w"), b.trail)
+        b.history.add(F("z1", "-r", "w"), b.trail, b.retract)
         assert is_blocked(blocked, b) == blocker
 
     def test_unmirrored_obligation_prevents_blocking(self):
         b, blocker, blocked = self.setup_branch()
         b.decomposed[blocker] = "w"
-        b.history.add(F("z1", "-r", "w"), b.trail)
+        b.history.add(F("z1", "-r", "w"), b.trail, b.retract)
         # the blocked variable owes a composition the twin never mirrored
-        b.history.add(F("z2", "r ; (s ; 1)", "y"), b.trail)
+        b.history.add(F("z2", "r ; (s ; 1)", "y"), b.trail, b.retract)
         assert is_blocked(blocked, b) is None
 
     def test_mirrored_obligation_restores_blocking(self):
         b, blocker, blocked = self.setup_branch()
         b.decomposed[blocker] = "w"
-        b.history.add(F("z1", "-r", "w"), b.trail)
-        b.history.add(F("z2", "r ; (s ; 1)", "y"), b.trail)
-        b.history.add(F("z1", "r ; (s ; 1)", "y"), b.trail)
+        b.history.add(F("z1", "-r", "w"), b.trail, b.retract)
+        b.history.add(F("z2", "r ; (s ; 1)", "y"), b.trail, b.retract)
+        b.history.add(F("z1", "r ; (s ; 1)", "y"), b.trail, b.retract)
         assert is_blocked(blocked, b) == blocker
 
 
@@ -324,17 +329,17 @@ class TestApplyCompA:
         f = F("x", text, "y")
         b = initial(f)
         introduce(b, F("x", "-(r ; 1)", "y"), "z1")
-        b.history.add(F("x", "-r", "z1"), b.trail)
+        b.history.add(F("x", "-r", "z1"), b.trail, b.retract)
         return b, f
 
     def test_adds_instantiated_right_part(self):
         b, f = self.forced_branch("r ; (s ; 1)")
-        groups = conclusions(RULE_COMP_BOOL, f, "z1")
+        groups = conclusions(f, "z1")
         assert groups == [[F("z1", "s ; 1", "y")]]
 
     def test_right_constant_closes_the_node(self):
         b, f = self.forced_branch("r ; 1")
-        groups = conclusions(RULE_COMP_BOOL, f, "z1")
+        groups = conclusions(f, "z1")
         assert groups == [[F("z1", "1", "y")]]
         assert is_axiomatic(FormulaSet(groups[0]))
 
@@ -358,7 +363,7 @@ class TestApplyCompB:
         f = F("x", "1 ; (r ; 1)", "y")
         b = initial(f)
         assert offered(b, "x") == [(RULE_COMP_UNIV, f, "x")]
-        groups = conclusions(RULE_COMP_UNIV, f, "x")
+        groups = conclusions(f, "x")
         assert groups == [[F("x", "r ; 1", "y")]]
 
     def test_then_with_right_endpoint(self):
@@ -366,14 +371,14 @@ class TestApplyCompB:
         b = initial(f)
         take(b, RULE_COMP_UNIV, f, "x")
         assert offered(b, "y") == [(RULE_COMP_UNIV, f, "y")]
-        groups = conclusions(RULE_COMP_UNIV, f, "y")
+        groups = conclusions(f, "y")
         assert groups == [[F("y", "r ; 1", "y")]]
 
     def test_existing_instance_not_repeated(self):
         f = F("x", "1 ; (r ; 1)", "y")
         b = initial(f)
         assert offered(b, "y") == [(RULE_COMP_UNIV, f, "y")]
-        b.history.add(F("y", "r ; 1", "y"), b.trail)
+        b.history.add(F("y", "r ; 1", "y"), b.trail, b.retract)
         assert offered(b, "y") == []
 
 

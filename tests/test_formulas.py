@@ -182,3 +182,19 @@ class TestParseFormula:
     def test_garbage(self):
         with pytest.raises(ParseError):
             parse_formula("x (r y")
+
+    @pytest.mark.parametrize("text", ["x r | s y", "r | s"])
+    def test_tokenizes_once(self, text, monkeypatch):
+        # a failed bare-term reading rewinds the tokens for the triple
+        from dualtab import terms
+
+        calls = []
+        init = terms.TokenStream.__init__
+
+        def counting(self, text):
+            calls.append(text)
+            init(self, text)
+
+        monkeypatch.setattr(terms.TokenStream, "__init__", counting)
+        parse_formula(text)
+        assert calls == [text]

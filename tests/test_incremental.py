@@ -38,7 +38,8 @@ from dualtab.engine import (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
 from dualtab.formulas import (FormulaSet, History, RelFormula, gate_index,
                               has_nbool_construction, v_set, variables_of)
 from dualtab.frontends import parse_modal, translate_modal
-from dualtab.terms import ONE, Cmpl, Comp, Inter, Var, components, parse_term
+from dualtab.terms import (ONE, Cmpl, Comp, Inter, Union, Var, components,
+                           parse_term, simplify_ones)
 
 
 def genealogy(branch):
@@ -201,23 +202,72 @@ def removed_by(node):
     return () if node.rule in (RULE_COMP_BOOL, RULE_COMP_UNIV) else (node.premise,)
 
 
+def reference_conclusions(rule, f, z):
+    """The conclusion groups of an application, each formula once, built
+    by a match on the premise's term at every call, as the search once
+    built them."""
+    x, y = f.left, f.right
+    match f.term:
+        case Comp(_, s):
+            groups = [[RelFormula(z, s, y)]]
+        case Union(l, r):
+            groups = [[RelFormula(x, l, y), RelFormula(x, r, y)]]
+        case Inter(l, r):
+            groups = [[RelFormula(x, l, y)], [RelFormula(x, r, y)]]
+        case Cmpl(Cmpl(a)):
+            groups = [[RelFormula(x, a, y)]]
+        case Cmpl(Union(l, r)):
+            groups = [[RelFormula(x, Cmpl(l), y)], [RelFormula(x, Cmpl(r), y)]]
+        case Cmpl(Inter(l, r)):
+            groups = [[RelFormula(x, Cmpl(l), y), RelFormula(x, Cmpl(r), y)]]
+        case Cmpl(Comp(b, s)):
+            groups = [[]]
+            if rule != RULE_CMPL_COMP_UNIV:
+                groups[0].append(RelFormula(x, Cmpl(b), z))
+            if rule != RULE_CMPL_COMP_ONE:
+                groups[0].append(RelFormula(z, Cmpl(s), y))
+    return [list(dict.fromkeys(group)) for group in groups]
+
+
 def reference_nodes(search):
     """Each tree node's formulas as a full copy of its parent's, minus the
     premise unless the rule is a composition, plus the node's conclusion
-    group; by id."""
+    group as :func:`reference_conclusions` builds it; by id."""
     nodes, refs = search.tree.nodes, []
     for n in nodes:
         if n.parent is None:
             refs.append(FormulaSet([search.root_formula]))
             continue
         siblings = nodes[n.parent].children
-        group = conclusions(n.rule, n.premise, n.variable)[siblings.index(n.id)]
+        group = reference_conclusions(n.rule, n.premise, n.variable)[
+            siblings.index(n.id)]
         succ = FormulaSet(refs[n.parent])
         for g in removed_by(n):
             del succ[g]
         succ.update(group)
         refs.append(succ)
     return refs
+
+
+def test_plans_conclude_what_the_match_concludes(fragment_corpus):
+    # every premise a search can meet is a component of its input term
+    roots = fragment_corpus + [
+        simplify_ones(translate_modal(parse_modal(family_text(family, 4))))
+        for family in ("modal_dist", "kdist", "branching", "cycle")]
+    premises = {t: None for root in roots for t in components(root)
+                if rule_of(t) not in (None, "inert")}
+    for t in premises:
+        f = RelFormula("x", t, "y")
+        assert conclusions(f, "z") == reference_conclusions(rule_of(t), f, "z")
+    assert {rule_of(t) for t in premises} == set(PHASE)
+
+
+@pytest.mark.parametrize("text, group", [("r | r", "r"), ("-(r & r)", "-r")])
+def test_a_formula_twice_in_a_group_is_concluded_once(text, group):
+    f = RelFormula("x", parse_term(text), "y")
+    expected = [[RelFormula("x", parse_term(group), "y")]]
+    assert conclusions(f, "z") == expected
+    assert reference_conclusions(rule_of(f.term), f, "z") == expected
 
 
 def check_replay(search):
@@ -345,8 +395,7 @@ def enter_next(branch):
     if rule in (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE, RULE_CMPL_COMP_UNIV):
         z = f"w{len(branch.vars)}"
     removed = () if rule in (RULE_COMP_BOOL, RULE_COMP_UNIV) else (f,)
-    added = [g for g in dict.fromkeys(conclusions(rule, f, z)[0])
-             if g not in branch.node]
+    added = [g for g in conclusions(f, z)[0] if g not in branch.node]
     branch.enter(added, removed, (rule, f, z))
     return True
 
@@ -477,12 +526,12 @@ def test_forced_set_grows_when_the_last_literal_arrives():
     gate = Inter(r, s)
     root = RelFormula("x", Comp(gate, ONE), "y")
     history, trail = History(gate_index(components(root.term))), []
-    history.add(root, trail)
+    history.add(root, trail, history._retract)
     assert history.forced == {}
-    history.add(RelFormula("x", Cmpl(r), "z1"), trail)
-    history.add(RelFormula("z1", Cmpl(s), "y"), trail)
+    history.add(RelFormula("x", Cmpl(r), "z1"), trail, history._retract)
+    history.add(RelFormula("z1", Cmpl(s), "y"), trail, history._retract)
     assert history.forced == {}
-    history.add(RelFormula("x", Cmpl(s), "z1"), trail)
+    history.add(RelFormula("x", Cmpl(s), "z1"), trail, history._retract)
     assert history.forced == {(gate, "x"): {"z1"}}
     assert history.forced[gate, "x"] == v_set(Cmpl(gate), "x", FormulaSet(history))
 

@@ -4,7 +4,9 @@ Runs the decision procedure on the four modal families of
 ``tests/corpus.py`` at a small and a large size each, and prints per
 instance the steps taken, the branches of the deduction tree, the most
 variables on one branch, the best of five wall times of
-``run_procedure``, that time per step in microseconds, the peak memory
+``run_procedure``, that time per step in microseconds, the generation-0
+collections of the garbage collector during those five runs (a count of
+allocation, not of time), the peak memory
 that ``tracemalloc`` traces over one more, untimed, call, the memory
 still traced after it while its verdict is kept (after
 ``gc.collect()``), and the time of one ``verdict_to_json`` plus
@@ -20,6 +22,8 @@ times of ``parse_term`` on balanced unions of 2^13 and 2^15 variables,
 about 64 KB and 256 KB of text: a tokenizer or parser whose cost per
 token grows with the input shows here.  The numbers depend on the
 machine, so nothing is checked: the script exits 0 whatever it measures.
+Each row is written as soon as it is measured; a reader that closes the
+output early, as ``| head`` does, ends the script quietly.
 
 Run it from the root of a source checkout; it runs no oracle, so it
 needs neither numpy nor pytest nor hypothesis::
@@ -29,6 +33,7 @@ needs neither numpy nor pytest nor hypothesis::
 
 import gc
 import json
+import os
 import sys
 import time
 import tracemalloc
@@ -49,17 +54,24 @@ PARSE_LEAVES = (2 ** 13, 2 ** 15)
 REPEATS = 5
 
 
+def gen0_collections():
+    return gc.get_stats()[0]["collections"]
+
+
 def best_of(run):
     """Steps, branches and branch variables of the verdict ``run()``
-    returns, its best wall time in seconds over :data:`REPEATS` calls; the
-    peak traced memory in bytes of one more call, which is not timed, and
-    the traced memory its verdict retains; and the seconds that verdict's
-    JSON text takes to build."""
+    returns, its best wall time in seconds over :data:`REPEATS` calls and
+    the generation-0 collections during them; the peak traced memory in
+    bytes of one more call, which is not timed, and the traced memory its
+    verdict retains; and the seconds that verdict's JSON text takes to
+    build."""
     best = float("inf")
+    gc0 = gen0_collections()
     for _ in range(REPEATS):
         start = time.perf_counter()
         verdict = run()
         best = min(best, time.perf_counter() - start)
+    gc0 = gen0_collections() - gc0
     # terms are interned while alive: drop the last verdict, so that the
     # traced call builds and counts its own
     del verdict
@@ -75,8 +87,8 @@ def best_of(run):
     json.dumps(verdict_to_json(verdict), indent=2, sort_keys=True)
     to_json = time.perf_counter() - start
     tree = verdict.tree
-    return (tree.steps, tree.branch_count, tree.max_vars, best, peak, retained,
-            to_json)
+    return (tree.steps, tree.branch_count, tree.max_vars, best, gc0, peak,
+            retained, to_json)
 
 
 def measure(name, n):
@@ -110,16 +122,18 @@ def best_parse(text):
     return best
 
 
-def report(name, n, steps, branches, variables, best, peak, retained, to_json):
+def report(name, n, steps, branches, variables, best, gc0, peak, retained,
+           to_json):
     print(f"{name:12} {n:>3} {steps:>7} {branches:>8} {variables:>5} "
-          f"{best * 1e3:>9.1f} {best * 1e6 / steps:>8.0f} {peak / 2 ** 20:>8.2f} "
-          f"{retained / 2 ** 20:>11.2f} {to_json * 1e3:>9.1f}")
+          f"{best * 1e3:>9.1f} {best * 1e6 / steps:>8.0f} {gc0:>5} "
+          f"{peak / 2 ** 20:>8.2f} {retained / 2 ** 20:>11.2f} {to_json * 1e3:>9.1f}")
 
 
 def main():
+    sys.stdout.reconfigure(line_buffering=True)
     print(f"{'family':12} {'n':>3} {'steps':>7} {'branches':>8} {'vars':>5} "
-          f"{'best ms':>9} {'us/step':>8} {'peak MB':>8} {'retained MB':>11} "
-          f"{'json ms':>9}")
+          f"{'best ms':>9} {'us/step':>8} {'gc0':>5} {'peak MB':>8} "
+          f"{'retained MB':>11} {'json ms':>9}")
     for name, sizes in SIZES:
         for n in sizes:
             report(name, n, *measure(name, n))
@@ -134,4 +148,9 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except BrokenPipeError:
+        # the output's reader is gone: stop measuring, and send what is
+        # left to devnull, so that the flush at exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
