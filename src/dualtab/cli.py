@@ -17,6 +17,15 @@ Flags: ``--json`` (machine output), ``--trace`` (stream rule applications
 to stderr), ``--max-steps N``, ``--oracle-size K`` (1..4), ``--verify``
 (cross-check the verdict with the independent oracles).
 
+Each command imports only the modules it runs: the relational core
+(``terms``, ``formulas``, ``engine``, ``semantics``) for every command,
+``frontends.entailment`` for ``entail``, ``frontends.modal`` for
+``modal`` and ``frontends.kripke`` for ``modal --verify``; a ``--verify``
+that checks a proof also loads ``oracle`` and numpy.  Without a bytecode
+cache (``PYTHONDONTWRITEBYTECODE``) every process compiles each module
+it imports, and that compiling is a large part of a short command's
+time.
+
 Exit codes: 0 valid / falsified, 1 invalid / satisfied, 2 parse error or
 malformed input (including nesting deeper than ``terms.MAX_NESTING`` and
 terms, formulas or encodings deeper than ``terms.MAX_DEPTH``), 3 fragment
@@ -54,8 +63,6 @@ from .errors import (BudgetExceeded, DualTabError, EmptyPremises,
                      FragmentViolation, ParseError, ResourceExhausted,
                      UnknownVariableWarning)
 from .formulas import RelFormula, parse_formula
-from .frontends import (EntailmentProblem, encode_entailment,
-                        kripke_countermodel, parse_modal, translate_modal)
 from .semantics import falsifies_branch, model_from_json, satisfies
 from .terms import (fragment_check, parse_term, render_term, simplify_ones)
 
@@ -226,6 +233,8 @@ def cmd_prove(args):
 
 
 def cmd_entail(args):
+    from .frontends.entailment import EntailmentProblem, encode_entailment
+
     premises = [parse_term(t) for t in args.premise]
     conclusion = parse_term(args.conclusion)
     encoded = encode_entailment(EntailmentProblem(tuple(premises), conclusion))
@@ -236,11 +245,15 @@ def cmd_entail(args):
 
 
 def cmd_modal(args):
+    from .frontends.modal import parse_modal, translate_modal
+
     formula = parse_modal(args.formula)
     translated = translate_modal(formula)
     extra = {"term": render_term(translated)}
     verdict, payload = _prove_payload(translated, args, extra)
     if args.verify:
+        from .frontends.kripke import kripke_countermodel
+
         worlds = min(args.oracle_size, 3)
         try:
             refutation = kripke_countermodel(formula, worlds)

@@ -4,10 +4,13 @@ machinery that gates composition decomposition in the engine.
 A formula is *forced* by a set ``N`` of literals when it can be assembled
 from literals of ``N`` using only unions (both sides forced) and
 intersections (one side forced, the other in complement normal form).
-``v_set`` collects the object variables a term can reach that way.  A
-branch history is a :class:`History`, which keeps the indices the engine
-queries and the forced sets it reads before instantiating a composition
-up to date as formulas enter it, and logs how to take each write back.
+The *forced set* ``v_set(B, x, N)`` holds the object variables ``z`` of
+``N`` for which ``x B z`` is forced.  ``tests/reference.py`` defines both
+directly from ``N``; the tests check the engine's incremental versions
+against it.  A branch history is a :class:`History`, which keeps the
+indices the engine queries and the forced sets it reads before
+instantiating a composition up to date as formulas enter it, and logs
+how to take each write back.
 """
 
 from __future__ import annotations
@@ -16,9 +19,9 @@ from collections import namedtuple
 from functools import partial
 from types import MappingProxyType
 
-from .errors import NotBoolean, ParseError
-from .terms import (Cmpl, Comp, Inter, One, Union, Var, _Parser, _Tokenizer,
-                    interned, nf_cmpl, render_term, term_variables)
+from .errors import ParseError
+from .terms import (Cmpl, Comp, One, Union, Var, _Parser, _Tokenizer,
+                    interned, render_term, term_variables)
 
 DEFAULT_LEFT, DEFAULT_RIGHT = "x", "y"  # the endpoints of a bare term
 
@@ -66,55 +69,6 @@ def is_literal(f):
             return False
 
 
-def is_nbool(f, n):
-    """Whether ``f`` is directly forced by the literals of ``n``.
-
-    Holds when ``f`` is a literal of ``n``; when its term is an
-    intersection with one side forced and the other in complement normal
-    form; or when its term is a union with both sides forced.  All
-    subformulas keep the endpoints of ``f``.  Requires a Boolean term.
-    """
-    if not f.term.boolean:
-        raise NotBoolean(f"not a Boolean term: {render_term(f.term)}")
-    return _is_nbool(f.left, f.term, f.right, n)
-
-
-def _is_nbool(x, t, y, n):
-    match t:
-        case One() | Var() | Cmpl(One()) | Cmpl(Var()):
-            return RelFormula(x, t, y) in n
-        case Inter(l, r):
-            return (_is_nbool(x, l, y, n) and r.cnf) or (_is_nbool(x, r, y, n) and l.cnf)
-        case Union(l, r):
-            return _is_nbool(x, l, y, n) and _is_nbool(x, r, y, n)
-        case _:
-            return False
-
-
-def has_nbool_construction(f, n):
-    """Whether the complement normal form of ``f`` is forced by ``n``."""
-    return _is_nbool(f.left, nf_cmpl(f.term), f.right, n)
-
-
-def variables_of(n):
-    """Object variables occurring in ``n``, in order of first occurrence."""
-    seen = dict()
-    for f in n:
-        seen.setdefault(f.left, None)
-        seen.setdefault(f.right, None)
-    return list(seen)
-
-
-def v_set(term, x, n):
-    """The object variables ``z`` of ``n`` for which ``x term z`` is forced.
-
-    Only variables textually present in ``n`` can carry a construction, so
-    the search is restricted to them.  Requires ``term`` Boolean.
-    """
-    nf = nf_cmpl(term)
-    return {z for z in variables_of(n) if _is_nbool(x, nf, z, n)}
-
-
 def gate_index(terms):
     """Maps each ``-v`` to the gates that mention ``v``: the left operands
     ``B``, other than 1, of the compositions among ``terms``.  ``x B;S y``
@@ -131,7 +85,7 @@ def gate_index(terms):
 def gate_forced(x, b, z, n):
     """Whether ``x -b z`` is forced by ``n``, for a plain ``b``: the normal
     form of ``-b`` swaps its unions and intersections and negates its
-    variables (:func:`has_nbool_construction`).  Builds no term."""
+    variables.  Builds no term."""
     if isinstance(b, Var):
         return tuple.__new__(RelFormula, (x, interned(Cmpl, b), z)) in n
     holds = any if isinstance(b, Union) else all

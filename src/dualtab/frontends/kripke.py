@@ -7,8 +7,8 @@ accessibility relations.  Frames and valuations are enumerated in a fixed
 order over universes of growing size, so the first refuting pointed model
 is reproducible.  The search space is vectorized: truth values are
 computed as world-bitmask arrays over the (frame, valuation) axes.  The
-search imports numpy when it first runs, so importing this module, as the
-CLI does, does not load it.
+search imports numpy when it first runs, so importing this module alone
+does not load it.
 """
 
 from __future__ import annotations

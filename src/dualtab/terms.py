@@ -33,9 +33,10 @@ its UTF-8 encoding, computed from the index only when the error is made.
 
 Each term carries attributes set once at interning from its children's:
 
-- ``depth`` and ``size``;
-- ``boolean``, ``cnf`` and ``plain``, the readings of :func:`is_boolean`,
-  :func:`is_cnf` and :func:`is_plain_boolean`;
+- ``depth`` and ``size`` (:func:`term_size`);
+- ``boolean``, the reading of :func:`is_boolean`; ``cnf``, every
+  complement acts on a variable or the constant; ``plain``, the term is
+  built from variables with union and intersection only;
 - ``simple``: the term is its own :func:`simplify_ones`;
 - ``fragment`` and ``fragment_inside``: :func:`fragment_check` accepts the
   term at top level, and inside a composition's right operand;
@@ -418,11 +419,6 @@ def term_size(t):
     return t.size
 
 
-def term_depth(t):
-    """Number of nodes on the longest root-to-leaf path (atoms have depth 1)."""
-    return t.depth
-
-
 def term_variables(t):
     """Names of the relational variables occurring in ``t``, sorted.  Each
     distinct subterm is visited once."""
@@ -533,11 +529,6 @@ def nf_cmpl(t):
     return t.nf
 
 
-def is_cnf(t):
-    """True iff every complement in ``t`` acts on a variable or constant."""
-    return t.cnf
-
-
 def components(t):
     """The set of components of ``t``: every term a decomposition of ``t``
     can mention.  Always finite and contains ``t`` itself."""
@@ -565,11 +556,6 @@ def components(t):
 
     walk(t)
     return out
-
-
-def is_plain_boolean(t):
-    """True iff ``t`` is built from variables with union/intersection only."""
-    return t.plain
 
 
 class FragmentVerdict(namedtuple("FragmentVerdict", "accepted offender clause",

@@ -10,7 +10,7 @@ import random
 
 from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop
 from dualtab.terms import (Cmpl, Comp, Inter, ONE, Union, Var, fragment_check,
-                           parse_term, simplify_ones, term_depth)
+                           parse_term, simplify_ones)
 
 CORPUS_SEED = 20240809
 CORPUS_VARS = ("r", "s", "t")
@@ -64,7 +64,7 @@ def build_corpus(seed=CORPUS_SEED, size=CORPUS_SIZE, depth=CORPUS_DEPTH):
     while len(seen) < size:
         term = simplify_ones(gen_fragment_term(rng, depth))
         assert fragment_check(term), "generator left the fragment"
-        assert term_depth(term) <= depth
+        assert term.depth <= depth
         seen.setdefault(term, None)
     return list(seen)
 

@@ -14,13 +14,14 @@ from conftest import CORPUS_DEPTH, all_modal, build_corpus
 from dualtab.cli import main
 from dualtab.engine import (VAR_BOUND_FACTOR, Countermodel, Proof,
                             run_procedure, stats_of)
-from dualtab.formulas import FormulaSet, RelFormula, has_nbool_construction, is_nbool
+from dualtab.formulas import FormulaSet, RelFormula
 from dualtab.frontends import (EntailmentProblem, encode_entailment,
                                kripke_countermodel, translate_modal)
 from dualtab.oracle import brute_force_countermodel
 from dualtab.semantics import falsifies_branch, satisfies
 from dualtab.terms import (Cmpl, Comp, Inter, ONE, Union, Var, components,
                            fragment_check, parse_term, simplify_ones)
+from reference import has_nbool_construction, is_nbool
 
 
 def report(number, name, ok, detail=""):

@@ -15,12 +15,13 @@ from dualtab.engine import (Branch, Countermodel, Proof, RULE_CMPL_COMP,
                             verdict_to_json)
 from dualtab.errors import (BranchNotSaturated, EngineInvariantError,
                             FragmentViolation, ResourceExhausted)
-from dualtab.formulas import FormulaSet, RelFormula, gate_index, v_set
+from dualtab.formulas import FormulaSet, RelFormula, gate_index
 from dualtab.frontends import parse_modal, translate_modal
 from dualtab.oracle import brute_force_countermodel
 from dualtab.semantics import falsifies_branch, satisfies
 from dualtab.terms import (Cmpl, components, is_boolean, parse_term,
                            simplify_ones, term_variables)
+from reference import v_set
 
 
 def F(left, text, right):

@@ -4,10 +4,10 @@ from hypothesis import strategies as st
 
 from conftest import boolean_term_strategy
 from dualtab.errors import NotBoolean, ParseError
-from dualtab.formulas import (FormulaSet, RelFormula, gate_forced,
-                              has_nbool_construction, is_literal, is_nbool,
-                              parse_formula, v_set, variables_of)
+from dualtab.formulas import (FormulaSet, RelFormula, gate_forced, is_literal,
+                              parse_formula)
 from dualtab.terms import Cmpl, Inter, ONE, Union, Var, nf_cmpl, parse_term
+from reference import has_nbool_construction, is_nbool, v_set, variables_of
 
 
 def F(left, text, right):

@@ -1,8 +1,10 @@
 """numpy serves only the two oracles, so a process loads it only when one
 runs, and no dualtab process loads ``dataclasses``, which brings in
-``inspect``, ``ast`` and ``dis``.  Each check starts a fresh interpreter:
-the test process itself has both loaded long before."""
+``inspect``, ``ast`` and ``dis``.  A CLI command loads only the frontend
+modules it runs.  Each check starts a fresh interpreter: the test process
+itself has all of them loaded long before."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -61,9 +63,78 @@ def test_import_leaves_numpy_out(module):
     assert not loads_numpy(f"import {module}")
 
 
-@pytest.mark.parametrize("module", ["dualtab", "dualtab.cli", "dualtab.frontends"])
+@pytest.mark.parametrize("module", ["dualtab", "dualtab.cli", "dualtab.frontends",
+                                    "dualtab.frontends.modal", "dualtab.frontends.kripke",
+                                    "dualtab.frontends.entailment"])
 def test_import_leaves_dataclasses_and_inspect_out(module):
     assert loaded(f"import {module}", ["dataclasses", "inspect"]) == []
+
+
+FRONTENDS = ["modal", "kripke", "entailment"]
+
+
+def loaded_frontends(code):
+    """Which frontend submodules running ``code`` in a fresh interpreter
+    loads, by their short names."""
+    modules = [f"dualtab.frontends.{name}" for name in FRONTENDS]
+    return [m.rsplit(".", 1)[1] for m in loaded(code, modules)]
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("import dualtab.frontends", []),
+    ("import dualtab.frontends.modal", ["modal"]),
+    ("import dualtab.frontends.entailment", ["entailment"]),
+    ("from dualtab.frontends import parse_modal", ["modal"]),
+    ("from dualtab.frontends import kripke_countermodel", ["modal", "kripke"]),
+], ids=["package", "modal", "entailment", "parse_modal", "kripke_countermodel"])
+def test_frontends_load_on_first_use(code, expected):
+    assert loaded_frontends(code) == expected
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["prove", "--json", "--", "r | -r"], []),
+    (["entail", "--json", "--premise", "-r | -(s | t)", "--conclusion", "-s | -r"],
+     ["entailment"]),
+    (["modal", "--json", "--", "[r](p -> q) -> ([r]p -> [r]q)"], ["modal"]),
+    (["modal", "--json", "--verify", "--", "[r](p -> q) -> ([r]p -> [r]q)"],
+     ["modal", "kripke"]),
+], ids=["prove", "entail", "modal", "modal-verify"])
+def test_a_command_loads_only_the_frontends_it_runs(argv, expected):
+    code = f"from dualtab.cli import main; assert main({argv!r}) == 0"
+    assert loaded_frontends(code) == expected
+
+
+# the public names of dualtab.frontends, by the submodule that defines them
+FRONTEND_NAMES = {
+    "entailment": ["EntailmentProblem", "encode_entailment"],
+    "kripke": ["KripkeModel", "eval_modal", "kripke_countermodel"],
+    "modal": ["ModalFormula", "Prop", "Not", "And", "Or", "Box", "Dia",
+              "parse_modal", "render_modal", "translate_modal"],
+}
+
+
+def test_frontends_exports_its_submodules_own_objects():
+    frontends = importlib.import_module("dualtab.frontends")
+    assert sorted(frontends.__all__) == sorted(sum(FRONTEND_NAMES.values(), []))
+    for submodule, names in FRONTEND_NAMES.items():
+        module = importlib.import_module(f"dualtab.frontends.{submodule}")
+        for name in names:
+            assert getattr(frontends, name) is getattr(module, name)
+    namespace = {}
+    exec("from dualtab.frontends import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(frontends.__all__)
+    for name in frontends.__all__:
+        assert namespace[name] is getattr(frontends, name)
+
+
+def test_frontends_has_no_other_names():
+    import dualtab.frontends as frontends
+
+    with pytest.raises(AttributeError, match="no attribute 'parse_term'"):
+        frontends.parse_term
+    assert not hasattr(frontends, "translate")
+    with pytest.raises(ImportError):
+        exec("from dualtab.frontends import run_procedure", {})
 
 
 @pytest.fixture

@@ -35,11 +35,11 @@ from dualtab.engine import (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
                             Branch, Countermodel, ProofSearch, Proof,
                             applications, conclusions, extract_model,
                             is_axiomatic, is_blocked, rule_of)
-from dualtab.formulas import (FormulaSet, History, RelFormula, gate_index,
-                              has_nbool_construction, v_set, variables_of)
+from dualtab.formulas import FormulaSet, History, RelFormula, gate_index
 from dualtab.frontends import parse_modal, translate_modal
 from dualtab.terms import (ONE, Cmpl, Comp, Inter, Union, Var, components,
                            parse_term, simplify_ones)
+from reference import has_nbool_construction, v_set, variables_of
 
 
 def genealogy(branch):

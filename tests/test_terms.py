@@ -12,9 +12,10 @@ from dualtab.frontends.modal import Or, Prop
 from dualtab.semantics import eval_term
 from dualtab.terms import (CMPL_ONE, MAX_DEPTH, MAX_NESTING, Cmpl, Comp, Conv,
                            Inter, ONE, One, Union, Var,
-                           components, fragment_check, is_boolean, is_cnf,
-                           is_plain_boolean, nf_cmpl, parse_term, render_term,
-                           simplify_ones, term_depth, term_size, term_variables)
+                           components, fragment_check, is_boolean, nf_cmpl,
+                           parse_term, render_term, simplify_ones, term_size,
+                           term_variables)
+from reference import is_cnf, is_plain_boolean, term_depth
 
 
 def subterms(u):

@@ -20,7 +20,14 @@ every operand of each ``<->``, so a walker that visits shared subterms
 once per occurrence shows here.  Last it prints the best of five wall
 times of ``parse_term`` on balanced unions of 2^13 and 2^15 variables,
 about 64 KB and 256 KB of text: a tokenizer or parser whose cost per
-token grows with the input shows here.  The numbers depend on the
+token grows with the input shows here.  Then, for a bare ``python -c
+pass`` and for ``python -m dualtab prove|entail|modal --json`` on fixed
+small inputs, it prints the best of five wall times of the process and
+the dualtab modules it imported with their source lines, read from the
+``-X importtime`` report of one more run: a count that sits next to the
+time, since a process compiles every module it imports when no bytecode
+is cached, as under ``PYTHONDONTWRITEBYTECODE``, whose setting it prints
+too.  The numbers depend on the
 machine, so nothing is checked: the script exits 0 whatever it measures.
 Each row is written as soon as it is measured; a reader that closes the
 output early, as ``| head`` does, ends the script quietly.
@@ -34,6 +41,7 @@ needs neither numpy nor pytest nor hypothesis::
 import gc
 import json
 import os
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -52,6 +60,15 @@ SIZES = (("modal_dist", (4, 20)), ("cycle", (4, 14)), ("branching", (4, 8)),
 CHAINS = (8, 12, 16)
 PARSE_LEAVES = (2 ** 13, 2 ** 15)
 REPEATS = 5
+# one process per command, each on a small fixed input
+PROCESSES = (
+    ("python -c pass", ["-c", "pass"]),
+    ("prove", ["-m", "dualtab", "prove", "--json", "--", "r | -r"]),
+    ("entail", ["-m", "dualtab", "entail", "--json", "--premise=-r | -(s | t)",
+                "--conclusion=-s | -r"]),
+    ("modal", ["-m", "dualtab", "modal", "--json", "--",
+               "[r](p -> q) -> ([r]p -> [r]q)"]),
+)
 
 
 def gen0_collections():
@@ -122,6 +139,36 @@ def best_parse(text):
     return best
 
 
+def run_python(args, stderr=subprocess.DEVNULL):
+    """Run ``python args`` with this checkout's sources first on the import
+    path; returns its stderr when ``stderr`` is ``subprocess.PIPE``."""
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, *args], env=env, stdout=subprocess.DEVNULL,
+                          stderr=stderr, text=True, check=False).stderr
+
+
+def measure_process(args):
+    """The best wall time in seconds of :data:`REPEATS` runs of ``python
+    args``, and the dualtab modules one more run with ``-X importtime``
+    imported, with the source lines of each."""
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        run_python(args)
+        best = min(best, time.perf_counter() - start)
+    importtime = run_python(["-X", "importtime", *args], stderr=subprocess.PIPE)
+    names = [line.rsplit("|", 1)[1].strip() for line in importtime.splitlines()
+             if line.startswith("import time:")]
+    modules = {}
+    for name in names:
+        if name == "dualtab" or name.startswith("dualtab."):
+            path = ROOT / "src" / Path(*name.split("."))
+            path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
+            modules[name] = len(path.read_text(encoding="utf-8").splitlines())
+    return best, modules
+
+
 def report(name, n, steps, branches, variables, best, gc0, peak, retained,
            to_json):
     print(f"{name:12} {n:>3} {steps:>7} {branches:>8} {variables:>5} "
@@ -144,6 +191,14 @@ def main():
         text = balanced_union(leaves)
         print(f"{'balanced':12} {leaves:>6} {len(text.encode()) / 1024:>6.0f} "
               f"{best_parse(text) * 1e3:>9.1f}")
+    flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
+    print(f"\n{'process':14} {'best ms':>9} {'modules':>7} {'lines':>6}  dualtab modules"
+          f" (PYTHONDONTWRITEBYTECODE {'unset' if flag is None else repr(flag)})")
+    for name, args in PROCESSES:
+        best, modules = measure_process(args)
+        short = " ".join(m.partition(".")[2] or m for m in sorted(modules))
+        print(f"{name:14} {best * 1e3:>9.1f} {len(modules):>7} "
+              f"{sum(modules.values()):>6}  {short}".rstrip())
     return 0
 
 
