@@ -1,9 +1,14 @@
 """Dual-tableau validity prover for a decidable fragment of the logic of
 binary relations, with countermodel extraction, an entailment encoder and
-a modal frontend."""
+a modal frontend.
 
-from .engine import (Countermodel, Proof, Verdict, extract_model,
-                     run_procedure, verdict_to_json)
+The engine's and the oracle's names are resolved on first use, so that
+importing the package compiles neither ``engine`` nor ``oracle`` (which
+loads numpy): a command that runs no search or oracle never loads them.
+"""
+
+import importlib
+
 from .errors import (BranchNotSaturated, BudgetExceeded, DualTabError,
                      EmptyPremises, EngineInvariantError, FragmentViolation,
                      NotBoolean, ParseError, ResourceExhausted, UnboundVariable)
@@ -17,12 +22,19 @@ from .terms import (Cmpl, Comp, Conv, FragmentVerdict, Inter, ONE, One,
 __version__ = "0.1.0"
 
 
+_SUBMODULE = {
+    **dict.fromkeys(("run_procedure", "Proof", "Countermodel", "Verdict",
+                     "extract_model", "verdict_to_json"), "engine"),
+    "brute_force_countermodel": "oracle",
+}
+
+
 def __getattr__(name):
-    # the oracle imports numpy, so only asking for it loads the module
-    if name == "brute_force_countermodel":
-        from .oracle import brute_force_countermodel
-        return brute_force_countermodel
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f".{_SUBMODULE[name]}", __name__)
+    value = globals()[name] = getattr(module, name)
+    return value
 
 
 __all__ = [

@@ -17,10 +17,11 @@ Flags: ``--json`` (machine output), ``--trace`` (stream rule applications
 to stderr), ``--max-steps N``, ``--oracle-size K`` (1..4), ``--verify``
 (cross-check the verdict with the independent oracles).
 
-Each command imports only the modules it runs: the relational core
-(``terms``, ``formulas``, ``engine``, ``semantics``) for every command,
-``frontends.entailment`` for ``entail``, ``frontends.modal`` for
-``modal`` and ``frontends.kripke`` for ``modal --verify``; a ``--verify``
+Each command imports only the modules it runs: ``terms``, ``formulas``
+and ``semantics`` for every command, ``engine`` for the commands that
+search (``prove``, ``entail``, ``modal``), ``frontends.entailment`` for
+``entail``, ``frontends.modal`` for ``modal`` and ``frontends.kripke``
+for ``modal --verify``; a ``--verify``
 that checks a proof also loads ``oracle`` and numpy.  Without a bytecode
 cache (``PYTHONDONTWRITEBYTECODE``) every process compiles each module
 it imports, and that compiling is a large part of a short command's
@@ -58,7 +59,6 @@ import os
 import sys
 import warnings
 
-from .engine import Proof, run_procedure, verdict_to_json
 from .errors import (BudgetExceeded, DualTabError, EmptyPremises,
                      FragmentViolation, ParseError, ResourceExhausted,
                      UnknownVariableWarning)
@@ -193,20 +193,25 @@ def _tree_lines(nodes):
 
 
 def _prove_payload(term, args, extra=None):
+    """Whether ``term`` is valid, and the verdict's JSON payload with
+    ``extra`` and, under ``--verify``, the oracles' cross-check."""
+    from .engine import Proof, run_procedure, verdict_to_json
+
     trace = _trace_printer if args.trace else None
     verdict = run_procedure(term, max_steps=args.max_steps, trace=trace)
+    valid = isinstance(verdict, Proof)
     payload = verdict_to_json(verdict)
     if extra:
         payload.update(extra)
     if args.verify:
-        payload["verified"], note = _verify(term, verdict, args.oracle_size)
+        payload["verified"], note = _verify(term, verdict, valid, args.oracle_size)
         if note:
             payload["verify_note"] = note
-    return verdict, payload
+    return valid, payload
 
 
-def _verify(term, verdict, oracle_size):
-    if isinstance(verdict, Proof):
+def _verify(term, verdict, valid, oracle_size):
+    if valid:
         from .oracle import brute_force_countermodel  # loads numpy
 
         try:
@@ -221,15 +226,15 @@ def _verify(term, verdict, oracle_size):
     return ok, None
 
 
-def _exit_for(verdict):
-    return EXIT_VALID if isinstance(verdict, Proof) else EXIT_INVALID
+def _exit_for(valid):
+    return EXIT_VALID if valid else EXIT_INVALID
 
 
 def cmd_prove(args):
     term = simplify_ones(parse_term(args.term))
-    verdict, payload = _prove_payload(term, args)
+    valid, payload = _prove_payload(term, args)
     _emit(payload, args.json, _verdict_lines)
-    return _exit_for(verdict)
+    return _exit_for(valid)
 
 
 def cmd_entail(args):
@@ -239,9 +244,9 @@ def cmd_entail(args):
     conclusion = parse_term(args.conclusion)
     encoded = encode_entailment(EntailmentProblem(tuple(premises), conclusion))
     extra = {"term": render_term(encoded)}
-    verdict, payload = _prove_payload(encoded, args, extra)
+    valid, payload = _prove_payload(encoded, args, extra)
     _emit(payload, args.json, lambda p: _verdict_lines(p, "encoded"))
-    return _exit_for(verdict)
+    return _exit_for(valid)
 
 
 def cmd_modal(args):
@@ -250,7 +255,7 @@ def cmd_modal(args):
     formula = parse_modal(args.formula)
     translated = translate_modal(formula)
     extra = {"term": render_term(translated)}
-    verdict, payload = _prove_payload(translated, args, extra)
+    valid, payload = _prove_payload(translated, args, extra)
     if args.verify:
         from .frontends.kripke import kripke_countermodel
 
@@ -263,10 +268,10 @@ def cmd_modal(args):
             payload["verify_note"] = "; ".join(filter(None, notes))
         else:
             payload["kripke"] = {"refuted": refutation is not None, "worlds": worlds}
-            if refutation is not None and isinstance(verdict, Proof):
+            if refutation is not None and valid:
                 payload["verified"] = False
     _emit(payload, args.json, lambda p: _verdict_lines(p, "translated"))
-    return _exit_for(verdict)
+    return _exit_for(valid)
 
 
 def cmd_check_model(args):

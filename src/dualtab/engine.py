@@ -37,10 +37,20 @@ saturated open branch yields a finite model and identity valuation that
 falsify every formula ever on the branch, the input included.  The model
 is a function of that branch alone: its literals, plus the renamed
 literals of each blocked formula's blocker, found by one last scan.
+
+A search makes no reference cycles: the trail's inverses are bound to
+containers, not to the branch, the history keeps no bound method of its
+own, and the walkers over terms recurse through module-level functions,
+not closures.  Reference counting therefore frees everything a search
+drops, and :meth:`ProofSearch.run` pauses the cyclic garbage collector
+for the search, as :mod:`timeit` does, restoring it on every exit.  The
+collector is process-wide: while a search runs, the cyclic garbage of
+other threads waits until it ends.
 """
 
 from __future__ import annotations
 
+import gc
 from collections import namedtuple
 from functools import partial
 
@@ -523,6 +533,17 @@ class ProofSearch:
         self._witnesses = 0  # fresh witnesses are numbered across all branches
 
     def run(self):
+        """The verdict, searched with the cyclic garbage collector paused;
+        a caller that had the collector off finds it off afterwards."""
+        paused = gc.isenabled()
+        gc.disable()
+        try:
+            return self._search()
+        finally:
+            if paused:
+                gc.enable()
+
+    def _search(self):
         branch = Branch(self.root_formula, gate_index(self.cp))
         leaf = Node(0, None, [self.root_formula])
         self.tree.nodes.append(leaf)
@@ -558,7 +579,11 @@ class ProofSearch:
         saturated.  Nothing is written: :func:`extract_model` reads the
         blocked formulas off the saturated branch.
         """
-        for v in branch.order if z is None else (z, *branch.order):
+        if z is not None:
+            for app in applications(branch, z):
+                if app[0] != "blocked":
+                    return z, app
+        for v in branch.order:
             for app in applications(branch, v):
                 if app[0] != "blocked":
                     return v, app

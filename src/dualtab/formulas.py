@@ -129,8 +129,16 @@ class History(FormulaSet):
         self[f] = None
         trail.append(retract)
         x, t, z = f
-        self.by_left_right.setdefault((x, z), []).append(f)
-        self.by_term_right.setdefault((t, z), []).append(f)
+        group = self.by_left_right.get((x, z))
+        if group is None:
+            self.by_left_right[x, z] = [f]
+        else:
+            group.append(f)
+        group = self.by_term_right.get((t, z))
+        if group is None:
+            self.by_term_right[t, z] = [f]
+        else:
+            group.append(f)
         for gate in self.gates.get(t, ()):
             forced = self.forced.get((gate, x), frozenset())
             if z not in forced and gate_forced(x, gate, z, self):
@@ -139,13 +147,15 @@ class History(FormulaSet):
 
     def _retract(self):
         """Take back the last admission and the index entries it made."""
-        f = self.popitem()[0]
-        for index, key in ((self.by_left_right, (f.left, f.right)),
-                           (self.by_term_right, (f.term, f.right))):
-            group = index[key]
-            group.pop()
-            if not group:
-                del index[key]
+        x, t, z = self.popitem()[0]
+        group = self.by_left_right[x, z]
+        group.pop()
+        if not group:
+            del self.by_left_right[x, z]
+        group = self.by_term_right[t, z]
+        group.pop()
+        if not group:
+            del self.by_term_right[t, z]
 
 
 def parse_formula(text):

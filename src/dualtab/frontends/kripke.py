@@ -13,6 +13,8 @@ does not load it.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from ..errors import BudgetExceeded
 from ..semantics import Record
 from ..terms import Inter as TInter, Union as TUnion, Var
@@ -50,27 +52,28 @@ def _program(prog, value):
 def eval_modal(f, km, world):
     """Truth of ``f`` at ``world`` under possible-worlds semantics.  Each
     distinct subformula is evaluated at most once per world."""
-    memo = {}  # (g, w) -> truth of g at w
+    return holds(f, world, km, {})
 
-    def holds(g, w):
-        value = memo.get((g, w))
-        if value is None:
-            match g:
-                case Prop(name):
-                    value = w in km.valuation.get(name, ())
-                case Not(a):
-                    value = not holds(a, w)
-                case And(l, r):
-                    value = holds(l, w) and holds(r, w)
-                case Or(l, r):
-                    value = holds(l, w) or holds(r, w)
-                case Box(prog, a) | Dia(prog, a):
-                    values = (holds(a, u) for v, u in eval_program(prog, km) if v == w)
-                    value = all(values) if isinstance(g, Box) else any(values)
-            memo[g, w] = value
-        return value
 
-    return holds(f, world)
+def holds(g, w, km, memo):
+    """Truth of ``g`` at ``w`` in ``km``, memoised in ``memo`` by ``(g, w)``."""
+    value = memo.get((g, w))
+    if value is None:
+        match g:
+            case Prop(name):
+                value = w in km.valuation.get(name, ())
+            case Not(a):
+                value = not holds(a, w, km, memo)
+            case And(l, r):
+                value = holds(l, w, km, memo) and holds(r, w, km, memo)
+            case Or(l, r):
+                value = holds(l, w, km, memo) or holds(r, w, km, memo)
+            case Box(prog, a) | Dia(prog, a):
+                values = (holds(a, u, km, memo)
+                          for v, u in eval_program(prog, km) if v == w)
+                value = all(values) if isinstance(g, Box) else any(values)
+        memo[g, w] = value
+    return value
 
 
 BUDGET_BITS = 26  # enumerated accessibility and valuation bits accepted
@@ -136,36 +139,8 @@ def _search_size(f, accs, props, n, subs):
 
     owed = dict(subs)  # asks to come
     memo = {}  # masks of the shared subformulas still owed, never written
-
-    def truth(g):
-        out = memo.get(g)
-        if out is None:
-            match g:
-                case Prop(name):
-                    out = np.broadcast_to(prop_cols[name][None, :], (1, n_val))
-                case Not(a):
-                    out = truth(a) ^ world_mask
-                case And(l, r):
-                    out = truth(l) & truth(r)
-                case Or(l, r):
-                    out = truth(l) | truth(r)
-                case Dia(prog, a) | Box(prog, a):
-                    # [prog]a holds at w when no successor of w falsifies a
-                    box = isinstance(g, Box)
-                    ta = truth(a) ^ world_mask if box else truth(a)
-                    sa = _program(prog, succ.__getitem__)
-                    out = np.zeros((n_rel, ta.shape[1]), dtype=np.uint8)
-                    for w in range(n):
-                        hit = (sa[:, w][:, None] & ta) != 0
-                        out |= (hit != box).astype(np.uint8) << np.uint8(w)
-        owed[g] -= 1
-        if owed[g] > 0:
-            memo[g] = out
-        else:
-            memo.pop(g, None)
-        return out
-
-    root = truth(f)
+    space = _Space(np, n, n_rel, n_val, world_mask, succ, prop_cols, owed, memo)
+    root = truth(f, space)
     falsity = np.broadcast_to(root, (n_rel, n_val)) ^ world_mask
     flat = falsity.reshape(-1)
     nz = np.flatnonzero(flat)
@@ -189,3 +164,44 @@ def _search_size(f, accs, props, n, subs):
         mask = (pc >> shift) & ((1 << n) - 1)
         valuation[name] = {worlds[w] for w in range(n) if (mask >> w) & 1}
     return KripkeModel(worlds, relations, valuation), worlds[world_idx]
+
+
+# One universe size of the search: every frame and valuation over ``n``
+# worlds along the (frame, valuation) axes of the masks, the successor
+# masks of each accessibility variable and the valuation column of each
+# proposition.  ``owed`` counts the asks still to come for each
+# subformula of the :func:`subformulas` table; ``memo`` keeps the mask
+# of a shared one until its last ask.
+_Space = namedtuple("_Space", "np n n_rel n_val world_mask succ prop_cols owed memo")
+
+
+def truth(g, space):
+    """The world mask of ``g`` in every frame and valuation of ``space``."""
+    np, world_mask, memo = space.np, space.world_mask, space.memo
+    out = memo.get(g)
+    if out is None:
+        match g:
+            case Prop(name):
+                out = np.broadcast_to(space.prop_cols[name][None, :], (1, space.n_val))
+            case Not(a):
+                out = truth(a, space) ^ world_mask
+            case And(l, r):
+                out = truth(l, space) & truth(r, space)
+            case Or(l, r):
+                out = truth(l, space) | truth(r, space)
+            case Dia(prog, a) | Box(prog, a):
+                # [prog]a holds at w when no successor of w falsifies a
+                box = isinstance(g, Box)
+                ta = truth(a, space) ^ world_mask if box else truth(a, space)
+                sa = _program(prog, space.succ.__getitem__)
+                out = np.zeros((space.n_rel, ta.shape[1]), dtype=np.uint8)
+                for w in range(space.n):
+                    hit = (sa[:, w][:, None] & ta) != 0
+                    out |= (hit != box).astype(np.uint8) << np.uint8(w)
+    owed = space.owed
+    owed[g] -= 1
+    if owed[g] > 0:
+        memo[g] = out
+    else:
+        memo.pop(g, None)
+    return out

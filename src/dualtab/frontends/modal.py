@@ -150,6 +150,10 @@ def accessibility_of(subs):
 
 
 class _ModalTokenizer(TokenStream):
+    def __init__(self, text):
+        self.programs = {}  # each program text that passed both checks: its term
+        super().__init__(text)
+
     def token(self, text, i):
         c = text[i]
         if c in "~&|()":
@@ -165,12 +169,16 @@ class _ModalTokenizer(TokenStream):
         return "ident", m.group(), m.end()
 
     def _program(self, text, i):
-        """The box or diamond token whose program starts at ``i``."""
+        """The box or diamond token whose program starts at ``i``.  A
+        program text that passed is not parsed again in the same input."""
         closer, kind = ("]", "box") if text[i] == "[" else (">", "dia")
         end = text.find(closer, i + 1)
         if end < 0:
             raise self.error(f"missing {closer!r} for modality", i, (closer,))
         body = text[i + 1:end]
+        program = self.programs.get(body)
+        if program is not None:
+            return kind, program, end + 1
         try:
             program = parse_term(body)
         except ParseError as exc:
@@ -179,6 +187,7 @@ class _ModalTokenizer(TokenStream):
         if not program.plain:
             raise self.error("modality programs must be complement- and 1-free Boolean terms",
                              i, ("plain Boolean program",))
+        self.programs[body] = program
         return kind, program, end + 1
 
 

@@ -422,23 +422,25 @@ def term_size(t):
 def term_variables(t):
     """Names of the relational variables occurring in ``t``, sorted.  Each
     distinct subterm is visited once."""
-    out, seen = set(), set()
-
-    def walk(u):
-        if u in seen:
-            return
-        seen.add(u)
-        match u:
-            case Var(name):
-                out.add(name)
-            case Cmpl(a) | Conv(a):
-                walk(a)
-            case Union(l, r) | Inter(l, r) | Comp(l, r):
-                walk(l)
-                walk(r)
-
-    walk(t)
+    out = set()
+    _add_variables(t, out, set())
     return sorted(out)
+
+
+def _add_variables(t, out, seen):
+    """Add the variable names of ``t`` to ``out``, skipping the subterms in
+    ``seen``."""
+    if t in seen:
+        return
+    seen.add(t)
+    match t:
+        case Var(name):
+            out.add(name)
+        case Cmpl(a) | Conv(a):
+            _add_variables(a, out, seen)
+        case Union(l, r) | Inter(l, r) | Comp(l, r):
+            _add_variables(l, out, seen)
+            _add_variables(r, out, seen)
 
 
 def simplify_ones(t):
@@ -455,46 +457,46 @@ def simplify_ones(t):
     (its ``simple`` attribute) is returned at once; otherwise each
     distinct subterm is simplified once.
     """
-    memo = {}
+    return t if t.simple else _simplify(t, {})
 
-    def walk(u):
-        if u.simple:
-            return u
-        out = memo.get(u)
-        if out is not None:
-            return out
-        match u:
-            case Cmpl(a):
-                a2 = walk(a)
-                out = ONE if a2 == CMPL_ONE else Cmpl(a2)
-            case Union(l, r):
-                l2, r2 = walk(l), walk(r)
-                if l2 == ONE or r2 == ONE:
-                    out = ONE
-                elif l2 == CMPL_ONE:
-                    out = r2
-                elif r2 == CMPL_ONE:
-                    out = l2
-                else:
-                    out = Union(l2, r2)
-            case Inter(l, r):
-                l2, r2 = walk(l), walk(r)
-                if l2 == CMPL_ONE or r2 == CMPL_ONE:
-                    out = CMPL_ONE
-                elif l2 == ONE:
-                    out = r2
-                elif r2 == ONE:
-                    out = l2
-                else:
-                    out = Inter(l2, r2)
-            case Comp(l, r):
-                out = Comp(walk(l), walk(r))
-            case Conv(a):
-                out = Conv(walk(a))
-        memo[u] = out
+
+def _simplify(t, memo):
+    """:func:`simplify_ones` of ``t``, each result memoised in ``memo``."""
+    if t.simple:
+        return t
+    out = memo.get(t)
+    if out is not None:
         return out
-
-    return walk(t)
+    match t:
+        case Cmpl(a):
+            a2 = _simplify(a, memo)
+            out = ONE if a2 == CMPL_ONE else Cmpl(a2)
+        case Union(l, r):
+            l2, r2 = _simplify(l, memo), _simplify(r, memo)
+            if l2 == ONE or r2 == ONE:
+                out = ONE
+            elif l2 == CMPL_ONE:
+                out = r2
+            elif r2 == CMPL_ONE:
+                out = l2
+            else:
+                out = Union(l2, r2)
+        case Inter(l, r):
+            l2, r2 = _simplify(l, memo), _simplify(r, memo)
+            if l2 == CMPL_ONE or r2 == CMPL_ONE:
+                out = CMPL_ONE
+            elif l2 == ONE:
+                out = r2
+            elif r2 == ONE:
+                out = l2
+            else:
+                out = Inter(l2, r2)
+        case Comp(l, r):
+            out = Comp(_simplify(l, memo), _simplify(r, memo))
+        case Conv(a):
+            out = Conv(_simplify(a, memo))
+    memo[t] = out
+    return out
 
 
 def is_boolean(t):
@@ -533,29 +535,30 @@ def components(t):
     """The set of components of ``t``: every term a decomposition of ``t``
     can mention.  Always finite and contains ``t`` itself."""
     out = set()
-
-    def walk(u):
-        if u in out:
-            return
-        out.add(u)
-        match u:
-            case One() | Var() | Cmpl(One()) | Cmpl(Var()):
-                pass
-            case Cmpl(Cmpl(b)):
-                walk(b)
-            case Cmpl(Conv(b)):
-                walk(Cmpl(b))
-            case Cmpl(Union(l, r)) | Cmpl(Inter(l, r)) | Cmpl(Comp(l, r)):
-                walk(Cmpl(l))
-                walk(Cmpl(r))
-            case Conv(b):
-                walk(b)
-            case Union(l, r) | Inter(l, r) | Comp(l, r):
-                walk(l)
-                walk(r)
-
-    walk(t)
+    _add_components(t, out)
     return out
+
+
+def _add_components(t, out):
+    """Add the components of ``t`` that are not in ``out`` to it."""
+    if t in out:
+        return
+    out.add(t)
+    match t:
+        case One() | Var() | Cmpl(One()) | Cmpl(Var()):
+            pass
+        case Cmpl(Cmpl(b)):
+            _add_components(b, out)
+        case Cmpl(Conv(b)):
+            _add_components(Cmpl(b), out)
+        case Cmpl(Union(l, r)) | Cmpl(Inter(l, r)) | Cmpl(Comp(l, r)):
+            _add_components(Cmpl(l), out)
+            _add_components(Cmpl(r), out)
+        case Conv(b):
+            _add_components(b, out)
+        case Union(l, r) | Inter(l, r) | Comp(l, r):
+            _add_components(l, out)
+            _add_components(r, out)
 
 
 class FragmentVerdict(namedtuple("FragmentVerdict", "accepted offender clause",

@@ -432,7 +432,7 @@ class TestRobustness:
         def broken(*args, **kwargs):
             raise EngineInvariantError("composition step without progress")
 
-        monkeypatch.setattr("dualtab.cli.run_procedure", broken)
+        monkeypatch.setattr("dualtab.engine.run_procedure", broken)
         code, out, err = run(capsys, "prove", "r")
         assert code == 5
         assert out == ""
@@ -443,7 +443,7 @@ class TestRobustness:
         def broken(*args, **kwargs):
             raise RecursionError("maximum recursion depth exceeded")
 
-        monkeypatch.setattr("dualtab.cli.run_procedure", broken)
+        monkeypatch.setattr("dualtab.engine.run_procedure", broken)
         code, _, err = run(capsys, "prove", "r")
         assert code == 5
         assert err.startswith("internal error: RecursionError:")

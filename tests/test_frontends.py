@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_modal
+from conftest import all_modal, family_text
 
 from dualtab.engine import Countermodel, Proof, run_procedure
 from dualtab.errors import BudgetExceeded, EmptyPremises, FragmentViolation, ParseError
@@ -299,6 +299,20 @@ class TestModalParser:
     def test_missing_closing_bracket(self):
         with pytest.raises(ParseError):
             parse_modal("[r p")
+
+    def test_each_program_text_is_parsed_once(self, monkeypatch):
+        parsed = []
+
+        def counting(text):
+            parsed.append(text)
+            return parse_term(text)
+
+        monkeypatch.setattr(modal, "parse_term", counting)
+        parse_modal(family_text("modal_dist", 12))  # 36 modalities, each on r
+        assert parsed == ["r"]
+        parsed.clear()
+        parse_modal("[r | s]p & <r|s>q -> [r | s]q")
+        assert parsed == ["r | s", "r|s"]
 
     def test_render_round_trip(self):
         import random

@@ -2,7 +2,8 @@
 runs, and no dualtab process loads ``dataclasses``, which brings in
 ``inspect``, ``ast`` and ``dis``.  A CLI command loads only the frontend
 modules it runs.  Each check starts a fresh interpreter: the test process
-itself has all of them loaded long before."""
+itself has all of them loaded long before.  Likewise a command that runs
+no search does not load the engine."""
 
 import importlib
 import json
@@ -102,6 +103,51 @@ def test_frontends_load_on_first_use(code, expected):
 def test_a_command_loads_only_the_frontends_it_runs(argv, expected):
     code = f"from dualtab.cli import main; assert main({argv!r}) == 0"
     assert loaded_frontends(code) == expected
+
+
+@pytest.mark.parametrize("code, expected", [
+    ("import dualtab", False),
+    ("import dualtab.cli", False),
+    ("from dualtab import RelFormula, parse_term, satisfies", False),
+    ("from dualtab import run_procedure", True),
+    ("import dualtab; dualtab.Proof", True),
+], ids=["package", "cli", "core-names", "run_procedure", "attribute"])
+def test_engine_loads_on_first_use(code, expected):
+    assert loaded(code, ["dualtab.engine"]) == (["dualtab.engine"] if expected else [])
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (["simplify", "--", "1 & r"], False),
+    (["fragment", "--json", "--", "1 ; r"], False),
+    (["prove", "--json", "--", "r | -r"], True),
+    (["entail", "--json", "--premise", "-r | -(s | t)", "--conclusion", "-s | -r"],
+     True),
+    (["modal", "--json", "--", "[r](p -> q) -> ([r]p -> [r]q)"], True),
+], ids=["simplify", "fragment", "prove", "entail", "modal"])
+def test_only_a_command_that_searches_loads_the_engine(argv, expected):
+    code = f"from dualtab.cli import main; assert main({argv!r}) == 0"
+    assert loaded(code, ["dualtab.engine"]) == (["dualtab.engine"] if expected else [])
+
+
+def test_check_model_leaves_the_engine_out(cli_argvs):
+    model = cli_argvs[-1][-1]
+    code = f"from dualtab.cli import main; assert main(['check-model', '1', {model!r}]) == 1"
+    assert loaded(code, ["dualtab.engine"]) == []
+
+
+def test_package_exports_the_engines_own_objects():
+    from dualtab import engine
+
+    names = ["run_procedure", "Proof", "Countermodel", "Verdict",
+             "extract_model", "verdict_to_json"]
+    for name in names:
+        assert getattr(dualtab, name) is getattr(engine, name)
+        assert name in dualtab.__all__
+    namespace = {}
+    exec("from dualtab import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(dualtab.__all__)
+    with pytest.raises(AttributeError, match="no attribute 'ProofSearch'"):
+        dualtab.ProofSearch
 
 
 # the public names of dualtab.frontends, by the submodule that defines them

@@ -6,7 +6,10 @@ instance the steps taken, the branches of the deduction tree, the most
 variables on one branch, the best of five wall times of
 ``run_procedure``, that time per step in microseconds, the generation-0
 collections of the garbage collector during those five runs (a count of
-allocation, not of time), the peak memory
+allocation, not of time: a search pauses the collector, so they run
+outside the searches), the objects ``gc.collect()`` finds unreachable after
+one more run with the collector off (the reference cycles a run leaves,
+which must be 0), the peak memory
 that ``tracemalloc`` traces over one more, untimed, call, the memory
 still traced after it while its verdict is kept (after
 ``gc.collect()``), and the time of one ``verdict_to_json`` plus
@@ -78,7 +81,9 @@ def gen0_collections():
 def best_of(run):
     """Steps, branches and branch variables of the verdict ``run()``
     returns, its best wall time in seconds over :data:`REPEATS` calls and
-    the generation-0 collections during them; the peak traced memory in
+    the generation-0 collections during them; the objects a collection
+    finds unreachable after one more call with the collector off; the
+    peak traced memory in
     bytes of one more call, which is not timed, and the traced memory its
     verdict retains; and the seconds that verdict's JSON text takes to
     build."""
@@ -93,6 +98,12 @@ def best_of(run):
     # traced call builds and counts its own
     del verdict
     gc.collect()
+    gc.disable()
+    try:
+        run()
+    finally:
+        gc.enable()
+    cyclic = gc.collect()
     tracemalloc.start()
     try:
         verdict = run()
@@ -104,8 +115,8 @@ def best_of(run):
     json.dumps(verdict_to_json(verdict), indent=2, sort_keys=True)
     to_json = time.perf_counter() - start
     tree = verdict.tree
-    return (tree.steps, tree.branch_count, tree.max_vars, best, gc0, peak,
-            retained, to_json)
+    return (tree.steps, tree.branch_count, tree.max_vars, best, gc0, cyclic,
+            peak, retained, to_json)
 
 
 def measure(name, n):
@@ -169,17 +180,17 @@ def measure_process(args):
     return best, modules
 
 
-def report(name, n, steps, branches, variables, best, gc0, peak, retained,
-           to_json):
+def report(name, n, steps, branches, variables, best, gc0, cyclic, peak,
+           retained, to_json):
     print(f"{name:12} {n:>3} {steps:>7} {branches:>8} {variables:>5} "
-          f"{best * 1e3:>9.1f} {best * 1e6 / steps:>8.0f} {gc0:>5} "
+          f"{best * 1e3:>9.1f} {best * 1e6 / steps:>8.0f} {gc0:>5} {cyclic:>6} "
           f"{peak / 2 ** 20:>8.2f} {retained / 2 ** 20:>11.2f} {to_json * 1e3:>9.1f}")
 
 
 def main():
     sys.stdout.reconfigure(line_buffering=True)
     print(f"{'family':12} {'n':>3} {'steps':>7} {'branches':>8} {'vars':>5} "
-          f"{'best ms':>9} {'us/step':>8} {'gc0':>5} {'peak MB':>8} "
+          f"{'best ms':>9} {'us/step':>8} {'gc0':>5} {'cyclic':>6} {'peak MB':>8} "
           f"{'retained MB':>11} {'json ms':>9}")
     for name, sizes in SIZES:
         for n in sizes:
