@@ -172,7 +172,7 @@ def parse_formula(text):
         tz.pos = 0
         try:
             left = tz.expect("ident")[1]
-            term = _Parser(tz).top()
+            term = _Parser(tz).expression()
             right = tz.expect("ident")[1]
             tz.expect("eof")
             return RelFormula(left, term, right)

@@ -19,8 +19,9 @@ Text grammar::
     atom    := IDENT | '(' formula ')'
 
 ``->`` and ``<->`` are desugared at parse time (``a -> b`` as ``~a | b``,
-``a <-> b`` as ``(a -> b) & (b -> a)``).  Negations, modalities,
-parentheses and right-nested implications together may nest at most
+``a <-> b`` as ``(a -> b) & (b -> a)``) by their entries in the
+parser's operator table.  Negations, modalities, parentheses and
+right-nested implications together may nest at most
 :data:`~dualtab.terms.MAX_NESTING` deep.  A formula (programs included)
 and its translation may be at most :data:`~dualtab.terms.MAX_DEPTH`
 levels deep, flat chains included.  Deeper input is a :class:`ParseError`.
@@ -192,45 +193,13 @@ class _ModalTokenizer(TokenStream):
 
 
 class _ModalParser(NestingParser):
-    FOLLOW = ("&", "|", "->", "<->", "eof")
+    ATOMS = {"ident": Prop}
+    PREFIX = {"~": lambda _, f: Not(f), "box": Box, "dia": Dia}
+    INFIX = {"<->": (1, False, lambda f, g: And(Or(Not(f), g), Or(Not(g), f))),
+             "->": (2, True, lambda f, g: Or(Not(f), g)),
+             "|": (3, False, Or), "&": (4, False, And)}
     STARTS = ("ident", "~", "(", "[", "<")
-
-    def top(self):
-        f = self.imp()
-        while (tok := self.tz.peek())[0] == "<->":
-            self.tz.next()
-            g = self.imp()
-            f = self.node(And, tok, Or(Not(f), g), Or(Not(g), f))
-        return f
-
-    def imp(self):
-        f = self.disj()
-        if (tok := self.tz.peek())[0] == "->":
-            self.nest(self.tz.next())
-            g = self.imp()
-            self.depth -= 1
-            return self.node(Or, tok, Not(f), g)
-        return f
-
-    def disj(self):
-        return self.chain("|", Or, self.conj)
-
-    def conj(self):
-        return self.chain("&", And, self.unary)
-
-    def unary(self):
-        tok = self.tz.peek()
-        if tok[0] == "ident":
-            self.tz.next()
-            return Prop(tok[1])
-        if tok[0] not in ("~", "box", "dia"):
-            return self.group("formula")
-        self.nest(self.tz.next())
-        f = self.unary()
-        self.depth -= 1
-        if tok[0] == "~":
-            return self.node(Not, tok, f)
-        return self.node(Box if tok[0] == "box" else Dia, tok, tok[1], f)
+    WHAT = "formula"
 
 
 def parse_modal(text):

@@ -20,16 +20,17 @@ Grammar accepted by :func:`parse_term` (ASCII, with unicode aliases
 ``-`` binds tighter than ``;``, which binds tighter than ``&``, which
 binds tighter than ``|``; same-operator chains associate to the left.
 Identifiers match ``[a-z][a-z0-9_]*``.  Parentheses, complements and
-converses may nest at most :data:`MAX_NESTING` deep, which bounds the
-parser's own recursion.  A term may be at most :data:`MAX_DEPTH` levels
-deep, flat chains included; the parser raises :class:`ParseError` before
-it builds a deeper node.  Every recursive walker over terms takes one
-interpreter frame per level, so no walker can exhaust the stack.
+converses may nest at most :data:`MAX_NESTING` deep.  A term may be at
+most :data:`MAX_DEPTH` levels deep, flat chains included; the parser
+raises :class:`ParseError` before it builds a deeper node.  Every
+recursive walker over terms takes one interpreter frame per level, so no
+walker can exhaust the stack.
 
 :class:`TokenStream` and :class:`NestingParser` are the tokenizer and
-parser core of this grammar and of the modal one.  Tokens hold character
-indices into the text; a :class:`ParseError` reports a byte offset into
-its UTF-8 encoding, computed from the index only when the error is made.
+parser core of this grammar and of the modal one, each grammar a table
+of its operators.  Tokens hold character indices into the text; a
+:class:`ParseError` reports a byte offset into its UTF-8 encoding,
+computed from the index only when the error is made.
 
 Each term carries attributes set once at interning from its children's:
 
@@ -217,12 +218,13 @@ _ALIASES = {"∪": "|", "∩": "&", "−": "-", "⌣": "^"}
 
 
 class TokenStream:
-    """The tokens of ``text``, read front to back by a recursive-descent
-    parser.  A subclass reads one with ``token(text, i)``, the ``(kind,
-    value, end)`` of the token at character ``i``; whitespace is skipped
-    here.  Tokens are ``(kind, value, index)`` triples holding character
-    indices, the last ``("eof", "", len(text))``.  Offsets are bytes:
-    :meth:`error` computes one from an index only when a parse fails.
+    """The tokens of ``text``, which a :class:`NestingParser` reads front
+    to back from ``pos``.  A subclass reads one with ``token(text, i)``,
+    the ``(kind, value, end)`` of the token at character ``i``;
+    whitespace is skipped here.  Tokens are ``(kind, value, index)``
+    triples holding character indices, the last ``("eof", "",
+    len(text))``.  Offsets are bytes: :meth:`error` computes one from an
+    index only when a parse fails.
     """
 
     def __init__(self, text):
@@ -243,19 +245,13 @@ class TokenStream:
         """The :class:`ParseError` at character ``index`` of the text."""
         return ParseError(message, len(self.text[:index].encode("utf-8")), expected)
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
     def expect(self, kind):
-        tok = self.peek()
+        """The next token, which must be of ``kind``."""
+        tok = self.tokens[self.pos]
         if tok[0] != kind:
             raise self.error(f"expected {kind!r}, found {_found(tok)}", tok[2], (kind,))
-        return self.next()
+        self.pos += 1
+        return tok
 
 
 def _found(tok):
@@ -278,56 +274,109 @@ class _Tokenizer(TokenStream):
 
 
 class NestingParser:
-    """A recursive-descent parser over a token stream ``tz`` that refuses
-    nesting deeper than :data:`MAX_NESTING` and syntax trees deeper than
-    :data:`MAX_DEPTH`.  A subclass names its top rule ``top``, the token
-    kinds that may follow a complete input in ``FOLLOW`` and those that
-    may start an operand in ``STARTS``."""
+    """An operator-precedence parser over a token stream ``tz``: one loop
+    over an explicit stack of pending operators (Dijkstra's shunting
+    yard), so that it takes the same few interpreter frames whatever the
+    input.  A subclass is a grammar, given as tables from token kinds:
+
+    - ``ATOMS``: the operand, from the token's value;
+    - ``PREFIX``: the node, from the operator's value and the operand;
+    - ``POSTFIX``: the node, from the operand;
+    - ``INFIX``: ``(precedence, right, build)``, ``right`` true for a
+      right-associative operator, ``build`` the node from both operands;
+      a postfix operator binds tighter than a prefix one, and a prefix
+      one tighter than any infix one;
+    - ``STARTS``, the kinds that may start an operand, and ``WHAT``, the
+      name of an operand.
+
+    ``(`` and ``)`` group.  A nesting level is an open parenthesis, a
+    pending prefix or right-associative operator, or one postfix operator
+    of a run; siblings do not add up.  More than :data:`MAX_NESTING`
+    levels, or a node deeper than :data:`MAX_DEPTH`, is a
+    :class:`ParseError`, raised before the node is built when an operand
+    is that deep already, after it when a build adds more than one level
+    (``->``) or has a deep value (a program).
+    """
+
+    POSTFIX = {}
 
     def __init__(self, tz):
         self.tz = tz
-        self.depth = 0
 
     def parse(self):
-        """The whole input, which must end after the top rule."""
-        t = self.top()
-        tok = self.tz.peek()
-        if tok[0] != "eof":
-            raise self.tz.error(f"trailing input {tok[1]!r}", tok[2], self.FOLLOW)
+        """The whole input, which must end after one expression."""
+        t = self.expression()
+        kind, value, at = self.tz.tokens[self.tz.pos]
+        if kind != "eof":
+            raise self.tz.error(f"trailing input {value!r}", at,
+                                (*self.INFIX, *self.POSTFIX, "eof"))
         return t
 
-    def chain(self, kind, cls, operand):
-        """``operand (kind operand)*``, associated to the left by ``cls``."""
-        t = operand()
-        while self.tz.peek()[0] == kind:
-            t = self.node(cls, self.tz.next(), t, operand())
-        return t
+    def expression(self):
+        """The expression at the current token, which ends before the first
+        token that cannot continue it."""
+        tz, tokens, pos = self.tz, self.tz.tokens, self.tz.pos
+        atoms, prefix, postfix, infix = self.ATOMS, self.PREFIX, self.POSTFIX, self.INFIX
+        # the pending operators, innermost last, as (precedence, nesting
+        # levels, build, first operand, its depth, token index); an open
+        # "(" has precedence 0, the bottom entry -1
+        stack = [(-1, 0, None, None, 0, 0)]
+        nesting = 0
+        while True:
+            kind, value, at = tok = tokens[pos]
+            pos += 1
+            if kind not in atoms:
+                if kind in prefix:
+                    stack.append((_PREFIX, 1, prefix[kind], value, 0, at))
+                elif kind == "(":
+                    stack.append((0, 1, None, None, 0, at))
+                else:
+                    raise tz.error(f"expected a {self.WHAT}, found {_found(tok)}", at,
+                                   self.STARTS)
+                nesting += 1
+                if nesting > MAX_NESTING:
+                    raise tz.error(_TOO_NESTED, at)
+                continue
+            t = atoms[kind](value)
+            while True:  # after the operand ``t``
+                run = nesting
+                while (tok := tokens[pos])[0] in postfix:
+                    pos += 1
+                    run += 1
+                    if run > MAX_NESTING:
+                        raise tz.error(_TOO_NESTED, tok[2])
+                    if t.depth >= MAX_DEPTH:
+                        raise tz.error(_TOO_DEEP, tok[2])
+                    t = postfix[tok[0]](t)
+                kind, value, at = tok
+                precedence, right, build = infix.get(kind, _END)
+                while (top := stack[-1])[0] > precedence or top[0] == precedence and not right:
+                    _, levels, make, first, first_depth, made_at = stack.pop()
+                    if (max(first_depth, t.depth) >= MAX_DEPTH
+                            or (t := make(first, t)).depth > MAX_DEPTH):
+                        raise tz.error(_TOO_DEEP, made_at)
+                    nesting -= levels
+                if build is not None:
+                    stack.append((precedence, right, build, t, t.depth, at))
+                    nesting += right
+                    if nesting > MAX_NESTING:
+                        raise tz.error(_TOO_NESTED, at)
+                    pos += 1
+                    break
+                if top[0] < 0:
+                    tz.pos = pos
+                    return t
+                if kind != ")":
+                    raise tz.error(f"expected ')', found {_found(tok)}", at, (")",))
+                stack.pop()
+                nesting -= 1
+                pos += 1
 
-    def group(self, what):
-        """The parenthesised input at the next token; at any other token,
-        a ``what`` was expected."""
-        tok = self.tz.peek()
-        if tok[0] != "(":
-            raise self.tz.error(f"expected a {what}, found {_found(tok)}", tok[2], self.STARTS)
-        self.nest(self.tz.next())
-        t = self.top()
-        self.tz.expect(")")
-        self.depth -= 1
-        return t
 
-    def nest(self, tok):
-        """Enter one more level of nesting at ``tok``; the caller lowers
-        ``depth`` again on leaving it."""
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise self.tz.error(f"nesting deeper than {MAX_NESTING} levels", tok[2])
-
-    def node(self, cls, tok, *parts):
-        """``cls(*parts)`` for the operator at ``tok``, unless deeper than
-        :data:`MAX_DEPTH`."""
-        if 1 + max(p.depth for p in parts) > MAX_DEPTH:
-            raise self.tz.error(f"syntax tree deeper than {MAX_DEPTH} levels", tok[2])
-        return cls(*parts)
+_PREFIX = float("inf")  # the precedence of a pending prefix operator
+_END = (0, True, None)  # the entry of a token that is no infix operator
+_TOO_NESTED = f"nesting deeper than {MAX_NESTING} levels"
+_TOO_DEEP = f"syntax tree deeper than {MAX_DEPTH} levels"
 
 
 def _bound_depth(depth, what):
@@ -337,37 +386,12 @@ def _bound_depth(depth, what):
 
 
 class _Parser(NestingParser):
-    FOLLOW = ("|", "&", ";", "^", "eof")
+    ATOMS = {"one": lambda _: ONE, "ident": Var}
+    PREFIX = {"-": lambda _, t: Cmpl(t)}
+    POSTFIX = {"^": Conv}
+    INFIX = {"|": (1, False, Union), "&": (2, False, Inter), ";": (3, False, Comp)}
     STARTS = ("ident", "1", "(", "-")
-
-    def top(self):
-        return self.chain("|", Union, self.conj)
-
-    def conj(self):
-        return self.chain("&", Inter, self.comp)
-
-    def comp(self):
-        return self.chain(";", Comp, self.unary)
-
-    def unary(self):
-        tok = self.tz.peek()
-        if tok[0] == "-":
-            self.nest(self.tz.next())
-            t = self.node(Cmpl, tok, self.unary())
-            self.depth -= 1
-            return t
-        if tok[0] in ("one", "ident"):
-            self.tz.next()
-            t = ONE if tok[0] == "one" else Var(tok[1])
-        else:
-            t = self.group("term")
-        levels = 0
-        while (tok := self.tz.peek())[0] == "^":
-            levels += 1
-            self.nest(self.tz.next())
-            t = self.node(Conv, tok, t)
-        self.depth -= levels
-        return t
+    WHAT = "term"
 
 
 def parse_term(text):

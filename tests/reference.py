@@ -8,12 +8,21 @@ forced) and intersections (one side forced, the other in complement
 normal form).  The engine keeps the forced sets it needs up to date
 instead (``formulas.History``, ``formulas.gate_forced``).  And the
 structural readings of a term that ``terms.py`` sets as attributes at
-interning, as functions.
+interning, as functions.  And the recursive-descent parsers that
+``terms.NestingParser``'s operator-precedence loop replaced, one method
+per grammar level, with entry points named as the library's
+(``parse_term``, ``parse_modal``, ``parse_formula``).  They share the
+library's tokenizers and node classes, and take about eight interpreter
+frames per parenthesis.
 """
 
-from dualtab.errors import NotBoolean
-from dualtab.formulas import RelFormula
-from dualtab.terms import Cmpl, Inter, One, Union, Var, nf_cmpl, render_term
+from dualtab import terms
+from dualtab.errors import NotBoolean, ParseError
+from dualtab.formulas import DEFAULT_LEFT, DEFAULT_RIGHT, RelFormula
+from dualtab.frontends import modal
+from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop
+from dualtab.terms import (MAX_DEPTH, MAX_NESTING, ONE, Cmpl, Comp, Conv, Inter, One,
+                           Union, Var, _found, nf_cmpl, render_term)
 
 
 def is_nbool(f, n):
@@ -78,3 +87,184 @@ def is_cnf(t):
 def is_plain_boolean(t):
     """True iff ``t`` is built from variables with union/intersection only."""
     return t.plain
+
+
+class _Reads:
+    """The token reads of the recursive-descent parsers, on the library's
+    token streams."""
+
+    def peek(self):
+        return self.tokens[self.pos]
+
+    def next(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+
+class _Tokenizer(_Reads, terms._Tokenizer):
+    pass
+
+
+class _ModalTokenizer(_Reads, modal._ModalTokenizer):
+    pass
+
+
+class NestingParser:
+    """A recursive-descent parser over a token stream ``tz`` that refuses
+    nesting deeper than :data:`MAX_NESTING` and syntax trees deeper than
+    :data:`MAX_DEPTH`.  A subclass names its top rule ``top``, the token
+    kinds that may follow a complete input in ``FOLLOW`` and those that
+    may start an operand in ``STARTS``."""
+
+    def __init__(self, tz):
+        self.tz = tz
+        self.depth = 0
+
+    def parse(self):
+        """The whole input, which must end after the top rule."""
+        t = self.top()
+        tok = self.tz.peek()
+        if tok[0] != "eof":
+            raise self.tz.error(f"trailing input {tok[1]!r}", tok[2], self.FOLLOW)
+        return t
+
+    def chain(self, kind, cls, operand):
+        """``operand (kind operand)*``, associated to the left by ``cls``."""
+        t = operand()
+        while self.tz.peek()[0] == kind:
+            t = self.node(cls, self.tz.next(), t, operand())
+        return t
+
+    def group(self, what):
+        """The parenthesised input at the next token; at any other token,
+        a ``what`` was expected."""
+        tok = self.tz.peek()
+        if tok[0] != "(":
+            raise self.tz.error(f"expected a {what}, found {_found(tok)}", tok[2], self.STARTS)
+        self.nest(self.tz.next())
+        t = self.top()
+        self.tz.expect(")")
+        self.depth -= 1
+        return t
+
+    def nest(self, tok):
+        """Enter one more level of nesting at ``tok``; the caller lowers
+        ``depth`` again on leaving it."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.tz.error(f"nesting deeper than {MAX_NESTING} levels", tok[2])
+
+    def node(self, cls, tok, *parts):
+        """``cls(*parts)`` for the operator at ``tok``, unless deeper than
+        :data:`MAX_DEPTH`."""
+        if 1 + max(p.depth for p in parts) > MAX_DEPTH:
+            raise self.tz.error(f"syntax tree deeper than {MAX_DEPTH} levels", tok[2])
+        return cls(*parts)
+
+
+class _Parser(NestingParser):
+    FOLLOW = ("|", "&", ";", "^", "eof")
+    STARTS = ("ident", "1", "(", "-")
+
+    def top(self):
+        return self.chain("|", Union, self.conj)
+
+    def conj(self):
+        return self.chain("&", Inter, self.comp)
+
+    def comp(self):
+        return self.chain(";", Comp, self.unary)
+
+    def unary(self):
+        tok = self.tz.peek()
+        if tok[0] == "-":
+            self.nest(self.tz.next())
+            t = self.node(Cmpl, tok, self.unary())
+            self.depth -= 1
+            return t
+        if tok[0] in ("one", "ident"):
+            self.tz.next()
+            t = ONE if tok[0] == "one" else Var(tok[1])
+        else:
+            t = self.group("term")
+        levels = 0
+        while (tok := self.tz.peek())[0] == "^":
+            levels += 1
+            self.nest(self.tz.next())
+            t = self.node(Conv, tok, t)
+        self.depth -= levels
+        return t
+
+
+class _ModalParser(NestingParser):
+    FOLLOW = ("&", "|", "->", "<->", "eof")
+    STARTS = ("ident", "~", "(", "[", "<")
+
+    def top(self):
+        f = self.imp()
+        while (tok := self.tz.peek())[0] == "<->":
+            self.tz.next()
+            g = self.imp()
+            f = self.node(And, tok, Or(Not(f), g), Or(Not(g), f))
+        return f
+
+    def imp(self):
+        f = self.disj()
+        if (tok := self.tz.peek())[0] == "->":
+            self.nest(self.tz.next())
+            g = self.imp()
+            self.depth -= 1
+            return self.node(Or, tok, Not(f), g)
+        return f
+
+    def disj(self):
+        return self.chain("|", Or, self.conj)
+
+    def conj(self):
+        return self.chain("&", And, self.unary)
+
+    def unary(self):
+        tok = self.tz.peek()
+        if tok[0] == "ident":
+            self.tz.next()
+            return Prop(tok[1])
+        if tok[0] not in ("~", "box", "dia"):
+            return self.group("formula")
+        self.nest(self.tz.next())
+        f = self.unary()
+        self.depth -= 1
+        if tok[0] == "~":
+            return self.node(Not, tok, f)
+        return self.node(Box if tok[0] == "box" else Dia, tok, tok[1], f)
+
+
+def parse_formula(text):
+    """Parse ``"IDENT TERM IDENT"`` or a bare term.
+
+    A bare term gets the distinguished endpoints ``DEFAULT_LEFT`` and
+    ``DEFAULT_RIGHT``; validity of ``x R y`` does not depend on how the
+    endpoints are named.
+    """
+    tz = _Tokenizer(text)  # a tokenizing error is both readings' error
+    try:
+        return RelFormula(DEFAULT_LEFT, _Parser(tz).parse(), DEFAULT_RIGHT)
+    except ParseError as bare_error:
+        tz.pos = 0
+        try:
+            left = tz.expect("ident")[1]
+            term = _Parser(tz).top()
+            right = tz.expect("ident")[1]
+            tz.expect("eof")
+            return RelFormula(left, term, right)
+        except ParseError as triple_error:
+            raise (triple_error if triple_error.offset > bare_error.offset
+                   else bare_error) from None
+
+
+def parse_term(text):
+    return _Parser(_Tokenizer(text)).parse()
+
+
+def parse_modal(text):
+    return _ModalParser(_ModalTokenizer(text)).parse()

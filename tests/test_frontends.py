@@ -132,13 +132,16 @@ def profiling(profile):
 
 
 def calls_by_object(run):
-    """Run ``run()``; count the calls of each function by its name and the
-    id of its argument ``g``, the subformula it was asked for."""
+    """Run ``run()``; count the calls of the Kripke oracle's ``holds`` and
+    ``truth``, told apart by their code objects, by the id of their first
+    argument, the subformula they were asked for."""
     calls = collections.defaultdict(collections.Counter)
+    names = {kripke.holds.__code__: "holds", kripke.truth.__code__: "truth"}
 
     def profile(frame, event, arg):
-        if event == "call" and "g" in frame.f_code.co_varnames[:1]:
-            calls[frame.f_code.co_name][id(frame.f_locals["g"])] += 1
+        if event == "call" and frame.f_code in names:
+            first = frame.f_locals[frame.f_code.co_varnames[0]]
+            calls[names[frame.f_code]][id(first)] += 1
 
     with profiling(profile):
         run()
@@ -237,7 +240,7 @@ class TestKripkeOracle:
         left = []
 
         def profile(frame, event, arg):
-            if event == "return" and frame.f_code.co_name == "_search_size":
+            if event == "return" and frame.f_code is kripke._search_size.__code__:
                 left.append(dict(frame.f_locals["memo"]))
 
         with profiling(profile):

@@ -22,10 +22,13 @@ biconditional chains ``p0 <-> ... <-> pk``, k = 8, 12 and 16, timing
 every operand of each ``<->``, so a walker that visits shared subterms
 once per occurrence shows here.  Last it prints the best of five wall
 times of ``parse_term`` on balanced unions of 2^13 and 2^15 variables,
-about 64 KB and 256 KB of text: a tokenizer or parser whose cost per
-token grows with the input shows here.  Then, for a bare ``python -c
-pass`` and for ``python -m dualtab prove|entail|modal --json`` on fixed
-small inputs, it prints the best of five wall times of the process and
+about 64 KB and 256 KB of text, and of ``parse_modal`` on the
+``modal_dist`` n=20 formula, each called from the top level and from
+700 interpreter frames deep: a tokenizer or parser whose cost per token
+grows with the input, or with the caller's stack, shows here.  Then,
+for a bare ``python -c pass`` and for ``python -m dualtab
+prove|entail|modal --json`` on fixed small inputs, it prints the best
+of five wall times of the process and
 the dualtab modules it imported with their source lines, read from the
 ``-X importtime`` report of one more run: a count that sits next to the
 time, since a process compiles every module it imports when no bytecode
@@ -62,6 +65,7 @@ SIZES = (("modal_dist", (4, 20)), ("cycle", (4, 14)), ("branching", (4, 8)),
          ("kdist", (4, 32)))
 CHAINS = (8, 12, 16)
 PARSE_LEAVES = (2 ** 13, 2 ** 15)
+DEEP_CALLER = 700  # interpreter frames under which each parse is timed again
 REPEATS = 5
 # one process per command, each on a small fixed input
 PROCESSES = (
@@ -140,12 +144,15 @@ def balanced_union(leaves):
     return parts[0]
 
 
-def best_parse(text):
-    """The best wall time in seconds of :data:`REPEATS` ``parse_term(text)``."""
+def best_parse(parse, text, frames=0):
+    """The best wall time in seconds of :data:`REPEATS` ``parse(text)``,
+    called from ``frames`` more interpreter frames deep."""
+    if frames > 0:
+        return best_parse(parse, text, frames - 1)
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        parse_term(text)
+        parse(text)
         best = min(best, time.perf_counter() - start)
     return best
 
@@ -197,11 +204,15 @@ def main():
             report(name, n, *measure(name, n))
     for k in CHAINS:
         report("iff_chain", k, *measure_chain(k))
-    print(f"\n{'parse_term':12} {'leaves':>6} {'KB':>6} {'best ms':>9}")
-    for leaves in PARSE_LEAVES:
-        text = balanced_union(leaves)
-        print(f"{'balanced':12} {leaves:>6} {len(text.encode()) / 1024:>6.0f} "
-              f"{best_parse(text) * 1e3:>9.1f}")
+    print(f"\n{'parse':12} {'input':>14} {'KB':>6} {'best ms':>9} "
+          f"{f'{DEEP_CALLER} deep':>9}")
+    inputs = [(parse_term, f"union 2^{leaves.bit_length() - 1}", balanced_union(leaves))
+              for leaves in PARSE_LEAVES]
+    inputs.append((parse_modal, "modal_dist 20", family_text("modal_dist", 20)))
+    for parse, name, text in inputs:
+        print(f"{parse.__name__:12} {name:>14} {len(text.encode()) / 1024:>6.0f} "
+              f"{best_parse(parse, text) * 1e3:>9.1f} "
+              f"{best_parse(parse, text, DEEP_CALLER) * 1e3:>9.1f}")
     flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
     print(f"\n{'process':14} {'best ms':>9} {'modules':>7} {'lines':>6}  dualtab modules"
           f" (PYTHONDONTWRITEBYTECODE {'unset' if flag is None else repr(flag)})")
