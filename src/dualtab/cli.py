@@ -17,21 +17,34 @@ Flags: ``--json`` (machine output), ``--trace`` (stream rule applications
 to stderr), ``--max-steps N``, ``--oracle-size K`` (1..4), ``--verify``
 (cross-check the verdict with the independent oracles).
 
+The command line is read from two tables, ``_COMMANDS`` and ``_OPTIONS``,
+which also give the help; argparse's rules are kept.  Options come before
+or after positionals; ``--name=value`` and ``--name value`` both work,
+and a unique prefix abbreviates a long option (``--js``).  A flag may be
+repeated, a valued option keeps its last value, and ``--premise`` keeps
+every value.  An argument that begins with ``-`` is an option unless it
+contains a space or is a negative number; after ``--`` every argument is
+a positional.  ``-h`` or ``--help`` before ``--`` prints the help and
+exits 0, unless an argument before it is already an error.  A usage
+error is one line, ``error: ...``, with exit code 2.
+
 Each command imports only the modules it runs: ``terms``, ``formulas``
 and ``semantics`` for every command, ``engine`` for the commands that
 search (``prove``, ``entail``, ``modal``), ``frontends.entailment`` for
 ``entail``, ``frontends.modal`` for ``modal`` and ``frontends.kripke``
 for ``modal --verify``; a ``--verify``
-that checks a proof also loads ``oracle`` and numpy.  Without a bytecode
-cache (``PYTHONDONTWRITEBYTECODE``) every process compiles each module
-it imports, and that compiling is a large part of a short command's
-time.
+that checks a proof also loads ``oracle`` and numpy.  No command loads
+``argparse``, or the ``gettext`` and ``locale`` that it brings in.
+Without a bytecode cache (``PYTHONDONTWRITEBYTECODE``) every process
+compiles each module it imports, and that compiling is a large part of a
+short command's time.
 
-Exit codes: 0 valid / falsified, 1 invalid / satisfied, 2 parse error or
-malformed input (including nesting deeper than ``terms.MAX_NESTING`` and
-terms, formulas or encodings deeper than ``terms.MAX_DEPTH``), 3 fragment
-violation, 4 resource exhausted, 5 internal error (an engine invariant
-fired, or any other unexpected failure; one line, never a traceback).
+Exit codes: 0 valid / falsified (or help printed), 1 invalid / satisfied,
+2 usage error, parse error or malformed input (including nesting deeper
+than ``terms.MAX_NESTING`` and terms, formulas or encodings deeper than
+``terms.MAX_DEPTH``), 3 fragment violation, 4 resource exhausted, 5
+internal error (an engine invariant fired, or any other unexpected
+failure; one line, never a traceback).
 
 Verdict JSON::
 
@@ -53,11 +66,12 @@ oracle that refused the problem over its budget, joined by ``"; "``.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
+import re
 import sys
 import warnings
+from types import SimpleNamespace
 
 from .errors import (BudgetExceeded, DualTabError, EmptyPremises,
                      FragmentViolation, ParseError, ResourceExhausted,
@@ -72,59 +86,6 @@ EXIT_PARSE = 2
 EXIT_FRAGMENT = 3
 EXIT_RESOURCES = 4
 EXIT_INTERNAL = 5
-
-
-def _build_parser():
-    parser = argparse.ArgumentParser(
-        prog="dualtab",
-        description="Dual-tableau validity prover with countermodel extraction.",
-        epilog="Input starting with '-' needs the usual separator, e.g. "
-               "dualtab prove --json -- '-(r ; 1)'.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def positive(text):
-        value = int(text)
-        if value < 1:
-            raise argparse.ArgumentTypeError("must be at least 1")
-        return value
-
-    def common(p):
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        p.add_argument("--trace", action="store_true",
-                       help="stream rule applications to stderr")
-        p.add_argument("--max-steps", type=positive, default=1_000_000, metavar="N")
-        p.add_argument("--oracle-size", type=int, default=3, choices=(1, 2, 3, 4),
-                       metavar="K", help="universe cap for --verify oracles")
-        p.add_argument("--verify", action="store_true",
-                       help="cross-check the verdict with the independent oracles")
-
-    p = sub.add_parser("prove", help="decide validity of a term")
-    p.add_argument("term")
-    common(p)
-
-    p = sub.add_parser("entail", help="decide a relational entailment")
-    p.add_argument("--premise", action="append", required=True, metavar="TERM")
-    p.add_argument("--conclusion", required=True, metavar="TERM")
-    common(p)
-
-    p = sub.add_parser("modal", help="decide a modal formula")
-    p.add_argument("formula")
-    common(p)
-
-    p = sub.add_parser("check-model", help="evaluate a formula against a model file")
-    p.add_argument("formula")
-    p.add_argument("model_file")
-
-    p = sub.add_parser("fragment", help="check fragment membership")
-    p.add_argument("term")
-    p.add_argument("--json", action="store_true")
-
-    p = sub.add_parser("simplify", help="apply the 1-identities to a term")
-    p.add_argument("term")
-    p.add_argument("--json", action="store_true")
-
-    return parser
 
 
 def _trace_printer(event):
@@ -316,21 +277,199 @@ def cmd_simplify(args):
     return EXIT_VALID
 
 
-_COMMANDS = {
-    "prove": cmd_prove,
-    "entail": cmd_entail,
-    "modal": cmd_modal,
-    "check-model": cmd_check_model,
-    "fragment": cmd_fragment,
-    "simplify": cmd_simplify,
+def _print_help(command):
+    """Print the help of ``command``, or of dualtab when it is None."""
+    _write(sys.stdout, _help_lines(command))
+    return EXIT_VALID
+
+
+def _whole(low, high=None):
+    """A reader of whole numbers from ``low`` up to ``high`` (no bound
+    when None)."""
+    span = f"at least {low}" if high is None else f"from {low} to {high}"
+
+    def read(text, _):
+        try:
+            value = int(text)
+        except ValueError:
+            value = None
+        if value is None or value < low or high is not None and value > high:
+            raise ValueError(f"takes a whole number {span}, not {text!r}")
+        return value
+    return read
+
+
+def _last(text, _):
+    return text
+
+
+def _gather(text, earlier):
+    return [*(earlier or ()), text]
+
+
+# The command line, in two tables that both reading and help use.  Each
+# option by its long name: (metavar, read, default, help).  A flag has no
+# metavar and reads as True; ``read(text, value so far)`` gives a valued
+# option's value.  A default of None makes the option required.
+_OPTIONS = {
+    "premise": ("TERM", _gather, None, "a premise; give one or more"),
+    "conclusion": ("TERM", _last, None, "the conclusion"),
+    "json": (None, None, False, "print the result as JSON"),
+    "trace": (None, None, False, "stream rule applications to stderr"),
+    "max-steps": ("N", _whole(1), 1_000_000, "stop the search after N steps"),
+    "oracle-size": ("K", _whole(1, 4), 3, "universe cap of the --verify "
+                    "oracles, 1 to 4"),
+    "verify": (None, None, False, "cross-check the verdict with the "
+               "independent oracles"),
 }
+_SEARCH = ("json", "trace", "max-steps", "oracle-size", "verify")
+
+# Each command by its name: (handler, positionals, options, help); the
+# row for None reads what comes before the command's name.
+_COMMANDS = {
+    None: (_print_help, ("command",), (),
+           "Dual-tableau validity prover with countermodel extraction."),
+    "prove": (cmd_prove, ("term",), _SEARCH, "decide validity of a term"),
+    "entail": (cmd_entail, (), ("premise", "conclusion", *_SEARCH),
+               "decide whether the premises entail the conclusion"),
+    "modal": (cmd_modal, ("formula",), _SEARCH, "decide validity of a modal formula"),
+    "check-model": (cmd_check_model, ("formula", "model_file"), (),
+                    "evaluate a formula on the model of a JSON file"),
+    "fragment": (cmd_fragment, ("term",), ("json",), "check fragment membership"),
+    "simplify": (cmd_simplify, ("term",), ("json",), "apply the 1-identities to a term"),
+}
+
+# argparse's reading of a negative number, which counts as a positional
+_NEGATIVE_NUMBER = re.compile(r"^-\d+$|^-\d*\.\d+$").match
+_HELP_NOTE = (
+    "",
+    "An argument that begins with '-' is an option unless it contains a",
+    "space or is a negative number.  After '--' every argument is input:",
+    "dualtab prove --json -- '-r'.",
+)
+
+
+def _help_lines(command):
+    """The help of ``command``, or of dualtab when it is None."""
+    _, positionals, options, text = _COMMANDS[command]
+    if command is None:
+        head = ["usage: dualtab COMMAND [-h] [OPTIONS] ARGUMENTS", "", text, "",
+                "commands:"]
+        rows = [(name, row[3]) for name, row in _COMMANDS.items() if name]
+        tail = ["", "'dualtab COMMAND -h' lists the options of a command."]
+    else:
+        required = [f"--{name} {_OPTIONS[name][0]}" for name in options
+                    if _OPTIONS[name][2] is None]
+        usage = ["usage: dualtab", command, "[OPTIONS]", *required,
+                 *map(str.upper, positionals)]
+        head = [" ".join(usage), "", text, "", "options:"]
+        rows = [("-h, --help", "print this help")]
+        for name in options:
+            metavar, _, default, text = _OPTIONS[name]
+            if metavar and default is not None:
+                text += f" (default {default})"
+            rows.append((f"--{name} {metavar or ''}".rstrip(), text))
+        tail = []
+    width = max(len(left) for left, _ in rows) + 2
+    return [*head, *(f"  {left:{width}}{right}" for left, right in rows), *tail,
+            *_HELP_NOTE]
+
+
+def _option(arg, names):
+    """What ``arg``, met before ``--``, is to a reader of the options
+    ``names``: None for a positional, else ``(name, value)``.  ``name`` is
+    None for an unknown option, and ``value`` is the text after ``=``, or
+    None without one.  A long option may be shortened to a unique prefix."""
+    if arg[:1] != "-" or arg == "-":
+        return None
+    if arg[1] == "-":
+        given, equals, value = arg.partition("=")
+        found = ([name for name in names if f"--{name}" == given]
+                 or [name for name in names if f"--{name}".startswith(given)])
+        if len(found) > 1:
+            raise ParseError(f"ambiguous option {given!r}")
+        if found:
+            return found[0], value if equals else None
+    elif arg[1] == "h":
+        # ``-hh`` is ``-h`` twice; ``-h`` takes no value
+        return "help", arg[2:].strip("h") or None
+    if _NEGATIVE_NUMBER(arg) or " " in arg:
+        return None
+    return None, None
+
+
+def _read_argv(argv, command=None, unknown=()):
+    """The handler that the command line ``argv`` runs and its arguments:
+    the options and positionals of ``command``, read from what follows the
+    command's name, or, when ``command`` is None, from the whole line.
+    ``unknown`` holds the unknown options met before the command's name.
+    Options come before or after positionals; after ``--`` every argument
+    is a positional.  A usage error raises ``ParseError`` without an
+    offset; ``-h`` asks for ``_print_help``."""
+    _, positionals, options, _ = _COMMANDS[command]
+    names = ("help", *options)
+    end = argv.index("--") if "--" in argv else len(argv)
+    kinds = [_option(arg, names) for arg in argv[:end]]
+    values = {"command": command, **{name: _OPTIONS[name][2] for name in options}}
+    given, unknown = [], list(unknown)
+    filled = False  # whether the argument just read filled a positional
+    at = 0
+    while at < end:
+        arg, kind = argv[at], kinds[at]
+        at += 1
+        filled = kind is None and len(given) < len(positionals)
+        if kind is None and command is None:
+            if arg not in _COMMANDS:
+                raise ParseError(f"unknown command {arg!r}")
+            return _read_argv(argv[at:], arg, unknown)
+        if kind is None:
+            given.append(arg)
+            continue
+        name, value = kind
+        if name is None:
+            unknown.append(arg)
+            continue
+        if name == "help":
+            if value is not None:
+                raise ParseError(f"-h takes no value, not {arg!r}")
+            return _print_help, command
+        metavar, read, _, _ = _OPTIONS[name]
+        if metavar is None:
+            if value is not None:
+                raise ParseError(f"--{name} takes no value")
+            values[name] = True
+            continue
+        if value is None:
+            if at == end or kinds[at] is not None:
+                raise ParseError(f"--{name} expects {metavar}")
+            value, at = argv[at], at + 1
+        try:
+            values[name] = read(value, values[name])
+        except ValueError as exc:
+            raise ParseError(f"--{name} {exc}") from None
+    if command is None:
+        raise ParseError(f"expected a command: {', '.join(filter(None, _COMMANDS))}")
+    if end < len(argv):
+        # ``--`` belongs to the positional just read, or to the next one
+        if not (filled or len(given) < len(positionals) and end + 1 < len(argv)):
+            unknown.append("--")
+        given += argv[end + 1:]
+    unknown += given[len(positionals):]
+    if unknown:
+        raise ParseError(f"unrecognized arguments: {' '.join(map(repr, unknown))}")
+    missing = [name.upper() for name in positionals[len(given):]]
+    missing += [f"--{name}" for name in options if values[name] is None]
+    if missing:
+        raise ParseError(f"{command} expects {' '.join(missing)}")
+    values.update(zip(positionals, given))
+    args = {name.replace("-", "_"): value for name, value in values.items()}
+    return _COMMANDS[command][0], SimpleNamespace(**args)
 
 
 def main(argv=None):
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        handler, args = _read_argv(sys.argv[1:] if argv is None else list(argv))
+        return handler(args)
     except ParseError as exc:
         _write(sys.stderr, [f"error: {exc}"])
         return EXIT_PARSE

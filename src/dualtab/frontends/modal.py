@@ -57,7 +57,7 @@ class _Formula:
             for name, value in zip(cls.__match_args__, parts):
                 setattr(f, name, value)
             f.depth = 1 + max(getattr(p, "depth", 0) for p in parts)
-            _INTERNED[cls, *parts] = f
+            _INTERNED[(cls, *parts)] = f
         return f
 
     def __reduce__(self):  # copies and unpickled formulas are interned too

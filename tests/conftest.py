@@ -6,8 +6,8 @@ from hypothesis import strategies as st
 
 from corpus import (CORPUS_DEPTH, CORPUS_SEED, CORPUS_SIZE,  # noqa: F401
                     CORPUS_VARS, MODAL_PROGRAMS, all_modal, build_corpus,
-                    family_text, gen_comp_right, gen_fragment_term, gen_h,
-                    gen_plain_boolean)
+                    command_lines, family_text, gen_comp_right,
+                    gen_fragment_term, gen_h, gen_plain_boolean)
 from dualtab.engine import Countermodel, run_procedure
 from dualtab.semantics import Model
 from dualtab.terms import Cmpl, Comp, Conv, Inter, ONE, Union, Var, simplify_ones

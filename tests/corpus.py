@@ -102,3 +102,85 @@ def all_modal(depth):
             for f in smaller]
     out += [op(a, b) for op in (And, Or) for a in smaller for b in smaller]
     return out
+
+
+# What the command-line generator puts together: each command with its
+# positionals and options, and some names that are no command; options
+# that no command has; the texts of positionals and values, terms that
+# begin with "-" with and without a space, negative numbers and an empty
+# string among them; and the values of the two numeric options, in range
+# and out of it.
+COMMAND_SHAPES = {
+    "prove": (1, ("json", "trace", "max-steps", "oracle-size", "verify")),
+    "entail": (0, ("premise", "conclusion", "json", "trace", "max-steps",
+                   "oracle-size", "verify")),
+    "modal": (1, ("json", "trace", "max-steps", "oracle-size", "verify")),
+    "check-model": (2, ()),
+    "fragment": (1, ("json",)),
+    "simplify": (1, ("json",)),
+    "prov": (1, ()),
+    "help": (0, ()),
+}
+COMMAND_OPTIONS = ("json", "trace", "max-steps", "oracle-size", "verify",
+                   "premise", "conclusion", "x", "jsonx")
+COMMAND_TEXTS = ("r", "r | -r", "-r | s", "-(r ; 1) | s", "1 ; r", "p -> [r]p",
+                 "-1", "-25", "-2.5", "-.5", "", "-r", "-(r;1)", "--x y", "-x")
+COMMAND_NUMBERS = ("1", "4", "3", "1000", "+3", " 2", "0", "-1", "5", "x", "2.5", "")
+
+
+def command_lines(seed, count):
+    """``count`` seeded argument lists for ``dualtab``.  They cover every
+    command and some unknown ones; options of the command and of others,
+    unknown options and ``-h``, in every position, written out or as a
+    prefix, as ``--name=value`` or ``--name value``, repeated, with a
+    value out of range or missing; positionals that begin with ``-``, one
+    too few or too many; and ``--`` between the options and the
+    positionals, or none."""
+    rng = random.Random(seed)
+    return [_command_line(rng) for _ in range(count)]
+
+
+def _command_line(rng):
+    command = rng.choice(list(COMMAND_SHAPES))
+    wanted, own = COMMAND_SHAPES[command]
+    wanted += rng.choice((-1, 0, 0, 0, 0, 0, 0, 1))
+    positionals = [_pick(rng, COMMAND_TEXTS) for _ in range(max(wanted, 0))]
+    names = [rng.choice(own if own and rng.random() < 0.9 else COMMAND_OPTIONS)
+             for _ in range(rng.randrange(5))]
+    if command == "entail":
+        names += [name for name in ("premise", "conclusion") if rng.random() < 0.95]
+    options = [_command_option(rng, name) for name in names]
+    if rng.random() < 0.05:
+        options.append([rng.choice(("-h", "--help", "--he", "--h"))])
+    rng.shuffle(options)
+    if rng.random() < 0.4:
+        line = [arg for option in options for arg in option] + ["--", *positionals]
+    else:
+        line = list(positionals)
+        for option in options:
+            at = rng.randint(0, len(line))
+            line[at:at] = option
+    before = [rng.choice(("--json", "-h", "--he", "-1"))] if rng.random() < 0.03 else []
+    return before + ([command] if rng.random() < 0.98 else []) + line
+
+
+def _pick(rng, choices):
+    """One of ``choices``, the first half three times as often as the rest."""
+    half = len(choices) // 2
+    return rng.choice(choices[:half] if rng.random() < 0.75 else choices[half:])
+
+
+def _command_option(rng, name):
+    """An option as one or two arguments: written out or shortened, its
+    value after ``=`` or in the next argument, or missing."""
+    written = "--" + (name[:rng.randint(1, len(name))] if rng.random() < 0.3 else name)
+    if name in ("max-steps", "oracle-size"):
+        value = _pick(rng, COMMAND_NUMBERS)
+    elif name in ("premise", "conclusion"):
+        value = _pick(rng, COMMAND_TEXTS)
+    else:
+        value = None if rng.random() < 0.95 else rng.choice(("1", ""))
+    roll = rng.random()
+    if value is None or roll < 0.03:
+        return [written]
+    return [f"{written}={value}"] if roll < 0.4 else [written, value]

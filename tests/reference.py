@@ -13,8 +13,11 @@ interning, as functions.  And the recursive-descent parsers that
 per grammar level, with entry points named as the library's
 (``parse_term``, ``parse_modal``, ``parse_formula``).  They share the
 library's tokenizers and node classes, and take about eight interpreter
-frames per parenthesis.
+frames per parenthesis.  And the argparse parser that ``cli``'s table of
+commands replaced, which the command line is checked against.
 """
+
+import argparse
 
 from dualtab import terms
 from dualtab.errors import NotBoolean, ParseError
@@ -268,3 +271,56 @@ def parse_term(text):
 
 def parse_modal(text):
     return _ModalParser(_ModalTokenizer(text)).parse()
+
+
+def _build_parser():
+    parser = argparse.ArgumentParser(
+        prog="dualtab",
+        description="Dual-tableau validity prover with countermodel extraction.",
+        epilog="Input starting with '-' needs the usual separator, e.g. "
+               "dualtab prove --json -- '-(r ; 1)'.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+
+    def positive(text):
+        value = int(text)
+        if value < 1:
+            raise argparse.ArgumentTypeError("must be at least 1")
+        return value
+
+    def common(p):
+        p.add_argument("--json", action="store_true", help="machine-readable output")
+        p.add_argument("--trace", action="store_true",
+                       help="stream rule applications to stderr")
+        p.add_argument("--max-steps", type=positive, default=1_000_000, metavar="N")
+        p.add_argument("--oracle-size", type=int, default=3, choices=(1, 2, 3, 4),
+                       metavar="K", help="universe cap for --verify oracles")
+        p.add_argument("--verify", action="store_true",
+                       help="cross-check the verdict with the independent oracles")
+
+    p = sub.add_parser("prove", help="decide validity of a term")
+    p.add_argument("term")
+    common(p)
+
+    p = sub.add_parser("entail", help="decide a relational entailment")
+    p.add_argument("--premise", action="append", required=True, metavar="TERM")
+    p.add_argument("--conclusion", required=True, metavar="TERM")
+    common(p)
+
+    p = sub.add_parser("modal", help="decide a modal formula")
+    p.add_argument("formula")
+    common(p)
+
+    p = sub.add_parser("check-model", help="evaluate a formula against a model file")
+    p.add_argument("formula")
+    p.add_argument("model_file")
+
+    p = sub.add_parser("fragment", help="check fragment membership")
+    p.add_argument("term")
+    p.add_argument("--json", action="store_true")
+
+    p = sub.add_parser("simplify", help="apply the 1-identities to a term")
+    p.add_argument("term")
+    p.add_argument("--json", action="store_true")
+
+    return parser

@@ -1,4 +1,7 @@
+import collections
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -8,10 +11,11 @@ from pathlib import Path
 import pytest
 
 import dualtab
-from conftest import build_corpus, family_text
-from dualtab.cli import _tree_lines, main
-from dualtab.errors import EngineInvariantError
+from conftest import build_corpus, command_lines, family_text
+from dualtab.cli import _COMMANDS, _OPTIONS, _print_help, _read_argv, _tree_lines, main
+from dualtab.errors import EngineInvariantError, ParseError
 from dualtab.terms import MAX_DEPTH, render_term
+from reference import _build_parser
 
 SRC = str(Path(dualtab.__file__).resolve().parent.parent)
 
@@ -302,6 +306,124 @@ class TestFragmentAndSimplify:
         code, out, _ = run(capsys, "simplify", "(1 | p) ; q", "--json")
         assert code == 0
         assert json.loads(out) == {"term": "(1 ; q)"}
+
+
+def argparse_reading(parser, argv):
+    """What the argparse ``parser`` makes of ``argv``: ``("ok", values)``,
+    ``("help", command)`` (None for dualtab's own help) or ``("error",)``."""
+    out = io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            return "ok", vars(parser.parse_args(argv))
+    except SystemExit as exc:
+        if exc.code:
+            return ("error",)
+    word = out.getvalue().split()[2]  # "usage: dualtab [-h] ..." or "usage: dualtab prove ..."
+    return "help", None if word == "[-h]" else word
+
+
+def table_reading(argv):
+    """The same for ``cli._read_argv``."""
+    try:
+        handler, args = _read_argv(argv)
+    except ParseError:
+        return ("error",)
+    if handler is _print_help:
+        return "help", args
+    return "ok", vars(args)
+
+
+class TestCommandLine:
+    def test_agrees_with_argparse(self, capsys):
+        # the parser the table replaced reads every generated line as the
+        # table does, and each line the table refuses is one line of
+        # stderr and exit 2; the lines come from tests/corpus.py, whose
+        # forms Python 3.10 to 3.13 read alike
+        parser = _build_parser()
+        outcomes = collections.Counter()
+        for argv in command_lines(2024, 3000):
+            reading = table_reading(argv)
+            assert reading == argparse_reading(parser, argv), argv
+            outcomes[reading[0]] += 1
+            if reading[0] == "ok":
+                continue
+            code = main(argv)
+            out, err = capsys.readouterr()
+            if reading[0] == "help":
+                assert (code, out[:15], err) == (0, "usage: dualtab ", ""), argv
+            else:
+                assert (code, out, err[:7], err.count("\n")) == (2, "", "error: ", 1), argv
+        assert min(outcomes.values()) >= 100, outcomes
+
+    @pytest.mark.parametrize("argv, values", [
+        (["prove", "-r | s"], {"term": "-r | s"}),
+        (["prove", "-1"], {"term": "-1"}),
+        (["prove", "--", "-r"], {"term": "-r"}),
+        (["prove", "--", "-h"], {"term": "-h"}),
+        (["prove", "r", "--js", "--max", "5", "--max-steps=7", "--json"],
+         {"term": "r", "json": True, "max_steps": 7}),
+        (["modal", "--o=1", "p", "--v", "--t"],
+         {"formula": "p", "oracle_size": 1, "verify": True, "trace": True}),
+        (["entail", "--premise", "-r | -s1", "--p=-s", "--conclusion=-r", "--c", "r"],
+         {"premise": ["-r | -s1", "-s"], "conclusion": "r"}),
+        (["check-model", "x r y", "--", "m.json"],
+         {"formula": "x r y", "model_file": "m.json"}),
+    ], ids=["space", "negative", "separator", "separated-h", "prefixes", "modal",
+            "premises", "check-model"])
+    def test_accepted_forms(self, argv, values):
+        status, args = table_reading(argv)
+        assert status == "ok" and args.items() >= values.items()
+        assert argparse_reading(_build_parser(), argv) == (status, args)
+
+    @pytest.mark.parametrize("argv, message", [
+        ([], "expected a command: prove, entail, modal, check-model, fragment, "
+             "simplify"),
+        (["prov", "r"], "unknown command 'prov'"),
+        (["prove"], "prove expects TERM"),
+        (["entail", "--premise", "r"], "entail expects --conclusion"),
+        (["prove", "r", "s\nt"], "unrecognized arguments: 's\\nt'"),
+        (["prove", "-r"], "unrecognized arguments: '-r'"),
+        (["fragment", "--verify", "r"], "unrecognized arguments: '--verify'"),
+        (["prove", "--max-steps", "0", "r"],
+         "--max-steps takes a whole number at least 1, not '0'"),
+        (["prove", "--oracle-size=5", "r"],
+         "--oracle-size takes a whole number from 1 to 4, not '5'"),
+        (["prove", "--max-steps", "x", "r"],
+         "--max-steps takes a whole number at least 1, not 'x'"),
+        (["prove", "r", "--max-steps"], "--max-steps expects N"),
+        (["prove", "--json=1", "r"], "--json takes no value"),
+        (["prove", "-hx", "r"], "-h takes no value, not '-hx'"),
+    ], ids=["nothing", "unknown-command", "missing", "required-option", "extra",
+            "dash-term", "other-commands-option", "max-steps", "oracle-size",
+            "not-a-number", "no-value", "flag-value", "h-value"])
+    def test_usage_error_is_one_line(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, command", [
+        (["-h"], None), (["--help"], None), (["--x", "--he"], None),
+        (["prove", "-h"], "prove"), (["prove", "r", "--h", "--max-steps", "0"], "prove"),
+        (["--json", "entail", "-hh"], "entail"), (["check-model", "-h"], "check-model"),
+    ], ids=["h", "help", "prefix", "prove", "before-an-error", "entail-hh",
+            "check-model"])
+    def test_help_comes_from_the_tables(self, capsys, argv, command):
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        if command is None:
+            assert lines[0] == "usage: dualtab COMMAND [-h] [OPTIONS] ARGUMENTS"
+            for name, row in _COMMANDS.items():
+                assert name is None or f"  {name}  " in out and row[3] in out
+        else:
+            assert lines[0].startswith(f"usage: dualtab {command} [OPTIONS]")
+            for name in _COMMANDS[command][2]:
+                assert f"  --{name} " in out and _OPTIONS[name][3] in out
+
+    def test_help_needs_no_docstrings(self):
+        # ``python -OO`` drops docstrings; the help is built from the tables
+        runs = [run_process(*flags, "-m", "dualtab", "entail", "-h") for flags in ([], ["-OO"])]
+        assert [proc.returncode for proc in runs] == [0, 0]
+        assert runs[0].stdout == runs[1].stdout and "--premise TERM" in runs[0].stdout
 
 
 class TestOutputBytes:

@@ -1,7 +1,8 @@
 """numpy serves only the two oracles, so a process loads it only when one
 runs, and no dualtab process loads ``dataclasses``, which brings in
 ``inspect``, ``ast`` and ``dis``.  A CLI command loads only the frontend
-modules it runs.  Each check starts a fresh interpreter: the test process
+modules it runs, and no CLI process loads ``argparse``, ``gettext`` or
+``locale``: ``cli`` reads the command line from its own tables.  Each check starts a fresh interpreter: the test process
 itself has all of them loaded long before.  Likewise a command that runs
 no search does not load the engine."""
 
@@ -127,6 +128,23 @@ def test_engine_loads_on_first_use(code, expected):
 def test_only_a_command_that_searches_loads_the_engine(argv, expected):
     code = f"from dualtab.cli import main; assert main({argv!r}) == 0"
     assert loaded(code, ["dualtab.engine"]) == (["dualtab.engine"] if expected else [])
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["prove", "--json", "--", "r | -r"], 0),
+    (["entail", "--json", "--premise", "-r | -(s | t)", "--conclusion", "-s | -r"], 0),
+    (["modal", "--json", "--", "[r](p -> q) -> ([r]p -> [r]q)"], 0),
+    (["check-model", "1", "MODEL"], 1),
+    (["fragment", "--json", "--", "1 ; r"], 0),
+    (["simplify", "--", "1 & r"], 0),
+    (["-h"], 0),
+    (["prove", "--max-steps", "0", "--", "r"], 2),
+], ids=["prove", "entail", "modal", "check-model", "fragment", "simplify", "help",
+        "usage-error"])
+def test_no_command_loads_argparse(cli_argvs, argv, code):
+    argv = [cli_argvs[-1][-1] if arg == "MODEL" else arg for arg in argv]
+    run = f"from dualtab.cli import main; assert main({argv!r}) == {code}"
+    assert loaded(run, ["argparse", "gettext", "locale"]) == []
 
 
 def test_check_model_leaves_the_engine_out(cli_argvs):

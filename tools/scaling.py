@@ -28,12 +28,13 @@ about 64 KB and 256 KB of text, and of ``parse_modal`` on the
 grows with the input, or with the caller's stack, shows here.  Then,
 for a bare ``python -c pass`` and for ``python -m dualtab
 prove|entail|modal --json`` on fixed small inputs, it prints the best
-of five wall times of the process and
-the dualtab modules it imported with their source lines, read from the
-``-X importtime`` report of one more run: a count that sits next to the
-time, since a process compiles every module it imports when no bytecode
-is cached, as under ``PYTHONDONTWRITEBYTECODE``, whose setting it prints
-too.  The numbers depend on the
+of five wall times of the process,
+the dualtab modules it imported with their source lines, and the other
+modules it imported beyond those of ``python -c pass``, all read from the
+``-X importtime`` report of one more run: counts that sit next to the
+time, since a process compiles every dualtab module it imports when no
+bytecode is cached, as under ``PYTHONDONTWRITEBYTECODE``, whose setting
+it prints too, and every module it imports costs time to load.  The numbers depend on the
 machine, so nothing is checked: the script exits 0 whatever it measures.
 Each row is written as soon as it is measured; a reader that closes the
 output early, as ``| head`` does, ends the script quietly.
@@ -168,8 +169,9 @@ def run_python(args, stderr=subprocess.DEVNULL):
 
 def measure_process(args):
     """The best wall time in seconds of :data:`REPEATS` runs of ``python
-    args``, and the dualtab modules one more run with ``-X importtime``
-    imported, with the source lines of each."""
+    args``; the dualtab modules one more run with ``-X importtime``
+    imported, with the source lines of each; and the set of the other
+    modules it imported."""
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
@@ -178,13 +180,15 @@ def measure_process(args):
     importtime = run_python(["-X", "importtime", *args], stderr=subprocess.PIPE)
     names = [line.rsplit("|", 1)[1].strip() for line in importtime.splitlines()
              if line.startswith("import time:")]
-    modules = {}
+    modules, others = {}, set()
     for name in names:
         if name == "dualtab" or name.startswith("dualtab."):
             path = ROOT / "src" / Path(*name.split("."))
             path = path / "__init__.py" if path.is_dir() else path.with_suffix(".py")
             modules[name] = len(path.read_text(encoding="utf-8").splitlines())
-    return best, modules
+        else:
+            others.add(name)
+    return best, modules, others
 
 
 def report(name, n, steps, branches, variables, best, gc0, cyclic, peak,
@@ -214,13 +218,19 @@ def main():
               f"{best_parse(parse, text) * 1e3:>9.1f} "
               f"{best_parse(parse, text, DEEP_CALLER) * 1e3:>9.1f}")
     flag = os.environ.get("PYTHONDONTWRITEBYTECODE")
-    print(f"\n{'process':14} {'best ms':>9} {'modules':>7} {'lines':>6}  dualtab modules"
-          f" (PYTHONDONTWRITEBYTECODE {'unset' if flag is None else repr(flag)})")
+    print(f"\n{'process':14} {'best ms':>9} {'modules':>7} {'lines':>6} {'stdlib':>6}  "
+          f"dualtab modules (PYTHONDONTWRITEBYTECODE "
+          f"{'unset' if flag is None else repr(flag)}); stdlib modules beyond "
+          f"python -c pass")
+    bare = None
     for name, args in PROCESSES:
-        best, modules = measure_process(args)
+        best, modules, others = measure_process(args)
+        bare = others if bare is None else bare
         short = " ".join(m.partition(".")[2] or m for m in sorted(modules))
+        extra = sorted(others - bare)
         print(f"{name:14} {best * 1e3:>9.1f} {len(modules):>7} "
-              f"{sum(modules.values()):>6}  {short}".rstrip())
+              f"{sum(modules.values()):>6} {len(extra):>6}  {short}"
+              f"{'; ' if extra else ''}{' '.join(extra)}".rstrip())
     return 0
 
 
