@@ -41,8 +41,9 @@ short command's time.
 
 Exit codes: 0 valid / falsified (or help printed), 1 invalid / satisfied,
 2 usage error, parse error or malformed input (including nesting deeper
-than ``terms.MAX_NESTING`` and terms, formulas or encodings deeper than
-``terms.MAX_DEPTH``), 3 fragment violation, 4 resource exhausted, 5
+than ``terms.MAX_NESTING``, terms, formulas or encodings deeper than
+``terms.MAX_DEPTH``, and model files nested deeper than the JSON decoder
+allows), 3 fragment violation, 4 resource exhausted, 5
 internal error (an engine invariant fired, or any other unexpected
 failure; one line, never a traceback).
 
@@ -241,7 +242,11 @@ def cmd_check_model(args):
         with open(args.model_file, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         model, valuation = model_from_json(data)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except RecursionError:
+        _write(sys.stderr, ["error: malformed model file: "
+                            "nested deeper than the JSON decoder allows"])
+        return EXIT_PARSE
+    except (OSError, ValueError) as exc:
         _write(sys.stderr, [f"error: malformed model file: {exc}"])
         return EXIT_PARSE
     try:

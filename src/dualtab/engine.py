@@ -6,12 +6,14 @@ when it contains ``x' 1 y'`` or a formula together with its complement.
 Branches are explored depth first, left successor first, on one
 :class:`Branch`.  Every write to it, the node's included, logs its
 inverse on one trail, which :meth:`Branch.undo` runs back to a branching
-step's :meth:`Branch.mark` before its second successor enters.  On each
-open branch the engine repeatedly picks the smallest variable (in the
-branch order) that still has work and applies, in order: the Boolean
-rules, the complemented-composition rules, the composition rule gated by
-forced literals, and the universal-composition rule instantiated with
-that variable.
+step's :meth:`Branch.mark` before its second successor enters.  Each
+inverse is a bound method of a builtin container (a list's ``pop``, a
+dict's ``popitem``), maybe wrapped in a ``functools.partial``, so an undo
+runs no Python code.  On each open branch the engine repeatedly picks the
+smallest variable (in the branch order) that still has work and applies,
+in order: the Boolean rules, the complemented-composition rules, the
+composition rule gated by forced literals, and the universal-composition
+rule instantiated with that variable.
 
 A step has a pure part and one write.  :func:`applications` alone decides
 what applies at a variable, reading only the branch's agenda: the node's
@@ -30,7 +32,9 @@ node keeps only the formulas its step added, and
 :meth:`DeductionTree.replay` rebuilds each node's formulas from its
 parent's.  Complemented compositions are suppressed when an already
 decomposed twin *blocks* them; the scheduler passes over a blocked
-formula and writes nothing.
+formula and writes nothing.  The branch's history indexes only the
+formulas that :func:`blocker_literals`, :func:`is_blocked` and
+:func:`is_suppressed` read (:class:`~dualtab.formulas.History`).
 
 If every branch closes the tree is a proof.  Otherwise the first
 saturated open branch yields a finite model and identity valuation that
@@ -51,12 +55,12 @@ other threads waits until it ends.
 from __future__ import annotations
 
 import gc
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from functools import partial
 
 from .errors import BranchNotSaturated, EngineInvariantError, ResourceExhausted
-from .formulas import (FormulaSet, History, RelFormula, assign, gate_forced,
-                       gate_index, is_literal)
+from .formulas import (FormulaSet, History, RelFormula, gate_forced, gate_index,
+                       is_literal)
 from .semantics import Model, Record, model_to_json
 from .terms import (_REFS, Cmpl, Comp, Inter, One, Union, Var, components,
                     render_term, require_fragment, simplify_ones, term_variables)
@@ -203,37 +207,42 @@ class Branch:
     root and its descendants; ``decomposed`` maps each premise a Boolean
     or complemented-composition rule decomposed to its fresh witness, or
     to None for a Boolean rule; ``applied`` holds the composition
-    instances ``(premise, variable)``, and ``instances`` their number for
-    each literal-gated premise.
+    instances ``(premise, variable)``, and ``instances`` maps each
+    literal-gated premise to the variables of its instances, in the order
+    applied.
 
     ``agenda`` holds the node's formulas with work, each group a list in
     node order: the Boolean, complemented-composition and literal-gated
     composition premises under ``(left, phase)``, the ``(1;S)`` premises
-    under ``(None, 3)``; a group stays once made.  A decomposed premise
-    that re-enters the node has no work and stays off the agenda.
+    under ``(None, 3)``.  A decomposed premise that re-enters the node has
+    no work and stays off the agenda.  A group of the agenda, of
+    ``instances`` or of the history's indices stays once made, maybe empty.
 
     :meth:`enter` alone writes this state forward and logs the inverse
     of each write on ``trail``; :meth:`undo` only runs them back, last
-    first.  Scans and model extraction only read it.  The inverses that
-    never change, ``applied.popitem``, ``decomposed.popitem``,
-    ``vars.pop`` and the history's ``_retract``, are bound once, in the
-    ``pop_applied``, ``pop_decomposed``, ``pop_var`` and ``retract``
-    slots; each is bound to a container, not to the branch.
+    first.  Scans and model extraction only read it.  Every inverse is a
+    bound method of a builtin container, or a ``functools.partial`` of
+    one, so undoing runs no Python code.  The inverses that never change,
+    ``applied.popitem``, ``decomposed.popitem``, ``vars.pop`` and
+    ``history.popitem``, are bound once, in the ``pop_applied``,
+    ``pop_decomposed``, ``pop_var`` and ``pop_history`` slots; each is
+    bound to a container, not to the branch.
     """
 
     __slots__ = ("node", "history", "vars", "order", "right", "applied",
                  "decomposed", "instances", "agenda", "trail", "pop_applied",
-                 "pop_decomposed", "pop_var", "retract")
+                 "pop_decomposed", "pop_var", "pop_history")
 
-    def __init__(self, formula, gates):
-        """The branch of the root node ``{formula}``; ``gates`` is the
+    def __init__(self, formula, index):
+        """The branch of the root node ``{formula}``; ``index`` is the
         :func:`gate_index` of the components of the formula's term."""
         x, y = formula.left, formula.right
-        self.node, self.history, self.trail = set(), History(gates), []
+        self.node, self.history, self.trail = set(), History(*index), []
         self.vars, self.order, self.right = [x, y], [x, y], {y}
-        self.applied, self.decomposed, self.instances, self.agenda = {}, {}, {}, {}
+        self.applied, self.decomposed = {}, {}
+        self.agenda, self.instances = defaultdict(list), defaultdict(list)
         self.pop_applied, self.pop_decomposed = self.applied.popitem, self.decomposed.popitem
-        self.pop_var, self.retract = self.vars.pop, self.history._retract
+        self.pop_var, self.pop_history = self.vars.pop, self.history.popitem
         rule_of(formula.term)
         self.enter([formula], (), None)
 
@@ -272,7 +281,9 @@ class Branch:
                 self.applied[f, z] = None
                 trail.append(self.pop_applied)
                 if rule == RULE_COMP_BOOL:
-                    assign(trail, self.instances, f, self.instances.get(f, 0) + 1)
+                    group = self.instances[f]
+                    group.append(z)
+                    trail.append(group.pop)
             else:
                 decomposed[f] = z
                 trail.append(self.pop_decomposed)
@@ -297,16 +308,13 @@ class Branch:
         if added:
             node.update(added)
             trail.append(partial(node.difference_update, added))
-        history, retract = self.history, self.retract
+        history, pop_history = self.history, self.pop_history
         for f in added:
-            history.add(f, trail, retract)
+            history.add(f, trail, pop_history)
             # the agenda key: (left, phase), or (None, 3) for a (1;S)
             phase = _PHASE.get(f.term.rule)
             if phase is not None and not (phase < 2 and f in decomposed):
-                key = (None if phase == 3 else f.left, phase)
-                group = agenda.get(key)
-                if group is None:
-                    group = agenda[key] = []  # a group stays, maybe empty
+                group = agenda[None if phase == 3 else f.left, phase]
                 group.append(f)
                 trail.append(group.pop)
         return is_axiomatic(node, added)
@@ -315,10 +323,7 @@ class Branch:
 def blocker_literals(branch, blocker, w):
     """Literals produced on the branch by the Boolean decomposition of the
     blocker's left part with witness ``w``."""
-    return [
-        h for h in branch.history.by_left_right.get((blocker.left, w), ())
-        if isinstance(h.term, Cmpl) and isinstance(h.term.arg, Var)
-    ]
+    return branch.history.literals.get((blocker.left, w), ())
 
 
 def is_blocked(f, branch):
@@ -330,7 +335,7 @@ def is_blocked(f, branch):
     would trigger is mirrored on the twin's side.
     """
     y, history = f.right, branch.history
-    for g in history.by_term_right.get((f.term, y), ()):
+    for g in history.twins.get((f.term, y), ()):
         w = branch.decomposed.get(g)
         if g == f or w is None:
             continue
@@ -338,9 +343,8 @@ def is_blocked(f, branch):
             RelFormula(f.left, h.term, w) for h in blocker_literals(branch, g, w)
         )
         if all(RelFormula(g.left, h.term, y) in history
-               for h in history.by_left_right.get((f.left, y), ())
-               if rule_of(h.term) == RULE_COMP_BOOL
-               and gate_forced(f.left, h.term.left, w, renamed)):
+               for h in history.obligations.get((f.left, y), ())
+               if gate_forced(f.left, h.term.left, w, renamed)):
             return g
     return None
 
@@ -348,7 +352,7 @@ def is_blocked(f, branch):
 def is_suppressed(branch, f):
     """Side condition of the ``x -(1;S) y`` rule: it is not applied once some
     generated variable ``z'``, any but the two roots, carries ``z' -S y``."""
-    twins = branch.history.by_term_right.get((Cmpl(f.term.arg.right), f.right), ())
+    twins = branch.history.twins.get((Cmpl(f.term.arg.right), f.right), ())
     roots = branch.vars[:2]
     return any(g.left not in roots for g in twins)
 
@@ -372,6 +376,7 @@ def applications(branch, z):
     their rules off their terms, where :func:`rule_of` memoised them.
     """
     applied, history, agenda = branch.applied, branch.history, branch.agenda
+    instances = branch.instances
     for f in agenda.get((z, 0), ()):
         yield f.term.rule, f, None
     for f in agenda.get((z, 1), ()):
@@ -385,10 +390,11 @@ def applications(branch, z):
     for f in agenda.get((z, 2), ()):
         # forced sets only grow and only forced instances are applied, so
         # a premise with as many instances as forced variables has none left
-        forced = history.forced.get((f.term.left, z), ())
-        for w in branch.order if len(forced) > branch.instances.get(f, 0) else ():
-            if w in forced and (f, w) not in applied:
-                yield RULE_COMP_BOOL, f, w
+        forced = history.forced.get((f.term.left, z))
+        if forced and len(forced) > len(instances.get(f, ())):
+            for w in branch.order:
+                if w in forced and (f, w) not in applied:
+                    yield RULE_COMP_BOOL, f, w
     # an applied instance ``(f, z)`` put ``z S y`` into the history
     for f in agenda.get((None, 3), ()):
         if _new(RelFormula, (z, f.term.right, f.right)) not in history:
@@ -613,48 +619,38 @@ class ProofSearch:
             self._emit(rule, f, inst)
         # each successor: the parent in order, minus the premise unless the
         # rule is a composition, plus its plan group's formulas not already
-        # there; no conclusion is its premise, since the weight drops
+        # there; no conclusion is its premise, since the weight drops.  A
+        # new formula must be a component of the input and, if
+        # compositional, keep the right root; a step other than a
+        # composition must add less weight than its premise, which leaves.
+        # A check raises once its child is in the tree.
         ends, node, nodes = (f.left, f.right, inst), branch.node, tree.nodes
-        children = []
+        cp, right, children = self.cp, self.root_formula.right, []
         for group in plan_of(f.term):
-            added = []
+            added, weight, bad = [], 0, None
             for l, t, r in group:
                 g = _new(RelFormula, (ends[l], t, ends[r]))
                 if g not in node:
                     added.append(g)
+                    weight += t.weight
+                    if bad is None and (t not in cp or not t.boolean and g.right != right):
+                        bad = g
             child = Node(len(nodes), leaf.id, added, rule, f, inst)
             nodes.append(child)
             leaf.children.append(child.id)
             children.append(child)
-            self._check(added, f, rule)
+            if bad is not None:
+                raise EngineInvariantError(
+                    f"formula term escaped the component set: {bad!r}" if bad.term not in cp
+                    else f"compositional formula with a generated right endpoint: {bad!r}")
+            if rule not in _COMP_RULES and weight >= f.term.weight:
+                raise EngineInvariantError(f"rule {rule} did not decrease the node weight")
         if len(children) == 2:
             # the second child enters once the first one's subtree closes
             tree.branch_count += 1
             self._stack.append((branch.mark(), children[1]))
         self._enter(branch, children[0])
         return children[0]
-
-    def _check(self, added, premise, rule):
-        """Check what a step puts into a child: a new formula must be a
-        component of the input and, if compositional, keep the right root;
-        any step but a composition must lower the node weight: what it
-        adds must weigh less than its premise, which leaves."""
-        weight, right = 0, self.root_formula.right
-        for f in added:
-            t = f.term
-            if t not in self.cp:
-                raise EngineInvariantError(
-                    f"formula term escaped the component set: {f!r}"
-                )
-            if not t.boolean and f.right != right:
-                raise EngineInvariantError(
-                    f"compositional formula with a generated right endpoint: {f!r}"
-                )
-            weight += t.weight
-        if rule not in _COMP_RULES and weight >= premise.term.weight:
-            raise EngineInvariantError(
-                f"rule {rule} did not decrease the node weight"
-            )
 
     def _enter(self, branch, child):
         """Make the tree node ``child`` the branch's leaf."""

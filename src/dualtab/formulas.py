@@ -7,16 +7,16 @@ intersections (one side forced, the other in complement normal form).
 The *forced set* ``v_set(B, x, N)`` holds the object variables ``z`` of
 ``N`` for which ``x B z`` is forced.  ``tests/reference.py`` defines both
 directly from ``N``; the tests check the engine's incremental versions
-against it.  A branch history is a :class:`History`, which keeps the
-indices the engine queries and the forced sets it reads before
-instantiating a composition up to date as formulas enter it, and logs
-how to take each write back.
+against it.  A branch history is a :class:`History`, which keeps up to
+date, as formulas enter it, the indices that blocking reads and the
+forced sets the engine reads before instantiating a composition, and
+logs how to take each write back as a bound method of a builtin
+container, so that undoing runs no Python code.
 """
 
 from __future__ import annotations
 
-from collections import namedtuple
-from functools import partial
+from collections import defaultdict, namedtuple
 from types import MappingProxyType
 
 from .errors import ParseError
@@ -70,16 +70,21 @@ def is_literal(f):
 
 
 def gate_index(terms):
-    """Maps each ``-v`` to the gates that mention ``v``: the left operands
-    ``B``, other than 1, of the compositions among ``terms``.  ``x B;S y``
-    is instantiated only with the ``z`` for which ``x -B z`` is forced.
-    Read-only: a search builds it once and only reads it."""
-    index = {}
+    """What a search's :class:`History` reads of the components ``terms``
+    of its input, found in one pass: the gates, a read-only map from each
+    ``-v`` to the left operands ``B``, other than 1, of the compositions
+    among ``terms`` that mention ``v``, and the suppressors, the ``-S`` of
+    each ``-(1;S)`` among ``terms`` with ``S`` not 1."""
+    index, suppressors = {}, set()
     for t in terms:
         if isinstance(t, Comp) and not isinstance(t.left, One):
             for name in term_variables(t.left):
                 index.setdefault(Cmpl(Var(name)), {})[t.left] = None
-    return MappingProxyType({lit: tuple(gates) for lit, gates in index.items()})
+        elif (isinstance(t, Cmpl) and isinstance(t.arg, Comp)
+              and isinstance(t.arg.left, One) and not isinstance(t.arg.right, One)):
+            suppressors.add(Cmpl(t.arg.right))
+    gates = MappingProxyType({lit: tuple(gates) for lit, gates in index.items()})
+    return gates, frozenset(suppressors)
 
 
 def gate_forced(x, b, z, n):
@@ -92,70 +97,67 @@ def gate_forced(x, b, z, n):
     return holds(gate_forced(x, part, z, n) for part in (b.left, b.right))
 
 
-def assign(trail, table, key, value):
-    """``table[key] = value``, its inverse on ``trail``; no value is None."""
-    old = table.get(key)
-    trail.append(partial(table.__delitem__, key) if old is None
-                 else partial(table.__setitem__, key, old))
-    table[key] = value
-
-
 class History(FormulaSet):
-    """A branch history: a formula set indexed as each formula enters it.
+    """A branch history: a formula set that keeps the forced sets and,
+    in admission order, only the formulas that blocking reads, each kind
+    told by its term's constructors: ``literals`` lists the literals
+    ``x -v z`` by endpoint pair, for ``blocker_literals``; ``obligations``
+    the compositions ``x B;S y``, ``B`` not 1, by endpoint pair, for
+    ``is_blocked``; and ``twins``, by term and right endpoint, the
+    ``x -(B;S) y``, ``B`` not 1, for ``is_blocked``, and the formulas whose
+    term is one of ``suppressors``, for ``is_suppressed``.  ``forced``
+    maps ``(B, x)``, for a gate ``B`` of ``gates``, to ``v_set(-B, x,
+    self)`` as a dict in the order its variables were forced; a gate is
+    plain, so only a literal ``x -v z`` that ``gates`` lists can extend
+    one, by ``z``.  A list or forced dict stays once made, maybe empty.
 
-    ``by_left_right`` and ``by_term_right`` list the formulas with a given
-    pair of endpoints, or term and right endpoint, each list in admission
-    order.  ``forced`` maps ``(B, x)``, for each gate ``B`` of ``gates``,
-    to ``v_set(-B, x, self)`` when that is not empty; a gate is plain, so
-    only a literal ``x -v z`` that ``gates`` lists can extend one, by ``z``.
-    :meth:`add` logs the inverse of each write on the trail it is given.
-    The caller binds ``_retract`` once and passes it to every :meth:`add`;
-    the history keeps no bound method of its own, which would make it a
-    reference cycle.
+    :meth:`add` logs the inverse of each write on the trail it is given,
+    each a bound method of a builtin container, so that undoing runs no
+    Python code.  The caller binds the history's ``popitem`` once and
+    passes it to every :meth:`add`; the history keeps no bound method of
+    its own, which would make it a reference cycle.
     """
 
-    __slots__ = ("gates", "forced", "by_left_right", "by_term_right")
+    __slots__ = ("gates", "suppressors", "forced", "literals", "obligations", "twins")
 
-    def __init__(self, gates):
+    def __init__(self, gates, suppressors):
         super().__init__()
-        self.gates, self.forced, self.by_left_right, self.by_term_right = gates, {}, {}, {}
+        self.gates, self.suppressors, self.forced = gates, suppressors, {}
+        self.literals, self.obligations, self.twins = (
+            defaultdict(list), defaultdict(list), defaultdict(list))
 
-    def add(self, f, trail, retract):
+    def add(self, f, trail, pop):
         """Admit ``f`` unless it is present, logging on ``trail``; returns
-        whether it was admitted.  ``retract`` is this history's bound
-        ``_retract``, the inverse of an admission."""
+        whether it was admitted.  ``pop`` is this history's bound
+        ``popitem``, the inverse of an admission."""
         if f in self:
             return False
         self[f] = None
-        trail.append(retract)
+        trail.append(pop)
         x, t, z = f
-        group = self.by_left_right.get((x, z))
-        if group is None:
-            self.by_left_right[x, z] = [f]
-        else:
-            group.append(f)
-        group = self.by_term_right.get((t, z))
-        if group is None:
-            self.by_term_right[t, z] = [f]
-        else:
-            group.append(f)
-        for gate in self.gates.get(t, ()):
-            forced = self.forced.get((gate, x), frozenset())
-            if z not in forced and gate_forced(x, gate, z, self):
-                assign(trail, self.forced, (gate, x), forced | {z})
+        if isinstance(t, Comp):
+            if not isinstance(t.left, One):
+                group = self.obligations[x, z]
+                group.append(f)
+                trail.append(group.pop)
+        elif isinstance(t, Cmpl):
+            a = t.arg
+            if isinstance(a, Var):
+                group = self.literals[x, z]
+                group.append(f)
+                trail.append(group.pop)
+                for gate in self.gates.get(t, ()):
+                    forced = self.forced.get((gate, x), ())
+                    if z not in forced and gate_forced(x, gate, z, self):
+                        if not forced:
+                            forced = self.forced.setdefault((gate, x), {})
+                        forced[z] = None
+                        trail.append(forced.popitem)
+            if t in self.suppressors or isinstance(a, Comp) and not isinstance(a.left, One):
+                group = self.twins[t, z]
+                group.append(f)
+                trail.append(group.pop)
         return True
-
-    def _retract(self):
-        """Take back the last admission and the index entries it made."""
-        x, t, z = self.popitem()[0]
-        group = self.by_left_right[x, z]
-        group.pop()
-        if not group:
-            del self.by_left_right[x, z]
-        group = self.by_term_right[t, z]
-        group.pop()
-        if not group:
-            del self.by_term_right[t, z]
 
 
 def parse_formula(text):

@@ -129,6 +129,13 @@ def model_to_json(model, valuation):
 
 
 def model_from_json(data):
+    """The model and valuation of the exchange format's decoded JSON
+    ``data``; a ValueError that names the problem when it is malformed."""
+    if not isinstance(data, dict):
+        raise ValueError("the model must be an object")
+    for key in ("universe", "relations", "valuation"):
+        if key not in data:
+            raise ValueError(f"the model has no {key!r}")
     universe = data["universe"]
     if not isinstance(universe, list) or not all(isinstance(u, str) for u in universe):
         raise ValueError("the universe must be a list of element names")
@@ -150,6 +157,8 @@ def model_from_json(data):
             rel.add((a, b))
         interp[name] = rel
     for var, elem in valuation.items():
+        if not isinstance(elem, str):
+            raise ValueError(f"valuation maps {var!r} to no element name")
         if elem not in elems:
             raise ValueError(f"valuation maps {var!r} outside the universe")
     return Model(universe, interp), valuation

@@ -251,6 +251,24 @@ class TestCheckModel:
         assert proc.stderr.startswith("error: malformed model file:")
         assert proc.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("content, problem", [
+        ("[" * 3000 + "]" * 3000, "nested deeper than the JSON decoder allows"),
+        ("[1, 2]", "the model must be an object"),
+        ("NaN", "the model must be an object"),
+        ("{}", "the model has no 'universe'"),
+        (json.dumps({"universe": ["a"], "relations": {}, "valuation": {"x": ["a"]}}),
+         "valuation maps 'x' to no element name"),
+    ], ids=["deep", "list", "nan", "no-keys", "list-value"])
+    def test_malformed_file_is_one_error_line(self, tmp_path, content, problem):
+        # a fresh process, as the console runs it: the decoder recurses
+        # from the CLI's own stack depth, not from under pytest's frames
+        path = tmp_path / "model.json"
+        path.write_text(content)
+        proc = run_process("-m", "dualtab", "check-model", "x r y", str(path))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: malformed model file: {problem}\n"
+
 
 class TestEndToEnd:
     def test_countermodel_feeds_check_model(self, capsys, tmp_path):

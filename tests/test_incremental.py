@@ -19,10 +19,14 @@ included, is as it was, then enters the step again; a
 third does the same across two steps and two nested marks, and a count
 of ``gate_forced`` calls shows that undoing recomputes nothing.  A
 fourth checks that the scheduler's scans and the model extraction write
-nothing to a branch.
+nothing to a branch, and a fifth that every inverse on the trail is a
+builtin or a ``functools.partial`` of one, so that undoing runs no
+Python code.
 """
 
 from collections import Counter
+from functools import partial
+from types import BuiltinFunctionType
 
 import pytest
 
@@ -163,32 +167,61 @@ def scratch_forced(branch):
     return {key: forced for key, forced in found.items() if forced}
 
 
+def scratch_indices(branch):
+    """The history's indices, recomputed over the whole history by their
+    definitions, each list in admission order: ``literals`` the negated
+    variable literals by endpoint pair, ``obligations`` the literal-gated
+    compositions by endpoint pair, and ``twins`` by term and right
+    endpoint the complemented compositions ``-(B;S)``, ``B`` not 1, and
+    the formulas whose term is the ``-S`` of a ``-(1;S)`` among the
+    components of the root formula's term."""
+    plain = FormulaSet(branch.history)
+    root = next(iter(plain)).term
+    suppressors = {Cmpl(t.arg.right) for t in components(root)
+                   if rule_of(t) == RULE_CMPL_COMP_UNIV}
+    indices = {"literals": {}, "obligations": {}, "twins": {}}
+    for f in plain:
+        rule = rule_of(f.term)
+        if isinstance(f.term, Cmpl) and isinstance(f.term.arg, Var):
+            indices["literals"].setdefault((f.left, f.right), []).append(f)
+        if rule == RULE_COMP_BOOL:
+            indices["obligations"].setdefault((f.left, f.right), []).append(f)
+        if rule in (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE) or f.term in suppressors:
+            indices["twins"].setdefault((f.term, f.right), []).append(f)
+    return indices
+
+
+def nonempty(groups):
+    """``groups`` without its empty groups."""
+    return {key: group for key, group in groups.items() if group}
+
+
 def check_branch(branch, node):
     """Check every index of the branch, whose node is ``node`` in order."""
     assert branch.node == set(node)
     for z in branch.order:
         assert list(applications(branch, z)) == scratch_applications(branch, node, z)
     expected = scratch_agenda(branch, node)
-    assert {k: g for k, g in branch.agenda.items() if g} == expected
+    assert nonempty(branch.agenda) == expected
     # a mark is the length of the trail, which undo runs back to it
     assert branch.mark() == len(branch.trail)
-    # each literal-gated premise counts its applied instances, and a
-    # premise with none has no entry
-    assert branch.instances == Counter(
-        g for g, _ in branch.applied if rule_of(g.term) == RULE_COMP_BOOL)
+    # each literal-gated premise lists the variables of its applied
+    # instances in the order applied; a list stays once made, maybe empty
+    instances = {}
+    for g, w in branch.applied:
+        if rule_of(g.term) == RULE_COMP_BOOL:
+            instances.setdefault(g, []).append(w)
+    assert nonempty(branch.instances) == instances
     for (_, phase), group in branch.agenda.items():
         for f in group:
             assert PHASE[rule_of(f.term)] == phase
     history = branch.history
     plain = FormulaSet(history)
     assert branch.vars == variables_of(plain)
-    for name, key in (("by_left_right", lambda f: (f.left, f.right)),
-                      ("by_term_right", lambda f: (f.term, f.right))):
-        expected = {}
-        for f in plain:
-            expected.setdefault(key(f), []).append(f)
-        assert getattr(history, name) == expected, name
-    assert history.forced == scratch_forced(branch)
+    for name, expected in scratch_indices(branch).items():
+        assert nonempty(getattr(history, name)) == expected, name
+    assert {key: set(forced) for key, forced in nonempty(history.forced).items()
+            } == scratch_forced(branch)
     for f in node:
         if isinstance(f.term, Cmpl) and isinstance(f.term.arg, Comp):
             blocker = scratch_blocked(f, branch)
@@ -317,6 +350,48 @@ def test_corpus_indices_match_recomputation(fragment_corpus):
     assert checked > len(fragment_corpus)
 
 
+def c_level(inverse):
+    """Whether calling ``inverse`` runs no Python code: it is a builtin,
+    a bound method of a builtin container among them, or a
+    ``functools.partial`` of one."""
+    if isinstance(inverse, partial):
+        inverse = inverse.func
+    return isinstance(inverse, BuiltinFunctionType)
+
+
+class TrailSearch(ProofSearch):
+    """A proof search that checks, after each step enters the branch,
+    that every inverse on the branch's trail is C-level."""
+
+    checked_steps = 0
+
+    def _enter(self, branch, child):
+        super()._enter(branch, child)
+        assert [i for i in branch.trail if not c_level(i)] == []
+        TrailSearch.checked_steps += 1
+
+
+@pytest.mark.parametrize("family", ["modal_dist", "kdist", "branching", "cycle"])
+def test_family_trail_inverses_are_c_level(family):
+    before = TrailSearch.checked_steps
+    search = TrailSearch(translate_modal(parse_modal(family_text(family, 4))))
+    search.run()
+    assert TrailSearch.checked_steps - before >= search.tree.steps > 0
+
+
+def test_corpus_trail_inverses_are_c_level(fragment_corpus):
+    before = TrailSearch.checked_steps
+    steps = sum(TrailSearch(term).run().tree.steps for term in fragment_corpus)
+    assert TrailSearch.checked_steps - before >= steps > 0
+
+
+def test_c_level_tells_python_code_apart():
+    group = []
+    assert c_level(group.pop) and c_level(partial(group.insert, 0, None))
+    assert not c_level(lambda: None) and not c_level(partial(lambda: None))
+    assert not c_level(History(*gate_index(())).add)
+
+
 def plain(value):
     """A copy of ``value`` made of fresh containers, which compares equal
     to a later copy only when nothing in ``value`` changed, order included."""
@@ -351,10 +426,15 @@ class UndoingSearch(ProofSearch):
 
 def undoable(branch):
     """Every slot that :meth:`Branch.undo` restores, as fresh containers:
-    all of them, the node as a set and the trail included, and the agenda
-    without its empty groups, which stay once made."""
+    all of them, the node as a set and the trail included, without the
+    empty groups of the agenda, of ``instances`` and of the history's
+    indices and forced sets, which stay once made."""
     slots = {name: getattr(branch, name) for name in Branch.__slots__}
-    slots["agenda"] = {key: group for key, group in branch.agenda.items() if group}
+    slots["agenda"], slots["instances"] = nonempty(branch.agenda), nonempty(branch.instances)
+    history = branch.history
+    slots["history"] = dict(history), [
+        nonempty(value) if isinstance(value, dict) else value
+        for value in (getattr(history, name) for name in History.__slots__)]
     return plain(slots)
 
 
@@ -525,25 +605,28 @@ def test_forced_set_grows_when_the_last_literal_arrives():
     r, s = Var("r"), Var("s")
     gate = Inter(r, s)
     root = RelFormula("x", Comp(gate, ONE), "y")
-    history, trail = History(gate_index(components(root.term))), []
-    history.add(root, trail, history._retract)
+    history, trail = History(*gate_index(components(root.term))), []
+    history.add(root, trail, history.popitem)
     assert history.forced == {}
-    history.add(RelFormula("x", Cmpl(r), "z1"), trail, history._retract)
-    history.add(RelFormula("z1", Cmpl(s), "y"), trail, history._retract)
+    history.add(RelFormula("x", Cmpl(r), "z1"), trail, history.popitem)
+    history.add(RelFormula("z1", Cmpl(s), "y"), trail, history.popitem)
     assert history.forced == {}
-    history.add(RelFormula("x", Cmpl(s), "z1"), trail, history._retract)
-    assert history.forced == {(gate, "x"): {"z1"}}
-    assert history.forced[gate, "x"] == v_set(Cmpl(gate), "x", FormulaSet(history))
+    history.add(RelFormula("x", Cmpl(s), "z1"), trail, history.popitem)
+    assert history.forced == {(gate, "x"): {"z1": None}}
+    assert set(history.forced[gate, "x"]) == v_set(Cmpl(gate), "x", FormulaSet(history))
 
 
 def test_gate_index_lists_the_gates_of_each_negated_variable():
     # ``1 ; r`` has no gate, ``(r | s) ; (t ; 1)`` has ``r | s`` and
     # ``t ; 1`` has ``t``; ``-(u ; 1)`` is no composition, so ``-u`` gates
-    # nothing
-    term = parse_term("(1 ; r) | ((r | s) ; (t ; 1)) | -(u ; 1)")
+    # nothing.  ``-(1 ; (t ; 1))`` suppresses on ``-(t ; 1)``, and
+    # ``-(1 ; 1)``, which no rule decomposes, on nothing
+    term = parse_term("(1 ; r) | ((r | s) ; (t ; 1)) | -(u ; 1) | -(1 ; (t ; 1))"
+                      " | -(1 ; 1)")
     rs, t = parse_term("r | s"), Var("t")
-    index = gate_index(components(term))
+    index, suppressors = gate_index(components(term))
     assert dict(index) == {Cmpl(Var("r")): (rs,), Cmpl(Var("s")): (rs,),
                            Cmpl(t): (t,)}
+    assert suppressors == frozenset({parse_term("-(t ; 1)")})
     with pytest.raises(TypeError):
         index[Cmpl(t)] = ()

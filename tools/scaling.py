@@ -14,11 +14,14 @@ that ``tracemalloc`` traces over one more, untimed, call, the memory
 still traced after it while its verdict is kept (after
 ``gc.collect()``), and the time of one ``verdict_to_json`` plus
 ``json.dumps(indent=2, sort_keys=True)`` of that verdict, as the CLI's
-``--json`` prints it.  The counts sit next to the time per step so that
-a change in speed can be told from a change in the work done.  Translating the modal formula is
-not measured there.  It then prints the same columns for the
-biconditional chains ``p0 <-> ... <-> pk``, k = 8, 12 and 16, timing
-``translate_modal`` and ``run_procedure`` together: a chain's term shares
+``--json`` prints it, and the trail entries a step writes (``trail/step``:
+over one more, untimed, search, the growth of ``Branch.mark`` across
+each ``ProofSearch._enter``, over the steps).  The counts sit next to
+the time per step so that a change in speed can be told from a change
+in the work done.  Translating the modal formula is not measured there.
+It then prints the same columns for the biconditional chains
+``p0 <-> ... <-> pk``, k = 8, 12 and 16, timing ``translate_modal`` and
+``run_procedure`` together: a chain's term shares
 every operand of each ``<->``, so a walker that visits shared subterms
 once per occurrence shows here.  Last it prints the best of five wall
 times of ``parse_term`` on balanced unions of 2^13 and 2^15 variables,
@@ -58,7 +61,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from corpus import family_text  # noqa: E402
-from dualtab.engine import run_procedure, verdict_to_json  # noqa: E402
+from dualtab.engine import ProofSearch, run_procedure, verdict_to_json  # noqa: E402
 from dualtab.frontends import parse_modal, translate_modal  # noqa: E402
 from dualtab.terms import parse_term  # noqa: E402
 
@@ -124,16 +127,38 @@ def best_of(run):
             peak, retained, to_json)
 
 
+class TrailCount(ProofSearch):
+    """A proof search that counts the trail entries each child that
+    enters the branch writes, read off ``Branch.mark``."""
+
+    written = 0
+
+    def _enter(self, branch, child):
+        mark = branch.mark()
+        super()._enter(branch, child)
+        self.written += branch.mark() - mark
+
+
+def trail_per_step(term):
+    """The trail entries per step of one search of ``term``."""
+    search = TrailCount(term)
+    search.run()
+    return search.written / search.tree.steps
+
+
 def measure(name, n):
-    """:func:`best_of` deciding one family instance."""
+    """:func:`best_of` deciding one family instance, and its
+    :func:`trail_per_step`."""
     term = translate_modal(parse_modal(family_text(name, n)))
-    return best_of(lambda: run_procedure(term))
+    return *best_of(lambda: run_procedure(term)), trail_per_step(term)
 
 
 def measure_chain(k):
-    """:func:`best_of` translating and deciding ``p0 <-> ... <-> pk``."""
+    """:func:`best_of` translating and deciding ``p0 <-> ... <-> pk``, and
+    the :func:`trail_per_step` of its search."""
     formula = parse_modal(" <-> ".join(f"p{i}" for i in range(k + 1)))
-    return best_of(lambda: run_procedure(translate_modal(formula)))
+    return (*best_of(lambda: run_procedure(translate_modal(formula))),
+            trail_per_step(translate_modal(formula)))
 
 
 def balanced_union(leaves):
@@ -192,17 +217,18 @@ def measure_process(args):
 
 
 def report(name, n, steps, branches, variables, best, gc0, cyclic, peak,
-           retained, to_json):
+           retained, to_json, trail):
     print(f"{name:12} {n:>3} {steps:>7} {branches:>8} {variables:>5} "
           f"{best * 1e3:>9.1f} {best * 1e6 / steps:>8.0f} {gc0:>5} {cyclic:>6} "
-          f"{peak / 2 ** 20:>8.2f} {retained / 2 ** 20:>11.2f} {to_json * 1e3:>9.1f}")
+          f"{peak / 2 ** 20:>8.2f} {retained / 2 ** 20:>11.2f} {to_json * 1e3:>9.1f} "
+          f"{trail:>10.2f}")
 
 
 def main():
     sys.stdout.reconfigure(line_buffering=True)
     print(f"{'family':12} {'n':>3} {'steps':>7} {'branches':>8} {'vars':>5} "
           f"{'best ms':>9} {'us/step':>8} {'gc0':>5} {'cyclic':>6} {'peak MB':>8} "
-          f"{'retained MB':>11} {'json ms':>9}")
+          f"{'retained MB':>11} {'json ms':>9} {'trail/step':>10}")
     for name, sizes in SIZES:
         for n in sizes:
             report(name, n, *measure(name, n))
