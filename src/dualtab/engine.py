@@ -26,15 +26,15 @@ only fills in the endpoints; the search names each fresh witness from
 one counter.  The search takes from a
 group the formulas that are not on the node yet, checks them, and hands
 the step and what enters and leaves the node to :meth:`Branch.enter`,
-the only method that writes a branch's node, history, agenda, composition
-instances, decomposed premises and witness placement forward.  A tree
-node keeps only the formulas its step added, and
-:meth:`DeductionTree.replay` rebuilds each node's formulas from its
-parent's.  Complemented compositions are suppressed when an already
-decomposed twin *blocks* them; the scheduler passes over a blocked
-formula and writes nothing.  The branch's history indexes only the
-formulas that :func:`blocker_literals`, :func:`is_blocked` and
-:func:`is_suppressed` read (:class:`~dualtab.formulas.History`).
+the only method that writes a branch's node, history and its indices,
+forced sets, agenda, composition instances, decomposed premises and
+witness placement forward.  A tree node keeps only the formulas its step
+added, and :meth:`DeductionTree.replay` rebuilds each node's formulas
+from its parent's.  Complemented compositions are suppressed when an
+already decomposed twin *blocks* them; the scheduler passes over a
+blocked formula and writes nothing.  The branch indexes only the
+formulas of its history that :func:`is_blocked`, :func:`is_suppressed`
+and :func:`extract_model` read.
 
 If every branch closes the tree is a proof.  Otherwise the first
 saturated open branch yields a finite model and identity valuation that
@@ -43,13 +43,12 @@ is a function of that branch alone: its literals, plus the renamed
 literals of each blocked formula's blocker, found by one last scan.
 
 A search makes no reference cycles: the trail's inverses are bound to
-containers, not to the branch, the history keeps no bound method of its
-own, and the walkers over terms recurse through module-level functions,
-not closures.  Reference counting therefore frees everything a search
-drops, and :meth:`ProofSearch.run` pauses the cyclic garbage collector
-for the search, as :mod:`timeit` does, restoring it on every exit.  The
-collector is process-wide: while a search runs, the cyclic garbage of
-other threads waits until it ends.
+containers, not to the branch, and the walkers over terms recurse
+through module-level functions, not closures.  Reference counting
+therefore frees everything a search drops, and :meth:`ProofSearch.run`
+pauses the cyclic garbage collector for the search, as :mod:`timeit`
+does, restoring it on every exit.  The collector is process-wide: while
+a search runs, the cyclic garbage of other threads waits until it ends.
 """
 
 from __future__ import annotations
@@ -59,8 +58,7 @@ from collections import defaultdict, namedtuple
 from functools import partial
 
 from .errors import BranchNotSaturated, EngineInvariantError, ResourceExhausted
-from .formulas import (FormulaSet, History, RelFormula, gate_forced, gate_index,
-                       is_literal)
+from .formulas import RelFormula, gate_forced, gate_index, is_literal
 from .semantics import Model, Record, model_to_json
 from .terms import (_REFS, Cmpl, Comp, Inter, One, Union, Var, components,
                     render_term, require_fragment, simplify_ones, term_variables)
@@ -200,49 +198,57 @@ class Branch:
     """State of one branch: the leaf's formulas plus everything the rules consult.
 
     ``node`` is the set of the leaf's formulas, whose order the tree and
-    the agenda's groups keep; ``history`` is the union of all formula
-    sets ever on the branch, an indexed :class:`History` with the forced
-    sets; ``vars`` lists object variables in introduction order, the two
-    roots first, and ``order`` in branch order; ``right`` holds the right
-    root and its descendants; ``decomposed`` maps each premise a Boolean
-    or complemented-composition rule decomposed to its fresh witness, or
-    to None for a Boolean rule; ``applied`` holds the composition
-    instances ``(premise, variable)``, and ``instances`` maps each
-    literal-gated premise to the variables of its instances, in the order
-    applied.
+    the agenda's groups keep; ``history`` holds every formula ever on the
+    branch, as a dict's keys in admission order; ``vars`` lists object
+    variables in introduction order, the two roots first, and ``order`` in
+    branch order; ``right`` holds the right root and its descendants;
+    ``decomposed`` maps each premise a Boolean or complemented-composition
+    rule decomposed to its fresh witness, or to None for a Boolean rule;
+    ``instances`` maps each composition premise to the variables of its
+    instances, as a dict's keys in the order applied.
 
     ``agenda`` holds the node's formulas with work, each group a list in
     node order: the Boolean, complemented-composition and literal-gated
     composition premises under ``(left, phase)``, the ``(1;S)`` premises
     under ``(None, 3)``.  A decomposed premise that re-enters the node has
-    no work and stays off the agenda.  A group of the agenda, of
-    ``instances`` or of the history's indices stays once made, maybe empty.
+    no work and stays off the agenda.  Three indices list, in admission
+    order, the formulas of the history that blocking reads: ``literals``
+    the ``x -v z`` and ``obligations`` the ``x B;S y``, ``B`` not 1, by
+    endpoint pair; ``twins`` the ``x -(B;S) y``, ``B`` not 1, and the
+    formulas whose term is one of ``suppressors``, by term and right
+    endpoint.  ``forced`` maps ``(B, x)``, for a gate ``B`` of ``gates``,
+    to ``v_set(-B, x, history)`` as a dict in the order its variables were
+    forced; a gate is plain, so only a literal ``x -v z`` that ``gates``
+    lists can extend one, by ``z``.  A group of the agenda, of
+    ``instances``, of an index or of ``forced`` stays once made, maybe empty.
 
     :meth:`enter` alone writes this state forward and logs the inverse
     of each write on ``trail``; :meth:`undo` only runs them back, last
     first.  Scans and model extraction only read it.  Every inverse is a
     bound method of a builtin container, or a ``functools.partial`` of
     one, so undoing runs no Python code.  The inverses that never change,
-    ``applied.popitem``, ``decomposed.popitem``, ``vars.pop`` and
-    ``history.popitem``, are bound once, in the ``pop_applied``,
-    ``pop_decomposed``, ``pop_var`` and ``pop_history`` slots; each is
-    bound to a container, not to the branch.
+    ``decomposed.popitem``, ``vars.pop`` and ``history.popitem``, are
+    bound once, in the ``pop_decomposed``, ``pop_var`` and ``pop_history``
+    slots, each to a container, not to the branch.
     """
 
-    __slots__ = ("node", "history", "vars", "order", "right", "applied",
-                 "decomposed", "instances", "agenda", "trail", "pop_applied",
-                 "pop_decomposed", "pop_var", "pop_history")
+    __slots__ = ("node", "history", "vars", "order", "right", "decomposed",
+                 "instances", "agenda", "gates", "suppressors", "forced",
+                 "literals", "obligations", "twins", "trail", "pop_decomposed",
+                 "pop_var", "pop_history")
 
     def __init__(self, formula, index):
         """The branch of the root node ``{formula}``; ``index`` is the
         :func:`gate_index` of the components of the formula's term."""
         x, y = formula.left, formula.right
-        self.node, self.history, self.trail = set(), History(*index), []
+        self.node, self.history, self.trail, self.forced = set(), {}, [], {}
         self.vars, self.order, self.right = [x, y], [x, y], {y}
-        self.applied, self.decomposed = {}, {}
-        self.agenda, self.instances = defaultdict(list), defaultdict(list)
-        self.pop_applied, self.pop_decomposed = self.applied.popitem, self.decomposed.popitem
-        self.pop_var, self.pop_history = self.vars.pop, self.history.popitem
+        self.decomposed, self.instances, self.agenda = {}, defaultdict(dict), defaultdict(list)
+        self.gates, self.suppressors = index
+        self.literals, self.obligations, self.twins = (
+            defaultdict(list), defaultdict(list), defaultdict(list))
+        self.pop_decomposed, self.pop_var, self.pop_history = (
+            self.decomposed.popitem, self.vars.pop, self.history.popitem)
         rule_of(formula.term)
         self.enter([formula], (), None)
 
@@ -278,12 +284,9 @@ class Branch:
         if step is not None:
             rule, f, z = step
             if rule in _COMP_RULES:
-                self.applied[f, z] = None
-                trail.append(self.pop_applied)
-                if rule == RULE_COMP_BOOL:
-                    group = self.instances[f]
-                    group.append(z)
-                    trail.append(group.pop)
+                done = self.instances[f]
+                done[z] = None
+                trail.append(done.popitem)
             else:
                 decomposed[f] = z
                 trail.append(self.pop_decomposed)
@@ -308,9 +311,10 @@ class Branch:
         if added:
             node.update(added)
             trail.append(partial(node.difference_update, added))
-        history, pop_history = self.history, self.pop_history
+        history = self.history
         for f in added:
-            history.add(f, trail, pop_history)
+            if f not in history:
+                self._admit(f)
             # the agenda key: (left, phase), or (None, 3) for a (1;S)
             phase = _PHASE.get(f.term.rule)
             if phase is not None and not (phase < 2 and f in decomposed):
@@ -319,11 +323,36 @@ class Branch:
                 trail.append(group.pop)
         return is_axiomatic(node, added)
 
-
-def blocker_literals(branch, blocker, w):
-    """Literals produced on the branch by the Boolean decomposition of the
-    blocker's left part with witness ``w``."""
-    return branch.history.literals.get((blocker.left, w), ())
+    def _admit(self, f):
+        """Put ``f``, which is not in the history, into it, into the index
+        of its kind and into every forced set it extends, logging each
+        write's inverse on the trail; called by :meth:`enter` alone."""
+        trail, history = self.trail, self.history
+        history[f] = None
+        trail.append(self.pop_history)
+        x, t, z = f
+        if isinstance(t, Comp):
+            if not isinstance(t.left, One):
+                group = self.obligations[x, z]
+                group.append(f)
+                trail.append(group.pop)
+        elif isinstance(t, Cmpl):
+            a = t.arg
+            if isinstance(a, Var):
+                group = self.literals[x, z]
+                group.append(f)
+                trail.append(group.pop)
+                for gate in self.gates.get(t, ()):
+                    forced = self.forced.get((gate, x), ())
+                    if z not in forced and gate_forced(x, gate, z, history):
+                        if not forced:
+                            forced = self.forced.setdefault((gate, x), {})
+                        forced[z] = None
+                        trail.append(forced.popitem)
+            if t in self.suppressors or isinstance(a, Comp) and not isinstance(a.left, One):
+                group = self.twins[t, z]
+                group.append(f)
+                trail.append(group.pop)
 
 
 def is_blocked(f, branch):
@@ -335,15 +364,14 @@ def is_blocked(f, branch):
     would trigger is mirrored on the twin's side.
     """
     y, history = f.right, branch.history
-    for g in history.twins.get((f.term, y), ()):
+    for g in branch.twins.get((f.term, y), ()):
         w = branch.decomposed.get(g)
         if g == f or w is None:
             continue
-        renamed = FormulaSet(
-            RelFormula(f.left, h.term, w) for h in blocker_literals(branch, g, w)
-        )
+        renamed = {RelFormula(f.left, h.term, w)
+                   for h in branch.literals.get((g.left, w), ())}
         if all(RelFormula(g.left, h.term, y) in history
-               for h in history.obligations.get((f.left, y), ())
+               for h in branch.obligations.get((f.left, y), ())
                if gate_forced(f.left, h.term.left, w, renamed)):
             return g
     return None
@@ -352,7 +380,7 @@ def is_blocked(f, branch):
 def is_suppressed(branch, f):
     """Side condition of the ``x -(1;S) y`` rule: it is not applied once some
     generated variable ``z'``, any but the two roots, carries ``z' -S y``."""
-    twins = branch.history.twins.get((Cmpl(f.term.arg.right), f.right), ())
+    twins = branch.twins.get((Cmpl(f.term.arg.right), f.right), ())
     roots = branch.vars[:2]
     return any(g.left not in roots for g in twins)
 
@@ -375,8 +403,7 @@ def applications(branch, z):
     The formulas are read off the branch's agenda, not the node, and
     their rules off their terms, where :func:`rule_of` memoised them.
     """
-    applied, history, agenda = branch.applied, branch.history, branch.agenda
-    instances = branch.instances
+    history, agenda, instances = branch.history, branch.agenda, branch.instances
     for f in agenda.get((z, 0), ()):
         yield f.term.rule, f, None
     for f in agenda.get((z, 1), ()):
@@ -390,10 +417,11 @@ def applications(branch, z):
     for f in agenda.get((z, 2), ()):
         # forced sets only grow and only forced instances are applied, so
         # a premise with as many instances as forced variables has none left
-        forced = history.forced.get((f.term.left, z))
-        if forced and len(forced) > len(instances.get(f, ())):
+        forced = branch.forced.get((f.term.left, z))
+        done = instances.get(f, ())
+        if forced and len(forced) > len(done):
             for w in branch.order:
-                if w in forced and (f, w) not in applied:
+                if w in forced and w not in done:
                     yield RULE_COMP_BOOL, f, w
     # an applied instance ``(f, z)`` put ``z S y`` into the history
     for f in agenda.get((None, 3), ()):
@@ -434,7 +462,7 @@ def extract_model(branch):
     for _, f, blocker in scan:
         w = branch.decomposed[blocker]
         literals.extend(RelFormula(f.left, h.term, w)
-                        for h in blocker_literals(branch, blocker, w))
+                        for h in branch.literals.get((blocker.left, w), ()))
     universe = tuple(branch.vars)
     # every term on the branch is a component of the root formula's term,
     # the history's first entry, so it has no variable the root term lacks
@@ -602,7 +630,7 @@ class ProofSearch:
         if tree.steps > self.max_steps:
             raise ResourceExhausted(f"step cap of {self.max_steps} exceeded")
         if rule in _COMP_RULES:
-            if (f, inst) in branch.applied:
+            if inst in branch.instances.get(f, ()):
                 raise EngineInvariantError("composition step without progress")
         elif rule in _NEGCOMP_RULES:
             count = len(branch.vars) + 1

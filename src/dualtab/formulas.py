@@ -7,16 +7,15 @@ intersections (one side forced, the other in complement normal form).
 The *forced set* ``v_set(B, x, N)`` holds the object variables ``z`` of
 ``N`` for which ``x B z`` is forced.  ``tests/reference.py`` defines both
 directly from ``N``; the tests check the engine's incremental versions
-against it.  A branch history is a :class:`History`, which keeps up to
-date, as formulas enter it, the indices that blocking reads and the
-forced sets the engine reads before instantiating a composition, and
-logs how to take each write back as a bound method of a builtin
-container, so that undoing runs no Python code.
+against it.  :func:`gate_index` finds, once per search, which literals
+can extend a forced set, and :func:`gate_forced` tests one extension;
+the engine's ``Branch`` keeps the forced sets up to date as formulas
+enter its history.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, namedtuple
+from collections import namedtuple
 from types import MappingProxyType
 
 from .errors import ParseError
@@ -70,7 +69,7 @@ def is_literal(f):
 
 
 def gate_index(terms):
-    """What a search's :class:`History` reads of the components ``terms``
+    """What a search's branch reads of the components ``terms``
     of its input, found in one pass: the gates, a read-only map from each
     ``-v`` to the left operands ``B``, other than 1, of the compositions
     among ``terms`` that mention ``v``, and the suppressors, the ``-S`` of
@@ -95,69 +94,6 @@ def gate_forced(x, b, z, n):
         return tuple.__new__(RelFormula, (x, interned(Cmpl, b), z)) in n
     holds = any if isinstance(b, Union) else all
     return holds(gate_forced(x, part, z, n) for part in (b.left, b.right))
-
-
-class History(FormulaSet):
-    """A branch history: a formula set that keeps the forced sets and,
-    in admission order, only the formulas that blocking reads, each kind
-    told by its term's constructors: ``literals`` lists the literals
-    ``x -v z`` by endpoint pair, for ``blocker_literals``; ``obligations``
-    the compositions ``x B;S y``, ``B`` not 1, by endpoint pair, for
-    ``is_blocked``; and ``twins``, by term and right endpoint, the
-    ``x -(B;S) y``, ``B`` not 1, for ``is_blocked``, and the formulas whose
-    term is one of ``suppressors``, for ``is_suppressed``.  ``forced``
-    maps ``(B, x)``, for a gate ``B`` of ``gates``, to ``v_set(-B, x,
-    self)`` as a dict in the order its variables were forced; a gate is
-    plain, so only a literal ``x -v z`` that ``gates`` lists can extend
-    one, by ``z``.  A list or forced dict stays once made, maybe empty.
-
-    :meth:`add` logs the inverse of each write on the trail it is given,
-    each a bound method of a builtin container, so that undoing runs no
-    Python code.  The caller binds the history's ``popitem`` once and
-    passes it to every :meth:`add`; the history keeps no bound method of
-    its own, which would make it a reference cycle.
-    """
-
-    __slots__ = ("gates", "suppressors", "forced", "literals", "obligations", "twins")
-
-    def __init__(self, gates, suppressors):
-        super().__init__()
-        self.gates, self.suppressors, self.forced = gates, suppressors, {}
-        self.literals, self.obligations, self.twins = (
-            defaultdict(list), defaultdict(list), defaultdict(list))
-
-    def add(self, f, trail, pop):
-        """Admit ``f`` unless it is present, logging on ``trail``; returns
-        whether it was admitted.  ``pop`` is this history's bound
-        ``popitem``, the inverse of an admission."""
-        if f in self:
-            return False
-        self[f] = None
-        trail.append(pop)
-        x, t, z = f
-        if isinstance(t, Comp):
-            if not isinstance(t.left, One):
-                group = self.obligations[x, z]
-                group.append(f)
-                trail.append(group.pop)
-        elif isinstance(t, Cmpl):
-            a = t.arg
-            if isinstance(a, Var):
-                group = self.literals[x, z]
-                group.append(f)
-                trail.append(group.pop)
-                for gate in self.gates.get(t, ()):
-                    forced = self.forced.get((gate, x), ())
-                    if z not in forced and gate_forced(x, gate, z, self):
-                        if not forced:
-                            forced = self.forced.setdefault((gate, x), {})
-                        forced[z] = None
-                        trail.append(forced.popitem)
-            if t in self.suppressors or isinstance(a, Comp) and not isinstance(a.left, One):
-                group = self.twins[t, z]
-                group.append(f)
-                trail.append(group.pop)
-        return True
 
 
 def parse_formula(text):

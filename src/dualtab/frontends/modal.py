@@ -183,7 +183,9 @@ class _ModalTokenizer(TokenStream):
         try:
             program = parse_term(body)
         except ParseError as exc:
-            at = i + 1 + len(body.encode("utf-8")[:exc.offset].decode("utf-8"))
+            # a POSIX argv decodes an undecodable byte to a lone surrogate
+            at = i + 1 + len(body.encode("utf-8", "surrogatepass")[:exc.offset]
+                             .decode("utf-8", "surrogatepass"))
             raise self.error(f"bad program term: {exc.message}", at, exc.expected) from None
         if not program.plain:
             raise self.error("modality programs must be complement- and 1-free Boolean terms",

@@ -23,8 +23,12 @@ Identifiers match ``[a-z][a-z0-9_]*``.  Parentheses, complements and
 converses may nest at most :data:`MAX_NESTING` deep.  A term may be at
 most :data:`MAX_DEPTH` levels deep, flat chains included; the parser
 raises :class:`ParseError` before it builds a deeper node.  Every
-recursive walker over terms takes one interpreter frame per level, so no
-walker can exhaust the stack.
+recursive walker over terms takes one interpreter frame per level, so a
+walk needs up to :data:`MAX_DEPTH` frames on top of its caller's.  At the
+default recursion limit of 1000, ``run_procedure`` on
+``r0 | ... | r498 | -r0`` works from 400 frames deep but raises
+``RecursionError`` from 600; ROADMAP.md, item 9, turns the walkers into
+loops.
 
 :class:`TokenStream` and :class:`NestingParser` are the tokenizer and
 parser core of this grammar and of the modal one, each grammar a table

@@ -6,7 +6,7 @@ set directly: a formula is forced by a set ``N`` of literals when it can
 be assembled from literals of ``N`` using only unions (both sides
 forced) and intersections (one side forced, the other in complement
 normal form).  The engine keeps the forced sets it needs up to date
-instead (``formulas.History``, ``formulas.gate_forced``).  And the
+instead (``engine.Branch``, ``formulas.gate_forced``).  And the
 structural readings of a term that ``terms.py`` sets as attributes at
 interning, as functions.  And the recursive-descent parsers that
 ``terms.NestingParser``'s operator-precedence loop replaced, one method

@@ -182,6 +182,20 @@ class TestModal:
         assert err.splitlines() == [
             "error: bad program term: unexpected character '?' at offset 5"]
 
+    def test_undecodable_byte_in_a_program_is_a_parse_error(self, capsys):
+        # a POSIX argv decodes an undecodable byte to a lone surrogate,
+        # which has no UTF-8 encoding of its own
+        code, out, err = run(capsys, "modal", "--", "<r\udcff>p")
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [
+            "error: bad program term: unexpected character '\\udcff' at offset 2"]
+
+    def test_undecodable_byte_in_a_fresh_process(self):
+        proc = run_process("-m", "dualtab", "modal", "--", b"<r\xff>p")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert len(proc.stderr.splitlines()) == 1
+        assert proc.stderr.startswith("error: bad program term: ")
+
 
 class TestCheckModel:
     @pytest.fixture

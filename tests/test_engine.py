@@ -261,7 +261,7 @@ class TestApplyNegcomp:
         z = "z1"
         introduce(b, F("x", "-(r ; (s ; 1))", "y"), z)
         assert offered(b, "x") == [(RULE_CMPL_COMP_UNIV, f, None)]
-        b.history.add(F(z, "-(s ; 1)", "y"), b.trail, b.pop_history)
+        b._admit(F(z, "-(s ; 1)", "y"))
         assert offered(b, "x") == []
 
     def test_blocked_formula_records_renamed_literals(self):
@@ -272,7 +272,7 @@ class TestApplyNegcomp:
         blocker = RelFormula("z1", parse_term(term_text), "y")
         b = initial(blocked)
         for g in (blocker, F("z1", "-r", "w")):
-            b.history.add(g, b.trail, b.pop_history)
+            b._admit(g)
         b.vars += ["z1", "w"]
         b.decomposed[blocker] = "w"
         assert offered(b, "z2") == [("blocked", blocked, blocker)]
@@ -287,15 +287,15 @@ class TestIsBlocked:
         blocker = RelFormula("z1", parse_term(term_text), "y")
         blocked = RelFormula("z2", parse_term(term_text), "y")
         b = initial(F("x", "1 ; " + term_text, "y"))
-        b.history.add(blocker, b.trail, b.pop_history)
-        b.history.add(blocked, b.trail, b.pop_history)
+        b._admit(blocker)
+        b._admit(blocked)
         b.vars += ["z1", "w", "z2"]
         return b, blocker, blocked
 
     def test_no_twin_in_history(self):
         f = F("z1", "-(r ; (s ; 1))", "y")
         b = initial(F("x", "1 ; -(r ; (s ; 1))", "y"))
-        b.history.add(f, b.trail, b.pop_history)
+        b._admit(f)
         assert is_blocked(f, b) is None
 
     def test_undecomposed_twin_does_not_block(self):
@@ -305,23 +305,23 @@ class TestIsBlocked:
     def test_decomposed_twin_blocks_without_obligations(self):
         b, blocker, blocked = self.setup_branch()
         b.decomposed[blocker] = "w"
-        b.history.add(F("z1", "-r", "w"), b.trail, b.pop_history)
+        b._admit(F("z1", "-r", "w"))
         assert is_blocked(blocked, b) == blocker
 
     def test_unmirrored_obligation_prevents_blocking(self):
         b, blocker, blocked = self.setup_branch()
         b.decomposed[blocker] = "w"
-        b.history.add(F("z1", "-r", "w"), b.trail, b.pop_history)
+        b._admit(F("z1", "-r", "w"))
         # the blocked variable owes a composition the twin never mirrored
-        b.history.add(F("z2", "r ; (s ; 1)", "y"), b.trail, b.pop_history)
+        b._admit(F("z2", "r ; (s ; 1)", "y"))
         assert is_blocked(blocked, b) is None
 
     def test_mirrored_obligation_restores_blocking(self):
         b, blocker, blocked = self.setup_branch()
         b.decomposed[blocker] = "w"
-        b.history.add(F("z1", "-r", "w"), b.trail, b.pop_history)
-        b.history.add(F("z2", "r ; (s ; 1)", "y"), b.trail, b.pop_history)
-        b.history.add(F("z1", "r ; (s ; 1)", "y"), b.trail, b.pop_history)
+        b._admit(F("z1", "-r", "w"))
+        b._admit(F("z2", "r ; (s ; 1)", "y"))
+        b._admit(F("z1", "r ; (s ; 1)", "y"))
         assert is_blocked(blocked, b) == blocker
 
 
@@ -330,7 +330,7 @@ class TestApplyCompA:
         f = F("x", text, "y")
         b = initial(f)
         introduce(b, F("x", "-(r ; 1)", "y"), "z1")
-        b.history.add(F("x", "-r", "z1"), b.trail, b.pop_history)
+        b._admit(F("x", "-r", "z1"))
         return b, f
 
     def test_adds_instantiated_right_part(self):
@@ -379,7 +379,7 @@ class TestApplyCompB:
         f = F("x", "1 ; (r ; 1)", "y")
         b = initial(f)
         assert offered(b, "y") == [(RULE_COMP_UNIV, f, "y")]
-        b.history.add(F("y", "r ; 1", "y"), b.trail, b.pop_history)
+        b._admit(F("y", "r ; 1", "y"))
         assert offered(b, "y") == []
 
 
@@ -529,19 +529,28 @@ class TestRunProcedure:
             if not is_boolean(f.term):
                 assert f.right == "y"
 
+    @pytest.mark.parametrize("term, rule, fired", [
+        (simplify_ones(parse_term("1 ; (r ; 1)")), RULE_COMP_UNIV, 2),
+        (translate_modal(parse_modal("<r>p -> <r>(p | q)")), RULE_COMP_BOOL, 1),
+    ], ids=["comp-univ", "comp-bool"])
     def test_composition_without_a_new_instance_is_an_invariant_error(
-            self, monkeypatch):
+            self, monkeypatch, term, rule, fired):
+        events = []
+        run_procedure(term, trace=events.append)
+        assert [e["rule"] for e in events if e["rule"] in (RULE_COMP_BOOL, RULE_COMP_UNIV)
+                ] == [rule] * fired
         # a scan that offers an applied instance again
         scan = engine.applications
 
         def repeating(branch, z):
-            for f, w in branch.applied:
-                yield rule_of(f.term), f, w
+            for f, done in branch.instances.items():
+                for w in done:
+                    yield rule_of(f.term), f, w
             yield from scan(branch, z)
 
         monkeypatch.setattr(engine, "applications", repeating)
         with pytest.raises(EngineInvariantError, match="without progress"):
-            prove("1 ; (r ; 1)")
+            run_procedure(term)
 
     def test_second_child_is_checked_at_its_step(self):
         # ``x r y``, the first child of ``x (r & s) y``, ends open, and the

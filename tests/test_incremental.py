@@ -4,9 +4,10 @@ A search is driven to its verdict; after every rule application, on the
 branch that took it, the formulas the step says it added to and removed
 from the node are compared with a diff of the tree's replayed node
 against its parent, the branch's node with the set of the replayed
-node, and each index the history and the branch keep up to date with a
-plain recomputation over the whole history or node: the agenda's
-groups and instance counts, the applications the agenda yields at every
+node, and each index the branch keeps up to date with a plain
+recomputation over the whole history or node, or over the tree path to
+the node: the agenda's groups, the composition instances read off the
+path's steps, the applications the agenda yields at every
 variable, the branch's variables, the per-key formula lists, the forced
 set of every gate at every variable, the variable order, and the
 blocking verdict of every complemented composition on the node.  Since
@@ -39,7 +40,7 @@ from dualtab.engine import (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
                             Branch, Countermodel, ProofSearch, Proof,
                             applications, conclusions, extract_model,
                             is_axiomatic, is_blocked, rule_of)
-from dualtab.formulas import FormulaSet, History, RelFormula, gate_index
+from dualtab.formulas import FormulaSet, RelFormula, gate_index
 from dualtab.frontends import parse_modal, translate_modal
 from dualtab.terms import (ONE, Cmpl, Comp, Inter, Union, Var, components,
                            parse_term, simplify_ones)
@@ -122,9 +123,8 @@ def scratch_applications(branch, node, z):
     """The applicability scan as a walk over the whole of ``node``, the
     branch's node in order, with forced sets, blocking and suppression
     recomputed over the whole history."""
-    applied, history = branch.applied, branch.history
-    decomposed, generated = branch.decomposed, genealogy(branch)
-    plain = FormulaSet(history)
+    instances, decomposed = branch.instances, branch.decomposed
+    generated, plain = genealogy(branch), FormulaSet(branch.history)
     phases = ([], [], [], [])
     for f in node:
         rule = rule_of(f.term)
@@ -147,9 +147,9 @@ def scratch_applications(branch, node, z):
     for f, _ in comp_bool:
         forced = v_set(Cmpl(f.term.left), z, plain)
         out += [(RULE_COMP_BOOL, f, w) for w in branch.order
-                if w in forced and (f, w) not in applied]
+                if w in forced and w not in instances.get(f, ())]
     out += [(RULE_COMP_UNIV, f, z) for f, _ in comp_univ
-            if (f, z) not in applied
+            if z not in instances.get(f, ())
             and RelFormula(z, f.term.right, f.right) not in plain]
     return out
 
@@ -168,7 +168,7 @@ def scratch_forced(branch):
 
 
 def scratch_indices(branch):
-    """The history's indices, recomputed over the whole history by their
+    """The branch's indices, recomputed over the whole history by their
     definitions, each list in admission order: ``literals`` the negated
     variable literals by endpoint pair, ``obligations`` the literal-gated
     compositions by endpoint pair, and ``twins`` by term and right
@@ -196,8 +196,23 @@ def nonempty(groups):
     return {key: group for key, group in groups.items() if group}
 
 
-def check_branch(branch, node):
-    """Check every index of the branch, whose node is ``node`` in order."""
+def path_instances(tree, leaf):
+    """Each composition premise's instance variables, in the order
+    applied, read off the composition steps on the tree path from the
+    root to ``leaf``."""
+    path = [leaf]
+    while path[-1].parent is not None:
+        path.append(tree.nodes[path[-1].parent])
+    instances = {}
+    for n in reversed(path):
+        if n.rule in (RULE_COMP_BOOL, RULE_COMP_UNIV):
+            instances.setdefault(n.premise, []).append(n.variable)
+    return instances
+
+
+def check_branch(branch, node, instances):
+    """Check every index of the branch, whose node is ``node`` in order
+    and whose composition steps applied ``instances``."""
     assert branch.node == set(node)
     for z in branch.order:
         assert list(applications(branch, z)) == scratch_applications(branch, node, z)
@@ -205,22 +220,18 @@ def check_branch(branch, node):
     assert nonempty(branch.agenda) == expected
     # a mark is the length of the trail, which undo runs back to it
     assert branch.mark() == len(branch.trail)
-    # each literal-gated premise lists the variables of its applied
-    # instances in the order applied; a list stays once made, maybe empty
-    instances = {}
-    for g, w in branch.applied:
-        if rule_of(g.term) == RULE_COMP_BOOL:
-            instances.setdefault(g, []).append(w)
-    assert nonempty(branch.instances) == instances
+    # each composition premise lists the variables of its applied
+    # instances in the order applied; a group stays once made, maybe empty
+    assert {f: list(done) for f, done in nonempty(branch.instances).items()
+            } == instances
     for (_, phase), group in branch.agenda.items():
         for f in group:
             assert PHASE[rule_of(f.term)] == phase
-    history = branch.history
-    plain = FormulaSet(history)
+    plain = FormulaSet(branch.history)
     assert branch.vars == variables_of(plain)
     for name, expected in scratch_indices(branch).items():
-        assert nonempty(getattr(history, name)) == expected, name
-    assert {key: set(forced) for key, forced in nonempty(history.forced).items()
+        assert nonempty(getattr(branch, name)) == expected, name
+    assert {key: set(forced) for key, forced in nonempty(branch.forced).items()
             } == scratch_forced(branch)
     for f in node:
         if isinstance(f.term, Cmpl) and isinstance(f.term.arg, Comp):
@@ -322,7 +333,7 @@ class CheckedSearch(ProofSearch):
         assert list(removed_by(child)) == [g for g in parent if g not in node]
         super()._enter(branch, child)
         assert child.closed == is_axiomatic(set(node))
-        check_branch(branch, node)
+        check_branch(branch, node, path_instances(self.tree, child))
         self.checked_steps += 1
 
 
@@ -389,15 +400,13 @@ def test_c_level_tells_python_code_apart():
     group = []
     assert c_level(group.pop) and c_level(partial(group.insert, 0, None))
     assert not c_level(lambda: None) and not c_level(partial(lambda: None))
-    assert not c_level(History(*gate_index(())).add)
+    root = RelFormula("x", Var("r"), "y")
+    assert not c_level(Branch(root, gate_index(()))._admit)
 
 
 def plain(value):
     """A copy of ``value`` made of fresh containers, which compares equal
     to a later copy only when nothing in ``value`` changed, order included."""
-    if isinstance(value, History):
-        return plain(dict(value)), [plain(getattr(value, name))
-                                    for name in History.__slots__]
     if isinstance(value, dict):
         return [(k, plain(v)) for k, v in value.items()]
     if isinstance(value, (list, tuple)):
@@ -427,14 +436,11 @@ class UndoingSearch(ProofSearch):
 def undoable(branch):
     """Every slot that :meth:`Branch.undo` restores, as fresh containers:
     all of them, the node as a set and the trail included, without the
-    empty groups of the agenda, of ``instances`` and of the history's
-    indices and forced sets, which stay once made."""
+    empty groups of the agenda, of ``instances``, of the history's
+    indices and of the forced sets, which stay once made."""
     slots = {name: getattr(branch, name) for name in Branch.__slots__}
-    slots["agenda"], slots["instances"] = nonempty(branch.agenda), nonempty(branch.instances)
-    history = branch.history
-    slots["history"] = dict(history), [
-        nonempty(value) if isinstance(value, dict) else value
-        for value in (getattr(history, name) for name in History.__slots__)]
+    for name in ("agenda", "instances", "literals", "obligations", "twins", "forced"):
+        slots[name] = nonempty(slots[name])
     return plain(slots)
 
 
@@ -453,7 +459,7 @@ def check_undo(term):
 def test_undo_restores_every_slot(family):
     # a slot that undo forgets shows as a difference after the step is
     # undone: an index key left empty, a forced variable kept, a grown
-    # ``applied`` or ``vars``, a reordered ``order``
+    # ``instances`` or ``vars``, a reordered ``order``
     search = check_undo(translate_modal(parse_modal(family_text(family, 4))))
     assert search.tree.branch_count > 1
 
@@ -605,15 +611,14 @@ def test_forced_set_grows_when_the_last_literal_arrives():
     r, s = Var("r"), Var("s")
     gate = Inter(r, s)
     root = RelFormula("x", Comp(gate, ONE), "y")
-    history, trail = History(*gate_index(components(root.term))), []
-    history.add(root, trail, history.popitem)
-    assert history.forced == {}
-    history.add(RelFormula("x", Cmpl(r), "z1"), trail, history.popitem)
-    history.add(RelFormula("z1", Cmpl(s), "y"), trail, history.popitem)
-    assert history.forced == {}
-    history.add(RelFormula("x", Cmpl(s), "z1"), trail, history.popitem)
-    assert history.forced == {(gate, "x"): {"z1": None}}
-    assert set(history.forced[gate, "x"]) == v_set(Cmpl(gate), "x", FormulaSet(history))
+    branch = Branch(root, gate_index(components(root.term)))
+    assert branch.forced == {}
+    branch._admit(RelFormula("x", Cmpl(r), "z1"))
+    branch._admit(RelFormula("z1", Cmpl(s), "y"))
+    assert branch.forced == {}
+    branch._admit(RelFormula("x", Cmpl(s), "z1"))
+    assert branch.forced == {(gate, "x"): {"z1": None}}
+    assert set(branch.forced[gate, "x"]) == v_set(Cmpl(gate), "x", FormulaSet(branch.history))
 
 
 def test_gate_index_lists_the_gates_of_each_negated_variable():
