@@ -12,7 +12,7 @@ import importlib
 from .errors import (BranchNotSaturated, BudgetExceeded, DualTabError,
                      EmptyPremises, EngineInvariantError, FragmentViolation,
                      NotBoolean, ParseError, ResourceExhausted, UnboundVariable)
-from .formulas import FormulaSet, RelFormula
+from .formulas import RelFormula
 from .semantics import (Model, eval_term, falsifies_branch, model_from_json,
                         model_to_json, satisfies)
 from .terms import (Cmpl, Comp, Conv, FragmentVerdict, Inter, ONE, One,
@@ -43,7 +43,7 @@ __all__ = [
     "parse_term", "render_term", "simplify_ones", "nf_cmpl", "components",
     "fragment_check", "FragmentVerdict",
     "RelTerm", "One", "ONE", "Var", "Cmpl", "Union", "Inter", "Comp", "Conv",
-    "RelFormula", "FormulaSet",
+    "RelFormula",
     "Model", "eval_term", "satisfies", "falsifies_branch",
     "brute_force_countermodel", "model_to_json", "model_from_json",
     "DualTabError", "ParseError", "NotBoolean", "FragmentViolation",

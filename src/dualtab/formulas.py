@@ -35,30 +35,6 @@ class RelFormula(namedtuple("RelFormula", "left term right")):
         return f"{self.left} {render_term(self.term)} {self.right}"
 
 
-class FormulaSet(dict):
-    """Set of formulas with insertion-order iteration and O(1) membership:
-    a dict from formula to None, so that membership runs at dict speed."""
-
-    __slots__ = ()
-
-    def __init__(self, items=()):
-        super().__init__(dict.fromkeys(items))
-
-    def add(self, f):
-        """Insert ``f``; returns True iff it was not already present."""
-        if f in self:
-            return False
-        self[f] = None
-        return True
-
-    def update(self, items):
-        for f in items:
-            self.add(f)
-
-    def __repr__(self):
-        return "{" + ", ".join(map(repr, self)) + "}"
-
-
 def is_literal(f):
     """True iff the formula's term is 1, -1, a variable, or a negated variable."""
     match f.term:

@@ -5,10 +5,13 @@ evaluated directly under possible-worlds semantics, with each modality
 program interpreted as the union/intersection of its component
 accessibility relations.  Frames and valuations are enumerated in a fixed
 order over universes of growing size, so the first refuting pointed model
-is reproducible.  The search space is vectorized: truth values are
-computed as world-bitmask arrays over the (frame, valuation) axes.  The
-search imports numpy when it first runs, so importing this module alone
-does not load it.
+is reproducible.  The search space is vectorized: each choice the
+enumeration makes, the successor mask of one world under one
+accessibility variable or the world mask of one proposition, is its own
+numpy axis, and a subformula's world masks broadcast over only the axes
+of the variables it reads, so memory follows the formula, not the
+budget.  The search imports numpy when it first runs, so importing this
+module alone does not load it.
 """
 
 from __future__ import annotations
@@ -116,63 +119,53 @@ def kripke_countermodel(f, max_worlds):
 def _search_size(f, accs, props, n, subs):
     import numpy as np  # only the search needs it, so importing kripke stays cheap
 
-    q = n * n
-    n_rel = 1 << (q * len(accs))
-    n_val = 1 << (n * len(props))
+    choices = n * len(accs) + len(props)  # at most BUDGET_BITS axes, numpy allows 32
+
+    def axis(k):
+        """Every mask of ``n`` bits along axis ``k``, of length 1 on every other."""
+        shape = [1] * choices
+        shape[k] = 1 << n
+        return np.arange(1 << n, dtype=np.uint8).reshape(shape)
+
+    # a relation's bitmask is the sum of succ_w << w*n, so its axes run
+    # from world n-1 down to world 0
+    succ = [{name: axis(i * n + n - 1 - w) for i, name in enumerate(accs)}
+            for w in range(n)]
+    prop_cols = {name: axis(n * len(accs) + j) for j, name in enumerate(props)}
     world_mask = np.uint8((1 << n) - 1)
-
-    succ = {}
-    rcs = np.arange(n_rel, dtype=np.int64)
-    for i, name in enumerate(accs):
-        shift = q * (len(accs) - 1 - i)
-        masks = (rcs >> shift) & ((1 << q) - 1)
-        succ[name] = np.stack(
-            [((masks >> (w * n)) & ((1 << n) - 1)).astype(np.uint8) for w in range(n)],
-            axis=1,
-        )
-
-    prop_cols = {}
-    pcs = np.arange(n_val, dtype=np.int64)
-    for j, name in enumerate(props):
-        shift = n * (len(props) - 1 - j)
-        prop_cols[name] = ((pcs >> shift) & ((1 << n) - 1)).astype(np.uint8)
-
     owed = dict(subs)  # asks to come
     memo = {}  # masks of the shared subformulas still owed, never written
-    space = _Space(np, n, n_rel, n_val, world_mask, succ, prop_cols, owed, memo)
-    root = truth(f, space)
-    falsity = np.broadcast_to(root, (n_rel, n_val)) ^ world_mask
-    flat = falsity.reshape(-1)
-    nz = np.flatnonzero(flat)
-    if nz.size == 0:
+    root = truth(f, _Space(np, world_mask, succ, prop_cols, owed, memo))
+    # the first choice in C order of the root's axes, those it does not
+    # read taken as 0, is the first in (frame, valuation) order
+    idx = int(np.argmax(root != world_mask))
+    bits = int(root.flat[idx] ^ world_mask)
+    if bits == 0:
         return None
-    idx = int(nz[0])
-    rc, pc = divmod(idx, n_val)
-    bits = int(flat[idx])
-    world_idx = (bits & -bits).bit_length() - 1
+    choice = [int(c) for c in np.unravel_index(idx, root.shape)]
 
     worlds = tuple(f"w{i}" for i in range(n))
+
+    def members(mask):
+        return {worlds[u] for u in range(n) if mask >> u & 1}
+
     relations = {}
     for i, name in enumerate(accs):
-        mask = (rc >> q * (len(accs) - 1 - i)) & ((1 << q) - 1)
-        relations[name] = {
-            (worlds[p // n], worlds[p % n]) for p in range(q) if (mask >> p) & 1
-        }
-    valuation = {}
-    for j, name in enumerate(props):
-        shift = n * (len(props) - 1 - j)
-        mask = (pc >> shift) & ((1 << n) - 1)
-        valuation[name] = {worlds[w] for w in range(n) if (mask >> w) & 1}
-    return KripkeModel(worlds, relations, valuation), worlds[world_idx]
+        succs = reversed(choice[i * n:(i + 1) * n])  # world 0 first
+        relations[name] = {(worlds[w], u) for w, mask in enumerate(succs)
+                           for u in members(mask)}
+    valuation = dict(zip(props, map(members, choice[n * len(accs):])))
+    return KripkeModel(worlds, relations, valuation), worlds[(bits & -bits).bit_length() - 1]
 
 
-# One universe size of the search: every frame and valuation over ``n``
-# worlds along the (frame, valuation) axes of the masks, the successor
-# masks of each accessibility variable and the valuation column of each
-# proposition.  ``owed`` counts the asks still to come for each
-# subformula of the :func:`subformulas` table; ``memo`` keeps the mask
-# of a shared one until its last ask.
-_Space = namedtuple("_Space", "np n n_rel n_val world_mask succ prop_cols owed memo")
+# One universe size of the search, one axis per choice, each holding
+# every mask of ``n`` bits: ``succ[w]`` maps each accessibility variable
+# to the axis of world ``w``'s successor mask, ``prop_cols`` each
+# proposition to the axis of its world mask.  A subformula's masks span
+# only the axes of the variables it reads.  ``owed`` counts the asks
+# still to come for each subformula of the :func:`subformulas` table;
+# ``memo`` keeps the mask of a shared one until its last ask.
+_Space = namedtuple("_Space", "np world_mask succ prop_cols owed memo")
 
 
 def truth(g, space):
@@ -182,7 +175,7 @@ def truth(g, space):
     if out is None:
         match g:
             case Prop(name):
-                out = np.broadcast_to(space.prop_cols[name][None, :], (1, space.n_val))
+                out = space.prop_cols[name]
             case Not(a):
                 out = truth(a, space) ^ world_mask
             case And(l, r):
@@ -193,11 +186,10 @@ def truth(g, space):
                 # [prog]a holds at w when no successor of w falsifies a
                 box = isinstance(g, Box)
                 ta = truth(a, space) ^ world_mask if box else truth(a, space)
-                sa = _program(prog, space.succ.__getitem__)
-                out = np.zeros((space.n_rel, ta.shape[1]), dtype=np.uint8)
-                for w in range(space.n):
-                    hit = (sa[:, w][:, None] & ta) != 0
-                    out |= (hit != box).astype(np.uint8) << np.uint8(w)
+                out = np.uint8(0)
+                for w, succ in enumerate(space.succ):
+                    hit = (_program(prog, succ.__getitem__) & ta) != 0
+                    out = out | (hit != box).astype(np.uint8) << np.uint8(w)
     owed = space.owed
     owed[g] -= 1
     if owed[g] > 0:

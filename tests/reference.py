@@ -14,15 +14,20 @@ per grammar level, with entry points named as the library's
 (``parse_term``, ``parse_modal``, ``parse_formula``).  They share the
 library's tokenizers and node classes, and take about eight interpreter
 frames per parenthesis.  And the argparse parser that ``cli``'s table of
-commands replaced, which the command line is checked against.
+commands replaced, which the command line is checked against.  And the
+Kripke oracle's search one pointed model at a time, in the order that
+``frontends.kripke.kripke_countermodel`` documents, which its broadcast
+search is checked against.
 """
 
 import argparse
+import itertools
 
 from dualtab import terms
 from dualtab.errors import NotBoolean, ParseError
 from dualtab.formulas import DEFAULT_LEFT, DEFAULT_RIGHT, RelFormula
 from dualtab.frontends import modal
+from dualtab.frontends.kripke import KripkeModel, eval_modal
 from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop
 from dualtab.terms import (MAX_DEPTH, MAX_NESTING, ONE, Cmpl, Comp, Conv, Inter, One,
                            Union, Var, _found, nf_cmpl, render_term)
@@ -324,3 +329,29 @@ def _build_parser():
     p.add_argument("--json", action="store_true")
 
     return parser
+
+
+def kripke_countermodel(f, max_worlds):
+    """The first pointed model refuting ``f`` with at most ``max_worlds``
+    worlds: universe sizes ascending; for each, the relations of the
+    accessibility variables, sorted, each a bitmask whose bit ``v*n + u``
+    is the pair ``(wv, wu)``, lexicographically with the first variable
+    most significant; then the world masks of the propositions, sorted,
+    likewise; then the worlds ascending.  Each model is built and read
+    through ``eval_modal``; with no budget, so small sizes only."""
+    subs = modal.subformulas(f)
+    accs, props = modal.accessibility_of(subs), modal.propositions_of(subs)
+    for n in range(1, max_worlds + 1):
+        worlds = tuple(f"w{i}" for i in range(n))
+        pairs = [(v, u) for v in worlds for u in worlds]
+        for frame in itertools.product(range(1 << n * n), repeat=len(accs)):
+            relations = {name: {pair for b, pair in enumerate(pairs) if mask >> b & 1}
+                         for name, mask in zip(accs, frame)}
+            for masks in itertools.product(range(1 << n), repeat=len(props)):
+                valuation = {name: {w for b, w in enumerate(worlds) if mask >> b & 1}
+                             for name, mask in zip(props, masks)}
+                model = KripkeModel(worlds, relations, valuation)
+                for world in worlds:
+                    if not eval_modal(f, model, world):
+                        return model, world
+    return None

@@ -14,7 +14,7 @@ from conftest import CORPUS_DEPTH, all_modal, build_corpus
 from dualtab.cli import main
 from dualtab.engine import (VAR_BOUND_FACTOR, Countermodel, Proof,
                             run_procedure, stats_of)
-from dualtab.formulas import FormulaSet, RelFormula
+from dualtab.formulas import RelFormula
 from dualtab.frontends import (EntailmentProblem, encode_entailment,
                                kripke_countermodel, translate_modal)
 from dualtab.oracle import brute_force_countermodel
@@ -46,7 +46,7 @@ def test_criterion_1_worked_examples():
         bool(fragment_check(simplify_ones(parse_term(t)))) for t in fragment_examples
     )
 
-    n = FormulaSet([
+    n = dict.fromkeys([
         F("x", "-r", "z"), F("x", "s", "z"), F("x", "-p", "y"),
         F("z", "p | s", "y"),
     ])

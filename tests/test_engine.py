@@ -15,7 +15,7 @@ from dualtab.engine import (Branch, Countermodel, Proof, RULE_CMPL_COMP,
                             verdict_to_json)
 from dualtab.errors import (BranchNotSaturated, EngineInvariantError,
                             FragmentViolation, ResourceExhausted)
-from dualtab.formulas import FormulaSet, RelFormula, gate_index
+from dualtab.formulas import RelFormula, gate_index
 from dualtab.frontends import parse_modal, translate_modal
 from dualtab.oracle import brute_force_countermodel
 from dualtab.semantics import falsifies_branch, satisfies
@@ -107,21 +107,21 @@ class TestRuleOf:
 
 class TestIsAxiomatic:
     def test_constant_formula(self):
-        assert is_axiomatic(FormulaSet([F("x", "1", "y")]))
+        assert is_axiomatic(dict.fromkeys([F("x", "1", "y")]))
 
     def test_complementary_pair_with_compound_term(self):
-        node = FormulaSet([F("x", "r ; 1", "y"), F("x", "-(r ; 1)", "y")])
+        node = dict.fromkeys([F("x", "r ; 1", "y"), F("x", "-(r ; 1)", "y")])
         assert is_axiomatic(node)
 
     def test_pair_with_swapped_endpoints_is_open(self):
-        node = FormulaSet([F("x", "r", "y"), F("y", "-r", "x")])
+        node = dict.fromkeys([F("x", "r", "y"), F("y", "-r", "x")])
         assert not is_axiomatic(node)
 
     def test_builds_no_complement_to_look_for(self, monkeypatch):
         # no formula can hold a complement that is not a live term, so
         # looking for one must not create it
-        node = FormulaSet([F("x", "(ax_r ; 1) | ax_s", "y"),
-                           F("x", "-(ax_r & ax_s)", "z")])
+        node = dict.fromkeys([F("x", "(ax_r ; 1) | ax_s", "y"),
+                              F("x", "-(ax_r & ax_s)", "z")])
         created = []
         interned = terms._interned
 
@@ -342,7 +342,7 @@ class TestApplyCompA:
         b, f = self.forced_branch("r ; 1")
         groups = conclusions(f, "z1")
         assert groups == [[F("z1", "1", "y")]]
-        assert is_axiomatic(FormulaSet(groups[0]))
+        assert is_axiomatic(dict.fromkeys(groups[0]))
 
     def test_same_variable_only_once(self):
         b, f = self.forced_branch("r ; (s ; 1)")

@@ -4,7 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import boolean_term_strategy
 from dualtab.errors import NotBoolean, ParseError
-from dualtab.formulas import (FormulaSet, RelFormula, gate_forced, is_literal,
+from dualtab.formulas import (RelFormula, gate_forced, is_literal,
                               parse_formula)
 from dualtab.terms import Cmpl, Inter, ONE, Union, Var, nf_cmpl, parse_term
 from reference import has_nbool_construction, is_nbool, v_set, variables_of
@@ -17,7 +17,7 @@ def F(left, text, right):
 @pytest.fixture
 def forced_set():
     # the four-literal set used across the forcing examples
-    return FormulaSet([
+    return dict.fromkeys([
         F("x", "-r", "z"),
         F("x", "s", "z"),
         F("x", "-p", "y"),
@@ -59,7 +59,7 @@ class TestIsNbool:
     @given(boolean_term_strategy(variables=("p", "q", "r", "s")))
     @settings(max_examples=60)
     def test_members_are_in_normal_form(self, t):
-        n = FormulaSet([
+        n = dict.fromkeys([
             F("x", "-r", "z"), F("x", "s", "z"), F("x", "-p", "y"),
             F("z", "p | s", "y"),
         ])
@@ -73,7 +73,7 @@ class TestNboolConstruction:
         assert has_nbool_construction(F("x", "s & (-(q | p))", "z"), forced_set)
 
     def test_nothing_from_empty_set(self):
-        assert not has_nbool_construction(F("x", "q & p", "z"), FormulaSet())
+        assert not has_nbool_construction(F("x", "q & p", "z"), {})
 
     def test_already_normal(self, forced_set):
         assert has_nbool_construction(F("x", "((-r) | s) & q", "z"), forced_set)
@@ -85,9 +85,9 @@ class TestNboolConstruction:
            ])))
     @settings(max_examples=60)
     def test_monotone_in_the_literal_set(self, t, extra):
-        base = FormulaSet([F("x", "-r", "z")])
-        larger = FormulaSet(base)
-        larger.update(F(*parts) for parts in extra)
+        base = dict.fromkeys([F("x", "-r", "z")])
+        larger = dict.fromkeys(base)
+        larger.update(dict.fromkeys(F(*parts) for parts in extra))
         f = RelFormula("x", t, "z")
         if has_nbool_construction(f, base):
             assert has_nbool_construction(f, larger)
@@ -98,7 +98,7 @@ class TestVSet:
         assert v_set(parse_term("-r"), "x", forced_set) == {"z"}
 
     def test_empty_set(self):
-        assert v_set(parse_term("q"), "x", FormulaSet()) == set()
+        assert v_set(parse_term("q"), "x", {}) == set()
 
     def test_union_of_literals(self, forced_set):
         assert v_set(parse_term("(-r) | s"), "x", forced_set) == {"z"}
@@ -123,9 +123,9 @@ class TestVSet:
            ])))
     @settings(max_examples=60)
     def test_monotone_in_the_literal_set(self, t, extra):
-        base = FormulaSet([F("x", "-r", "z"), F("x", "s", "z")])
-        larger = FormulaSet(base)
-        larger.update(F(*parts) for parts in extra)
+        base = dict.fromkeys([F("x", "-r", "z"), F("x", "s", "z")])
+        larger = dict.fromkeys(base)
+        larger.update(dict.fromkeys(F(*parts) for parts in extra))
         assert v_set(t, "x", base) <= v_set(t, "x", larger)
 
 
@@ -139,34 +139,10 @@ class TestGateForced:
         literals = [F("x", f"-{v}", "z") for v in "pqr"]
         noise = [F("x", "p", "z"), F("z", "-q", "x")]
         for bits in range(8):
-            n = FormulaSet([f for i, f in enumerate(literals) if bits >> i & 1] + noise)
+            n = dict.fromkeys([f for i, f in enumerate(literals) if bits >> i & 1] + noise)
             for gate in gates:
                 assert gate_forced("x", gate, "z", n) == has_nbool_construction(
                     RelFormula("x", Cmpl(gate), "z"), n), (gate, bits)
-
-
-class TestFormulaSet:
-    def test_insertion_order_iteration(self):
-        fs = FormulaSet()
-        a, b, c = F("x", "r", "y"), F("x", "s", "y"), F("y", "r", "x")
-        for f in (b, a, c):
-            fs.add(f)
-        assert list(fs) == [b, a, c]
-
-    def test_no_duplicates(self):
-        fs = FormulaSet()
-        assert fs.add(F("x", "r", "y"))
-        assert not fs.add(F("x", "r", "y"))
-        assert len(fs) == 1
-
-    def test_construction_from_a_set_copies_it(self):
-        # the tests take a plain copy of a branch history as
-        # ``FormulaSet(history)``
-        fs = FormulaSet([F("x", "r", "y")])
-        other = FormulaSet(fs)
-        other.add(F("x", "s", "y"))
-        assert list(fs) == [F("x", "r", "y")]
-        assert list(other) == [F("x", "r", "y"), F("x", "s", "y")]
 
 
 class TestParseFormula:

@@ -1,5 +1,6 @@
 import collections
 import contextlib
+import random
 import sys
 import tracemalloc
 
@@ -19,6 +20,7 @@ from dualtab.frontends import KripkeModel, kripke, modal
 from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop, render_modal
 from dualtab.semantics import Model, falsifies_branch, satisfies
 from dualtab.terms import FragmentVerdict, fragment_check, parse_term, render_term
+import reference
 
 
 def problem(premises, conclusion):
@@ -76,8 +78,6 @@ class TestTranslateModal:
     @given(st.integers(0, 2 ** 30))
     @settings(max_examples=60, deadline=None)
     def test_image_stays_in_the_fragment(self, seed):
-        import random
-
         f = random_modal(random.Random(seed), 4)
         assert fragment_check(translate_modal(f))
 
@@ -148,19 +148,20 @@ def calls_by_object(run):
     return calls
 
 
-def random_modal(rng, depth):
-    programs = [parse_term(s) for s in ("r", "s", "r | s", "r & s")]
+def random_modal(rng, depth, programs=("r", "s", "r | s", "r & s"), props="pq"):
     if depth <= 1:
-        return Prop(rng.choice("pq"))
+        return Prop(rng.choice(props))
     roll = rng.random()
     if roll < 0.25:
-        return Not(random_modal(rng, depth - 1))
+        return Not(random_modal(rng, depth - 1, programs, props))
     if roll < 0.45:
-        return And(random_modal(rng, depth - 1), random_modal(rng, depth - 1))
+        return And(random_modal(rng, depth - 1, programs, props),
+                   random_modal(rng, depth - 1, programs, props))
     if roll < 0.65:
-        return Or(random_modal(rng, depth - 1), random_modal(rng, depth - 1))
+        return Or(random_modal(rng, depth - 1, programs, props),
+                  random_modal(rng, depth - 1, programs, props))
     ctor = Box if rng.random() < 0.5 else Dia
-    return ctor(rng.choice(programs), random_modal(rng, depth - 1))
+    return ctor(parse_term(rng.choice(programs)), random_modal(rng, depth - 1, programs, props))
 
 
 class TestKripkeOracle:
@@ -201,6 +202,44 @@ class TestKripkeOracle:
         assert model.relations == {f"r{i}": {("w0", "w0")} for i in range(16)}
         assert model.valuation == {"p": set()} and world == "w0"
         assert peak < 5 * 2 ** 20
+
+    @pytest.mark.parametrize("text", [
+        " <-> ".join(f"p{i}" for i in range(21)),
+        " | ".join(f"[r{i}]p" for i in range(20)),
+    ], ids=["iff_chain_20", "boxes_20"])
+    def test_peak_memory_follows_the_formula(self, text):
+        # 21 choices at one world: a mask over all of them is 2 MB, and
+        # one int64 index over all of them 16 MB
+        f = parse_modal(text)
+        tracemalloc.start()
+        try:
+            hit = kripke_countermodel(f, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert hit is not None
+        assert peak < 16 * 2 ** 20
+
+    def test_first_witness_is_the_reference_enumerations(self):
+        # up to three relations and propositions at one world, two at two
+        rng = random.Random(20261021)
+        outcomes = collections.Counter()
+        for worlds, names, count in ((1, 3, 60), (2, 2, 25)):
+            for _ in range(count):
+                rels = [f"r{i}" for i in range(names)]
+                programs = (*rels, " | ".join(rels), " & ".join(rels),
+                            f"({rels[-1]} | {rels[0]}) & {rels[1]}")
+                props = [f"p{i}" for i in range(names)]
+                f = random_modal(rng, 4, programs, props)
+                roll = rng.random()
+                if roll < 0.2:  # valid: every model is visited
+                    f = Or(f, Not(f))
+                elif roll < 0.6:  # refuted later in the order, if at all
+                    f = Or(f, random_modal(rng, 4, programs, props))
+                hit = kripke_countermodel(f, worlds)
+                assert hit == reference.kripke_countermodel(f, worlds), render_modal(f)
+                outcomes[worlds, hit is None] += 1
+        assert len(outcomes) == 4, outcomes
 
     def test_budget_guard(self):
         # valid, so the search reaches the over-budget universe size
@@ -256,8 +295,6 @@ class TestAgreementOnSmallFormulas:
     @given(st.integers(0, 2 ** 30))
     @settings(max_examples=40, deadline=None)
     def test_refuted_formulas_get_countermodels(self, seed):
-        import random
-
         f = random_modal(random.Random(seed), 3)
         term = translate_modal(f)
         verdict = run_procedure(term)
@@ -318,8 +355,6 @@ class TestModalParser:
         assert parsed == ["r | s", "r|s"]
 
     def test_render_round_trip(self):
-        import random
-
         formulas = [random_modal(random.Random(seed), 4) for seed in range(40)]
         for f in formulas + all_modal(3):
             assert parse_modal(render_modal(f)) == f

@@ -40,7 +40,7 @@ from dualtab.engine import (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
                             Branch, Countermodel, ProofSearch, Proof,
                             applications, conclusions, extract_model,
                             is_axiomatic, is_blocked, rule_of)
-from dualtab.formulas import FormulaSet, RelFormula, gate_index
+from dualtab.formulas import RelFormula, gate_index
 from dualtab.frontends import parse_modal, translate_modal
 from dualtab.terms import (ONE, Cmpl, Comp, Inter, Union, Var, components,
                            parse_term, simplify_ones)
@@ -83,7 +83,7 @@ def scratch_blocked(f, branch):
         w = branch.decomposed.get(g)
         if w is None:
             continue
-        renamed = FormulaSet(
+        renamed = dict.fromkeys(
             RelFormula(f.left, h.term, w) for h in history
             if h.left == g.left and h.right == w
             and isinstance(h.term, Cmpl) and isinstance(h.term.arg, Var)
@@ -124,7 +124,7 @@ def scratch_applications(branch, node, z):
     branch's node in order, with forced sets, blocking and suppression
     recomputed over the whole history."""
     instances, decomposed = branch.instances, branch.decomposed
-    generated, plain = genealogy(branch), FormulaSet(branch.history)
+    generated, plain = genealogy(branch), dict.fromkeys(branch.history)
     phases = ([], [], [], [])
     for f in node:
         rule = rule_of(f.term)
@@ -159,7 +159,7 @@ def scratch_forced(branch):
     each gate, the left operand of a literal-gated composition among the
     components of the root formula's term, and each variable ``x``, the
     variables ``z`` for which ``x -gate z`` is forced."""
-    plain = FormulaSet(branch.history)
+    plain = dict.fromkeys(branch.history)
     root = next(iter(plain)).term
     gates = {t.left for t in components(root) if rule_of(t) == RULE_COMP_BOOL}
     found = {(gate, x): v_set(Cmpl(gate), x, plain)
@@ -175,7 +175,7 @@ def scratch_indices(branch):
     endpoint the complemented compositions ``-(B;S)``, ``B`` not 1, and
     the formulas whose term is the ``-S`` of a ``-(1;S)`` among the
     components of the root formula's term."""
-    plain = FormulaSet(branch.history)
+    plain = dict.fromkeys(branch.history)
     root = next(iter(plain)).term
     suppressors = {Cmpl(t.arg.right) for t in components(root)
                    if rule_of(t) == RULE_CMPL_COMP_UNIV}
@@ -227,7 +227,7 @@ def check_branch(branch, node, instances):
     for (_, phase), group in branch.agenda.items():
         for f in group:
             assert PHASE[rule_of(f.term)] == phase
-    plain = FormulaSet(branch.history)
+    plain = dict.fromkeys(branch.history)
     assert branch.vars == variables_of(plain)
     for name, expected in scratch_indices(branch).items():
         assert nonempty(getattr(branch, name)) == expected, name
@@ -280,15 +280,15 @@ def reference_nodes(search):
     nodes, refs = search.tree.nodes, []
     for n in nodes:
         if n.parent is None:
-            refs.append(FormulaSet([search.root_formula]))
+            refs.append(dict.fromkeys([search.root_formula]))
             continue
         siblings = nodes[n.parent].children
         group = reference_conclusions(n.rule, n.premise, n.variable)[
             siblings.index(n.id)]
-        succ = FormulaSet(refs[n.parent])
+        succ = dict.fromkeys(refs[n.parent])
         for g in removed_by(n):
             del succ[g]
-        succ.update(group)
+        succ.update(dict.fromkeys(group))
         refs.append(succ)
     return refs
 
@@ -618,7 +618,8 @@ def test_forced_set_grows_when_the_last_literal_arrives():
     assert branch.forced == {}
     branch._admit(RelFormula("x", Cmpl(s), "z1"))
     assert branch.forced == {(gate, "x"): {"z1": None}}
-    assert set(branch.forced[gate, "x"]) == v_set(Cmpl(gate), "x", FormulaSet(branch.history))
+    plain = dict.fromkeys(branch.history)
+    assert set(branch.forced[gate, "x"]) == v_set(Cmpl(gate), "x", plain)
 
 
 def test_gate_index_lists_the_gates_of_each_negated_variable():

@@ -23,9 +23,14 @@ It then prints the same columns for the biconditional chains
 ``p0 <-> ... <-> pk``, k = 8, 12 and 16, timing ``translate_modal`` and
 ``run_procedure`` together: a chain's term shares
 every operand of each ``<->``, so a walker that visits shared subterms
-once per occurrence shows here.  Last it prints the best of five wall
-times of ``parse_term`` on balanced unions of 2^13 and 2^15 variables,
-about 64 KB and 256 KB of text, and of ``parse_modal`` on the
+once per occurrence shows here.  Next, for the Kripke oracle, it prints
+the best of five wall times of ``kripke_countermodel`` and the peak
+memory that ``tracemalloc`` traces over one more call, on
+``p0 <-> ... <-> p20`` and ``[r0]p | ... | [r19]p`` at one world and on
+``modal_dist`` n=2 at three worlds: the oracle's memory should follow
+the variables a subformula reads, not its budget.  Last it prints the
+best of five wall times of ``parse_term`` on balanced unions of 2^13 and
+2^15 variables, about 64 KB and 256 KB of text, and of ``parse_modal`` on the
 ``modal_dist`` n=20 formula, each called from the top level and from
 700 interpreter frames deep: a tokenizer or parser whose cost per token
 grows with the input, or with the caller's stack, shows here.  Then,
@@ -42,8 +47,8 @@ machine, so nothing is checked: the script exits 0 whatever it measures.
 Each row is written as soon as it is measured; a reader that closes the
 output early, as ``| head`` does, ends the script quietly.
 
-Run it from the root of a source checkout; it runs no oracle, so it
-needs neither numpy nor pytest nor hypothesis::
+Run it from the root of a source checkout; the Kripke rows need numpy,
+nothing needs pytest or hypothesis::
 
     python3 tools/scaling.py
 """
@@ -62,12 +67,16 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
 
 from corpus import family_text  # noqa: E402
 from dualtab.engine import ProofSearch, run_procedure, verdict_to_json  # noqa: E402
-from dualtab.frontends import parse_modal, translate_modal  # noqa: E402
+from dualtab.frontends import kripke_countermodel, parse_modal, translate_modal  # noqa: E402
 from dualtab.terms import parse_term  # noqa: E402
 
 SIZES = (("modal_dist", (4, 20)), ("cycle", (4, 14)), ("branching", (4, 8)),
          ("kdist", (4, 32)))
 CHAINS = (8, 12, 16)
+# the Kripke oracle's inputs: a name, the formula and the worlds searched
+ORACLE = (("iff_chain 20", " <-> ".join(f"p{i}" for i in range(21)), 1),
+          ("boxes 20", " | ".join(f"[r{i}]p" for i in range(20)), 1),
+          ("modal_dist 2", family_text("modal_dist", 2), 3))
 PARSE_LEAVES = (2 ** 13, 2 ** 15)
 DEEP_CALLER = 700  # interpreter frames under which each parse is timed again
 REPEATS = 5
@@ -161,6 +170,25 @@ def measure_chain(k):
             trail_per_step(translate_modal(formula)))
 
 
+def measure_oracle(text, worlds):
+    """The best wall time in seconds of :data:`REPEATS` Kripke searches of
+    ``text`` up to ``worlds`` worlds, the peak traced memory in bytes of
+    one more, and whether it found a refutation."""
+    formula = parse_modal(text)
+    best = float("inf")
+    for _ in range(REPEATS):
+        start = time.perf_counter()
+        kripke_countermodel(formula, worlds)
+        best = min(best, time.perf_counter() - start)
+    tracemalloc.start()
+    try:
+        refuted = kripke_countermodel(formula, worlds) is not None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return best, peak, refuted
+
+
 def balanced_union(leaves):
     """``(r0 | r1) | (r2 | r3) ...`` over ``leaves`` variables, a power of
     two, named r0 to r99 in turn, as text."""
@@ -234,6 +262,11 @@ def main():
             report(name, n, *measure(name, n))
     for k in CHAINS:
         report("iff_chain", k, *measure_chain(k))
+    print(f"\n{'kripke':14} {'worlds':>6} {'best ms':>9} {'peak MB':>8} {'refuted':>7}")
+    for name, text, worlds in ORACLE:
+        best, peak, refuted = measure_oracle(text, worlds)
+        print(f"{name:14} {worlds:>6} {best * 1e3:>9.1f} {peak / 2 ** 20:>8.2f} "
+              f"{str(refuted):>7}")
     print(f"\n{'parse':12} {'input':>14} {'KB':>6} {'best ms':>9} "
           f"{f'{DEEP_CALLER} deep':>9}")
     inputs = [(parse_term, f"union 2^{leaves.bit_length() - 1}", balanced_union(leaves))
