@@ -43,8 +43,8 @@ is a function of that branch alone: its literals, plus the renamed
 literals of each blocked formula's blocker, found by one last scan.
 
 A search makes no reference cycles: the trail's inverses are bound to
-containers, not to the branch, and the walkers over terms recurse
-through module-level functions, not closures.  Reference counting
+containers, not to the branch, and the walkers over terms are loops
+over stacks of their own, not closures.  Reference counting
 therefore frees everything a search drops, and :meth:`ProofSearch.run`
 pauses the cyclic garbage collector for the search, as :mod:`timeit`
 does, restoring it on every exit.  The collector is process-wide: while
@@ -60,7 +60,7 @@ from functools import partial
 from .errors import BranchNotSaturated, EngineInvariantError, ResourceExhausted
 from .formulas import RelFormula, gate_forced, gate_index, is_literal
 from .semantics import Model, Record, model_to_json
-from .terms import (_REFS, Cmpl, Comp, Inter, One, Union, Var, components,
+from .terms import (_INTERNED, Cmpl, Comp, Inter, One, Union, Var, components,
                     render_term, require_fragment, simplify_ones, term_variables)
 
 RULE_UNION = "union"
@@ -99,30 +99,22 @@ def rule_of(t):
 
 
 def _rule(t):
-    match t:
-        case Union():
-            return RULE_UNION
-        case Inter():
-            return RULE_INTER
-        case Cmpl(Cmpl()):
-            return RULE_DOUBLE_CMPL
-        case Cmpl(Union()):
-            return RULE_CMPL_UNION
-        case Cmpl(Inter()):
-            return RULE_CMPL_INTER
-        case Cmpl(Comp(One(), One())):
-            return "inert"
-        case Cmpl(Comp(One(), _)):
-            return RULE_CMPL_COMP_UNIV
-        case Cmpl(Comp(_, One())):
-            return RULE_CMPL_COMP_ONE
-        case Cmpl(Comp()):
-            return RULE_CMPL_COMP
-        case Comp(One(), _):
-            return RULE_COMP_UNIV
-        case Comp():
-            return RULE_COMP_BOOL
-    return None
+    cls = type(t)
+    if cls is Comp:
+        return RULE_COMP_UNIV if type(t.left) is One else RULE_COMP_BOOL
+    if cls is not Cmpl:
+        return _RULES.get(cls)
+    a = t.arg
+    if type(a) is Comp:
+        return _CMPL_COMP_RULES[type(a.left) is One, type(a.right) is One]
+    return _CMPL_RULES.get(type(a))
+
+
+_RULES = {Union: RULE_UNION, Inter: RULE_INTER}
+_CMPL_RULES = {Cmpl: RULE_DOUBLE_CMPL, Union: RULE_CMPL_UNION, Inter: RULE_CMPL_INTER}
+# by whether B and S are 1, the rule of -(B;S)
+_CMPL_COMP_RULES = {(True, True): "inert", (True, False): RULE_CMPL_COMP_UNIV,
+                    (False, True): RULE_CMPL_COMP_ONE, (False, False): RULE_CMPL_COMP}
 
 
 def plan_of(t):
@@ -187,7 +179,7 @@ def is_axiomatic(formulas, added=None):
             return True
         if isinstance(t, Cmpl) and _new(RelFormula, (x, t.arg, y)) in formulas:
             return True
-        ref = _REFS.get((Cmpl, t))  # terms.interned(Cmpl, t), inlined
+        ref = _INTERNED.get((Cmpl, t))  # terms.interned(Cmpl, t), inlined
         c = None if ref is None else ref()
         if c is not None and _new(RelFormula, (x, c, y)) in formulas:
             return True

@@ -65,11 +65,24 @@ def gate_index(terms):
 def gate_forced(x, b, z, n):
     """Whether ``x -b z`` is forced by ``n``, for a plain ``b``: the normal
     form of ``-b`` swaps its unions and intersections and negates its
-    variables.  Builds no term."""
-    if isinstance(b, Var):
-        return tuple.__new__(RelFormula, (x, interned(Cmpl, b), z)) in n
-    holds = any if isinstance(b, Union) else all
-    return holds(gate_forced(x, part, z, n) for part in (b.left, b.right))
+    variables.  Builds no term.  A union is forced when either part is,
+    an intersection when both are: each is decided by its left part when
+    that is, else by its right part.  ``pending`` holds the unions and
+    intersections above ``b``, each with whether ``b`` is its right part."""
+    pending = []
+    while True:
+        while type(b) is not Var:
+            pending.append((b, False))
+            b = b.left
+        value = tuple.__new__(RelFormula, (x, interned(Cmpl, b), z)) in n
+        while pending:
+            b, right = pending.pop()
+            if not right and value is not (type(b) is Union):
+                pending.append((b, True))
+                b = b.right
+                break
+        else:
+            return value
 
 
 def parse_formula(text):

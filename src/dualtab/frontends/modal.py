@@ -29,27 +29,24 @@ levels deep, flat chains included.  Deeper input is a :class:`ParseError`.
 
 from __future__ import annotations
 
-import weakref
-
 from ..errors import ParseError
-from ..terms import (_IDENT_RE, Cmpl, Comp, ONE, NestingParser,
-                     TokenStream, Union as TUnion, Inter as TInter, Var,
-                     _bound_depth, parse_term, render_term,
-                     require_fragment, simplify_ones, term_variables)
-
-
-_INTERNED = weakref.WeakValueDictionary()  # formulas weakly, their parts strongly
+from ..terms import (_IDENT_RE, _INTERNED, PARTS, Cmpl, Comp, ONE, NestingParser,
+                     TokenStream, Union as TUnion, Inter as TInter, Var, _Ref,
+                     _bound_depth, _drop, parse_term, render_term,
+                     post_order, require_fragment, simplify_ones, term_variables)
 
 
 class _Formula:
-    """Base of the modal syntax classes, interned as terms are: ``==`` and
-    hashing are identity, and ``depth``, the levels of the syntax tree, is
-    set from the parts once, at interning."""
+    """Base of the modal syntax classes, interned as terms are and in the
+    terms' table: ``==`` and hashing are identity, and ``depth``, the
+    levels of the syntax tree, is set from the parts once, at interning."""
 
     __slots__ = ("depth", "__weakref__")
 
     def __new__(cls, *parts):
-        f = _INTERNED.get((cls, *parts))
+        key = (cls, *parts)
+        ref = _INTERNED.get(key)
+        f = None if ref is None else ref()
         if f is None:
             if len(parts) != len(cls.__match_args__):
                 raise TypeError(f"{cls.__name__} takes the parts {cls.__match_args__}")
@@ -57,7 +54,8 @@ class _Formula:
             for name, value in zip(cls.__match_args__, parts):
                 setattr(f, name, value)
             f.depth = 1 + max(getattr(p, "depth", 0) for p in parts)
-            _INTERNED[(cls, *parts)] = f
+            _INTERNED[key] = ref = _Ref(f, _drop)
+            ref.key = key
         return f
 
     def __reduce__(self):  # copies and unpickled formulas are interned too
@@ -92,6 +90,8 @@ class Dia(_Formula):
 
 
 ModalFormula = Prop | Not | And | Or | Box | Dia
+PARTS.update({Prop: PARTS[Var], Not: PARTS[Cmpl], And: PARTS[TUnion], Or: PARTS[TUnion],
+              Box: PARTS[Cmpl], Dia: PARTS[Cmpl]})
 
 
 def render_modal(f, memo=None):
@@ -99,23 +99,18 @@ def render_modal(f, memo=None):
     subformula is rendered once per call, or once over a given ``memo``."""
     if memo is None:
         memo = {}
-    elif f in memo:
-        return memo[f]
-    match f:
-        case Prop(name):
-            out = name
-        case Not(a):
-            out = "~" + render_modal(a, memo)
-        case And(l, r):
-            out = f"({render_modal(l, memo)} & {render_modal(r, memo)})"
-        case Or(l, r):
-            out = f"({render_modal(l, memo)} | {render_modal(r, memo)})"
-        case Box(prog, a):
-            out = f"[{render_term(prog)}]{render_modal(a, memo)}"
-        case Dia(prog, a):
-            out = f"<{render_term(prog)}>{render_modal(a, memo)}"
-    memo[f] = out
-    return out
+    for g in post_order(f, memo):
+        cls = type(g)
+        if cls is Prop:
+            memo[g] = g.name
+        elif cls is And or cls is Or:
+            memo[g] = f"({memo[g.left]}{' & ' if cls is And else ' | '}{memo[g.right]})"
+        elif cls is Not:
+            memo[g] = "~" + memo[g.arg]
+        else:
+            modality = "[{}]" if cls is Box else "<{}>"
+            memo[g] = modality.format(render_term(g.program)) + memo[g.arg]
+    return memo[f]
 
 
 def subformulas(f):
@@ -124,14 +119,8 @@ def subformulas(f):
     operands, so there can be far fewer of them than syntax-tree nodes."""
     found, stack = {f: 0}, [f]
     while stack:
-        match stack.pop():
-            case Not(a) | Box(_, a) | Dia(_, a):
-                parts = (a,)
-            case And(l, r) | Or(l, r):
-                parts = (l, r)
-            case _:
-                parts = ()
-        for p in parts:
+        g = stack.pop()
+        for p in PARTS[type(g)](g):
             found[p] = found.get(p, 0) + 1
             if found[p] == 1:
                 stack.append(p)
@@ -224,20 +213,18 @@ def translate_modal(f):
 
 
 def _translate(f, memo):
-    term = memo.get(f)
-    if term is None:
-        match f:
-            case Prop(name):
-                term = Comp(Var(name), ONE)
-            case Not(a):
-                term = Cmpl(_translate(a, memo))
-            case And(l, r):
-                term = TInter(_translate(l, memo), _translate(r, memo))
-            case Or(l, r):
-                term = TUnion(_translate(l, memo), _translate(r, memo))
-            case Dia(prog, a):
-                term = Comp(prog, _translate(a, memo))
-            case Box(prog, a):
-                term = Cmpl(Comp(prog, Cmpl(_translate(a, memo))))
-        memo[f] = term
-    return term
+    """The relational image of ``f``, each subformula's put in ``memo``
+    after its parts'."""
+    for g in post_order(f, memo):
+        cls = type(g)
+        if cls is Prop:
+            memo[g] = Comp(Var(g.name), ONE)
+        elif cls is And or cls is Or:
+            memo[g] = (TInter if cls is And else TUnion)(memo[g.left], memo[g.right])
+        elif cls is Not:
+            memo[g] = Cmpl(memo[g.arg])
+        elif cls is Dia:
+            memo[g] = Comp(g.program, memo[g.arg])
+        else:
+            memo[g] = Cmpl(Comp(g.program, Cmpl(memo[g.arg])))
+    return memo[f]

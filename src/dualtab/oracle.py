@@ -46,7 +46,7 @@ import numpy as np
 from .errors import BudgetExceeded
 from .formulas import RelFormula
 from .semantics import Model, satisfies
-from .terms import ONE, Cmpl, Comp, Conv, Inter, One, Union, Var, term_variables
+from .terms import ONE, PARTS, Cmpl, Comp, Conv, Inter, One, Union, Var, term_variables
 
 _ELEMENT_NAMES = "abcdefgh"
 _WORD_BITS = 64
@@ -113,7 +113,7 @@ def _skeleton_tautology(term, keep):
             if isinstance(t, (Var, Comp, Conv)):
                 atoms.append(t)
             else:
-                stack.extend(_parts(t))
+                stack.extend(PARTS[type(t)](t))
     if len(atoms) > _INNER_BITS_MAX:
         return False
     nwords = max(1, (1 << len(atoms)) // _WORD_BITS)
@@ -190,15 +190,6 @@ def _bit_pattern(j, nwords):
     return np.where(block.astype(bool), _ALL_ONES, np.uint64(0))
 
 
-def _parts(t):
-    match t:
-        case Cmpl(a) | Conv(a):
-            return (a,)
-        case Union(l, r) | Inter(l, r) | Comp(l, r):
-            return (l, r)
-    return ()
-
-
 def _shared(term):
     """The subterms of ``term`` that more than one parent uses, counting a
     parent that uses one twice; each distinct subterm is visited once."""
@@ -209,7 +200,7 @@ def _shared(term):
             shared.add(t)
         else:
             seen.add(t)
-            stack.extend(_parts(t))
+            stack.extend(PARTS[type(t)](t))
     return shared
 
 
@@ -222,7 +213,7 @@ def _hoist(t, memo, n, keep):
     ``t`` in ``keep``, None included, so a shared subterm is walked once."""
     if t in memo:
         return memo[t]
-    parts = _parts(t)
+    parts = PARTS[type(t)](t)
     tables = [_hoist(u, memo, n, keep) for u in parts]
     match t:
         case Var():
@@ -250,7 +241,7 @@ def _eval_rows(t, memo, n, keep):
     are shared and must not be mutated."""
     out = memo.get(t)
     if out is None:
-        out = _table(t, [_eval_rows(u, memo, n, keep) for u in _parts(t)], n)
+        out = _table(t, [_eval_rows(u, memo, n, keep) for u in PARTS[type(t)](t)], n)
         if t in keep:
             memo[t] = out
     return out

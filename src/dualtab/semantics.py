@@ -15,7 +15,7 @@ from __future__ import annotations
 import warnings
 
 from .errors import UnboundVariable, UnknownVariableWarning
-from .terms import ONE, Cmpl, Comp, Conv, Inter, One, Union, Var
+from .terms import ONE, Cmpl, Conv, Inter, One, Union, Var
 
 
 class Record:
@@ -57,35 +57,44 @@ def eval_term(model, t, memo=None):
         memo = {}
     elif t in memo:
         return memo[t]
-    match t:
-        case One():
-            out = model.all_pairs()
-        case Var(name):
-            if name not in model.interp:
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u in memo:
+            continue
+        cls = type(u)
+        if cls is Var:
+            if u.name not in model.interp:
                 warnings.warn(
-                    f"variable {name!r} has no interpretation; treating as empty",
+                    f"variable {u.name!r} has no interpretation; treating as empty",
                     UnknownVariableWarning,
                     stacklevel=2,
                 )
-                out = set()
+            memo[u] = set(model.interp.get(u.name, ()))
+        elif cls is One:
+            memo[u] = model.all_pairs()
+        elif cls is Cmpl:
+            if ONE in memo and u.arg in memo:
+                memo[u] = memo[ONE] - memo[u.arg]
             else:
-                out = set(model.interp[name])
-        case Cmpl(a):
-            out = eval_term(model, ONE, memo) - eval_term(model, a, memo)
-        case Union(l, r):
-            out = eval_term(model, l, memo) | eval_term(model, r, memo)
-        case Inter(l, r):
-            out = eval_term(model, l, memo) & eval_term(model, r, memo)
-        case Comp(l, r):
-            lv, rv = eval_term(model, l, memo), eval_term(model, r, memo)
+                stack += u, u.arg, ONE
+        elif cls is Conv:
+            if u.arg in memo:
+                memo[u] = {(b, a) for a, b in memo[u.arg]}
+            else:
+                stack += u, u.arg
+        elif u.left not in memo or u.right not in memo:
+            stack += u, u.right, u.left
+        elif cls is Union:
+            memo[u] = memo[u.left] | memo[u.right]
+        elif cls is Inter:
+            memo[u] = memo[u.left] & memo[u.right]
+        else:
             by_mid = {}
-            for c, b in rv:
+            for c, b in memo[u.right]:
                 by_mid.setdefault(c, set()).add(b)
-            out = {(a, b) for a, c in lv for b in by_mid.get(c, ())}
-        case Conv(a):
-            out = {(b, a2) for a2, b in eval_term(model, a, memo)}
-    memo[t] = out
-    return out
+            memo[u] = {(a, b) for a, c in memo[u.left] for b in by_mid.get(c, ())}
+    return memo[t]
 
 
 def satisfies(model, valuation, f, memo=None):

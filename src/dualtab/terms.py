@@ -22,13 +22,9 @@ binds tighter than ``|``; same-operator chains associate to the left.
 Identifiers match ``[a-z][a-z0-9_]*``.  Parentheses, complements and
 converses may nest at most :data:`MAX_NESTING` deep.  A term may be at
 most :data:`MAX_DEPTH` levels deep, flat chains included; the parser
-raises :class:`ParseError` before it builds a deeper node.  Every
-recursive walker over terms takes one interpreter frame per level, so a
-walk needs up to :data:`MAX_DEPTH` frames on top of its caller's.  At the
-default recursion limit of 1000, ``run_procedure`` on
-``r0 | ... | r498 | -r0`` works from 400 frames deep but raises
-``RecursionError`` from 600; ROADMAP.md, item 9, turns the walkers into
-loops.
+raises :class:`ParseError` before it builds a deeper node.  Every walker
+over terms is one loop over an explicit stack, so no limit depends on the
+caller's stack.
 
 :class:`TokenStream` and :class:`NestingParser` are the tokenizer and
 parser core of this grammar and of the modal one, each grammar a table
@@ -48,32 +44,47 @@ Each term carries attributes set once at interning from its children's:
 - ``weight`` and ``cweight``: the engine's weight of the term and of its
   complement, None under a converse, where it is undefined.
 
-Three more are memos, filled when first asked for and dropped with the
-term: ``nf``, its :func:`nf_cmpl`, and the engine's ``rule``, the rule
-that decomposes it, and ``plan``, what that rule concludes.  Since terms
-are interned, a memo on the term is exact.
+Two more are the engine's memos, filled when first asked for and dropped
+with the term: ``rule``, the rule that decomposes it, and ``plan``, what
+that rule concludes.  Since terms are interned, a memo on the term is
+exact.
 """
 
 from __future__ import annotations
 
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 from collections import namedtuple
+from operator import attrgetter
 
 from .errors import FragmentViolation, NotBoolean, ParseError
 
 # Every constructor interns: it returns the one live instance with the
 # given structure, so terms keep object identity as their equality and
-# hash.  The table holds its terms weakly, so it shrinks with them; its
-# weak references are read from its ``data``.  Its keys hold the children
-# themselves, not their ids, so a key can never match a reused address.
-_INTERNED = weakref.WeakValueDictionary()
-_REFS = _INTERNED.data
+# hash.  The table maps each structure to a weak reference that carries
+# it as its key; a reference's death callback removes its key only while
+# the key still maps to a dead reference, as WeakValueDictionary does, so
+# the table shrinks with its terms and a live entry is never dropped.  Its
+# keys hold the children themselves, not their ids, so a key can never
+# match a reused address.  Modal formulas are interned here too.
+_INTERNED = {}
+
+
+class _Ref(weakref.ref):
+    """A weak reference with its table key; made in C, as it defines no
+    ``__init__``."""
+
+    __slots__ = ("key",)
+
+
+def _drop(ref, table=_INTERNED, remove=_remove_dead_weakref):
+    remove(table, ref.key)
 
 
 def _interned(cls, *fields):
     key = (cls, *fields)
-    ref = _REFS.get(key)
+    ref = _INTERNED.get(key)
     t = None if ref is None else ref()
     if t is None:
         t = object.__new__(cls)
@@ -81,22 +92,22 @@ def _interned(cls, *fields):
             setattr(t, name, value)
         (t.depth, t.size, t.boolean, t.cnf, t.plain, t.simple, t.fragment,
          t.fragment_inside, t.weight, t.cweight) = _ATTRIBUTES[cls](*fields)
-        t.nf = None
-        _INTERNED[key] = t
+        _INTERNED[key] = ref = _Ref(t, _drop)
+        ref.key = key
     return t
 
 
 def interned(cls, *fields):
     """The live term ``cls(*fields)``, or None; creates nothing."""
-    ref = _REFS.get((cls, *fields))
+    ref = _INTERNED.get((cls, *fields))
     return None if ref is None else ref()
 
 
 class _Term:
-    # ``nf`` memoises nf_cmpl(t); ``rule`` and ``plan`` (each unset until
-    # asked) memoise the engine's rule_of(t) and plan_of(t)
+    # ``rule`` and ``plan`` (each unset until asked) memoise the engine's
+    # rule_of(t) and plan_of(t)
     __slots__ = ("depth", "size", "boolean", "cnf", "plain", "simple", "fragment",
-                 "fragment_inside", "weight", "cweight", "nf", "rule", "plan",
+                 "fragment_inside", "weight", "cweight", "rule", "plan",
                  "__weakref__")
 
     def __reduce__(self):  # copies and unpickled terms are interned too
@@ -158,47 +169,53 @@ class Comp(_Binary):
 
 RelTerm = One | Var | Cmpl | Union | Inter | Comp | Conv
 
+# The parts of a node, by its class; the modal formulas add theirs.
+PARTS = {One: lambda t: (), Var: lambda t: (), Cmpl: lambda t: (t.arg,),
+         Conv: lambda t: (t.arg,), **dict.fromkeys((Union, Inter, Comp), attrgetter("left", "right"))}
+
+
+def post_order(t, done):
+    """``t`` and each node under it that ``done`` lacks, once each and
+    after its :data:`PARTS`, left first.  The caller puts each node into
+    ``done`` before it asks for the next.  One loop over an explicit
+    stack, so a walk takes the same few interpreter frames at any depth."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if u not in done:
+            parts = PARTS.get(type(u), PARTS[One])(u)  # a stranger has none
+            if all(map(done.__contains__, parts)):
+                yield u
+            else:
+                stack.append(u)
+                stack += reversed(parts)
+
+
 # (depth, size, boolean, cnf, plain, simple, fragment, fragment_inside,
-# weight, cweight) of a new term from its fields.
+# weight, cweight) of a new term from its fields.  A union or intersection
+# with a part 1 or -1 is not simple; 1 or a term that is fragment inside a
+# right operand may be the right operand of a fragment composition.
 _ATTRIBUTES = {
     One: lambda: (1, 1, True, True, False, True, True, False, 0, 0),
     Var: lambda name: (1, 1, True, True, True, True, True, True, 0, 0),
     Cmpl: lambda a: (a.depth + 1, a.size + 1, a.boolean, isinstance(a, (One, Var)), False,
-                     a.simple and not _is_cmpl_one(a), a.fragment, a.fragment_inside,
-                     a.cweight, _plus_one(a.weight)),
+                     a.simple and not (type(a) is Cmpl and a.arg is ONE), a.fragment,
+                     a.fragment_inside, a.cweight, _weigh(a.weight, 0)),
     Conv: lambda a: (a.depth + 1, a.size + 1, False, a.cnf, False,
                      a.simple, False, False, None, None),
     Union: lambda l, r: (max(l.depth, r.depth) + 1, l.size + r.size + 1,
                          l.boolean and r.boolean, l.cnf and r.cnf, l.plain and r.plain,
-                         l.simple and r.simple and not _is_constant(l) and not _is_constant(r),
+                         l.simple and r.simple and l is not ONE and r is not ONE
+                         and l is not CMPL_ONE and r is not CMPL_ONE,
                          l.fragment and r.fragment, l.fragment_inside and r.fragment_inside,
                          _weigh(l.weight, r.weight), _weigh(l.cweight, r.cweight)),
     Comp: lambda l, r: (max(l.depth, r.depth) + 1, l.size + r.size + 1,
                         False, l.cnf and r.cnf, False, l.simple and r.simple,
-                        (isinstance(l, One) or l.plain) and _right_operand_ok(r),
-                        l.plain and _right_operand_ok(r),
+                        (l is ONE or l.plain) and (r is ONE or r.fragment_inside),
+                        l.plain and (r is ONE or r.fragment_inside),
                         _weigh(l.weight, r.weight), _weigh(l.cweight, r.cweight)),
 }
 _ATTRIBUTES[Inter] = _ATTRIBUTES[Union]
-
-
-def _is_cmpl_one(t):
-    return isinstance(t, Cmpl) and isinstance(t.arg, One)
-
-
-def _is_constant(t):
-    """Whether ``t`` is ``1`` or ``-1``, which :func:`simplify_ones` drops
-    from a union or intersection."""
-    return isinstance(t, One) or _is_cmpl_one(t)
-
-
-def _right_operand_ok(r):
-    """Whether ``r`` may be the right operand of a fragment composition."""
-    return isinstance(r, One) or r.fragment_inside
-
-
-def _plus_one(w):
-    return None if w is None else w + 1
 
 
 def _weigh(a, b):
@@ -212,8 +229,7 @@ CMPL_ONE = Cmpl(ONE)
 MAX_NESTING = 100
 
 # Syntax-tree levels a term from outside input may have.  A flat chain
-# adds no nesting but one level per operator, and each level costs a
-# recursive walker one interpreter frame.
+# adds no nesting but one level per operator.
 MAX_DEPTH = 500
 
 _IDENT_RE = re.compile(r"[a-z][a-z0-9_]*")
@@ -409,37 +425,29 @@ def parse_term(text):
 
 def render_term(t, memo=None):
     """Canonical fully-parenthesized text for ``t``, inverse of parse_term.  Each
-    distinct subterm is rendered once per call, or once over a given ``memo``."""
+    distinct subterm is rendered once per call, or once over a given ``memo``.
+    A unary operand is in parentheses where it must be, as in "-(-1)",
+    "-(r^)" and "(-r)^"."""
     if memo is None:
         memo = {}
-    elif t in memo:
-        return memo[t]
-    match t:
-        case One():
-            out = "1"
-        case Var(name):
-            out = name
-        case Cmpl(arg):
-            out = "-" + _render_part(arg, (Cmpl, Conv), memo)
-        case Union(l, r):
-            out = f"({render_term(l, memo)} | {render_term(r, memo)})"
-        case Inter(l, r):
-            out = f"({render_term(l, memo)} & {render_term(r, memo)})"
-        case Comp(l, r):
-            out = f"({render_term(l, memo)} ; {render_term(r, memo)})"
-        case Conv(arg):
-            out = _render_part(arg, Cmpl, memo) + "^"
-        case _:
-            raise TypeError(f"not a relational term: {t!r}")
-    memo[t] = out
-    return out
+    for u in post_order(t, memo):
+        cls = type(u)
+        if cls in _INFIX:
+            memo[u] = f"({memo[u.left]}{_INFIX[cls]}{memo[u.right]})"
+        elif cls in _BRACKETED:
+            text = memo[u.arg]
+            if type(u.arg) in _BRACKETED[cls]:
+                text = f"({text})"
+            memo[u] = "-" + text if cls is Cmpl else text + "^"
+        elif cls is One or cls is Var:
+            memo[u] = "1" if cls is One else u.name
+        else:
+            raise TypeError(f"not a relational term: {u!r}")
+    return memo[t]
 
 
-def _render_part(t, bracketed, memo):
-    """A unary operand's text, in parentheses if of a ``bracketed`` class, as
-    in "-(-1)", "-(r^)" and "(-r)^"."""
-    text = render_term(t, memo)
-    return f"({text})" if isinstance(t, bracketed) else text
+_INFIX = {Union: " | ", Inter: " & ", Comp: " ; "}
+_BRACKETED = {Cmpl: (Cmpl, Conv), Conv: (Cmpl,)}  # a unary term's bracketed operands
 
 
 def term_size(t):
@@ -450,25 +458,19 @@ def term_size(t):
 def term_variables(t):
     """Names of the relational variables occurring in ``t``, sorted.  Each
     distinct subterm is visited once."""
-    out = set()
-    _add_variables(t, out, set())
-    return sorted(out)
-
-
-def _add_variables(t, out, seen):
-    """Add the variable names of ``t`` to ``out``, skipping the subterms in
-    ``seen``."""
-    if t in seen:
-        return
-    seen.add(t)
-    match t:
-        case Var(name):
-            out.add(name)
-        case Cmpl(a) | Conv(a):
-            _add_variables(a, out, seen)
-        case Union(l, r) | Inter(l, r) | Comp(l, r):
-            _add_variables(l, out, seen)
-            _add_variables(r, out, seen)
+    names, seen, stack = set(), set(), [t]
+    while stack:
+        t = stack.pop()
+        if t not in seen:
+            seen.add(t)
+            cls = type(t)
+            if cls is Var:
+                names.add(t.name)
+            elif cls in _INFIX:
+                stack += t.right, t.left
+            elif cls is not One:
+                stack.append(t.arg)
+    return sorted(names)
 
 
 def simplify_ones(t):
@@ -485,46 +487,38 @@ def simplify_ones(t):
     (its ``simple`` attribute) is returned at once; otherwise each
     distinct subterm is simplified once.
     """
-    return t if t.simple else _simplify(t, {})
-
-
-def _simplify(t, memo):
-    """:func:`simplify_ones` of ``t``, each result memoised in ``memo``."""
     if t.simple:
         return t
-    out = memo.get(t)
-    if out is not None:
-        return out
-    match t:
-        case Cmpl(a):
-            a2 = _simplify(a, memo)
-            out = ONE if a2 == CMPL_ONE else Cmpl(a2)
-        case Union(l, r):
-            l2, r2 = _simplify(l, memo), _simplify(r, memo)
-            if l2 == ONE or r2 == ONE:
-                out = ONE
-            elif l2 == CMPL_ONE:
-                out = r2
-            elif r2 == CMPL_ONE:
-                out = l2
+    memo, stack = {}, [t]
+    while stack:
+        u = stack.pop()
+        if u.simple or u in memo:
+            continue
+        cls = type(u)
+        if cls in _INFIX:
+            l, r = u.left, u.right
+            l2 = l if l.simple else memo.get(l)
+            r2 = r if r.simple else memo.get(r)
+            if l2 is None or r2 is None:
+                stack += u, r, l
+                continue
+            if cls is Union:
+                out = (ONE if l2 is ONE or r2 is ONE else r2 if l2 is CMPL_ONE
+                       else l2 if r2 is CMPL_ONE else Union(l2, r2))
+            elif cls is Inter:
+                out = (CMPL_ONE if l2 is CMPL_ONE or r2 is CMPL_ONE else r2 if l2 is ONE
+                       else l2 if r2 is ONE else Inter(l2, r2))
             else:
-                out = Union(l2, r2)
-        case Inter(l, r):
-            l2, r2 = _simplify(l, memo), _simplify(r, memo)
-            if l2 == CMPL_ONE or r2 == CMPL_ONE:
-                out = CMPL_ONE
-            elif l2 == ONE:
-                out = r2
-            elif r2 == ONE:
-                out = l2
-            else:
-                out = Inter(l2, r2)
-        case Comp(l, r):
-            out = Comp(_simplify(l, memo), _simplify(r, memo))
-        case Conv(a):
-            out = Conv(_simplify(a, memo))
-    memo[t] = out
-    return out
+                out = Comp(l2, r2)
+        else:
+            a = u.arg
+            a2 = a if a.simple else memo.get(a)
+            if a2 is None:
+                stack += u, a
+                continue
+            out = ONE if a2 is CMPL_ONE and cls is Cmpl else cls(a2)
+        memo[u] = out
+    return memo[t]
 
 
 def is_boolean(t):
@@ -540,53 +534,61 @@ def nf_cmpl(t):
     variable or the constant.  Semantically equivalent to ``t``.
     Raises :class:`NotBoolean` if ``t`` contains composition or converse.
     """
-    if t.boolean and t.cnf:
-        return t
-    if t.nf is None:
-        match t:
-            case Union(l, r):
-                t.nf = Union(nf_cmpl(l), nf_cmpl(r))
-            case Inter(l, r):
-                t.nf = Inter(nf_cmpl(l), nf_cmpl(r))
-            case Cmpl(Cmpl(b)):
-                t.nf = nf_cmpl(b)
-            case Cmpl(Inter(l, r)):
-                t.nf = Union(nf_cmpl(Cmpl(l)), nf_cmpl(Cmpl(r)))
-            case Cmpl(Union(l, r)):
-                t.nf = Inter(nf_cmpl(Cmpl(l)), nf_cmpl(Cmpl(r)))
-            case Cmpl(a) | a:
-                raise NotBoolean(f"term contains a non-Boolean operator: {render_term(a)}")
-    return t.nf
+    memo, stack = {}, [(t, True)]  # (u, False) stands for -u
+    while stack:
+        key = stack.pop()
+        u, positive = key
+        if key in memo:
+            continue
+        cls = type(u)
+        if positive and u.boolean and u.cnf:
+            memo[key] = u
+        elif cls is Cmpl:
+            inner = (u.arg, not positive)
+            if inner in memo:
+                memo[key] = memo[inner]
+            else:
+                stack += key, inner
+        elif cls is Var or cls is One:
+            memo[key] = Cmpl(u)
+        elif cls is Union or cls is Inter:
+            l, r = (u.left, positive), (u.right, positive)
+            if l in memo and r in memo:
+                memo[key] = (cls if positive else _DUAL[cls])(memo[l], memo[r])
+            else:
+                stack += key, r, l
+        else:
+            raise NotBoolean(f"term contains a non-Boolean operator: {render_term(u)}")
+    return memo[t, True]
+
+
+_DUAL = {Union: Inter, Inter: Union}
 
 
 def components(t):
     """The set of components of ``t``: every term a decomposition of ``t``
     can mention.  Always finite and contains ``t`` itself."""
-    out = set()
-    _add_components(t, out)
+    out, stack = set(), [t]
+    while stack:
+        t = stack.pop()
+        if t in out:
+            continue
+        out.add(t)
+        cls = type(t)
+        if cls is Cmpl:
+            a = t.arg
+            cls = type(a)
+            if cls in _INFIX:
+                stack += Cmpl(a.right), Cmpl(a.left)
+            elif cls is Cmpl:
+                stack.append(a.arg)
+            elif cls is Conv:
+                stack.append(Cmpl(a.arg))
+        elif cls in _INFIX:
+            stack += t.right, t.left
+        elif cls is Conv:
+            stack.append(t.arg)
     return out
-
-
-def _add_components(t, out):
-    """Add the components of ``t`` that are not in ``out`` to it."""
-    if t in out:
-        return
-    out.add(t)
-    match t:
-        case One() | Var() | Cmpl(One()) | Cmpl(Var()):
-            pass
-        case Cmpl(Cmpl(b)):
-            _add_components(b, out)
-        case Cmpl(Conv(b)):
-            _add_components(Cmpl(b), out)
-        case Cmpl(Union(l, r)) | Cmpl(Inter(l, r)) | Cmpl(Comp(l, r)):
-            _add_components(Cmpl(l), out)
-            _add_components(Cmpl(r), out)
-        case Conv(b):
-            _add_components(b, out)
-        case Union(l, r) | Inter(l, r) | Comp(l, r):
-            _add_components(l, out)
-            _add_components(r, out)
 
 
 class FragmentVerdict(namedtuple("FragmentVerdict", "accepted offender clause",

@@ -17,20 +17,24 @@ frames per parenthesis.  And the argparse parser that ``cli``'s table of
 commands replaced, which the command line is checked against.  And the
 Kripke oracle's search one pointed model at a time, in the order that
 ``frontends.kripke.kripke_countermodel`` documents, which its broadcast
-search is checked against.
+search is checked against.  And the recursive term walkers that the
+library's explicit-stack loops replaced, one interpreter frame or more per
+level, with the library's names; ``nf_cmpl`` memoises nothing on the
+term.
 """
 
 import argparse
 import itertools
+import warnings
 
 from dualtab import terms
-from dualtab.errors import NotBoolean, ParseError
+from dualtab.errors import NotBoolean, ParseError, UnknownVariableWarning
 from dualtab.formulas import DEFAULT_LEFT, DEFAULT_RIGHT, RelFormula
 from dualtab.frontends import modal
 from dualtab.frontends.kripke import KripkeModel, eval_modal
 from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop
-from dualtab.terms import (MAX_DEPTH, MAX_NESTING, ONE, Cmpl, Comp, Conv, Inter, One,
-                           Union, Var, _found, nf_cmpl, render_term)
+from dualtab.terms import (MAX_DEPTH, MAX_NESTING, ONE, CMPL_ONE, Cmpl, Comp, Conv,
+                           Inter, One, Union, Var, _found)
 
 
 def is_nbool(f, n):
@@ -355,3 +359,228 @@ def kripke_countermodel(f, max_worlds):
                     if not eval_modal(f, model, world):
                         return model, world
     return None
+
+
+def render_term(t, memo=None):
+    if memo is None:
+        memo = {}
+    elif t in memo:
+        return memo[t]
+    match t:
+        case One():
+            out = "1"
+        case Var(name):
+            out = name
+        case Cmpl(arg):
+            out = "-" + _render_part(arg, (Cmpl, Conv), memo)
+        case Union(l, r):
+            out = f"({render_term(l, memo)} | {render_term(r, memo)})"
+        case Inter(l, r):
+            out = f"({render_term(l, memo)} & {render_term(r, memo)})"
+        case Comp(l, r):
+            out = f"({render_term(l, memo)} ; {render_term(r, memo)})"
+        case Conv(arg):
+            out = _render_part(arg, Cmpl, memo) + "^"
+        case _:
+            raise TypeError(f"not a relational term: {t!r}")
+    memo[t] = out
+    return out
+
+
+def _render_part(t, bracketed, memo):
+    text = render_term(t, memo)
+    return f"({text})" if isinstance(t, bracketed) else text
+
+
+def term_variables(t):
+    out = set()
+    _add_variables(t, out, set())
+    return sorted(out)
+
+
+def _add_variables(t, out, seen):
+    if t in seen:
+        return
+    seen.add(t)
+    match t:
+        case Var(name):
+            out.add(name)
+        case Cmpl(a) | Conv(a):
+            _add_variables(a, out, seen)
+        case Union(l, r) | Inter(l, r) | Comp(l, r):
+            _add_variables(l, out, seen)
+            _add_variables(r, out, seen)
+
+
+def simplify_ones(t):
+    return t if t.simple else _simplify(t, {})
+
+
+def _simplify(t, memo):
+    if t.simple:
+        return t
+    out = memo.get(t)
+    if out is not None:
+        return out
+    match t:
+        case Cmpl(a):
+            a2 = _simplify(a, memo)
+            out = ONE if a2 == CMPL_ONE else Cmpl(a2)
+        case Union(l, r):
+            l2, r2 = _simplify(l, memo), _simplify(r, memo)
+            if l2 == ONE or r2 == ONE:
+                out = ONE
+            elif l2 == CMPL_ONE:
+                out = r2
+            elif r2 == CMPL_ONE:
+                out = l2
+            else:
+                out = Union(l2, r2)
+        case Inter(l, r):
+            l2, r2 = _simplify(l, memo), _simplify(r, memo)
+            if l2 == CMPL_ONE or r2 == CMPL_ONE:
+                out = CMPL_ONE
+            elif l2 == ONE:
+                out = r2
+            elif r2 == ONE:
+                out = l2
+            else:
+                out = Inter(l2, r2)
+        case Comp(l, r):
+            out = Comp(_simplify(l, memo), _simplify(r, memo))
+        case Conv(a):
+            out = Conv(_simplify(a, memo))
+    memo[t] = out
+    return out
+
+
+def nf_cmpl(t):
+    if t.boolean and t.cnf:
+        return t
+    match t:
+        case Union(l, r):
+            return Union(nf_cmpl(l), nf_cmpl(r))
+        case Inter(l, r):
+            return Inter(nf_cmpl(l), nf_cmpl(r))
+        case Cmpl(Cmpl(b)):
+            return nf_cmpl(b)
+        case Cmpl(Inter(l, r)):
+            return Union(nf_cmpl(Cmpl(l)), nf_cmpl(Cmpl(r)))
+        case Cmpl(Union(l, r)):
+            return Inter(nf_cmpl(Cmpl(l)), nf_cmpl(Cmpl(r)))
+        case Cmpl(a) | a:
+            raise NotBoolean(f"term contains a non-Boolean operator: {render_term(a)}")
+
+
+def components(t):
+    out = set()
+    _add_components(t, out)
+    return out
+
+
+def _add_components(t, out):
+    if t in out:
+        return
+    out.add(t)
+    match t:
+        case One() | Var() | Cmpl(One()) | Cmpl(Var()):
+            pass
+        case Cmpl(Cmpl(b)):
+            _add_components(b, out)
+        case Cmpl(Conv(b)):
+            _add_components(Cmpl(b), out)
+        case Cmpl(Union(l, r)) | Cmpl(Inter(l, r)) | Cmpl(Comp(l, r)):
+            _add_components(Cmpl(l), out)
+            _add_components(Cmpl(r), out)
+        case Conv(b):
+            _add_components(b, out)
+        case Union(l, r) | Inter(l, r) | Comp(l, r):
+            _add_components(l, out)
+            _add_components(r, out)
+
+
+def gate_forced(x, b, z, n):
+    if isinstance(b, Var):
+        return RelFormula(x, Cmpl(b), z) in n
+    holds = any if isinstance(b, Union) else all
+    return holds(gate_forced(x, part, z, n) for part in (b.left, b.right))
+
+
+def eval_term(model, t, memo=None):
+    if memo is None:
+        memo = {}
+    elif t in memo:
+        return memo[t]
+    match t:
+        case One():
+            out = model.all_pairs()
+        case Var(name):
+            if name not in model.interp:
+                warnings.warn(
+                    f"variable {name!r} has no interpretation; treating as empty",
+                    UnknownVariableWarning,
+                    stacklevel=2,
+                )
+                out = set()
+            else:
+                out = set(model.interp[name])
+        case Cmpl(a):
+            out = eval_term(model, ONE, memo) - eval_term(model, a, memo)
+        case Union(l, r):
+            out = eval_term(model, l, memo) | eval_term(model, r, memo)
+        case Inter(l, r):
+            out = eval_term(model, l, memo) & eval_term(model, r, memo)
+        case Comp(l, r):
+            lv, rv = eval_term(model, l, memo), eval_term(model, r, memo)
+            by_mid = {}
+            for c, b in rv:
+                by_mid.setdefault(c, set()).add(b)
+            out = {(a, b) for a, c in lv for b in by_mid.get(c, ())}
+        case Conv(a):
+            out = {(b, a2) for a2, b in eval_term(model, a, memo)}
+    memo[t] = out
+    return out
+
+
+def translate(f, memo):
+    """The relational image of ``f`` before ``translate_modal``'s depth
+    bounds, simplification and fragment check."""
+    term = memo.get(f)
+    if term is None:
+        match f:
+            case Prop(name):
+                term = Comp(Var(name), ONE)
+            case Not(a):
+                term = Cmpl(translate(a, memo))
+            case And(l, r):
+                term = Inter(translate(l, memo), translate(r, memo))
+            case Or(l, r):
+                term = Union(translate(l, memo), translate(r, memo))
+            case Dia(prog, a):
+                term = Comp(prog, translate(a, memo))
+            case Box(prog, a):
+                term = Cmpl(Comp(prog, Cmpl(translate(a, memo))))
+        memo[f] = term
+    return term
+
+
+def render_modal(f, memo=None):
+    if memo is None:
+        memo = {}
+    elif f in memo:
+        return memo[f]
+    match f:
+        case Prop(name):
+            out = name
+        case Not(a):
+            out = "~" + render_modal(a, memo)
+        case And(l, r):
+            out = f"({render_modal(l, memo)} & {render_modal(r, memo)})"
+        case Or(l, r):
+            out = f"({render_modal(l, memo)} | {render_modal(r, memo)})"
+        case Box(prog, a):
+            out = f"[{render_term(prog)}]{render_modal(a, memo)}"
+        case Dia(prog, a):
+            out = f"<{render_term(prog)}>{render_modal(a, memo)}"
+    memo[f] = out
+    return out

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import all_modal, family_text
 
+from dualtab import terms
 from dualtab.engine import Countermodel, Proof, run_procedure
 from dualtab.errors import BudgetExceeded, EmptyPremises, FragmentViolation, ParseError
 from dualtab.formulas import RelFormula
@@ -82,20 +83,24 @@ class TestTranslateModal:
         assert fragment_check(translate_modal(f))
 
     def test_chain_translates_each_subformula_object_once(self, monkeypatch):
-        # Translated once, each object is asked for once by each of the
-        # distinct objects that hold it, and once more if it is the root.
+        # each distinct object's image is made once, and put in the memo
+        # once, after its parts'
         f = iff_chain(12)
-        asked, _ = holders(f)
-        calls = collections.Counter()
+        _, objects = holders(f)
+        made = collections.Counter()
         translate = modal._translate
 
-        def counting(g, memo):
-            calls[id(g)] += 1
-            return translate(g, memo)
+        class Memo(dict):
+            def __setitem__(self, g, term):
+                parts = [getattr(g, name) for name in ("left", "right", "arg")
+                         if hasattr(g, name)]
+                assert all(p in self for p in parts)
+                made[id(g)] += 1
+                super().__setitem__(g, term)
 
-        monkeypatch.setattr(modal, "_translate", counting)
+        monkeypatch.setattr(modal, "_translate", lambda g, memo: translate(g, Memo()))
         assert translate_modal(f).size > 50_000
-        assert calls == asked
+        assert made == dict.fromkeys(objects, 1)
 
 
 def iff_chain(k):
@@ -409,6 +414,17 @@ class TestModalParser:
         gc.collect()
         assert ref() is None
         assert Not(Prop("unused_modal_p")).arg.name == "unused_modal_p"
+
+    def test_a_dead_formulas_key_leaves_the_table(self):
+        p = Prop("dead_modal_p")
+        f = Not(p)
+        assert terms._INTERNED[Not, p]() is f
+        dead = terms._INTERNED[Not, p]
+        del f
+        assert (Not, p) not in terms._INTERNED
+        f = Not(p)
+        terms._drop(dead)  # the dead reference's callback, run late
+        assert terms._INTERNED[Not, p]() is f and Not(p) is f
 
     def test_render_memo_is_shared_across_calls(self):
         f = iff_chain(12)

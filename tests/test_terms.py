@@ -163,6 +163,37 @@ class TestInterning:
         fresh = Comp(Var("unused_a"), Var("unused_b"))
         assert (fresh.left.name, fresh.right.name) == ("unused_a", "unused_b")
 
+    def test_a_dead_terms_key_leaves_the_table(self):
+        a, b = Var("dead_a"), Var("dead_b")
+        t = Union(a, b)
+        assert terms._INTERNED[Union, a, b]() is t
+        del t
+        assert (Union, a, b) not in terms._INTERNED
+        assert terms.interned(Union, a, b) is None
+
+    def test_a_term_rebuilt_after_its_death_is_interned_again(self):
+        a, b = Var("reborn_a"), Var("reborn_b")
+        t = Inter(a, b)
+        del t
+        # a dead reference whose callback has not run yet
+        dead = terms._INTERNED[Inter, a, b] = terms._Ref(type("Gone", (), {})())
+        assert dead() is None
+        t = Inter(a, b)
+        assert Inter(a, b) is t and terms.interned(Inter, a, b) is t
+        assert terms._INTERNED[Inter, a, b]() is t
+
+    def test_a_late_callback_does_not_drop_a_rebound_entry(self):
+        a, b = Var("late_a"), Var("late_b")
+        old = terms._INTERNED.get((Comp, a, b))
+        t = Comp(a, b)
+        dead = terms._INTERNED[Comp, a, b]
+        del t
+        assert dead() is None and old is None
+        t = Comp(a, b)
+        terms._drop(dead)  # the dead reference's callback, run late
+        assert terms._INTERNED[Comp, a, b]() is t
+        assert Comp(a, b) is t
+
 
 class TestRender:
     def test_variable(self):
