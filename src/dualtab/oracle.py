@@ -16,25 +16,21 @@ universe is never empty.  When every combination of the atoms makes the
 skeleton true, the term holds at every pair of every model; the oracle
 then answers None without enumerating the larger universes, after the
 same per-size budget checks, so it refuses exactly what it refused
-before.  Internally it packs the last variables' joint
-interpretations into bit vectors (the packed axis) and loops over those of
-the first ones (the outer assignments).  A term's table holds one row per
-pair and one bit per packed interpretation.
+before.  Internally it packs the last variables' joint interpretations
+into bit vectors (the packed axis) and loops over those of the first ones
+(the outer assignments).  A term's table holds one row per pair and one
+bit per packed interpretation.
 
-Before that loop, each universe size evaluates once every subterm whose
-table no outer assignment can change: one over packed variables only, and
-one that folds to a constant, a union with an all-ones part or an
-intersection or composition with an all-zeros part.  The fragment keeps
-``1 ; 1``, whose table is all ones, so such roots are common.  When the
-root itself folds or hoists, the first outer assignment decides the size
-and the loop runs once.  Every other subterm is evaluated once per outer
-assignment.  The memos, keyed by the interned term, keep only the hoisted
-tables and those of subterms that more than one parent uses; any other
-table is dropped once its parent has it.  Outer variables, ``1`` and
-folded constants are one-word columns that broadcast along the packed
-axis, and composition ORs ``n`` broadcast ANDs of ``(n, n, words)`` views.
-None of this changes the enumeration order: the first witness is always
-the first falsifier in the order :func:`brute_force_countermodel` states.
+The tables come from one loop over the term's nodes, parts first, so a
+walk takes no more of the caller's stack at any depth.  A subterm over
+``1`` and the packed variables only is computed once per universe size,
+any other once per outer assignment.  The memos, keyed by the interned
+term, keep the tables of subterms that more than one parent uses; any
+other table is dropped once its parent has it.  Outer variables and ``1``
+are one-word columns that broadcast along the packed axis, and
+composition ORs ``n`` broadcast ANDs of ``(n, n, words)`` views.  None of
+this changes the enumeration order: the first witness is always the first
+falsifier in the order :func:`brute_force_countermodel` states.
 """
 
 from __future__ import annotations
@@ -46,7 +42,7 @@ import numpy as np
 from .errors import BudgetExceeded
 from .formulas import RelFormula
 from .semantics import Model, satisfies
-from .terms import ONE, PARTS, Cmpl, Comp, Conv, Inter, One, Union, Var, term_variables
+from .terms import ONE, PARTS, Cmpl, Comp, Conv, Inter, Union, Var, post_order, term_variables
 
 _ELEMENT_NAMES = "abcdefgh"
 _WORD_BITS = 64
@@ -121,7 +117,7 @@ def _skeleton_tautology(term, keep):
         memo[t] = _bit_pattern(j, nwords)[None, :]
     # with fewer than 64 combinations, each bit of the one word still
     # holds one of them: bit b holds combination b mod 2**len(atoms)
-    return bool((_eval_rows(term, memo, 1, keep) == _ALL_ONES).all())
+    return bool((_eval_rows(term, memo, {}, 1, keep) == _ALL_ONES).all())
 
 
 def _search_universe(term, names, n, keep):
@@ -139,27 +135,18 @@ def _search_universe(term, names, n, keep):
     nwords = max(1, combos // _WORD_BITS)
     tail_mask = _ALL_ONES if combos >= _WORD_BITS else np.uint64((1 << combos) - 1)
 
-    fixed = {One(): np.full((q, 1), _ALL_ONES, dtype=np.uint64)}
+    fixed = {ONE: np.full((q, 1), _ALL_ONES, dtype=np.uint64)}
     for i, name in enumerate(inner_names):
         fixed[Var(name)] = np.stack(
             [_bit_pattern(q * (n_inner - 1 - i) + p, nwords) for p in range(q)])
-    root = _hoist(term, fixed, n, keep)
-    if root is not None:
-        fixed[term] = root
     shifts = np.arange(q)
 
-    # A root that no outer assignment changes is decided by the first one.
-    assignments = itertools.product(range(1 << q), repeat=len(outer_names))
-    for outer_masks in itertools.islice(assignments, None if root is None else 1):
+    for outer_masks in itertools.product(range(1 << q), repeat=len(outer_names)):
         outer = dict(zip(outer_names, outer_masks))
         memo = dict(fixed)
         for name, mask in outer.items():
             memo[Var(name)] = np.where((mask >> shifts) & 1, _ALL_ONES, np.uint64(0))[:, None]
-        # With more than one word, a one-word row comes from ``1``, the
-        # outer variables or a folded constant, so it is all ones or all
-        # zeros and combination 0 is its first falsifier; with one word,
-        # every row is read as it is.
-        rows = _eval_rows(term, memo, n, keep)
+        rows = _eval_rows(term, memo, fixed, n, keep)
         merged = np.bitwise_not(np.bitwise_and.reduce(rows, axis=0))
         merged[-1] &= tail_mask
         nz = np.nonzero(merged)[0]
@@ -204,47 +191,25 @@ def _shared(term):
     return shared
 
 
-def _hoist(t, memo, n, keep):
-    """The table of ``t`` if no outer assignment can change it, else None:
-    ``t`` is ``1`` or a packed variable, or all its parts hoist, or it is a
-    union with an all-ones part or an intersection or composition with an
-    all-zeros part.  ``memo`` holds ``1`` and the packed variables; it takes
-    the parts that hoist of a ``t`` that does not, and the answer for every
-    ``t`` in ``keep``, None included, so a shared subterm is walked once."""
-    if t in memo:
-        return memo[t]
-    parts = PARTS[type(t)](t)
-    tables = [_hoist(u, memo, n, keep) for u in parts]
-    match t:
-        case Var():
-            out = None
-        case _ if all(a is not None for a in tables):
-            out = _table(t, tables, n)
-        case Union() if any(a is not None and (a == _ALL_ONES).all() for a in tables):
-            out = np.full((n * n, 1), _ALL_ONES, dtype=np.uint64)
-        case Inter() | Comp() if any(a is not None and not a.any() for a in tables):
-            out = np.zeros((n * n, 1), dtype=np.uint64)
-        case _:
-            memo.update((u, a) for u, a in zip(parts, tables) if a is not None)
-            out = None
-    if t in keep:
-        memo[t] = out
-    return out
-
-
-def _eval_rows(t, memo, n, keep):
-    """Packed table of ``t`` over an ``n``-element universe: row ``p`` holds
-    one bit per packed interpretation, set when pair ``p`` is in ``t``.  A
-    row of one word broadcasts along the packed axis.  ``memo`` holds the
-    variables, ``1`` and the hoisted subterms (None where a shared one does
-    not hoist), and takes every subterm in ``keep`` evaluated here; results
-    are shared and must not be mutated."""
-    out = memo.get(t)
-    if out is None:
-        out = _table(t, [_eval_rows(u, memo, n, keep) for u in PARTS[type(t)](t)], n)
-        if t in keep:
-            memo[t] = out
-    return out
+def _eval_rows(term, memo, fixed, n, keep):
+    """Packed table of ``term`` over an ``n``-element universe: row ``p``
+    holds one bit per packed interpretation, set when pair ``p`` is in
+    ``term``.  A row of one word broadcasts along the packed axis.
+    ``memo`` holds the variables, ``1`` and ``fixed``, and takes every
+    subterm in ``keep`` evaluated here; ``fixed`` takes every subterm whose
+    parts it holds.  Results are shared and must not be mutated."""
+    for t in post_order(term, memo):
+        parts = PARTS[type(t)](t)
+        memo[t] = _table(t, [memo[u] for u in parts], n)
+        constant = all(map(fixed.__contains__, parts))
+        if constant:
+            fixed[t] = memo[t]
+        for u in parts:
+            if u not in keep:
+                del memo[u]
+                if constant:
+                    del fixed[u]
+    return memo[term]
 
 
 def _table(t, tables, n):

@@ -701,6 +701,17 @@ class TestDeepInput:
         assert code == 2
         assert err.startswith("error: ") and len(err.splitlines()) == 1
 
+    # 499 leaves over one variable: the finite-model oracle walks the
+    # term itself, and for ``modal`` its translation
+    @pytest.mark.parametrize("command, text", [
+        pytest.param("prove", " | ".join(["r"] * 499) + " | -r", id="prove"),
+        pytest.param("modal", " | ".join(["p"] * 498) + " | ~p", id="modal"),
+    ])
+    def test_verify_walks_a_long_chain(self, capsys, command, text):
+        code, out, err = run(capsys, command, "--json", "--verify", "--", text)
+        assert code == 0 and err == ""
+        assert json.loads(out)["verified"] is True
+
     def test_long_union_in_a_fresh_process(self):
         proc = run_process("-m", "dualtab", "prove", "--", chain("|", 480))
         assert proc.returncode == 1

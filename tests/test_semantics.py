@@ -174,7 +174,7 @@ class TestBruteForce:
 
 
 # A three-variable term whose first witness over three elements sits on
-# the outer axis (``r`` nonempty), and a tautology that no fold detects.
+# the outer axis (``r`` nonempty), and a tautology.
 WITNESSED = "((-(r ; s) | (-t | (r | s))) | -((-t)^))"
 VALID = "((r & (s | r)) ; (t ; -s)) | -((r & (s | r)) ; (t ; -s))"
 
@@ -213,7 +213,7 @@ class TestConstantFolding:
 
     def test_shared_subterms_are_walked_once(self):
         # 2^40 paths lead from the root to ``t``; a walk along each of them,
-        # in the hoisting pass or in the witness's re-check, would not end
+        # in the evaluation or in the witness's re-check, would not end
         t = deep = parse_term(WITNESSED)
         for _ in range(40):
             deep = Union(deep, deep)
@@ -232,9 +232,9 @@ class TestConstantFolding:
             tables[t] += 1
             return table(t, parts, n)
 
-        def counting_eval_rows(t, memo, n, keep):
+        def counting_eval_rows(t, memo, fixed, n, keep):
             reads[t] += 1
-            return eval_rows(t, memo, n, keep)
+            return eval_rows(t, memo, fixed, n, keep)
 
         monkeypatch.setattr(oracle, "_table", counting_table)
         monkeypatch.setattr(oracle, "_eval_rows", counting_eval_rows)
@@ -243,19 +243,16 @@ class TestConstantFolding:
             root, term_variables(root), 3, oracle._shared(root)) is None
         return tables, reads[root]
 
-    @pytest.mark.parametrize("text", [f"(1 ; 1) | ({VALID})", f"-(-(1 ; 1) & ({VALID}))"])
-    def test_constant_root_runs_one_outer_assignment(self, text, monkeypatch):
-        tables, root_reads = self.size_3_counts(text, monkeypatch)
-        assert max(tables.values()) == 1
-        assert root_reads == 1
-
-    def test_constant_part_is_computed_once_or_not_at_all(self, monkeypatch):
+    def test_constant_part_is_computed_once_per_size(self, monkeypatch):
+        # ``s`` and ``t`` are packed and ``r`` is outer: a part without
+        # ``r`` is computed at the first of the 512 outer assignments only
         text = f"(-(1 ; 1) ; r) | ({VALID})"
         tables, root_reads = self.size_3_counts(text, monkeypatch)
         assert root_reads == tables[parse_term(text)] == 512  # one per outer assignment
         assert tables[parse_term("(r & (s | r)) ; (t ; -s)")] == 512  # shared, kept
         assert tables[parse_term("t ; -s")] == 1
-        assert tables[parse_term("-(1 ; 1) ; r")] == 0
+        assert tables[parse_term("-(1 ; 1)")] == 1
+        assert tables[parse_term("-(1 ; 1) ; r")] == 512
 
     @given(term_strategy(variables=("r", "s", "t"), with_conv=True, max_leaves=6))
     @settings(max_examples=25, deadline=None)
@@ -271,8 +268,8 @@ class TestConstantFolding:
                     == oracle._search_universe(t, names, 3, oracle._shared(t)))
 
 
-# A propositional tautology over ``r``, ``s`` and ``t`` that no constant
-# fold sees: every size-3 outer assignment would be searched.
+# A propositional tautology over ``r``, ``s`` and ``t``: without the
+# skeleton check every size-3 outer assignment would be searched.
 TAUTOLOGY = "(-(-r & (t | t)) | -((s | t) & (t & r)))"
 
 
@@ -336,6 +333,15 @@ class TestSkeletonTautology:
         t = parse_term("(r ; s) | -(s ; r)")
         assert brute_force_countermodel(t, 3)[0].universe == ("a", "b")
         assert calls == [1, 1, 2] and skeletons == [t]
+
+    @pytest.mark.parametrize("text", ["-(r ; s) | (r ; (s | t))",
+                                      "-((r & t) ; s) | (r ; s)"])
+    def test_validity_beyond_the_skeleton_is_searched_at_every_size(self, text, monkeypatch):
+        # valid, but their skeletons are not tautologies, so no size is
+        # skipped
+        calls = self.searches(monkeypatch)
+        assert brute_force_countermodel(parse_term(text), 3) is None
+        assert calls == [1, 2, 3]
 
     def test_one_composed_with_one_is_all_ones(self, monkeypatch):
         calls = self.searches(monkeypatch)

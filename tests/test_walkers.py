@@ -16,6 +16,7 @@ from dualtab.formulas import RelFormula, gate_forced
 from dualtab.frontends import (EntailmentProblem, encode_entailment,
                                parse_modal, translate_modal)
 from dualtab.frontends.modal import And, Box, Dia, Not, Or, Prop, _translate, render_modal
+from dualtab.oracle import brute_force_countermodel
 from dualtab.semantics import Model, eval_term, falsifies_branch, satisfies
 from dualtab.terms import (MAX_DEPTH, MAX_NESTING, ONE, Cmpl, Comp, Conv, Inter,
                            Union, Var, components, nf_cmpl, parse_term,
@@ -183,6 +184,16 @@ def test_falsifies_branch_from_deep_in_the_stack():
                 satisfies(verdict.model, verdict.valuation, query))
 
     assert deep_and_top(falsified) == ((True, False), (True, False))
+
+
+def test_oracle_from_deep_in_the_stack():
+    # one variable, so the chain is within the oracle's budget
+    term = parse_term(" | ".join(["r"] * (MAX_DEPTH - 1)) + " | -r")
+    deep, top = deep_and_top(brute_force_countermodel, term, 3)
+    assert deep == top is None
+    witness = parse_term(chain("|", MAX_DEPTH, "r"))
+    deep, top = deep_and_top(brute_force_countermodel, witness, 3)
+    assert deep == top is not None
 
 
 def test_a_gate_at_the_depth_limit():
