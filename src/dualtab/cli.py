@@ -14,8 +14,9 @@ fragment TERM         report fragment membership of the simplified term
 simplify TERM         print the 1-simplified form of the term
 
 Flags: ``--json`` (machine output), ``--trace`` (stream rule applications
-to stderr), ``--max-steps N``, ``--oracle-size K`` (1..4), ``--verify``
-(cross-check the verdict with the independent oracles).
+to stderr), ``--max-steps N``, ``--oracle-size K`` (1..4; the Kripke
+oracle of ``modal`` takes at most 3 worlds), ``--verify`` (cross-check
+the verdict with the independent oracles).
 
 The command line is read from two tables, ``_COMMANDS`` and ``_OPTIONS``,
 which also give the help; argparse's rules are kept.  Options come before
@@ -322,8 +323,8 @@ _OPTIONS = {
     "json": (None, None, False, "print the result as JSON"),
     "trace": (None, None, False, "stream rule applications to stderr"),
     "max-steps": ("N", _whole(1), 1_000_000, "stop the search after N steps"),
-    "oracle-size": ("K", _whole(1, 4), 3, "universe cap of the --verify "
-                    "oracles, 1 to 4"),
+    "oracle-size": ("K", _whole(1, 4), 3, "--verify universe cap, 1 to 4; "
+                    "Kripke's at most 3"),
     "verify": (None, None, False, "cross-check the verdict with the "
                "independent oracles"),
 }

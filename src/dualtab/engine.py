@@ -17,13 +17,14 @@ rule instantiated with that variable.
 
 A step has a pure part and one write.  :func:`applications` alone decides
 what applies at a variable, reading only the branch's agenda: the node's
-formulas with work, grouped by left variable and phase.  What a rule
-concludes is a function of its premise's term alone, the term's *plan*
-(:func:`plan_of`): one group per successor of ``(left, term, right)``,
-each endpoint the premise's ``x`` or ``y`` or the instance.  It is
-memoised on the interned term next to the term's ``rule``, so a step
-only fills in the endpoints; the search names each fresh witness from
-one counter.  The search takes from a
+formulas with work, grouped by left variable and phase.  Which rule
+decomposes a term (:func:`rule_of`) and what it concludes, the term's
+*plan* (:func:`plan_of`), come from one match on the term's shape,
+:func:`_decompose`: a plan has one group per successor of ``(left,
+term, right)``, each endpoint the premise's ``x`` or ``y`` or the
+instance.  Both are memoised on the interned term, so a step only fills
+in the endpoints; the search names each fresh witness from one counter.
+The search takes from a
 group the formulas that are not on the node yet, checks them, and hands
 the step and what enters and leaves the node to :meth:`Branch.enter`,
 the only method that writes a branch's node, history and its indices,
@@ -58,7 +59,7 @@ from collections import defaultdict, namedtuple
 from functools import partial
 
 from .errors import BranchNotSaturated, EngineInvariantError, ResourceExhausted
-from .formulas import RelFormula, gate_forced, gate_index, is_literal
+from .formulas import RelFormula, gate_forced, gate_index
 from .semantics import Model, Record, model_to_json
 from .terms import (_INTERNED, Cmpl, Comp, Inter, One, Union, Var, components,
                     render_term, require_fragment, simplify_ones, term_variables)
@@ -90,81 +91,62 @@ MAX_VARS = 10_000  # variables per branch before the search gives up
 
 def rule_of(t):
     """The rule that decomposes a term: a rule tag, ``"inert"`` for
-    ``-(1;1)`` (never decomposed), or None for literals; memoised on the term."""
+    ``-(1;1)`` (never decomposed), or None for literals; memoised on the
+    term with its :func:`plan_of`."""
     try:
         return t.rule
     except AttributeError:
-        t.rule = _rule(t)
+        t.rule, t.plan = _decompose(t)
         return t.rule
-
-
-def _rule(t):
-    cls = type(t)
-    if cls is Comp:
-        return RULE_COMP_UNIV if type(t.left) is One else RULE_COMP_BOOL
-    if cls is not Cmpl:
-        return _RULES.get(cls)
-    a = t.arg
-    if type(a) is Comp:
-        return _CMPL_COMP_RULES[type(a.left) is One, type(a.right) is One]
-    return _CMPL_RULES.get(type(a))
-
-
-_RULES = {Union: RULE_UNION, Inter: RULE_INTER}
-_CMPL_RULES = {Cmpl: RULE_DOUBLE_CMPL, Union: RULE_CMPL_UNION, Inter: RULE_CMPL_INTER}
-# by whether B and S are 1, the rule of -(B;S)
-_CMPL_COMP_RULES = {(True, True): "inert", (True, False): RULE_CMPL_COMP_UNIV,
-                    (False, True): RULE_CMPL_COMP_ONE, (False, False): RULE_CMPL_COMP}
 
 
 def plan_of(t):
-    """What the rule that decomposes ``t`` concludes, memoised on the term:
-    one group per successor, each a tuple of ``(left, term, right)``
-    whose endpoints are :data:`X`, :data:`Y` or :data:`Z`, the premise's
-    left and right endpoint and the rule's instance or fresh witness."""
+    """What the rule that decomposes ``t`` concludes, memoised on the term
+    with its :func:`rule_of`: one group per successor, each a tuple of
+    ``(left, term, right)`` whose endpoints are :data:`X`, :data:`Y` or
+    :data:`Z`, the premise's left and right endpoint and the rule's
+    instance or fresh witness."""
     try:
         return t.plan
     except AttributeError:
-        t.plan = _plan(t)
+        t.rule, t.plan = _decompose(t)
         return t.plan
 
 
-def _plan(t):
-    """The plan of ``t``, the one definition of what each rule concludes.
+def _decompose(t):
+    """The rule and the plan of ``t``, from one match on its shape: the
+    one definition of which rule decomposes a term and what it concludes.
 
     A composition concludes ``z S y`` and keeps its premise; any other
     rule's premise leaves the node.  A formula that occurs twice in a
-    group, as in ``r | r``, is kept once.  The rule of every conclusion's
-    term is memoised here, so that :meth:`Branch.enter` reads it off the
-    term.
+    group, as in ``r | r``, is kept once.
     """
-    rule = rule_of(t)
     match t:
+        case Comp(One(), s):
+            rule, groups = RULE_COMP_UNIV, [[(Z, s, Y)]]
         case Comp(_, s):
-            groups = [[(Z, s, Y)]]
+            rule, groups = RULE_COMP_BOOL, [[(Z, s, Y)]]
         case Union(l, r):
-            groups = [[(X, l, Y), (X, r, Y)]]
+            rule, groups = RULE_UNION, [[(X, l, Y), (X, r, Y)]]
         case Inter(l, r):
-            groups = [[(X, l, Y)], [(X, r, Y)]]
+            rule, groups = RULE_INTER, [[(X, l, Y)], [(X, r, Y)]]
         case Cmpl(Cmpl(a)):
-            groups = [[(X, a, Y)]]
+            rule, groups = RULE_DOUBLE_CMPL, [[(X, a, Y)]]
         case Cmpl(Union(l, r)):
-            groups = [[(X, Cmpl(l), Y)], [(X, Cmpl(r), Y)]]
+            rule, groups = RULE_CMPL_UNION, [[(X, Cmpl(l), Y)], [(X, Cmpl(r), Y)]]
         case Cmpl(Inter(l, r)):
-            groups = [[(X, Cmpl(l), Y), (X, Cmpl(r), Y)]]
-        case Cmpl(Comp(b, s)) if rule != "inert":
-            groups = [[]]
-            if rule != RULE_CMPL_COMP_UNIV:
-                groups[0].append((X, Cmpl(b), Z))
-            if rule != RULE_CMPL_COMP_ONE:
-                groups[0].append((Z, Cmpl(s), Y))
+            rule, groups = RULE_CMPL_INTER, [[(X, Cmpl(l), Y), (X, Cmpl(r), Y)]]
+        case Cmpl(Comp(One(), One())):
+            return "inert", ()
+        case Cmpl(Comp(One(), s)):
+            rule, groups = RULE_CMPL_COMP_UNIV, [[(Z, Cmpl(s), Y)]]
+        case Cmpl(Comp(b, One())):
+            rule, groups = RULE_CMPL_COMP_ONE, [[(X, Cmpl(b), Z)]]
+        case Cmpl(Comp(b, s)):
+            rule, groups = RULE_CMPL_COMP, [[(X, Cmpl(b), Z), (Z, Cmpl(s), Y)]]
         case _:
-            groups = []  # a literal or -(1;1): no rule decomposes it
-    plan = tuple(tuple(dict.fromkeys(group)) for group in groups)
-    for group in plan:
-        for _, c, _ in group:
-            rule_of(c)
-    return plan
+            return None, ()  # a literal: no rule decomposes it
+    return rule, tuple(tuple(dict.fromkeys(group)) for group in groups)
 
 
 def is_axiomatic(formulas, added=None):
@@ -241,7 +223,6 @@ class Branch:
             defaultdict(list), defaultdict(list), defaultdict(list))
         self.pop_decomposed, self.pop_var, self.pop_history = (
             self.decomposed.popitem, self.vars.pop, self.history.popitem)
-        rule_of(formula.term)
         self.enter([formula], (), None)
 
     def mark(self):
@@ -260,9 +241,9 @@ class Branch:
         """Make the next leaf: take the formulas ``removed`` off the node
         and put ``added``, which are not on it, in; ``step`` is the
         ``(rule, premise, variable)`` of the rule application, None for
-        the root.  Returns whether the new leaf is axiomatic.  The terms
-        of ``added`` have their rules memoised, as the root's and every
-        conclusion's of a :func:`plan_of` have.
+        the root.  Returns whether the new leaf is axiomatic.  The rule
+        of each added formula's term is memoised on the term here, by
+        :func:`rule_of`, for the scans to read.
 
         The branch order puts the left root first, then the generated
         variables that do not descend from the right root, then the right
@@ -308,7 +289,7 @@ class Branch:
             if f not in history:
                 self._admit(f)
             # the agenda key: (left, phase), or (None, 3) for a (1;S)
-            phase = _PHASE.get(f.term.rule)
+            phase = _PHASE.get(rule_of(f.term))
             if phase is not None and not (phase < 2 and f in decomposed):
                 group = agenda[None if phase == 3 else f.left, phase]
                 group.append(f)
@@ -378,8 +359,8 @@ def is_suppressed(branch, f):
 
 
 # ---------------------------------------------------------------------------
-# Applicability and conclusions: ``applications`` alone decides what
-# applies, ``conclusions`` says what each application concludes.
+# Applicability: ``applications`` alone decides what applies; a step
+# concludes its premise's ``plan_of`` with the endpoints filled in.
 
 
 def applications(branch, z):
@@ -421,19 +402,6 @@ def applications(branch, z):
             yield RULE_COMP_UNIV, f, z
 
 
-def conclusions(f, z):
-    """The conclusions of the premise ``f`` of an application that
-    :func:`applications` yielded, one list of formulas per successor (two
-    for the branching rules), read off the term's :func:`plan_of`.  ``z``
-    is the instance of a composition, the fresh witness of a complemented
-    composition, None otherwise.  Nothing is checked here: the scan has
-    already decided that the rule applies.
-    """
-    ends = (f.left, f.right, z)
-    return [[_new(RelFormula, (ends[l], t, ends[r])) for l, t, r in group]
-            for group in plan_of(f.term)]
-
-
 def extract_model(branch):
     """Read the falsifying model off a saturated open branch.
 
@@ -450,7 +418,8 @@ def extract_model(branch):
         raise BranchNotSaturated(
             "model extraction needs a non-axiomatic branch with no applicable rule"
         )
-    literals = [f for f in branch.history if is_literal(f)]
+    # on a fragment branch only r, -r, 1 and -1 have no rule
+    literals = [f for f in branch.history if f.term.rule is None]
     for _, f, blocker in scan:
         w = branch.decomposed[blocker]
         literals.extend(RelFormula(f.left, h.term, w)

@@ -35,15 +35,6 @@ class RelFormula(namedtuple("RelFormula", "left term right")):
         return f"{self.left} {render_term(self.term)} {self.right}"
 
 
-def is_literal(f):
-    """True iff the formula's term is 1, -1, a variable, or a negated variable."""
-    match f.term:
-        case One() | Var() | Cmpl(One()) | Cmpl(Var()):
-            return True
-        case _:
-            return False
-
-
 def gate_index(terms):
     """What a search's branch reads of the components ``terms``
     of its input, found in one pass: the gates, a read-only map from each

@@ -104,8 +104,8 @@ def interned(cls, *fields):
 
 
 class _Term:
-    # ``rule`` and ``plan`` (each unset until asked) memoise the engine's
-    # rule_of(t) and plan_of(t)
+    # ``rule`` and ``plan`` (unset until either is asked) memoise the
+    # engine's rule_of(t) and plan_of(t), both from one _decompose(t)
     __slots__ = ("depth", "size", "boolean", "cnf", "plain", "simple", "fragment",
                  "fragment_inside", "weight", "cweight", "rule", "plan",
                  "__weakref__")

@@ -8,7 +8,8 @@ from corpus import (CORPUS_DEPTH, CORPUS_SEED, CORPUS_SIZE,  # noqa: F401
                     CORPUS_VARS, MODAL_PROGRAMS, all_modal, build_corpus,
                     command_lines, family_text, gen_comp_right,
                     gen_fragment_term, gen_h, gen_plain_boolean)
-from dualtab.engine import Countermodel, run_procedure
+from dualtab.engine import Countermodel, plan_of, run_procedure
+from dualtab.formulas import RelFormula
 from dualtab.semantics import Model
 from dualtab.terms import Cmpl, Comp, Conv, Inter, ONE, Union, Var, simplify_ones
 
@@ -23,6 +24,15 @@ def corpus_countermodels(fragment_corpus):
     """The corpus terms' verdicts that are countermodels; read them only."""
     verdicts = (run_procedure(term) for term in fragment_corpus)
     return [v for v in verdicts if isinstance(v, Countermodel)]
+
+
+def fill_plan(f, z):
+    """The conclusion groups of the premise ``f``, one per successor: its
+    term's ``plan_of`` with the endpoints filled in from ``f`` and ``z``,
+    the instance or fresh witness (None for a Boolean rule)."""
+    ends = (f.left, f.right, z)
+    return [[RelFormula(ends[l], t, ends[r]) for l, t, r in group]
+            for group in plan_of(f.term)]
 
 
 def all_models(names, size, universe=("a", "b", "c", "d")):

@@ -124,6 +124,14 @@ class TestModal:
         assert data["verdict"] == "valid"
         assert data["kripke"] == {"refuted": False, "worlds": 3}
 
+    def test_kripke_worlds_are_capped_at_three(self, capsys):
+        # --oracle-size=4 reaches the finite-model oracle; the Kripke
+        # cross-check runs at min(K, 3) worlds
+        code, out, _ = run(capsys, "modal", "--json", "--verify",
+                           "--oracle-size=4", "--", "[r](p -> q) -> ([r]p -> [r]q)")
+        assert code == 0
+        assert json.loads(out)["kripke"] == {"refuted": False, "worlds": 3}
+
     def test_invalid_formula(self, capsys):
         code, out, _ = run(capsys, "modal", "p -> [r]p", "--json", "--verify")
         assert code == 1

@@ -4,15 +4,16 @@ import json
 import pytest
 from hypothesis import given, settings
 
-from conftest import build_corpus, family_text, fragment_term_strategy
+from conftest import (build_corpus, family_text, fill_plan,
+                      fragment_term_strategy)
 from dualtab import engine, terms
 from dualtab.engine import (Branch, Countermodel, Proof, RULE_CMPL_COMP,
                             RULE_CMPL_COMP_ONE, RULE_CMPL_COMP_UNIV,
-                            RULE_COMP_BOOL, RULE_COMP_UNIV, RULE_DOUBLE_CMPL,
-                            RULE_INTER, RULE_UNION, applications,
-                            conclusions, extract_model, is_axiomatic,
-                            is_blocked, plan_of, rule_of, run_procedure,
-                            verdict_to_json)
+                            RULE_CMPL_INTER, RULE_CMPL_UNION, RULE_COMP_BOOL,
+                            RULE_COMP_UNIV, RULE_DOUBLE_CMPL, RULE_INTER,
+                            RULE_UNION, X, Y, Z, applications,
+                            extract_model, is_axiomatic, is_blocked,
+                            plan_of, rule_of, run_procedure, verdict_to_json)
 from dualtab.errors import (BranchNotSaturated, EngineInvariantError,
                             FragmentViolation, ResourceExhausted)
 from dualtab.formulas import RelFormula, gate_index
@@ -45,7 +46,7 @@ def offered(branch, z):
 def take(branch, rule, f, z=None):
     """Carry out one application on the branch as the search does, keeping
     the first successor; returns the conclusion groups."""
-    groups = conclusions(f, z)
+    groups = fill_plan(f, z)
     removed = () if rule in (RULE_COMP_BOOL, RULE_COMP_UNIV) else (f,)
     added = [g for g in groups[0] if g not in branch.node]
     branch.enter(added, removed, (rule, f, z))
@@ -79,10 +80,32 @@ class TestWeight:
 
 class TestRuleOf:
     def test_rules_of_terms(self):
-        assert rule_of(parse_term("r | s")) == RULE_UNION
-        assert rule_of(parse_term("-(r ; s)")) == RULE_CMPL_COMP
-        assert rule_of(parse_term("-(1 ; 1)")) == "inert"
-        assert rule_of(parse_term("-r")) is None
+        # one term per shape, its rule and its plan: one group per
+        # successor of (left, term, right), the endpoints X and Y of the
+        # premise and Z its instance or witness; a literal has no rule
+        table = [
+            ("r | s", RULE_UNION, (((X, "r", Y), (X, "s", Y)),)),
+            ("r & s", RULE_INTER, (((X, "r", Y),), ((X, "s", Y),))),
+            ("--r", RULE_DOUBLE_CMPL, (((X, "r", Y),),)),
+            ("-(r | s)", RULE_CMPL_UNION, (((X, "-r", Y),), ((X, "-s", Y),))),
+            ("-(r & s)", RULE_CMPL_INTER, (((X, "-r", Y), (X, "-s", Y)),)),
+            ("1 ; s", RULE_COMP_UNIV, (((Z, "s", Y),),)),
+            ("r ; s", RULE_COMP_BOOL, (((Z, "s", Y),),)),
+            ("-(1 ; s)", RULE_CMPL_COMP_UNIV, (((Z, "-s", Y),),)),
+            ("-(r ; 1)", RULE_CMPL_COMP_ONE, (((X, "-r", Z),),)),
+            ("-(r ; s)", RULE_CMPL_COMP, (((X, "-r", Z), (Z, "-s", Y)),)),
+            ("-(1 ; 1)", "inert", ()),
+            ("r", None, ()),
+            ("-r", None, ()),
+            ("1", None, ()),
+            ("-1", None, ()),
+        ]
+        for text, rule, plan in table:
+            t = parse_term(text)
+            assert plan_of(t) == tuple(
+                tuple((l, parse_term(c), r) for l, c, r in group) for group in plan
+            ), text
+            assert t.rule == rule and rule_of(t) == rule, text
 
     def test_memo_lives_and_dies_with_the_term(self):
         # the rule and the plan are memoised on the term, so terms that
@@ -182,21 +205,21 @@ class TestApplyBoolean:
         f = F("x", "r | s", "y")
         b = initial(f)
         assert offered(b, "x") == [(RULE_UNION, f, None)]
-        groups = conclusions(f, None)
+        groups = fill_plan(f, None)
         assert groups == [[F("x", "r", "y"), F("x", "s", "y")]]
 
     def test_intersection_branches(self):
         f = F("x", "r & s", "y")
         b = initial(f)
         assert offered(b, "x") == [(RULE_INTER, f, None)]
-        groups = conclusions(f, None)
+        groups = fill_plan(f, None)
         assert groups == [[F("x", "r", "y")], [F("x", "s", "y")]]
 
     def test_double_complement(self):
         f = F("x", "--r", "y")
         b = initial(f)
         assert offered(b, "x") == [(RULE_DOUBLE_CMPL, f, None)]
-        groups = conclusions(f, None)
+        groups = fill_plan(f, None)
         assert groups == [[F("x", "r", "y")]]
 
     def test_keeps_other_formulas(self):
@@ -239,7 +262,7 @@ class TestApplyNegcomp:
         f = F("x", "-(r ; 1)", "y")
         b = initial(f)
         assert offered(b, "x") == [(RULE_CMPL_COMP_ONE, f, None)]
-        groups = conclusions(f, "z1")
+        groups = fill_plan(f, "z1")
         assert groups == [[F("x", "-r", "z1")]]
 
     def test_left_constant_adds_right_part_only(self):
@@ -335,12 +358,12 @@ class TestApplyCompA:
 
     def test_adds_instantiated_right_part(self):
         b, f = self.forced_branch("r ; (s ; 1)")
-        groups = conclusions(f, "z1")
+        groups = fill_plan(f, "z1")
         assert groups == [[F("z1", "s ; 1", "y")]]
 
     def test_right_constant_closes_the_node(self):
         b, f = self.forced_branch("r ; 1")
-        groups = conclusions(f, "z1")
+        groups = fill_plan(f, "z1")
         assert groups == [[F("z1", "1", "y")]]
         assert is_axiomatic(dict.fromkeys(groups[0]))
 
@@ -364,7 +387,7 @@ class TestApplyCompB:
         f = F("x", "1 ; (r ; 1)", "y")
         b = initial(f)
         assert offered(b, "x") == [(RULE_COMP_UNIV, f, "x")]
-        groups = conclusions(f, "x")
+        groups = fill_plan(f, "x")
         assert groups == [[F("x", "r ; 1", "y")]]
 
     def test_then_with_right_endpoint(self):
@@ -372,7 +395,7 @@ class TestApplyCompB:
         b = initial(f)
         take(b, RULE_COMP_UNIV, f, "x")
         assert offered(b, "y") == [(RULE_COMP_UNIV, f, "y")]
-        groups = conclusions(f, "y")
+        groups = fill_plan(f, "y")
         assert groups == [[F("y", "r ; 1", "y")]]
 
     def test_existing_instance_not_repeated(self):

@@ -4,8 +4,7 @@ from hypothesis import strategies as st
 
 from conftest import boolean_term_strategy
 from dualtab.errors import NotBoolean, ParseError
-from dualtab.formulas import (RelFormula, gate_forced, is_literal,
-                              parse_formula)
+from dualtab.formulas import RelFormula, gate_forced, parse_formula
 from dualtab.terms import Cmpl, Inter, ONE, Union, Var, nf_cmpl, parse_term
 from reference import has_nbool_construction, is_nbool, v_set, variables_of
 
@@ -23,20 +22,6 @@ def forced_set():
         F("x", "-p", "y"),
         F("z", "p | s", "y"),
     ])
-
-
-class TestIsLiteral:
-    def test_negated_variable(self):
-        assert is_literal(F("x", "-r", "y"))
-
-    def test_constant(self):
-        assert is_literal(F("x", "1", "y"))
-
-    def test_union_is_not(self):
-        assert not is_literal(F("x", "r | s", "y"))
-
-    def test_negated_constant(self):
-        assert is_literal(F("x", "-1", "y"))
 
 
 class TestIsNbool:

@@ -31,15 +31,15 @@ from types import BuiltinFunctionType
 
 import pytest
 
-from conftest import family_text
+from conftest import family_text, fill_plan
 from dualtab import engine, formulas
 from dualtab.engine import (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE,
                             RULE_CMPL_COMP_UNIV, RULE_CMPL_INTER,
                             RULE_CMPL_UNION, RULE_COMP_BOOL, RULE_COMP_UNIV,
                             RULE_DOUBLE_CMPL, RULE_INTER, RULE_UNION,
                             Branch, Countermodel, ProofSearch, Proof,
-                            applications, conclusions, extract_model,
-                            is_axiomatic, is_blocked, rule_of)
+                            applications, extract_model, is_axiomatic,
+                            is_blocked, rule_of)
 from dualtab.formulas import RelFormula, gate_index
 from dualtab.frontends import parse_modal, translate_modal
 from dualtab.terms import (ONE, Cmpl, Comp, Inter, Union, Var, components,
@@ -246,10 +246,11 @@ def removed_by(node):
     return () if node.rule in (RULE_COMP_BOOL, RULE_COMP_UNIV) else (node.premise,)
 
 
-def reference_conclusions(rule, f, z):
+def reference_conclusions(f, z):
     """The conclusion groups of an application, each formula once, built
     by a match on the premise's term at every call, as the search once
-    built them."""
+    built them; the ``-(B;S)`` variant is read off the premise's shape,
+    not off the engine's rule."""
     x, y = f.left, f.right
     match f.term:
         case Comp(_, s):
@@ -266,9 +267,9 @@ def reference_conclusions(rule, f, z):
             groups = [[RelFormula(x, Cmpl(l), y), RelFormula(x, Cmpl(r), y)]]
         case Cmpl(Comp(b, s)):
             groups = [[]]
-            if rule != RULE_CMPL_COMP_UNIV:
+            if b != ONE:
                 groups[0].append(RelFormula(x, Cmpl(b), z))
-            if rule != RULE_CMPL_COMP_ONE:
+            if s != ONE:
                 groups[0].append(RelFormula(z, Cmpl(s), y))
     return [list(dict.fromkeys(group)) for group in groups]
 
@@ -283,7 +284,7 @@ def reference_nodes(search):
             refs.append(dict.fromkeys([search.root_formula]))
             continue
         siblings = nodes[n.parent].children
-        group = reference_conclusions(n.rule, n.premise, n.variable)[
+        group = reference_conclusions(n.premise, n.variable)[
             siblings.index(n.id)]
         succ = dict.fromkeys(refs[n.parent])
         for g in removed_by(n):
@@ -302,7 +303,7 @@ def test_plans_conclude_what_the_match_concludes(fragment_corpus):
                 if rule_of(t) not in (None, "inert")}
     for t in premises:
         f = RelFormula("x", t, "y")
-        assert conclusions(f, "z") == reference_conclusions(rule_of(t), f, "z")
+        assert fill_plan(f, "z") == reference_conclusions(f, "z")
     assert {rule_of(t) for t in premises} == set(PHASE)
 
 
@@ -310,8 +311,8 @@ def test_plans_conclude_what_the_match_concludes(fragment_corpus):
 def test_a_formula_twice_in_a_group_is_concluded_once(text, group):
     f = RelFormula("x", parse_term(text), "y")
     expected = [[RelFormula("x", parse_term(group), "y")]]
-    assert conclusions(f, "z") == expected
-    assert reference_conclusions(rule_of(f.term), f, "z") == expected
+    assert fill_plan(f, "z") == expected
+    assert reference_conclusions(f, "z") == expected
 
 
 def check_replay(search):
@@ -481,7 +482,7 @@ def enter_next(branch):
     if rule in (RULE_CMPL_COMP, RULE_CMPL_COMP_ONE, RULE_CMPL_COMP_UNIV):
         z = f"w{len(branch.vars)}"
     removed = () if rule in (RULE_COMP_BOOL, RULE_COMP_UNIV) else (f,)
-    added = [g for g in conclusions(f, z)[0] if g not in branch.node]
+    added = [g for g in fill_plan(f, z)[0] if g not in branch.node]
     branch.enter(added, removed, (rule, f, z))
     return True
 
